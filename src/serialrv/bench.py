@@ -24,7 +24,7 @@ from .cosim import fnv1a64
 from .golden import AES_SBOX, AES_SBOX_INV, ArchState, MASK32
 from .image import ProgramImage
 from .isa import Assembler, Ext, Mnemonic as M
-from .microarch import CLASS_OF, CoreConfig, MicroCore
+from .microarch import CLASS_OF, IMM_SHIFTS, SHIFT_MNEMONICS, CoreConfig, MicroCore
 
 CODE_BASE = 0x1000
 
@@ -180,7 +180,9 @@ def _two_pass(emit: Callable[[Assembler, int], None], data: bytes,
     """Assemble with the data block placed directly after the code.
 
     `emit` must produce an identical instruction count regardless of the
-    data base it is given (use li32 for address materialization).
+    data base it is given (use li32 for address materialization). Builders
+    that mirror the program's result let `emit` fill a list they own; both
+    passes write the same values into it.
     """
     probe = Assembler(base=CODE_BASE)
     emit(probe, 0x40000)
@@ -513,11 +515,8 @@ def _emit_alumix(a: Assembler, dbase: int, mirror: list) -> None:
 
 def build_alumix(variant: str) -> KernelProgram:
     mirror = [0] * 8
-    probe = Assembler(base=CODE_BASE)
-    _emit_alumix(probe, 0x40000, mirror)
-    expected = b"".join(v.to_bytes(4, "little") for v in mirror)
-    kp = _two_pass(lambda a, d: _emit_alumix(a, d, [0] * 8), bytes(32), 0, 32, b"")
-    return kp._replace(expected=expected)
+    kp = _two_pass(lambda a, d: _emit_alumix(a, d, mirror), bytes(32), 0, 32, b"")
+    return kp._replace(expected=b"".join(v.to_bytes(4, "little") for v in mirror))
 
 
 def _emit_shiftstorm(a: Assembler, dbase: int, mirror: list) -> None:
@@ -557,11 +556,8 @@ def _emit_shiftstorm(a: Assembler, dbase: int, mirror: list) -> None:
 
 def build_shiftstorm(variant: str) -> KernelProgram:
     mirror = [0, 0]
-    probe = Assembler(base=CODE_BASE)
-    _emit_shiftstorm(probe, 0x40000, mirror)
-    expected = mirror[0].to_bytes(4, "little")
-    kp = _two_pass(lambda a, d: _emit_shiftstorm(a, d, [0, 0]), bytes(4), 0, 4, b"")
-    return kp._replace(expected=expected)
+    kp = _two_pass(lambda a, d: _emit_shiftstorm(a, d, mirror), bytes(4), 0, 4, b"")
+    return kp._replace(expected=mirror[0].to_bytes(4, "little"))
 
 
 # --- kernel registry ----------------------------------------------------------
@@ -597,10 +593,6 @@ def _registry() -> Dict[str, Kernel]:
 KERNELS = _registry()
 SUITE_ALIASES = {"aes128": "aes128-enc", "sha256": "sha256-compress",
                  "prince": "prince-sbox"}
-
-
-def kernels() -> tuple:
-    return tuple(KERNELS)
 
 
 def run_kernel(kp: KernelProgram, config: CoreConfig,
@@ -640,12 +632,12 @@ def run_suite(kernel_names: Optional[Sequence[str]] = None,
 
 
 def derive_metrics(results: Sequence[BenchResult]) -> dict:
-    """Speedups, cross-width ratios, code-size reduction and the time factor."""
+    """Speedups, cross-width ratios and code-size reduction."""
     by_cell = {(r.kernel, r.variant, r.width): r for r in results}
     kernels_seen = sorted({r.kernel for r in results})
     widths_seen = sorted({r.width for r in results})
     metrics: dict = {"speedup_zkn": {}, "cross_width": {},
-                     "code_size_reduction_pct": {}, "time_factor": {}}
+                     "code_size_reduction_pct": {}}
     for k in kernels_seen:
         sp = {}
         for w in widths_seen:
@@ -672,17 +664,10 @@ def derive_metrics(results: Sequence[BenchResult]) -> dict:
                 cw[variant] = pairs
         if cw:
             metrics["cross_width"][k] = cw
-        metrics["time_factor"][k] = {
-            f"{r.variant}@{r.width}": r.cycles
-            for r in results if r.kernel == k}
     return metrics
 
 
 # --- constant-time audit --------------------------------------------------------
-
-_SHIFT_CLASS = {M.SLL, M.SLLI, M.SRL, M.SRLI, M.SRA, M.SRAI, M.ROR, M.ROL, M.RORI}
-_IMM_SHIFTS = {M.SLLI, M.SRLI, M.SRAI, M.RORI}
-
 
 class AuditRow(NamedTuple):
     mnemonic: str
@@ -742,7 +727,7 @@ def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
         if ext is not Ext.RV32I and ext not in config.extensions:
             continue
         lats = []
-        if m in _IMM_SHIFTS:
+        if m in IMM_SHIFTS:
             for shamt in range(32):
                 ins = isa.instr(m, rd=4, rs1=1, imm=shamt)
                 for v in base_ops[:max(8, trials // 32)]:
@@ -760,7 +745,7 @@ def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
                     lats.append(_measure_once(config, ins, v, 0))
             else:
                 ins = isa.instr(m, **kwargs)
-                shamts = list(range(32)) if m in _SHIFT_CLASS else []
+                shamts = list(range(32)) if m in SHIFT_MNEMONICS else []
                 for i, v in enumerate(base_ops):
                     rs2 = shamts[i % 32] if shamts else rng.getrandbits(32)
                     lats.append(_measure_once(config, ins, v, rs2))

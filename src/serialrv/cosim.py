@@ -31,16 +31,6 @@ class TortureConfig(NamedTuple):
     branch_density: float = 0.1
 
 
-class Divergence(Exception):
-    def __init__(self, pc: int, field: str, detail: str = ""):
-        self.pc = pc
-        self.field = field
-        self.detail = detail
-
-    def __str__(self) -> str:
-        return f"divergence at pc=0x{self.pc:08x} in {self.field} {self.detail}"
-
-
 class CosimReport(NamedTuple):
     seed: int
     width: int

@@ -147,10 +147,6 @@ class ArchState:
         mem.load_program(image)
         return cls(pc=image.entry, mem=mem)
 
-    def write_reg(self, rd: int, value: int) -> None:
-        if rd:
-            self.regs[rd] = value & MASK32
-
 
 # --- scalar-crypto primitive semantics -----------------------------------
 
@@ -365,9 +361,6 @@ def _sra32(x: int, n: int) -> int:
 
 def _signed(x: int) -> int:
     return x - (1 << 32) if x & 0x80000000 else x
-
-
-ALL_EXTENSIONS = frozenset(Ext) - {Ext.ZKT}
 
 
 def step(state: ArchState, extensions: Optional[frozenset] = None) -> StepOutcome:

@@ -5,31 +5,20 @@ serial_width-bit chunks, LSB first, with a carry latch between chunks.
 The fetch buffer overlaps instruction fetch with multi-cycle execution;
 taken control transfers flush it and pay a fixed penalty.
 
-Cycle model (all constants config-overridable):
-    chunked ALU op      32/w
-    shift/rotate        chunk steps + single-bit steps + 1 writeback
-    load/store          32/w address add + mem_latency + 1 commit
-    branch              32/w compare (+ penalty if taken)
-    jump                32/w (+ penalty, always)
-    clmul/clmulh        33 (32 multiplier bits + writeback), any width
-    aes32*              3
-    sha256*/sha512*     1 fixed-shift select + 32/w XOR accumulation
-    zip/unzip/rev8/brev8  1 (fixed wiring, bypasses the serializers)
-    fence/ecall/ebreak  1
-
 At width 32 the ALU is full-width (Serializer2 is absent from the data
 path) but the shift unit still serializes in 8-bit chunks plus single-bit
 steps, and clmul keeps using Serializer1 for accumulation.
 
-With the Zkt latency contract enabled, every shift/rotate is charged its
-worst case over all shift amounts, making each covered mnemonic's latency
-a function of (mnemonic, config) only.
+`latency_table` is the cycle model: the execution cycles of every
+mnemonic under one CoreConfig. `run_instruction` adds the frontend rule
+(fetch overlap, taken-transfer penalty) on top of it.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Optional, Tuple
 
 from . import golden, isa
@@ -53,9 +42,6 @@ AES = "aes"
 SHA = "sha"
 REORDER = "reorder_1cycle"
 FENCE_NOP = "fence_nop"
-
-LATENCY_CLASSES = (ALU_CHUNKED, SHIFT, ROTATE, LOAD, STORE, BRANCH, JUMP,
-                   CLMUL, XPERM, AES, SHA, REORDER, FENCE_NOP)
 
 CLASS_OF = {}
 for _m in (M.ADD, M.ADDI, M.SUB, M.AND, M.ANDI, M.OR, M.ORI, M.XOR, M.XORI,
@@ -85,6 +71,11 @@ for _m in (M.ZIP, M.UNZIP, M.REV8, M.BREV8):
 for _m in (M.FENCE, M.ECALL, M.EBREAK):
     CLASS_OF[_m] = FENCE_NOP
 
+SHIFT_MNEMONICS = frozenset(m for m, c in CLASS_OF.items()
+                            if c in (SHIFT, ROTATE))
+IMM_SHIFTS = frozenset({M.SLLI, M.SRLI, M.SRAI, M.RORI})
+_LEFT_SHIFTS = frozenset({M.SLL, M.SLLI, M.ROL})
+
 
 @dataclass(frozen=True)
 class CoreConfig:
@@ -105,8 +96,12 @@ class CoreConfig:
             raise ValueError(f"serial_width must be one of {VALID_WIDTHS}")
         if self.mem_latency < 1:
             raise ValueError("mem_latency must be >= 1")
-        if self.taken_branch_penalty < 0:
-            raise ValueError("taken_branch_penalty must be >= 0")
+        for knob in ("aes_latency", "clmul_latency", "reorder_latency"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1")
+        for knob in ("taken_branch_penalty", "sha_select_latency"):
+            if getattr(self, knob) < 0:
+                raise ValueError(f"{knob} must be >= 0")
         object.__setattr__(self, "extensions", frozenset(self.extensions))
 
     @classmethod
@@ -147,63 +142,68 @@ def parse_extensions(spec: str) -> frozenset:
     return frozenset(exts)
 
 
-# --- shift timing ----------------------------------------------------------
+# --- the cycle model ----------------------------------------------------------
 
 def _movement(steps: int, chunk_w: int) -> int:
     return steps // chunk_w + steps % chunk_w
 
 
-@functools.lru_cache(maxsize=None)
-def _shift_cost_nonzkt(chunk_w: int, mask_pass: int, left_support: bool,
-                       direction: str, kind: str, shamt: int) -> int:
-    if direction == "right":
-        return _movement(shamt, chunk_w) + 1
-    if kind == "rotate":
-        if left_support:
-            return _movement(shamt, chunk_w) + 1
-        return _movement(32 - shamt, chunk_w) + 1  # rol s == ror (32-s)
-    # left logical shift
-    emulated = _movement(32 - shamt, chunk_w) + mask_pass + 1
-    if left_support:
-        # the right-shift path still exists, so the control picks whichever
-        # strategy is cheaper for this shamt
-        return min(_movement(shamt, chunk_w) + 1, emulated)
-    return emulated
+def shift_plan(config: CoreConfig, m: M, shamt: int) -> Tuple[bool, int, bool]:
+    """How the shift unit carries out one shift/rotate: (left, amount, mask).
 
-
-@functools.lru_cache(maxsize=None)
-def _shift_cost_zkt(chunk_w: int, mask_pass: int, left_support: bool,
-                    direction: str, kind: str) -> int:
-    return max(_shift_cost_nonzkt(chunk_w, mask_pass, left_support,
-                                  direction, kind, s) for s in range(32))
-
-
-def shift_latency(config: CoreConfig, direction: str, kind: str,
-                  shamt: int, zkt: Optional[bool] = None) -> int:
-    """Cycles for one shift/rotate, including the writeback cycle.
-
-    direction: 'left' or 'right'; kind: 'logical', 'arithmetic' or 'rotate'.
-    Under Zkt the cost is the worst case over all shift amounts for the
-    same direction/kind/support configuration.
+    The operand moves `amount` bits (left or right) in chunk steps plus
+    single-bit steps. Without a usable left path, a left shift becomes a
+    right rotate by 32 - shamt; the logical form then needs a mask pass to
+    clear the bits that wrapped around. With left support the control
+    still picks the emulated form for a logical shift when it is cheaper.
     """
-    if zkt is None:
-        zkt = config.zkt
-    cw = config.shift_chunk_width
-    mask_pass = config.chunks
-    if zkt:
-        return _shift_cost_zkt(cw, mask_pass, config.left_shift_support,
-                               direction, kind)
-    return _shift_cost_nonzkt(cw, mask_pass, config.left_shift_support,
-                              direction, kind, shamt & 31)
+    if m not in _LEFT_SHIFTS:
+        return False, shamt, False
+    logical = m is not M.ROL
+    if config.left_shift_support:
+        direct = _movement(shamt, config.shift_chunk_width)
+        emulated = _movement(32 - shamt, config.shift_chunk_width) + config.chunks
+        if not logical or direct <= emulated:
+            return True, shamt, False
+    return False, 32 - shamt, logical
 
 
-_SHIFT_SHAPE = {
-    M.SLL: ("left", "logical"), M.SLLI: ("left", "logical"),
-    M.SRL: ("right", "logical"), M.SRLI: ("right", "logical"),
-    M.SRA: ("right", "arithmetic"), M.SRAI: ("right", "arithmetic"),
-    M.ROR: ("right", "rotate"), M.RORI: ("right", "rotate"),
-    M.ROL: ("left", "rotate"),
-}
+@functools.lru_cache(maxsize=256)
+def latency_table(config: CoreConfig) -> MappingProxyType:
+    """Execution cycles of every mnemonic in CLASS_OF under `config`.
+
+    Shifts and rotates map to a 32-entry tuple indexed by shift amount; the
+    cost of a plan is its movement steps, the mask pass and one writeback
+    cycle. Under Zkt each such tuple is its own maximum repeated, so the
+    latency no longer depends on the shift amount. The table is shared by
+    every caller with an equal config, so it is read-only.
+    """
+    chunks = config.chunks
+    mem_op = chunks + config.mem_latency + 1  # address add, access, commit
+    per_class = {
+        ALU_CHUNKED: chunks, BRANCH: chunks, JUMP: chunks, XPERM: chunks,
+        LOAD: mem_op, STORE: mem_op,
+        CLMUL: config.clmul_latency, AES: config.aes_latency,
+        SHA: config.sha_select_latency + chunks,
+        REORDER: config.reorder_latency, FENCE_NOP: 1,
+    }
+    table = {}
+    for m, klass in CLASS_OF.items():
+        if m not in SHIFT_MNEMONICS:
+            table[m] = per_class[klass]
+            continue
+        costs = []
+        for shamt in range(32):
+            _, amount, mask = shift_plan(config, m, shamt)
+            costs.append(_movement(amount, config.shift_chunk_width)
+                         + (chunks if mask else 0) + 1)
+        table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
+    return MappingProxyType(table)
+
+
+def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
+    """Cycles for one shift/rotate by `shamt`, including the writeback cycle."""
+    return latency_table(config)[mnemonic][shamt]
 
 
 def alu_mask_select(chunk_index: int, mode: str, control: int) -> Tuple[bool, int]:
@@ -254,11 +254,10 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
+        self.latency = latency_table(config)
         self.arch = state
         self.serializer1 = 0
-        self.serializer1_pos = 0
         self.serializer2 = 0
-        self.serializer2_pos = 0
         self.fetch_buffer: Optional[Tuple[int, int]] = None
         self.lsu_buffer = 0
         self.cycle = 0
@@ -285,9 +284,7 @@ class MicroCore:
             b >>= w
             pos += w
         self.serializer1 = 0
-        self.serializer1_pos = self.config.chunks
         self.serializer2 = res
-        self.serializer2_pos = self.config.chunks
         return res, carry
 
     def _chunk_logic(self, op: str, a: int, b: int) -> int:
@@ -327,9 +324,7 @@ class MicroCore:
             b >>= w
             pos += w
         self.serializer1 = 0
-        self.serializer1_pos = self.config.chunks
         self.serializer2 = res
-        self.serializer2_pos = self.config.chunks
         return res
 
     def _chunk_sub(self, a: int, b: int) -> Tuple[int, int]:
@@ -367,38 +362,21 @@ class MicroCore:
                 elif arith and (v >> (31 - k)) & 1:
                     v |= ((1 << k) - 1) << (32 - k)
         self.serializer1 = v
-        self.serializer1_pos = 0
         return v
 
-    def _shift_exec(self, m: M, value: int, shamt: int) -> Tuple[int, int]:
-        """Returns (result, cycles) for any shift/rotate mnemonic."""
-        cfg = self.config
-        direction, kind = _SHIFT_SHAPE[m]
-        cycles = shift_latency(cfg, direction, kind, shamt)
-        shamt &= 31
-        arith = kind == "arithmetic"
-        rotate = kind == "rotate"
-        if direction == "right":
-            res = self._serial_move(value, shamt, False, arith, rotate)
-        elif rotate:
-            if cfg.left_shift_support:
-                res = self._serial_move(value, shamt, True, False, True)
-            else:
-                res = self._serial_move(value, (32 - shamt) & 31, False, False, True)
-        else:  # left logical
-            direct = _movement(shamt, cfg.shift_chunk_width) + 1
-            emulated = _movement(32 - shamt, cfg.shift_chunk_width) + cfg.chunks + 1
-            if cfg.left_shift_support and direct <= emulated:
-                res = self._serial_move(value, shamt, True, False, False)
-            else:
-                # rotate right by 32-shamt, then mask off the vacated bits
-                res = self._serial_move(value, (32 - shamt) & 31, False, False, True)
-                res &= (MASK32 << shamt) & MASK32
-        return res, cycles
+    def _shift_exec(self, m: M, value: int, shamt: int) -> int:
+        """Result of any shift/rotate mnemonic, carried out by its plan."""
+        left, amount, mask = shift_plan(self.config, m, shamt)
+        rotate = mask or CLASS_OF[m] == ROTATE
+        arith = m is M.SRA or m is M.SRAI
+        res = self._serial_move(value, amount, left, arith, rotate)
+        if mask:
+            res &= (MASK32 << shamt) & MASK32
+        return res
 
     # -- crypto function units ----------------------------------------------
 
-    def _aes_unit(self, m: M, rs1: int, rs2: int, bs: int) -> Tuple[int, int]:
+    def _aes_unit(self, m: M, rs1: int, rs2: int, bs: int) -> int:
         # byte select via the operand mask, S-Box/xt2 through the LSU buffer,
         # rotate and XOR merge via Serializer1
         self.lsu_buffer = (rs2 >> (8 * bs)) & 0xFF
@@ -418,7 +396,7 @@ class MicroCore:
         else:
             word = s
         rotated = self._serial_move(word, (8 * bs) & 31, True, False, True)
-        return (rs1 ^ rotated) & MASK32, self.config.aes_latency
+        return (rs1 ^ rotated) & MASK32
 
 
     _SHA_NETWORK = {
@@ -436,7 +414,7 @@ class MicroCore:
         M.SHA512SUM1R: ((1, "l", 23), (1, "s", 14), (1, "s", 18), (2, "s", 9), (2, "l", 18), (2, "l", 14)),
     }
 
-    def _sha_unit(self, m: M, rs1: int, rs2: int) -> Tuple[int, int]:
+    def _sha_unit(self, m: M, rs1: int, rs2: int) -> int:
         # fixed-shift multiplexer feeding a chunked XOR accumulation
         acc = 0
         for src, op, n in self._SHA_NETWORK[m]:
@@ -448,10 +426,9 @@ class MicroCore:
             else:
                 v = (v << n) & MASK32
             acc = self._chunk_logic("xor", acc, v)
-        cycles = self.config.sha_select_latency + self.config.chunks
-        return acc, cycles
+        return acc
 
-    def _clmul_unit(self, m: M, rs1: int, rs2: int) -> Tuple[int, int]:
+    def _clmul_unit(self, m: M, rs1: int, rs2: int) -> int:
         # bit-serial accumulation: the multiplier bit gates whether the
         # shifted multiplicand is folded into the Serializer1 accumulator
         acc = 0
@@ -460,10 +437,9 @@ class MicroCore:
             if enable:
                 acc ^= rs1 << i
         self.serializer1 = acc & MASK32
-        res = (acc >> 32) & MASK32 if m is M.CLMULH else acc & MASK32
-        return res, self.config.clmul_latency
+        return (acc >> 32) & MASK32 if m is M.CLMULH else acc & MASK32
 
-    def _xperm_unit(self, m: M, rs1: int, rs2: int) -> Tuple[int, int]:
+    def _xperm_unit(self, m: M, rs1: int, rs2: int) -> int:
         digit = 8 if m is M.XPERM8 else 4
         mode = "xperm-byte" if m is M.XPERM8 else "xperm-nibble"
         mask = (1 << digit) - 1
@@ -474,21 +450,19 @@ class MicroCore:
                 out |= ((rs1 >> (digit * src)) & mask) << (digit * i)
         if self.config.serial_width < 32:
             self.serializer2 = out
-        return out, self.config.chunks
+        return out
 
     # -- load/store unit ------------------------------------------------------
 
-    def _lsu(self, m: M, addr: int, store_val: int) -> Tuple[Optional[int], int, bool]:
+    def _lsu(self, m: M, addr: int, store_val: int) -> Tuple[Optional[int], bool]:
         """Full-width transaction through the LSU buffer.
 
-        Returns (loaded value or None, cycles, ok).
+        Returns (loaded value or None, ok).
         """
-        cfg = self.config
-        cycles = cfg.chunks + cfg.mem_latency + 1
         width = {M.LB: 1, M.LBU: 1, M.LH: 2, M.LHU: 2, M.LW: 4,
                  M.SB: 1, M.SH: 2, M.SW: 4}[m]
         if addr % width:
-            return None, 0, False
+            return None, False
         mem = self.arch.mem
         if m in (M.SB, M.SH, M.SW):
             self.lsu_buffer = store_val & MASK32
@@ -498,7 +472,7 @@ class MicroCore:
                 mem.store_half(addr, store_val)
             else:
                 mem.store_word(addr, store_val)
-            return None, cycles, True
+            return None, True
         self.lsu_buffer = mem.load_word(addr & ~3)
         sub = self.lsu_buffer >> (8 * (addr & 3))
         if m is M.LW:
@@ -511,7 +485,7 @@ class MicroCore:
             val = sub & 0xFFFF
         else:
             val = ((sub & 0xFFFF) ^ 0x8000) - 0x8000
-        return val & MASK32, cycles, True
+        return val & MASK32, True
 
     # -- instruction execution -------------------------------------------------
 
@@ -535,15 +509,13 @@ class MicroCore:
         rs1 = regs[ins.rs1]
         rs2 = regs[ins.rs2]
         imm = ins.imm
-        chunks = cfg.chunks
-        w = cfg.serial_width
         self.phase = "execute"
 
         val = None
         next_pc = pc + 4
         taken = False
         klass = CLASS_OF[m]
-        cycles = chunks  # default: one chunk per cycle through the ALU
+        cycles = self.latency[m]
 
         if klass == ALU_CHUNKED:
             if m is M.ADD:
@@ -587,17 +559,18 @@ class MicroCore:
             else:  # packh
                 val = ((rs2 & 0xFF) << 8) | (rs1 & 0xFF)
         elif klass == SHIFT or klass == ROTATE:
-            shamt = imm if m in (M.SLLI, M.SRLI, M.SRAI, M.RORI) else rs2 & 31
-            val, cycles = self._shift_exec(m, rs1, shamt)
+            shamt = imm if m in IMM_SHIFTS else rs2 & 31
+            val = self._shift_exec(m, rs1, shamt)
+            cycles = cycles[shamt]
         elif klass == LOAD:
             addr = (rs1 + imm) & MASK32
-            val, cycles, ok = self._lsu(m, addr, 0)
+            val, ok = self._lsu(m, addr, 0)
             if not ok:
                 self.phase = "halted"
                 return 0, StepOutcome(True, MISALIGNED_ACCESS)
         elif klass == STORE:
             addr = (rs1 + imm) & MASK32
-            _, cycles, ok = self._lsu(m, addr, rs2)
+            _, ok = self._lsu(m, addr, rs2)
             if not ok:
                 self.phase = "halted"
                 return 0, StepOutcome(True, MISALIGNED_ACCESS)
@@ -616,7 +589,6 @@ class MicroCore:
                 taken = self._less_than(rs1, rs2, False) == 0
             if taken:
                 next_pc = pc + imm
-            cycles = chunks
         elif klass == JUMP:
             val = next_pc & MASK32
             if m is M.JAL:
@@ -626,20 +598,17 @@ class MicroCore:
                 target &= ~1
             next_pc = target
             taken = True
-            cycles = chunks
         elif klass == AES:
-            val, cycles = self._aes_unit(m, rs1, rs2, ins.bs)
+            val = self._aes_unit(m, rs1, rs2, ins.bs)
         elif klass == SHA:
-            val, cycles = self._sha_unit(m, rs1, rs2)
+            val = self._sha_unit(m, rs1, rs2)
         elif klass == CLMUL:
-            val, cycles = self._clmul_unit(m, rs1, rs2)
+            val = self._clmul_unit(m, rs1, rs2)
         elif klass == XPERM:
-            val, cycles = self._xperm_unit(m, rs1, rs2)
+            val = self._xperm_unit(m, rs1, rs2)
         elif klass == REORDER:
             val = _apply_wiring(_REORDER_WIRING[m], rs1)
-            cycles = cfg.reorder_latency
         else:  # fence_nop
-            cycles = 1
             if m is M.EBREAK:
                 self.cycle += cycles
                 self.phase = "halted"

@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 from serialrv import bench, cosim, isa
+from serialrv.isa import Mnemonic as M
 from serialrv.bench import (audit_constant_time, build_aes128, build_sha256,
                             run_kernel, run_suite, sha256_digest_from_out,
                             sha256_pad)
@@ -123,8 +124,8 @@ def test_criterion_06_left_shift_optimization():
         sup = CoreConfig(serial_width=w, left_shift_support=True)
         emu = CoreConfig(serial_width=w, left_shift_support=False)
         for s in range(1, 32):
-            a = shift_latency(sup, "left", "logical", s, zkt=False)
-            b = shift_latency(emu, "left", "logical", s, zkt=False)
+            a = shift_latency(sup, M.SLL, s)
+            b = shift_latency(emu, M.SLL, s)
             everywhere_ok &= a <= b
             min_ratio = min(min_ratio, a / b)
     ok = everywhere_ok and min_ratio <= 0.5

@@ -37,6 +37,15 @@ def test_config_validation():
         CoreConfig(mem_latency=0)
     with pytest.raises(ValueError):
         CoreConfig(taken_branch_penalty=-1)
+    for knob in ("aes_latency", "clmul_latency", "reorder_latency"):
+        with pytest.raises(ValueError, match=knob):
+            CoreConfig(**{knob: 0})
+        CoreConfig(**{knob: 1})
+    with pytest.raises(ValueError, match="aes_latency"):
+        CoreConfig(aes_latency=-3)
+    with pytest.raises(ValueError, match="sha_select_latency"):
+        CoreConfig(sha_select_latency=-1)
+    CoreConfig(sha_select_latency=0)
 
 
 def test_zkn_zkt_preset():
@@ -122,30 +131,117 @@ def test_fence_one_cycle():
     assert cycles == 1 and not out.halted
 
 
+# --- the README cycle table, row by row ------------------------------------------
+
+KNOB_SETS = {
+    "default": dict(extensions=isa.ZKN),
+    "knobs": dict(extensions=isa.ZKN, mem_latency=3, taken_branch_penalty=1,
+                  aes_latency=5, clmul_latency=40, reorder_latency=2,
+                  sha_select_latency=0, left_shift_support=False),
+    "zkt": dict(extensions=isa.ZKN_ZKT),
+}
+
+
+def _readme_shift(cfg, m, shamt):
+    # chunk steps + single-bit steps + 1 writeback; a left shift without
+    # (or slower on) the left path is a right rotate by 32 - shamt, plus a
+    # 32/w mask pass for the logical form
+    cw = 8 if cfg.serial_width == 32 else cfg.serial_width
+    steps = lambda k: k // cw + k % cw
+    if m in (M.SLL, M.SLLI):
+        emulated = steps(32 - shamt) + 32 // cfg.serial_width + 1
+        if cfg.left_shift_support:
+            return min(steps(shamt) + 1, emulated)
+        return emulated
+    if m is M.ROL and not cfg.left_shift_support:
+        return steps(32 - shamt) + 1
+    return steps(shamt) + 1
+
+
+def _readme_cycles(cfg, m, shamt):
+    n = 32 // cfg.serial_width
+    klass = CLASS_OF[m]
+    if klass in ("shift", "rotate"):
+        if cfg.zkt:
+            return max(_readme_shift(cfg, m, s) for s in range(32))
+        return _readme_shift(cfg, m, shamt)
+    return {"alu_chunked": n, "branch": n, "jump": n, "xperm": n,
+            "load": n + cfg.mem_latency + 1, "store": n + cfg.mem_latency + 1,
+            "clmul": cfg.clmul_latency, "aes": cfg.aes_latency,
+            "sha": cfg.sha_select_latency + n,
+            "reorder_1cycle": cfg.reorder_latency, "fence_nop": 1}[klass]
+
+
+def _cases(m):
+    """(instruction, register values, taken) triples that exercise `m`."""
+    fmt = isa.ENCODINGS[m].fmt
+    if fmt == isa.FMT_I_SHAMT:
+        return [(instr(m, rd=3, rs1=1, imm=s), {1: 0x80000001}, False)
+                for s in range(32)]
+    if CLASS_OF[m] in ("shift", "rotate"):
+        return [(instr(m, rd=3, rs1=1, rs2=2), {1: 0x80000001, 2: s}, False)
+                for s in range(32)]
+    if fmt in (isa.FMT_LOAD, isa.FMT_STORE):
+        return [(instr(m, rd=3, rs1=1, rs2=2, imm=4), {1: 0x200, 2: 0xA5}, False)]
+    if fmt == isa.FMT_BRANCH:
+        ins = instr(m, rs1=1, rs2=2, imm=8)
+        return [(ins, {1: 5, 2: 5}, m in (M.BEQ, M.BGE, M.BGEU)),
+                (ins, {1: 1, 2: 2}, m in (M.BNE, M.BLT, M.BLTU))]
+    if fmt in (isa.FMT_JAL, isa.FMT_JALR):
+        return [(instr(m, rd=3, rs1=1, imm=8), {1: 0x1000}, True)]
+    if fmt in (isa.FMT_FENCE, isa.FMT_SYSTEM):
+        return [(instr(m), {}, False)]
+    return [(instr(m, rd=3, rs1=1, rs2=2, imm=5, bs=1),
+             {1: 0x12345678, 2: 0x9ABCDEF0}, False)]
+
+
+@pytest.mark.parametrize("knobs", sorted(KNOB_SETS))
+@pytest.mark.parametrize("m", sorted(CLASS_OF, key=lambda x: x.value),
+                         ids=lambda m: m.value)
+def test_charged_cycles_follow_readme_table(m, knobs):
+    for width in WIDTHS:
+        cfg = CoreConfig(serial_width=width, **KNOB_SETS[knobs])
+        for ins, regs, taken in _cases(m):
+            core = MicroCore(cfg, ArchState(pc=0x1000, mem=Memory()))
+            cycles, out = exec_one(core, ins, regs)
+            shamt = ins.imm if isa.ENCODINGS[m].fmt == isa.FMT_I_SHAMT \
+                else regs.get(2, 0)
+            execute = _readme_cycles(cfg, m, shamt)
+            # frontend: a taken transfer flushes the fetch buffer and pays
+            # the penalty; otherwise the next fetch overlaps execution
+            if m in (M.EBREAK, M.ECALL):
+                want = execute
+            elif taken:
+                want = execute + cfg.taken_branch_penalty + cfg.mem_latency - 1
+            else:
+                want = max(execute, cfg.mem_latency)
+            assert cycles == want, (m.value, width, knobs, regs)
+            assert (core.arch.pc != 0x1004) == taken or out.halted
+
+
 # --- shift latency model --------------------------------------------------------
 
 def test_shift_zero_amount_is_writeback_only():
     for width in WIDTHS:
         cfg = CoreConfig(serial_width=width)
-        assert shift_latency(cfg, "right", "logical", 0, zkt=False) == 1
+        assert shift_latency(cfg, M.SRL, 0) == 1
 
 
 def test_shift_width1_shamt31():
     cfg = CoreConfig(serial_width=1)
-    assert shift_latency(cfg, "right", "logical", 31, zkt=False) == 32
+    assert shift_latency(cfg, M.SRL, 31) == 32
 
 
 def test_shift_monotone_in_shamt_width1():
     cfg = CoreConfig(serial_width=1)
-    costs = [shift_latency(cfg, "right", "logical", s, zkt=False)
-             for s in range(32)]
+    costs = [shift_latency(cfg, M.SRL, s) for s in range(32)]
     assert costs == sorted(costs)
 
 
 def test_width32_shift_uses_8bit_chunks():
     cfg = CoreConfig(serial_width=32)
     # shamt 9 = one 8-chunk + one bit + writeback
-    assert shift_latency(cfg, "right", "logical", 9, zkt=False) == 3
+    assert shift_latency(cfg, M.SRL, 9) == 3
 
 
 def test_supported_left_never_worse_than_emulated():
@@ -154,8 +250,8 @@ def test_supported_left_never_worse_than_emulated():
         emu = CoreConfig(serial_width=width, left_shift_support=False)
         strict = False
         for s in range(1, 32):
-            a = shift_latency(sup, "left", "logical", s, zkt=False)
-            b = shift_latency(emu, "left", "logical", s, zkt=False)
+            a = shift_latency(sup, M.SLL, s)
+            b = shift_latency(emu, M.SLL, s)
             assert a <= b, (width, s, a, b)
             strict |= a < b
         assert strict  # holds at every width in this model
@@ -168,8 +264,8 @@ def test_left_shift_halving_claim():
         sup = CoreConfig(serial_width=width, left_shift_support=True)
         emu = CoreConfig(serial_width=width, left_shift_support=False)
         for s in range(1, 32):
-            a = shift_latency(sup, "left", "logical", s, zkt=False)
-            b = shift_latency(emu, "left", "logical", s, zkt=False)
+            a = shift_latency(sup, M.SLL, s)
+            b = shift_latency(emu, M.SLL, s)
             best = min(best, a / b)
     assert best <= 0.5
 
@@ -177,12 +273,12 @@ def test_left_shift_halving_claim():
 def test_zkt_shift_constant_and_worst_case():
     for width in WIDTHS:
         cfg = CoreConfig(serial_width=width, extensions=frozenset({Ext.ZKT}))
-        fixed = shift_latency(cfg, "right", "logical", 0)
-        worst = max(shift_latency(cfg, "right", "logical", s, zkt=False)
-                    for s in range(32))
+        plain = CoreConfig(serial_width=width)
+        fixed = shift_latency(cfg, M.SRL, 0)
+        worst = max(shift_latency(plain, M.SRL, s) for s in range(32))
         for s in range(32):
-            assert shift_latency(cfg, "right", "logical", s) == fixed
-            assert fixed >= shift_latency(cfg, "right", "logical", s, zkt=False)
+            assert shift_latency(cfg, M.SRL, s) == fixed
+            assert fixed >= shift_latency(plain, M.SRL, s)
         assert fixed == worst
 
 
