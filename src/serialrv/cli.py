@@ -85,6 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.max_cycles < 1:
+        print("error: --max-cycles must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     try:
         image = load_image(args.image, fmt=args.format, base=args.base,
                            entry=args.entry)
@@ -119,9 +122,13 @@ def _cmd_cosim(args) -> int:
     if args.programs < 1:
         print("error: --programs must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    reports = cosim.run_matrix(range(args.seed, args.seed + args.programs),
-                               args.widths, extensions=args.ext,
-                               length=args.length)
+    try:
+        reports = cosim.run_matrix(range(args.seed, args.seed + args.programs),
+                                   args.widths, extensions=args.ext,
+                                   length=args.length)
+    except cosim.ProgramTooLong as e:
+        print(f"error: {e}; use a shorter --length", file=sys.stderr)
+        return EXIT_USAGE
     passed = sum(r.passed for r in reports)
     print(f"cosim: {passed}/{len(reports)} cells passed "
           f"({args.programs} programs x widths {','.join(map(str, args.widths))})")

@@ -4,10 +4,15 @@ Generated programs are forward-branch-only (guaranteed termination): every
 branch targets a point 1..3 instructions ahead, so the instructions in its
 shadow execute only when it falls through. Memory traffic is confined to a
 scratch window addressed off a reserved base register.
+
+The golden model's run of a program does not depend on the core's width:
+it is recorded once and the cycle-accurate core is checked against the
+recording at each width.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import NamedTuple, Optional, Tuple
 
@@ -78,6 +83,10 @@ _SHIFT_I = (M.SLLI, M.SRLI, M.SRAI)
 _LOADS = (M.LB, M.LH, M.LW, M.LBU, M.LHU)
 _STORES = (M.SB, M.SH, M.SW)
 _BRANCHES = (M.BEQ, M.BNE, M.BLT, M.BGE, M.BLTU, M.BGEU)
+_ACCESS_BYTES = {M.LB: 1, M.LBU: 1, M.LH: 2, M.LHU: 2, M.LW: 4,
+                 M.SB: 1, M.SH: 2, M.SW: 4}
+# destination registers: any but the scratch base
+_RD_CHOICES = tuple(r for r in range(32) if r != SCRATCH_REG)
 
 _POOL_BY_EXT = {
     Ext.ZBKB: (M.ROR, M.ROL, M.RORI, M.ANDN, M.ORN, M.XNOR, M.PACK, M.PACKH,
@@ -104,7 +113,7 @@ def _build_pool(extensions: frozenset) -> tuple:
 def _random_non_branch(a: Assembler, rng: random.Random, pool: tuple,
                        wbase: int, wsize: int) -> None:
     m = rng.choice(pool)
-    rd = rng.choice([r for r in range(32) if r != SCRATCH_REG])
+    rd = rng.choice(_RD_CHOICES)
     rs1 = rng.randrange(32)
     rs2 = rng.randrange(32)
     if m in _ALU_I:
@@ -112,12 +121,10 @@ def _random_non_branch(a: Assembler, rng: random.Random, pool: tuple,
     elif m in _SHIFT_I or m is M.RORI:
         a.emit(m, rd=rd, rs1=rs1, imm=rng.randrange(32))
     elif m in _LOADS:
-        width = {M.LB: 1, M.LBU: 1, M.LH: 2, M.LHU: 2, M.LW: 4}[m]
-        off = rng.randrange(0, wsize - 4) & ~(width - 1)
+        off = rng.randrange(0, wsize - 4) & ~(_ACCESS_BYTES[m] - 1)
         a.emit(m, rd=rd, rs1=SCRATCH_REG, imm=off)
     elif m in _STORES:
-        width = {M.SB: 1, M.SH: 2, M.SW: 4}[m]
-        off = rng.randrange(0, wsize - 4) & ~(width - 1)
+        off = rng.randrange(0, wsize - 4) & ~(_ACCESS_BYTES[m] - 1)
         a.emit(m, rs1=SCRATCH_REG, rs2=rs2, imm=off)
     elif m is M.LUI or m is M.AUIPC:
         a.emit(m, rd=rd, imm=rng.randrange(1 << 20))
@@ -131,9 +138,17 @@ def _random_non_branch(a: Assembler, rng: random.Random, pool: tuple,
         a.emit(m, rd=rd, rs1=rs1, rs2=rs2)
 
 
+class ProgramTooLong(ValueError):
+    """The generated code would overlap the scratch window."""
+
+
 def generate(config: TortureConfig) -> ProgramImage:
     """Emit a legal, self-terminating random program ending in a register
-    dump to the scratch window followed by ebreak."""
+    dump to the scratch window followed by ebreak.
+
+    Raises ProgramTooLong if `config.length` leaves no room for the code
+    below the scratch window.
+    """
     rng = random.Random(config.seed)
     wbase, wsize = config.memory_window
     pool = _build_pool(config.extensions)
@@ -150,8 +165,7 @@ def generate(config: TortureConfig) -> ProgramImage:
         if rng.random() < config.branch_density:
             shadow = rng.randrange(1, 4)
             if rng.random() < 0.15:
-                rd = rng.choice([r for r in range(32) if r != SCRATCH_REG])
-                a.emit(M.JAL, rd=rd, imm=4 * (shadow + 1))
+                a.emit(M.JAL, rd=rng.choice(_RD_CHOICES), imm=4 * (shadow + 1))
             else:
                 a.emit(rng.choice(_BRANCHES), rs1=rng.randrange(32),
                        rs2=rng.randrange(32), imm=4 * (shadow + 1))
@@ -170,12 +184,54 @@ def generate(config: TortureConfig) -> ProgramImage:
     # pad up to the scratch window and pre-seed it so loads see a
     # deterministic pattern even before the first store
     gap = wbase - a.here
-    assert gap >= 0, "program overran the scratch window"
-    for _ in range(gap // 4):
-        a.word(0)
+    if gap < 0:
+        raise ProgramTooLong(
+            f"a torture program of length {config.length} runs to "
+            f"0x{a.here:x}, past the scratch window at 0x{wbase:x}")
+    a.data(bytes(gap & ~3))  # whole words of zeros
     seed_bytes = bytes(rng.getrandbits(8) for _ in range(wsize))
     a.data(seed_bytes)
     return a.build()
+
+
+class _GoldenTrace(NamedTuple):
+    image: ProgramImage
+    steps: tuple        # (pc after, regs after, outcome) per golden step
+    signature: str      # golden signature after the last step
+
+
+@functools.lru_cache(maxsize=1)
+def _golden_trace(torture: TortureConfig, exts: frozenset,
+                  max_steps: int) -> _GoldenTrace:
+    """Generate `torture`'s program and step the golden model on it until it
+    halts or `max_steps` steps have run, recording the state after each step.
+
+    Neither depends on the core's width, so cosim_run records them once and
+    replays them at every width; one entry suffices because callers run all
+    widths of a program back to back. The cache is keyed by data, not by
+    code: a test that changes the golden model or the generator must call
+    `_golden_trace.cache_clear()` first, or it gets the unchanged trace.
+    Every caller gets the same register lists, so they are read-only.
+    """
+    img = generate(torture)
+    gold = ArchState.from_image(img)
+    steps = []
+    for _ in range(max_steps):
+        out = golden.step(gold, exts)
+        steps.append((gold.pc, gold.regs[:], out))
+        if out.halted:
+            break
+    return _GoldenTrace(img, tuple(steps),
+                        signature(gold, torture.memory_window))
+
+
+def _golden_signature(img: ProgramImage, exts: frozenset, n: int,
+                      window: Tuple[int, int]) -> str:
+    """The golden signature after `n` steps, for a run that diverged early."""
+    gold = ArchState.from_image(img)
+    for _ in range(n):
+        golden.step(gold, exts)
+    return signature(gold, window)
 
 
 def cosim_run(torture: TortureConfig, core: CoreConfig,
@@ -183,26 +239,25 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     """Run one generated program on both models in lockstep.
 
     Architectural state is compared after every retired instruction;
-    final-state signatures are compared at the end.
+    final-state signatures are compared at the end. The golden side is a
+    recorded trace shared by all widths (see _golden_trace).
     """
-    img = generate(torture)
-    gold = ArchState.from_image(img)
-    micro = MicroCore(core, ArchState.from_image(img))
     exts = frozenset(core.extensions) - {Ext.ZKT}
+    trace = _golden_trace(torture, exts, max_steps)
+    micro = MicroCore(core, ArchState.from_image(trace.image))
+    march = micro.arch
 
     divergence: Optional[Tuple[int, str]] = None
     instret = 0
-    for _ in range(max_steps):
-        pc = gold.pc
-        g_out = golden.step(gold, exts)
+    pc = trace.image.entry
+    for gold_pc, gold_regs, g_out in trace.steps:
         _, m_out, _ = micro.step()
-        march = micro.arch
-        if march.pc != gold.pc:
+        if march.pc != gold_pc:
             divergence = (pc, "pc")
             break
-        if march.regs != gold.regs:
+        if march.regs != gold_regs:
             for i in range(32):
-                if march.regs[i] != gold.regs[i]:
+                if march.regs[i] != gold_regs[i]:
                     divergence = (pc, f"x{i}")
                     break
             break
@@ -211,11 +266,19 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
                 divergence = (pc, "halt-reason")
             break
         instret += 1
+        pc = gold_pc
     else:
-        divergence = (gold.pc, "no-halt")
+        # only a golden run cut off by max_steps ends without a break
+        divergence = (pc, "no-halt")
 
-    sig_g = signature(gold, torture.memory_window)
-    sig_m = signature(micro.arch, torture.memory_window)
+    # the golden side of the report stops where the comparison did, after
+    # instret + 1 steps (or all of them)
+    if instret + 1 >= len(trace.steps):
+        sig_g = trace.signature
+    else:
+        sig_g = _golden_signature(trace.image, exts, instret + 1,
+                                  torture.memory_window)
+    sig_m = signature(march, torture.memory_window)
     passed = divergence is None and sig_g == sig_m
     return CosimReport(
         seed=torture.seed, width=core.serial_width,

@@ -9,6 +9,7 @@ two bits are not 0b11 is rejected.
 from __future__ import annotations
 
 import enum
+import struct
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .image import ProgramImage
@@ -284,9 +285,11 @@ def _sext(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
-def _check(cond: bool, msg: str) -> None:
+def _check(cond: bool, msg: str, *args) -> None:
+    # the message is formatted only on failure: encode runs once per
+    # assembled instruction
     if not cond:
-        raise FieldRange(msg)
+        raise FieldRange(msg.format(*args))
 
 
 def encode(i: Instr) -> int:
@@ -295,13 +298,13 @@ def encode(i: Instr) -> int:
     Raises FieldRange if any operand does not fit its field.
     """
     enc = ENCODINGS[i.mnemonic]
-    _check(0 <= i.rd < 32, f"rd {i.rd} out of range")
-    _check(0 <= i.rs1 < 32, f"rs1 {i.rs1} out of range")
-    _check(0 <= i.rs2 < 32, f"rs2 {i.rs2} out of range")
+    _check(0 <= i.rd < 32, "rd {} out of range", i.rd)
+    _check(0 <= i.rs1 < 32, "rs1 {} out of range", i.rs1)
+    _check(0 <= i.rs2 < 32, "rs2 {} out of range", i.rs2)
     if i.mnemonic in AES_MNEMONICS:
-        _check(i.bs is not None and 0 <= i.bs < 4, f"bs {i.bs} out of range")
+        _check(i.bs is not None and 0 <= i.bs < 4, "bs {} out of range", i.bs)
     else:
-        _check(i.bs is None, f"{i.mnemonic.value} takes no byte select")
+        _check(i.bs is None, "{.value} takes no byte select", i.mnemonic)
     base = enc.opcode | (enc.funct3 << 12)
     fmt, imm = enc.fmt, i.imm
 
@@ -312,40 +315,40 @@ def encode(i: Instr) -> int:
         funct7 = (i.bs << 5) | enc.funct7
         return base | (i.rd << 7) | (i.rs1 << 15) | (i.rs2 << 20) | (funct7 << 25)
     if fmt in (FMT_I, FMT_LOAD, FMT_JALR):
-        _check(-2048 <= imm <= 2047, f"imm {imm} exceeds 12-bit signed range")
+        _check(-2048 <= imm <= 2047, "imm {} exceeds 12-bit signed range", imm)
         return base | (i.rd << 7) | (i.rs1 << 15) | ((imm & 0xFFF) << 20)
     if fmt == FMT_I_SHAMT:
-        _check(0 <= imm <= 31, f"shamt {imm} exceeds 5-bit range")
+        _check(0 <= imm <= 31, "shamt {} exceeds 5-bit range", imm)
         return base | (i.rd << 7) | (i.rs1 << 15) | (imm << 20) | (enc.funct7 << 25)
     if fmt == FMT_UNARY:
         return base | (i.rd << 7) | (i.rs1 << 15) | (enc.funct7 << 20)
     if fmt == FMT_STORE:
-        _check(-2048 <= imm <= 2047, f"imm {imm} exceeds 12-bit signed range")
+        _check(-2048 <= imm <= 2047, "imm {} exceeds 12-bit signed range", imm)
         v = imm & 0xFFF
         return base | ((v & 0x1F) << 7) | (i.rs1 << 15) | (i.rs2 << 20) | ((v >> 5) << 25)
     if fmt == FMT_BRANCH:
-        _check(imm % 2 == 0, f"branch offset {imm} must be even")
-        _check(-4096 <= imm <= 4094, f"branch offset {imm} out of range")
+        _check(imm % 2 == 0, "branch offset {} must be even", imm)
+        _check(-4096 <= imm <= 4094, "branch offset {} out of range", imm)
         v = imm & 0x1FFF
         return (base | (i.rs1 << 15) | (i.rs2 << 20)
                 | (((v >> 11) & 1) << 7) | (((v >> 1) & 0xF) << 8)
                 | (((v >> 5) & 0x3F) << 25) | (((v >> 12) & 1) << 31))
     if fmt == FMT_U:
-        _check(0 <= imm <= 0xFFFFF, f"imm {imm} exceeds 20-bit range")
+        _check(0 <= imm <= 0xFFFFF, "imm {} exceeds 20-bit range", imm)
         return base | (i.rd << 7) | (imm << 12)
     if fmt == FMT_JAL:
-        _check(imm % 2 == 0, f"jump offset {imm} must be even")
-        _check(-(1 << 20) <= imm <= (1 << 20) - 2, f"jump offset {imm} out of range")
+        _check(imm % 2 == 0, "jump offset {} must be even", imm)
+        _check(-(1 << 20) <= imm <= (1 << 20) - 2, "jump offset {} out of range", imm)
         v = imm & 0x1FFFFF
         return (base | (i.rd << 7) | (((v >> 12) & 0xFF) << 12)
                 | (((v >> 11) & 1) << 20) | (((v >> 1) & 0x3FF) << 21)
                 | (((v >> 20) & 1) << 31))
     if fmt == FMT_SYSTEM:
-        _check(i.rd == 0 and i.rs1 == 0 and imm == 0, f"{i.mnemonic.value} takes no operands")
+        _check(i.rd == 0 and i.rs1 == 0 and imm == 0, "{.value} takes no operands", i.mnemonic)
         return base | (enc.funct7 << 20)
     if fmt == FMT_FENCE:
         # imm carries the raw fm/pred/succ bits
-        _check(0 <= imm <= 0xFFF, f"fence bits {imm} out of range")
+        _check(0 <= imm <= 0xFFF, "fence bits {} out of range", imm)
         return base | (i.rd << 7) | (i.rs1 << 15) | (imm << 20)
     raise AssertionError(f"unhandled format {fmt}")
 
@@ -589,7 +592,7 @@ class Assembler:
     def emit(self, mnemonic: Union[Mnemonic, str], rd: int = 0, rs1: int = 0,
              rs2: int = 0, imm: int = 0, bs: Optional[int] = None,
              target: Optional[str] = None) -> None:
-        m = Mnemonic(mnemonic)
+        m = mnemonic if type(mnemonic) is Mnemonic else Mnemonic(mnemonic)
         if target is not None:
             self._fixups.append(_Fixup(len(self._words), m, rd, rs1, rs2, target))
             self._words.append(None)
@@ -604,9 +607,8 @@ class Assembler:
 
     def data(self, blob: bytes) -> None:
         """Append raw bytes, padded to a word boundary."""
-        padded = blob + b"\x00" * (-len(blob) % 4)
-        for off in range(0, len(padded), 4):
-            self._words.append(int.from_bytes(padded[off:off + 4], "little"))
+        padded = blob + bytes(-len(blob) % 4)
+        self._words.extend(struct.unpack(f"<{len(padded) // 4}I", padded))
 
     # pseudo-instructions: nop, li (1 or 2 words), j
     def nop(self) -> None:
@@ -634,7 +636,7 @@ class Assembler:
             offset = self._labels[fx.target] - (self.base + 4 * fx.index)
             self._words[fx.index] = encode(
                 Instr(fx.mnemonic, fx.rd, fx.rs1, fx.rs2, offset))
-        blob = b"".join(w.to_bytes(4, "little") for w in self._words)
+        blob = struct.pack(f"<{len(self._words)}I", *self._words)
         return ProgramImage(base=self.base, data=blob,
                             entry=self.base if entry is None else entry,
                             code_size=len(blob))

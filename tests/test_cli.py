@@ -52,6 +52,12 @@ def test_unknown_flag_is_error(ebreak_image):
     assert exc.value.code == 2
 
 
+def test_run_max_cycles_zero_usage_error(ebreak_image, capsys):
+    assert cli.main(["run", ebreak_image, "--max-cycles", "0"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--max-cycles" in err
+
+
 def test_run_missing_image_load_error(capsys):
     rc = cli.main(["run", "/nonexistent/prog.bin"])
     assert rc == cli.EXIT_LOAD
@@ -102,6 +108,12 @@ def test_cosim_cli_pass_and_json(tmp_path, capsys):
 
 def test_cosim_programs_zero_usage_error(capsys):
     assert cli.main(["cosim", "--programs", "0"]) == cli.EXIT_USAGE
+
+
+def test_cosim_length_too_long_usage_error(capsys):
+    assert cli.main(["cosim", "--length", "2000", "--programs", "1"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--length" in err
 
 
 def test_cosim_deterministic_json(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -9,6 +10,18 @@ from serialrv.cosim import TortureConfig, cosim_run, generate, signature
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Ext, Mnemonic as M
 from serialrv.microarch import CoreConfig
+
+
+WIDTHS = (1, 2, 4, 8, 16, 32)
+
+
+@pytest.fixture
+def fresh_golden_trace():
+    """For tests that change the golden model: the trace cache is keyed by
+    data, not code, so it must be empty before and after them."""
+    cosim._golden_trace.cache_clear()
+    yield
+    cosim._golden_trace.cache_clear()
 
 
 def test_generation_deterministic():
@@ -60,6 +73,22 @@ def test_memory_traffic_stays_in_window():
     # nothing below the image or beyond the window was touched
     assert state.mem.read_bytes(0, img.base) == snapshot_lo
     assert not state.mem.sparse
+
+
+def test_generator_output_pinned():
+    # sha256 of the first 50 default programs, as generated before the
+    # generator's hot spots were trimmed; any change to the stream shows here
+    h = hashlib.sha256()
+    for s in range(50):
+        img = generate(TortureConfig(seed=s))
+        h.update(f"{img.base} {img.entry} {img.code_size} {len(img.data)}\n".encode())
+        h.update(img.data)
+    assert h.hexdigest() == "657d1d0f056c49269a9ebea972facd698a5ed22c6fb54a94b4fe17d5c0f0541f"
+
+
+def test_overlong_program_rejected():
+    with pytest.raises(cosim.ProgramTooLong, match="scratch window at 0x2000"):
+        generate(TortureConfig(seed=0, length=2000))
 
 
 # --- signature -------------------------------------------------------------------
@@ -148,3 +177,96 @@ def test_matrix_helper():
     reports = cosim.run_matrix(range(3), (8, 32))
     assert len(reports) == 6
     assert all(r.passed for r in reports)
+
+
+# --- trace replay -------------------------------------------------------------------
+
+def _lockstep_oracle(torture, core, max_steps=200_000):
+    """cosim_run as a plain lockstep loop: both models are stepped side by
+    side, with nothing recorded or shared between widths."""
+    img = generate(torture)
+    gold = ArchState.from_image(img)
+    micro = microarch.MicroCore(core, ArchState.from_image(img))
+    exts = frozenset(core.extensions) - {Ext.ZKT}
+    divergence = None
+    instret = 0
+    for _ in range(max_steps):
+        pc = gold.pc
+        g_out = golden.step(gold, exts)
+        _, m_out, _ = micro.step()
+        if micro.arch.pc != gold.pc:
+            divergence = (pc, "pc")
+            break
+        if micro.arch.regs != gold.regs:
+            i = next(i for i in range(32) if micro.arch.regs[i] != gold.regs[i])
+            divergence = (pc, f"x{i}")
+            break
+        if g_out.halted or m_out.halted:
+            if g_out != m_out:
+                divergence = (pc, "halt-reason")
+            break
+        instret += 1
+    else:
+        divergence = (gold.pc, "no-halt")
+    sig_g = signature(gold, torture.memory_window)
+    sig_m = signature(micro.arch, torture.memory_window)
+    return cosim.CosimReport(
+        seed=torture.seed, width=core.serial_width,
+        extensions=tuple(e.value for e in core.extensions),
+        passed=divergence is None and sig_g == sig_m,
+        sig_micro=sig_m, sig_golden=sig_g,
+        divergence_pc=divergence[0] if divergence else None,
+        divergence_field=divergence[1] if divergence else None,
+        instret=instret)
+
+
+def test_replay_matches_lockstep_oracle():
+    for seed in range(10):
+        tc = TortureConfig(seed=seed)
+        for w in WIDTHS:
+            rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+            assert rep.passed
+            assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
+
+
+def test_replay_matches_oracle_on_divergence(monkeypatch):
+    original = microarch.MicroCore._chunk_add
+
+    def broken(self, a, b, carry_in):
+        res, carry = original(self, a, b, carry_in)
+        return res ^ 2, carry
+
+    monkeypatch.setattr(microarch.MicroCore, "_chunk_add", broken)
+    tc = TortureConfig(seed=1)
+    for w in (1, 4, 32):
+        rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+        assert not rep.passed and rep.divergence_field is not None
+        # sig_golden describes the golden state at the divergence, not at halt
+        assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
+
+
+def test_replay_matches_oracle_without_halt():
+    tc = TortureConfig(seed=4)
+    for w in WIDTHS:
+        rep = cosim_run(tc, CoreConfig.zkn_zkt(w), max_steps=50)
+        assert rep.divergence_field == "no-halt" and rep.instret == 50
+        assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w), max_steps=50)
+
+
+def test_reports_independent_of_loop_order():
+    seeds = range(3)
+    seeds_outer = {(s, w): cosim_run(TortureConfig(seed=s), CoreConfig.zkn_zkt(w))
+                   for s in seeds for w in WIDTHS}
+    widths_outer = {(s, w): cosim_run(TortureConfig(seed=s), CoreConfig.zkn_zkt(w))
+                    for w in WIDTHS for s in seeds}
+    assert seeds_outer == widths_outer
+
+
+def test_corrupted_golden_model_detected(monkeypatch, fresh_golden_trace):
+    """Harness self-test: break a golden semantic, expect a divergence."""
+    original = golden.clmul_semantics
+    monkeypatch.setattr(golden, "clmul_semantics",
+                        lambda m, rs1, rs2: original(m, rs1, rs2) ^ 1)
+    rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
+    assert not rep.passed
+    assert rep.divergence_field.startswith("x")
