@@ -6,7 +6,7 @@ from .isa import (Assembler, Ext, FieldRange, IllegalInstruction, Instr,
                   Mnemonic, UnresolvedLabel, assemble, decode, disassemble,
                   encode, instr)
 from .microarch import CoreConfig, MicroCore, shift_latency
-from .system import ExecStats, run, run_golden
+from .system import ExecStats, run
 
 __version__ = "0.1.0"
 
@@ -14,6 +14,6 @@ __all__ = [
     "ArchState", "Assembler", "CoreConfig", "ExecStats", "Ext", "FieldRange",
     "IllegalInstruction", "Instr", "Memory", "MicroCore", "Mnemonic",
     "ProgramImage", "StepOutcome", "UnresolvedLabel", "assemble", "decode",
-    "disassemble", "encode", "instr", "load_image", "run", "run_golden",
-    "shift_latency", "step",
+    "disassemble", "encode", "instr", "load_image", "run", "shift_latency",
+    "step",
 ]

@@ -701,7 +701,6 @@ def _measure_once(config: CoreConfig, ins: isa.Instr, rs1: int, rs2: int) -> int
     state.regs[1] = rs1 & MASK32
     state.regs[2] = rs2 & MASK32
     core = MicroCore(config, state)
-    core.phase = "fetch"
     cycles, outcome = core.run_instruction(ins)
     assert not outcome.halted or outcome.reason is None
     return cycles

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Optional
@@ -16,6 +17,21 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_LOAD = 3
 EXIT_TRAP = 4
+
+
+class _UsageError(Exception):
+    """Reported by main() as one `error:` line and EXIT_USAGE."""
+
+
+def _open_output(path: Optional[str]):
+    """Open an output file for writing before any work is done, so that a
+    path that cannot be written fails at once. No path gives a null context."""
+    if path is None:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise _UsageError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _width(value: str) -> int:
@@ -86,8 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     if args.max_cycles < 1:
-        print("error: --max-cycles must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--max-cycles must be >= 1")
     try:
         image = load_image(args.image, fmt=args.format, base=args.base,
                            entry=args.entry)
@@ -95,22 +110,18 @@ def _cmd_run(args) -> int:
         print(f"error: cannot load image: {e}", file=sys.stderr)
         return EXIT_LOAD
     config = CoreConfig(serial_width=args.width, extensions=args.ext)
-    trace_fh = open(args.trace, "w") if args.trace else None
-    try:
+    with _open_output(args.trace) as trace_fh, \
+            _open_output(args.stats_json) as stats_fh:
         stats = system.run(image, config, max_cycles=args.max_cycles,
                            trace=trace_fh)
-    finally:
-        if trace_fh:
-            trace_fh.close()
+        if stats_fh:
+            stats_fh.write(system.stats_to_json(stats) + "\n")
     print(f"halt: {stats.halt}   cycles: {stats.cycles}   "
           f"instret: {stats.instret}   cpi: {stats.cpi:.2f}")
     if stats.console:
         sys.stdout.write(stats.console.decode("latin-1"))
         if not stats.console.endswith(b"\n"):
             sys.stdout.write("\n")
-    if args.stats_json:
-        with open(args.stats_json, "w") as fh:
-            fh.write(system.stats_to_json(stats) + "\n")
     if stats.halt == golden.EBREAK:
         return EXIT_OK
     if stats.halt == golden.ECALL:
@@ -120,15 +131,17 @@ def _cmd_run(args) -> int:
 
 def _cmd_cosim(args) -> int:
     if args.programs < 1:
-        print("error: --programs must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        reports = cosim.run_matrix(range(args.seed, args.seed + args.programs),
-                                   args.widths, extensions=args.ext,
-                                   length=args.length)
-    except cosim.ProgramTooLong as e:
-        print(f"error: {e}; use a shorter --length", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--programs must be >= 1")
+    with _open_output(args.json) as json_fh:
+        try:
+            reports = cosim.run_matrix(range(args.seed, args.seed + args.programs),
+                                       args.widths, extensions=args.ext,
+                                       length=args.length)
+        except cosim.ProgramTooLong as e:
+            raise _UsageError(f"{e}; use a shorter --length") from None
+        if json_fh:
+            for r in reports:
+                json_fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
     passed = sum(r.passed for r in reports)
     print(f"cosim: {passed}/{len(reports)} cells passed "
           f"({args.programs} programs x widths {','.join(map(str, args.widths))})")
@@ -136,10 +149,6 @@ def _cmd_cosim(args) -> int:
         if not r.passed:
             print(f"  FAIL seed={r.seed} width={r.width} "
                   f"field={r.divergence_field} pc={r.divergence_pc and hex(r.divergence_pc)}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            for r in reports:
-                fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
     return EXIT_OK if passed == len(reports) else EXIT_FAIL
 
 
@@ -148,17 +157,21 @@ def _cmd_bench(args) -> int:
     variants = tuple(v.strip() for v in args.ext_presets.split(",") if v.strip())
     for v in variants:
         if v not in ("rv32i", "zkn"):
-            print(f"error: unknown preset {v!r}", file=sys.stderr)
-            return EXIT_USAGE
-    try:
-        results, metrics = bench.run_suite(kernel_names=names, widths=args.widths,
-                                           variants=variants)
-    except KeyError as e:
-        print(f"error: unknown kernel {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except bench.ChecksumMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FAIL
+            raise _UsageError(f"unknown preset {v!r}")
+    with _open_output(args.json) as json_fh:
+        try:
+            results, metrics = bench.run_suite(kernel_names=names,
+                                               widths=args.widths,
+                                               variants=variants)
+        except KeyError as e:
+            raise _UsageError(f"unknown kernel {e}") from None
+        except bench.ChecksumMismatch as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_FAIL
+        if json_fh:
+            json.dump([r.to_json_dict() for r in results], json_fh, indent=2,
+                      sort_keys=True)
+            json_fh.write("\n")
     hdr = f"{'kernel':18} {'variant':7} {'width':5} {'cycles':>10} {'instret':>8} {'size':>6}  checksum"
     print(hdr)
     print("-" * len(hdr))
@@ -174,11 +187,6 @@ def _cmd_bench(args) -> int:
         print("\ncode size reduction (zkn vs rv32i image):")
         for k, pct in sorted(metrics["code_size_reduction_pct"].items()):
             print(f"  {k:18} {pct:.2f}%")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump([r.to_json_dict() for r in results], fh, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
     return EXIT_OK
 
 
@@ -215,7 +223,11 @@ def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     handler = {"run": _cmd_run, "cosim": _cmd_cosim, "bench": _cmd_bench,
                "audit-ct": _cmd_audit, "disasm": _cmd_disasm}[args.cmd]
-    return handler(args)
+    try:
+        return handler(args)
+    except _UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -76,34 +76,25 @@ def signature(state: ArchState, window: Tuple[int, int]) -> str:
     return f"{h:016x}"
 
 
-# mnemonic pools the generator draws from, keyed by extension
-_ALU_R = (M.ADD, M.SUB, M.SLL, M.SLT, M.SLTU, M.XOR, M.SRL, M.SRA, M.OR, M.AND)
-_ALU_I = (M.ADDI, M.SLTI, M.SLTIU, M.XORI, M.ORI, M.ANDI)
-_SHIFT_I = (M.SLLI, M.SRLI, M.SRAI)
-_LOADS = (M.LB, M.LH, M.LW, M.LBU, M.LHU)
-_STORES = (M.SB, M.SH, M.SW)
-_BRANCHES = (M.BEQ, M.BNE, M.BLT, M.BGE, M.BLTU, M.BGEU)
-_ACCESS_BYTES = {M.LB: 1, M.LBU: 1, M.LH: 2, M.LHU: 2, M.LW: 4,
-                 M.SB: 1, M.SH: 2, M.SW: 4}
+def _rv32i_of_fmt(fmt: str) -> tuple:
+    return tuple(m for m, e in isa.EXT_OF.items()
+                 if e is Ext.RV32I and isa.ENCODINGS[m].fmt == fmt)
+
+
+# mnemonic pools the generator draws from, in enum order (as in EXT_OF)
+_BRANCHES = _rv32i_of_fmt(isa.FMT_BRANCH)
+_BASE_POOL = tuple(m for fmt in (isa.FMT_R, isa.FMT_I, isa.FMT_I_SHAMT,
+                                 isa.FMT_LOAD, isa.FMT_STORE, isa.FMT_U,
+                                 isa.FMT_FENCE)
+                   for m in _rv32i_of_fmt(fmt))
+_POOL_BY_EXT = {e: tuple(m for m, x in isa.EXT_OF.items() if x is e)
+                for e in Ext if e in isa.ZKN}
 # destination registers: any but the scratch base
 _RD_CHOICES = tuple(r for r in range(32) if r != SCRATCH_REG)
 
-_POOL_BY_EXT = {
-    Ext.ZBKB: (M.ROR, M.ROL, M.RORI, M.ANDN, M.ORN, M.XNOR, M.PACK, M.PACKH,
-               M.BREV8, M.REV8, M.ZIP, M.UNZIP),
-    Ext.ZBKC: (M.CLMUL, M.CLMULH),
-    Ext.ZBKX: (M.XPERM4, M.XPERM8),
-    Ext.ZKNE: (M.AES32ESI, M.AES32ESMI),
-    Ext.ZKND: (M.AES32DSI, M.AES32DSMI),
-    Ext.ZKNH: (M.SHA256SIG0, M.SHA256SIG1, M.SHA256SUM0, M.SHA256SUM1,
-               M.SHA512SIG0H, M.SHA512SIG0L, M.SHA512SIG1H, M.SHA512SIG1L,
-               M.SHA512SUM0R, M.SHA512SUM1R),
-}
-
 
 def _build_pool(extensions: frozenset) -> tuple:
-    pool = list(_ALU_R + _ALU_I + _SHIFT_I + _LOADS + _STORES
-                + (M.LUI, M.AUIPC, M.FENCE))
+    pool = list(_BASE_POOL)
     for ext, mnems in _POOL_BY_EXT.items():
         if ext in extensions:
             pool.extend(mnems)
@@ -116,23 +107,24 @@ def _random_non_branch(a: Assembler, rng: random.Random, pool: tuple,
     rd = rng.choice(_RD_CHOICES)
     rs1 = rng.randrange(32)
     rs2 = rng.randrange(32)
-    if m in _ALU_I:
+    fmt = isa.ENCODINGS[m].fmt
+    if fmt == isa.FMT_I:
         a.emit(m, rd=rd, rs1=rs1, imm=rng.randrange(-2048, 2048))
-    elif m in _SHIFT_I or m is M.RORI:
+    elif fmt == isa.FMT_I_SHAMT:
         a.emit(m, rd=rd, rs1=rs1, imm=rng.randrange(32))
-    elif m in _LOADS:
-        off = rng.randrange(0, wsize - 4) & ~(_ACCESS_BYTES[m] - 1)
+    elif fmt == isa.FMT_LOAD:
+        off = rng.randrange(0, wsize - 4) & ~(isa.ACCESS_BYTES[m] - 1)
         a.emit(m, rd=rd, rs1=SCRATCH_REG, imm=off)
-    elif m in _STORES:
-        off = rng.randrange(0, wsize - 4) & ~(_ACCESS_BYTES[m] - 1)
+    elif fmt == isa.FMT_STORE:
+        off = rng.randrange(0, wsize - 4) & ~(isa.ACCESS_BYTES[m] - 1)
         a.emit(m, rs1=SCRATCH_REG, rs2=rs2, imm=off)
-    elif m is M.LUI or m is M.AUIPC:
+    elif fmt == isa.FMT_U:
         a.emit(m, rd=rd, imm=rng.randrange(1 << 20))
-    elif m is M.FENCE:
+    elif fmt == isa.FMT_FENCE:
         a.emit(m)
-    elif m in isa.AES_MNEMONICS:
+    elif fmt == isa.FMT_R_AES:
         a.emit(m, rd=rd, rs1=rs1, rs2=rs2, bs=rng.randrange(4))
-    elif isa.ENCODINGS[m].fmt == isa.FMT_UNARY:
+    elif fmt == isa.FMT_UNARY:
         a.emit(m, rd=rd, rs1=rs1)
     else:
         a.emit(m, rd=rd, rs1=rs1, rs2=rs2)

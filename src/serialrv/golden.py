@@ -363,6 +363,94 @@ def _signed(x: int) -> int:
     return x - (1 << 32) if x & 0x80000000 else x
 
 
+class _Halt(Exception):
+    """Raised by a handler that halts the run; it has written nothing."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.outcome = StepOutcome(True, reason)
+
+
+def _halt(reason: str):
+    def handler(s, i, a, b):
+        raise _Halt(reason)
+    return handler
+
+
+def _branch(taken):
+    return lambda s, i, a, b: (None, s.pc + i.imm if taken(a, b) else None)
+
+
+def _load(width: int, extract):
+    def handler(s, i, a, b):
+        addr = (a + i.imm) & MASK32
+        if addr % width:
+            raise _Halt(MISALIGNED_ACCESS)
+        return extract(s.mem, addr), None
+    return handler
+
+
+def _store(width: int, write):
+    def handler(s, i, a, b):
+        addr = (a + i.imm) & MASK32
+        if addr % width:
+            raise _Halt(MISALIGNED_ACCESS)
+        write(s.mem, addr, b)
+        return None, None
+    return handler
+
+
+# What each mnemonic does. A handler takes (state, instruction, rs1 value,
+# operand 2) and returns (value for rd or None, jump target or None for the
+# next instruction). Operand 2 is the immediate for the isa.IMM_FORMS, so
+# each I-form shares the handler of its R-form.
+_EXECUTE = {
+    M.ADD: lambda s, i, a, b: ((a + b) & MASK32, None),
+    M.SUB: lambda s, i, a, b: ((a - b) & MASK32, None),
+    M.AND: lambda s, i, a, b: (a & b, None),
+    M.OR: lambda s, i, a, b: (a | b, None),
+    M.XOR: lambda s, i, a, b: (a ^ b, None),
+    M.SLT: lambda s, i, a, b: (1 if _signed(a) < _signed(b) else 0, None),
+    M.SLTU: lambda s, i, a, b: (1 if a < b else 0, None),
+    M.SLL: lambda s, i, a, b: ((a << (b & 31)) & MASK32, None),
+    M.SRL: lambda s, i, a, b: (a >> (b & 31), None),
+    M.SRA: lambda s, i, a, b: (_sra32(a, b & 31), None),
+    M.LUI: lambda s, i, a, b: ((i.imm << 12) & MASK32, None),
+    M.AUIPC: lambda s, i, a, b: ((s.pc + (i.imm << 12)) & MASK32, None),
+    M.JAL: lambda s, i, a, b: ((s.pc + 4) & MASK32, s.pc + i.imm),
+    M.JALR: lambda s, i, a, b: ((s.pc + 4) & MASK32, (a + i.imm) & ~1),
+    M.BEQ: _branch(lambda a, b: a == b),
+    M.BNE: _branch(lambda a, b: a != b),
+    M.BLT: _branch(lambda a, b: _signed(a) < _signed(b)),
+    M.BGE: _branch(lambda a, b: _signed(a) >= _signed(b)),
+    M.BLTU: _branch(lambda a, b: a < b),
+    M.BGEU: _branch(lambda a, b: a >= b),
+    M.LB: _load(1, lambda mem, a: ((mem.load_byte(a) ^ 0x80) - 0x80) & MASK32),
+    M.LBU: _load(1, lambda mem, a: mem.load_byte(a)),
+    M.LH: _load(2, lambda mem, a: ((mem.load_half(a) ^ 0x8000) - 0x8000) & MASK32),
+    M.LHU: _load(2, lambda mem, a: mem.load_half(a)),
+    M.LW: _load(4, lambda mem, a: mem.load_word(a)),
+    M.SB: _store(1, lambda mem, a, v: mem.store_byte(a, v)),
+    M.SH: _store(2, lambda mem, a, v: mem.store_half(a, v)),
+    M.SW: _store(4, lambda mem, a, v: mem.store_word(a, v)),
+    M.FENCE: lambda s, i, a, b: (None, None),
+    M.EBREAK: _halt(EBREAK),
+    M.ECALL: _halt(ECALL),
+}
+# each scalar-crypto semantics function covers one extension subset
+_BY_EXT = {
+    Ext.ZBKB: lambda s, i, a, b: (zbkb_semantics(i.mnemonic, a, b), None),
+    Ext.ZBKC: lambda s, i, a, b: (clmul_semantics(i.mnemonic, a, b), None),
+    Ext.ZBKX: lambda s, i, a, b: (xperm_semantics(i.mnemonic, a, b), None),
+    Ext.ZKNE: lambda s, i, a, b: (aes32_semantics(i.mnemonic, a, b, i.bs), None),
+    Ext.ZKNH: lambda s, i, a, b: (sha2_semantics(i.mnemonic, a, b), None),
+}
+_BY_EXT[Ext.ZKND] = _BY_EXT[Ext.ZKNE]
+_EXECUTE.update((m, _BY_EXT[e]) for m, e in isa.EXT_OF.items() if e in _BY_EXT)
+for _m, _r in isa.R_FORM_OF.items():
+    _EXECUTE[_m] = _EXECUTE[_r]
+
+
 def step(state: ArchState, extensions: Optional[frozenset] = None) -> StepOutcome:
     """Execute exactly one instruction; mutates state.
 
@@ -384,125 +472,15 @@ def step(state: ArchState, extensions: Optional[frozenset] = None) -> StepOutcom
             return StepOutcome(True, ILLEGAL)
 
     regs = state.regs
-    rs1 = regs[ins.rs1]
-    rs2 = regs[ins.rs2]
-    imm = ins.imm
-    next_pc = pc + 4
-    val = None
-
-    if m is M.ADDI:
-        val = (rs1 + imm) & MASK32
-    elif m is M.ADD:
-        val = (rs1 + rs2) & MASK32
-    elif m is M.SUB:
-        val = (rs1 - rs2) & MASK32
-    elif m is M.ANDI:
-        val = rs1 & (imm & MASK32)
-    elif m is M.ORI:
-        val = rs1 | (imm & MASK32)
-    elif m is M.XORI:
-        val = rs1 ^ (imm & MASK32)
-    elif m is M.AND:
-        val = rs1 & rs2
-    elif m is M.OR:
-        val = rs1 | rs2
-    elif m is M.XOR:
-        val = rs1 ^ rs2
-    elif m is M.SLTI:
-        val = 1 if _signed(rs1) < imm else 0
-    elif m is M.SLTIU:
-        val = 1 if rs1 < (imm & MASK32) else 0
-    elif m is M.SLT:
-        val = 1 if _signed(rs1) < _signed(rs2) else 0
-    elif m is M.SLTU:
-        val = 1 if rs1 < rs2 else 0
-    elif m is M.SLLI:
-        val = (rs1 << imm) & MASK32
-    elif m is M.SRLI:
-        val = rs1 >> imm
-    elif m is M.SRAI:
-        val = _sra32(rs1, imm)
-    elif m is M.SLL:
-        val = (rs1 << (rs2 & 31)) & MASK32
-    elif m is M.SRL:
-        val = rs1 >> (rs2 & 31)
-    elif m is M.SRA:
-        val = _sra32(rs1, rs2 & 31)
-    elif m is M.LUI:
-        val = (imm << 12) & MASK32
-    elif m is M.AUIPC:
-        val = (pc + (imm << 12)) & MASK32
-    elif m is M.JAL:
-        val = next_pc & MASK32
-        next_pc = pc + imm
-    elif m is M.JALR:
-        val = next_pc & MASK32
-        next_pc = (rs1 + imm) & ~1
-    elif m in _BRANCH_TESTS:
-        if _BRANCH_TESTS[m](rs1, rs2):
-            next_pc = pc + imm
-    elif m in _LOAD_DISPATCH:
-        width, extractor = _LOAD_DISPATCH[m]
-        addr = (rs1 + imm) & MASK32
-        if addr % width:
-            return StepOutcome(True, MISALIGNED_ACCESS)
-        val = extractor(state.mem, addr)
-    elif m in _STORE_DISPATCH:
-        width, storer = _STORE_DISPATCH[m]
-        addr = (rs1 + imm) & MASK32
-        if addr % width:
-            return StepOutcome(True, MISALIGNED_ACCESS)
-        storer(state.mem, addr, rs2)
-    elif m is M.FENCE:
-        pass
-    elif m is M.EBREAK:
-        return StepOutcome(True, EBREAK)
-    elif m is M.ECALL:
-        return StepOutcome(True, ECALL)
-    elif m in isa.AES_MNEMONICS:
-        val = aes32_semantics(m, rs1, rs2, ins.bs)
-    elif isa.EXT_OF[m] is Ext.ZKNH:
-        val = sha2_semantics(m, rs1, rs2)
-    elif m is M.CLMUL or m is M.CLMULH:
-        val = clmul_semantics(m, rs1, rs2)
-    elif m is M.XPERM4 or m is M.XPERM8:
-        val = xperm_semantics(m, rs1, rs2)
-    elif m is M.RORI:
-        val = zbkb_semantics(m, rs1, imm)
-    elif isa.EXT_OF[m] is Ext.ZBKB:
-        val = zbkb_semantics(m, rs1, rs2)
-    else:  # pragma: no cover - every mnemonic is handled above
-        raise AssertionError(f"unhandled mnemonic {m}")
-
+    op2 = ins.imm & MASK32 if m in isa.IMM_FORMS else regs[ins.rs2]
+    try:
+        val, target = _EXECUTE[m](state, ins, regs[ins.rs1], op2)
+    except _Halt as halt:
+        return halt.outcome
     if val is not None and ins.rd:
         regs[ins.rd] = val
-    next_pc &= MASK32
-    if next_pc & 3:
-        state.pc = next_pc
-        return StepOutcome(True, MISALIGNED_FETCH)
+    next_pc = (pc + 4 if target is None else target) & MASK32
     state.pc = next_pc
+    if next_pc & 3:
+        return StepOutcome(True, MISALIGNED_FETCH)
     return RETIRED
-
-
-_BRANCH_TESTS = {
-    M.BEQ: lambda a, b: a == b,
-    M.BNE: lambda a, b: a != b,
-    M.BLT: lambda a, b: _signed(a) < _signed(b),
-    M.BGE: lambda a, b: _signed(a) >= _signed(b),
-    M.BLTU: lambda a, b: a < b,
-    M.BGEU: lambda a, b: a >= b,
-}
-
-_LOAD_DISPATCH = {
-    M.LB: (1, lambda mem, a: ((mem.load_byte(a) ^ 0x80) - 0x80) & MASK32),
-    M.LBU: (1, lambda mem, a: mem.load_byte(a)),
-    M.LH: (2, lambda mem, a: ((mem.load_half(a) ^ 0x8000) - 0x8000) & MASK32),
-    M.LHU: (2, lambda mem, a: mem.load_half(a)),
-    M.LW: (4, lambda mem, a: mem.load_word(a)),
-}
-
-_STORE_DISPATCH = {
-    M.SB: (1, lambda mem, a, v: mem.store_byte(a, v)),
-    M.SH: (2, lambda mem, a, v: mem.store_half(a, v)),
-    M.SW: (4, lambda mem, a, v: mem.store_word(a, v)),
-}

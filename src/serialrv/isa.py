@@ -279,6 +279,19 @@ ENCODINGS = {
 
 AES_MNEMONICS = frozenset({M.AES32ESI, M.AES32ESMI, M.AES32DSI, M.AES32DSMI})
 
+# I-type forms take their second ALU operand from the immediate. Each is
+# the OP-IMM twin of the R-type form with the same funct3 (and, for shifts,
+# funct7) and computes the same operation: addi/add, slli/sll, rori/ror, ...
+_R_BY_FUNCT = {(e.funct3, e.funct7): m for m, e in ENCODINGS.items()
+               if e.fmt == FMT_R}
+R_FORM_OF = {m: _R_BY_FUNCT[e.funct3, e.funct7] for m, e in ENCODINGS.items()
+             if e.fmt in (FMT_I, FMT_I_SHAMT)}
+IMM_FORMS = frozenset(R_FORM_OF)
+
+# Bytes moved by each load and store.
+ACCESS_BYTES = {M.LB: 1, M.LBU: 1, M.LH: 2, M.LHU: 2, M.LW: 4,
+                M.SB: 1, M.SH: 2, M.SW: 4}
+
 
 def _sext(value: int, bits: int) -> int:
     sign = 1 << (bits - 1)

@@ -17,13 +17,14 @@ mnemonic under one CoreConfig. `run_instruction` adds the frontend rule
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from . import golden, isa
-from .golden import (ArchState, StepOutcome, RETIRED, MASK32,
-                     EBREAK, ECALL, ILLEGAL, MISALIGNED_FETCH, MISALIGNED_ACCESS)
+from .golden import (ArchState, Memory, StepOutcome, RETIRED, MASK32, EBREAK,
+                     ECALL, ILLEGAL, MAX_STEPS, MISALIGNED_FETCH, MISALIGNED_ACCESS)
 from .isa import Ext, Instr, Mnemonic as M
 
 VALID_WIDTHS = (1, 2, 4, 8, 16, 32)
@@ -73,7 +74,7 @@ for _m in (M.FENCE, M.ECALL, M.EBREAK):
 
 SHIFT_MNEMONICS = frozenset(m for m, c in CLASS_OF.items()
                             if c in (SHIFT, ROTATE))
-IMM_SHIFTS = frozenset({M.SLLI, M.SRLI, M.SRAI, M.RORI})
+IMM_SHIFTS = SHIFT_MNEMONICS & isa.IMM_FORMS
 _LEFT_SHIFTS = frozenset({M.SLL, M.SLLI, M.ROL})
 
 
@@ -260,9 +261,9 @@ class MicroCore:
         self.serializer2 = 0
         self.fetch_buffer: Optional[Tuple[int, int]] = None
         self.lsu_buffer = 0
+        self.store_addr: Optional[int] = None  # a store waiting in the LSU buffer
         self.cycle = 0
-        self.phase = "reset"
-        self.startup_cycles = 0
+        self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
 
     # -- chunked ALU data path ---------------------------------------------
 
@@ -287,39 +288,16 @@ class MicroCore:
         self.serializer2 = res
         return res, carry
 
-    def _chunk_logic(self, op: str, a: int, b: int) -> int:
+    def _chunk_logic(self, op: Callable[[int, int], int], a: int, b: int) -> int:
+        """Bitwise `op(a, b)` chunk by chunk, LSB first."""
         w = self.config.serial_width
         if w == 32:
-            if op == "and":
-                return a & b
-            if op == "or":
-                return a | b
-            if op == "xor":
-                return a ^ b
-            if op == "andn":
-                return a & ~b & MASK32
-            if op == "orn":
-                return (a | ~b) & MASK32
-            return ~(a ^ b) & MASK32  # xnor
+            return op(a, b) & MASK32
         mask = (1 << w) - 1
         res = 0
         pos = 0
         while pos < 32:
-            ca = a & mask
-            cb = b & mask
-            if op == "and":
-                c = ca & cb
-            elif op == "or":
-                c = ca | cb
-            elif op == "xor":
-                c = ca ^ cb
-            elif op == "andn":
-                c = ca & (~cb & mask)
-            elif op == "orn":
-                c = ca | (~cb & mask)
-            else:  # xnor
-                c = ~(ca ^ cb) & mask
-            res |= c << pos
+            res |= (op(a & mask, b & mask) & mask) << pos
             a >>= w
             b >>= w
             pos += w
@@ -425,7 +403,7 @@ class MicroCore:
                 v >>= n
             else:
                 v = (v << n) & MASK32
-            acc = self._chunk_logic("xor", acc, v)
+            acc = self._chunk_logic(operator.xor, acc, v)
         return acc
 
     def _clmul_unit(self, m: M, rs1: int, rs2: int) -> int:
@@ -452,216 +430,212 @@ class MicroCore:
             self.serializer2 = out
         return out
 
-    # -- load/store unit ------------------------------------------------------
-
-    def _lsu(self, m: M, addr: int, store_val: int) -> Tuple[Optional[int], bool]:
-        """Full-width transaction through the LSU buffer.
-
-        Returns (loaded value or None, ok).
-        """
-        width = {M.LB: 1, M.LBU: 1, M.LH: 2, M.LHU: 2, M.LW: 4,
-                 M.SB: 1, M.SH: 2, M.SW: 4}[m]
-        if addr % width:
-            return None, False
-        mem = self.arch.mem
-        if m in (M.SB, M.SH, M.SW):
-            self.lsu_buffer = store_val & MASK32
-            if m is M.SB:
-                mem.store_byte(addr, store_val)
-            elif m is M.SH:
-                mem.store_half(addr, store_val)
-            else:
-                mem.store_word(addr, store_val)
-            return None, True
-        self.lsu_buffer = mem.load_word(addr & ~3)
-        sub = self.lsu_buffer >> (8 * (addr & 3))
-        if m is M.LW:
-            val = self.lsu_buffer
-        elif m is M.LBU:
-            val = sub & 0xFF
-        elif m is M.LB:
-            val = ((sub & 0xFF) ^ 0x80) - 0x80
-        elif m is M.LHU:
-            val = sub & 0xFFFF
-        else:
-            val = ((sub & 0xFFFF) ^ 0x8000) - 0x8000
-        return val & MASK32, True
-
     # -- instruction execution -------------------------------------------------
 
-    def run_instruction(self, ins: Instr) -> Tuple[int, StepOutcome]:
+    def run_instruction(self, ins: Instr,
+                        max_cycles: Optional[int] = None) -> Tuple[int, StepOutcome]:
         """Execute one instruction at the current pc; returns charged cycles.
 
         Charged cycles include frontend effects: overlap of the next fetch
         with execution (a stall if execution is shorter than mem_latency)
-        and the flush penalty of taken control transfers.
+        and the flush penalty of taken control transfers. If the charge
+        would take `cycle` past `max_cycles`, nothing is written or charged
+        and the outcome is a max-steps halt.
         """
         cfg = self.config
         m = ins.mnemonic
         ext = isa.EXT_OF[m]
         if ext is not Ext.RV32I and ext not in cfg.extensions:
-            self.phase = "halted"
             return 0, StepOutcome(True, ILLEGAL)
 
         arch = self.arch
         regs = arch.regs
-        pc = arch.pc
-        rs1 = regs[ins.rs1]
-        rs2 = regs[ins.rs2]
-        imm = ins.imm
-        self.phase = "execute"
-
-        val = None
-        next_pc = pc + 4
-        taken = False
-        klass = CLASS_OF[m]
+        op2 = ins.imm & MASK32 if m in isa.IMM_FORMS else regs[ins.rs2]
         cycles = self.latency[m]
-
-        if klass == ALU_CHUNKED:
-            if m is M.ADD:
-                val, _ = self._chunk_add(rs1, rs2, 0)
-            elif m is M.ADDI:
-                val, _ = self._chunk_add(rs1, imm & MASK32, 0)
-            elif m is M.SUB:
-                val, _ = self._chunk_sub(rs1, rs2)
-            elif m is M.AND:
-                val = self._chunk_logic("and", rs1, rs2)
-            elif m is M.ANDI:
-                val = self._chunk_logic("and", rs1, imm & MASK32)
-            elif m is M.OR:
-                val = self._chunk_logic("or", rs1, rs2)
-            elif m is M.ORI:
-                val = self._chunk_logic("or", rs1, imm & MASK32)
-            elif m is M.XOR:
-                val = self._chunk_logic("xor", rs1, rs2)
-            elif m is M.XORI:
-                val = self._chunk_logic("xor", rs1, imm & MASK32)
-            elif m is M.ANDN:
-                val = self._chunk_logic("andn", rs1, rs2)
-            elif m is M.ORN:
-                val = self._chunk_logic("orn", rs1, rs2)
-            elif m is M.XNOR:
-                val = self._chunk_logic("xnor", rs1, rs2)
-            elif m is M.SLT:
-                val = self._less_than(rs1, rs2, True)
-            elif m is M.SLTI:
-                val = self._less_than(rs1, imm & MASK32, True)
-            elif m is M.SLTU:
-                val = self._less_than(rs1, rs2, False)
-            elif m is M.SLTIU:
-                val = self._less_than(rs1, imm & MASK32, False)
-            elif m is M.LUI:
-                val = (imm << 12) & MASK32
-            elif m is M.AUIPC:
-                val, _ = self._chunk_add(pc, (imm << 12) & MASK32, 0)
-            elif m is M.PACK:
-                val = ((rs2 & 0xFFFF) << 16) | (rs1 & 0xFFFF)
-            else:  # packh
-                val = ((rs2 & 0xFF) << 8) | (rs1 & 0xFF)
-        elif klass == SHIFT or klass == ROTATE:
-            shamt = imm if m in IMM_SHIFTS else rs2 & 31
-            val = self._shift_exec(m, rs1, shamt)
-            cycles = cycles[shamt]
-        elif klass == LOAD:
-            addr = (rs1 + imm) & MASK32
-            val, ok = self._lsu(m, addr, 0)
-            if not ok:
-                self.phase = "halted"
-                return 0, StepOutcome(True, MISALIGNED_ACCESS)
-        elif klass == STORE:
-            addr = (rs1 + imm) & MASK32
-            _, ok = self._lsu(m, addr, rs2)
-            if not ok:
-                self.phase = "halted"
-                return 0, StepOutcome(True, MISALIGNED_ACCESS)
-        elif klass == BRANCH:
-            if m is M.BEQ:
-                taken = self._chunk_logic("xor", rs1, rs2) == 0
-            elif m is M.BNE:
-                taken = self._chunk_logic("xor", rs1, rs2) != 0
-            elif m is M.BLT:
-                taken = self._less_than(rs1, rs2, True) == 1
-            elif m is M.BGE:
-                taken = self._less_than(rs1, rs2, True) == 0
-            elif m is M.BLTU:
-                taken = self._less_than(rs1, rs2, False) == 1
-            else:  # bgeu
-                taken = self._less_than(rs1, rs2, False) == 0
-            if taken:
-                next_pc = pc + imm
-        elif klass == JUMP:
-            val = next_pc & MASK32
-            if m is M.JAL:
-                target, _ = self._chunk_add(pc, imm & MASK32, 0)
+        if m in SHIFT_MNEMONICS:
+            cycles = cycles[op2 & 31]
+        try:
+            val, target = _EXECUTE[m](self, ins, regs[ins.rs1], op2)
+        except _Halt as halt:
+            # ebreak and ecall retire, with no next fetch to overlap
+            charged = cycles if halt.retires else 0
+            outcome = halt.outcome
+        else:
+            # frontend: overlap the sequential prefetch, or flush on a transfer
+            if target is None:
+                charged = max(cycles, cfg.mem_latency)
             else:
-                target, _ = self._chunk_add(rs1, imm & MASK32, 0)
-                target &= ~1
-            next_pc = target
-            taken = True
-        elif klass == AES:
-            val = self._aes_unit(m, rs1, rs2, ins.bs)
-        elif klass == SHA:
-            val = self._sha_unit(m, rs1, rs2)
-        elif klass == CLMUL:
-            val = self._clmul_unit(m, rs1, rs2)
-        elif klass == XPERM:
-            val = self._xperm_unit(m, rs1, rs2)
-        elif klass == REORDER:
-            val = _apply_wiring(_REORDER_WIRING[m], rs1)
-        else:  # fence_nop
-            if m is M.EBREAK:
-                self.cycle += cycles
-                self.phase = "halted"
-                return cycles, StepOutcome(True, EBREAK)
-            if m is M.ECALL:
-                self.cycle += cycles
-                self.phase = "halted"
-                return cycles, StepOutcome(True, ECALL)
+                charged = cycles + cfg.taken_branch_penalty + (cfg.mem_latency - 1)
+            outcome = RETIRED
+        if max_cycles is not None and self.cycle + charged > max_cycles:
+            self.store_addr = None
+            return 0, _OVER_BUDGET
+        self.cycle += charged
+        if outcome is not RETIRED:
+            return charged, outcome
 
+        if self.store_addr is not None:
+            _MEM_WRITE[isa.ACCESS_BYTES[m]](arch.mem, self.store_addr, self.lsu_buffer)
+            self.store_addr = None
         if val is not None and ins.rd:
             regs[ins.rd] = val & MASK32
-
-        # frontend: overlap the sequential prefetch, or flush on a transfer
-        if taken:
-            charged = cycles + cfg.taken_branch_penalty + (cfg.mem_latency - 1)
-            self.fetch_buffer = None
+        if target is None:
+            next_pc = (arch.pc + 4) & MASK32
         else:
-            charged = max(cycles, cfg.mem_latency)
-
-        next_pc &= MASK32
+            next_pc = target & MASK32
+            self.fetch_buffer = None
         arch.pc = next_pc
-        self.cycle += charged
         if next_pc & 3:
-            self.phase = "halted"
             return charged, StepOutcome(True, MISALIGNED_FETCH)
-        if not taken:
+        if target is None:
             self.fetch_buffer = (next_pc, arch.mem.load_word(next_pc))
-        self.phase = "fetch"
         return charged, RETIRED
 
-    def step(self) -> Tuple[int, StepOutcome, Optional[Instr]]:
+    def step(self, max_cycles: Optional[int] = None
+             ) -> Tuple[int, StepOutcome, Optional[Instr]]:
         """Fetch, decode and execute one instruction.
 
         Returns (charged cycles, outcome, instruction or None when the
-        fetch/decode itself trapped).
+        fetch/decode itself trapped). The first step also fills the fetch
+        buffer, which costs `startup_cycles` more. If a step's cycles would
+        take `cycle` past `max_cycles`, it writes nothing and halts with
+        max-steps.
         """
-        if self.phase == "reset":
-            # initial fill of the fetch buffer
-            self.startup_cycles = self.config.mem_latency
-            self.cycle += self.startup_cycles
-            self.phase = "fetch"
+        fill = 0 if self.startup_cycles else self.config.mem_latency
+        if max_cycles is not None:
+            max_cycles -= fill
+            if self.cycle > max_cycles:
+                return 0, _OVER_BUDGET, None
+        ins = None
         pc = self.arch.pc
         if pc & 3:
-            self.phase = "halted"
-            return 0, StepOutcome(True, MISALIGNED_FETCH), None
-        if self.fetch_buffer is not None and self.fetch_buffer[0] == pc:
-            word = self.fetch_buffer[1]
+            cycles, outcome = 0, StepOutcome(True, MISALIGNED_FETCH)
         else:
-            word = self.arch.mem.load_word(pc)
-        try:
-            ins = isa.decode_cached(word)
-        except isa.IllegalInstruction:
-            self.phase = "halted"
-            return 0, StepOutcome(True, ILLEGAL), None
-        cycles, outcome = self.run_instruction(ins)
+            buf = self.fetch_buffer
+            word = buf[1] if buf is not None and buf[0] == pc else self.arch.mem.load_word(pc)
+            try:
+                ins = isa.decode_cached(word)
+            except isa.IllegalInstruction:
+                cycles, outcome = 0, StepOutcome(True, ILLEGAL)
+            else:
+                cycles, outcome = self.run_instruction(ins, max_cycles)
+        if fill and outcome is not _OVER_BUDGET:
+            self.startup_cycles = fill
+            self.cycle += fill
         return cycles, outcome, ins
+
+
+_OVER_BUDGET = StepOutcome(True, MAX_STEPS)
+
+
+class _Halt(Exception):
+    """Raised by a handler that halts the core; it has written nothing."""
+
+    def __init__(self, reason: str, retires: bool = False):
+        super().__init__(reason)
+        self.outcome = StepOutcome(True, reason)
+        self.retires = retires
+
+
+def _halt(reason: str):
+    def handler(core, i, a, b):
+        raise _Halt(reason, retires=True)
+    return handler
+
+
+def _logic(op):
+    return lambda core, i, a, b: (core._chunk_logic(op, a, b), None)
+
+
+def _branch(taken):
+    return lambda core, i, a, b: (
+        None, core.arch.pc + i.imm if taken(core, a, b) else None)
+
+
+def _lsu_address(ins: Instr, rs1: int) -> int:
+    addr = (rs1 + ins.imm) & MASK32
+    if addr % isa.ACCESS_BYTES[ins.mnemonic]:
+        raise _Halt(MISALIGNED_ACCESS)
+    return addr
+
+
+def _load(signed: bool):
+    def handler(core, i, a, b):
+        # a full-word read through the LSU buffer, then the addressed bytes
+        addr = _lsu_address(i, a)
+        core.lsu_buffer = core.arch.mem.load_word(addr & ~3)
+        bits = 8 * isa.ACCESS_BYTES[i.mnemonic]
+        val = (core.lsu_buffer >> (8 * (addr & 3))) & ((1 << bits) - 1)
+        if signed:
+            sign = 1 << (bits - 1)
+            val = (val ^ sign) - sign
+        return val, None
+    return handler
+
+
+def _store(core, i, a, b):
+    # the value waits in the LSU buffer until the instruction commits
+    core.store_addr = _lsu_address(i, a)
+    core.lsu_buffer = b
+    return None, None
+
+
+_MEM_WRITE = {1: Memory.store_byte, 2: Memory.store_half, 4: Memory.store_word}
+
+# What each mnemonic does on the chunked data path. A handler takes (core,
+# instruction, rs1 value, operand 2) and returns (value for rd or None, jump
+# target or None for the next instruction); it writes no architectural
+# state. Operand 2 is the immediate for the isa.IMM_FORMS, so each I-form
+# shares the handler of its R-form.
+_EXECUTE = {
+    M.ADD: lambda core, i, a, b: (core._chunk_add(a, b, 0)[0], None),
+    M.SUB: lambda core, i, a, b: (core._chunk_sub(a, b)[0], None),
+    M.AND: _logic(operator.and_),
+    M.OR: _logic(operator.or_),
+    M.XOR: _logic(operator.xor),
+    M.ANDN: _logic(lambda a, b: a & ~b),
+    M.ORN: _logic(lambda a, b: a | ~b),
+    M.XNOR: _logic(lambda a, b: ~(a ^ b)),
+    M.SLT: lambda core, i, a, b: (core._less_than(a, b, True), None),
+    M.SLTU: lambda core, i, a, b: (core._less_than(a, b, False), None),
+    M.LUI: lambda core, i, a, b: ((i.imm << 12) & MASK32, None),
+    M.AUIPC: lambda core, i, a, b: (
+        core._chunk_add(core.arch.pc, (i.imm << 12) & MASK32, 0)[0], None),
+    M.PACK: lambda core, i, a, b: (((b & 0xFFFF) << 16) | (a & 0xFFFF), None),
+    M.PACKH: lambda core, i, a, b: (((b & 0xFF) << 8) | (a & 0xFF), None),
+    M.BEQ: _branch(lambda core, a, b: core._chunk_logic(operator.xor, a, b) == 0),
+    M.BNE: _branch(lambda core, a, b: core._chunk_logic(operator.xor, a, b) != 0),
+    M.BLT: _branch(lambda core, a, b: core._less_than(a, b, True) == 1),
+    M.BGE: _branch(lambda core, a, b: core._less_than(a, b, True) == 0),
+    M.BLTU: _branch(lambda core, a, b: core._less_than(a, b, False) == 1),
+    M.BGEU: _branch(lambda core, a, b: core._less_than(a, b, False) == 0),
+    M.JAL: lambda core, i, a, b: (
+        core.arch.pc + 4, core._chunk_add(core.arch.pc, i.imm & MASK32, 0)[0]),
+    M.JALR: lambda core, i, a, b: (
+        core.arch.pc + 4, core._chunk_add(a, i.imm & MASK32, 0)[0] & ~1),
+    M.LB: _load(True),
+    M.LH: _load(True),
+    M.LW: _load(False),
+    M.LBU: _load(False),
+    M.LHU: _load(False),
+    M.SB: _store,
+    M.SH: _store,
+    M.SW: _store,
+    M.FENCE: lambda core, i, a, b: (None, None),
+    M.EBREAK: _halt(EBREAK),
+    M.ECALL: _halt(ECALL),
+}
+# each function unit serves its whole latency class
+_BY_CLASS = {
+    SHIFT: lambda core, i, a, b: (core._shift_exec(i.mnemonic, a, b & 31), None),
+    AES: lambda core, i, a, b: (core._aes_unit(i.mnemonic, a, b, i.bs), None),
+    SHA: lambda core, i, a, b: (core._sha_unit(i.mnemonic, a, b), None),
+    CLMUL: lambda core, i, a, b: (core._clmul_unit(i.mnemonic, a, b), None),
+    XPERM: lambda core, i, a, b: (core._xperm_unit(i.mnemonic, a, b), None),
+    REORDER: lambda core, i, a, b: (
+        _apply_wiring(_REORDER_WIRING[i.mnemonic], a), None),
+}
+_BY_CLASS[ROTATE] = _BY_CLASS[SHIFT]
+_EXECUTE.update((m, _BY_CLASS[c]) for m, c in CLASS_OF.items() if c in _BY_CLASS)
+for _m, _r in isa.R_FORM_OF.items():
+    _EXECUTE[_m] = _EXECUTE[_r]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, TextIO
 
 from . import golden
-from .golden import ArchState, MAX_STEPS
+from .golden import ArchState
 from .image import EmptyImage, MalformedHex, ProgramImage, load_image  # noqa: F401
 from .microarch import CLASS_OF, CoreConfig, MicroCore
 
@@ -56,7 +56,8 @@ def run(image: ProgramImage, config: CoreConfig,
 
     Halting: ebreak, plain ecall, any trap, a store to the exit MMIO word,
     or exhausting the cycle budget. An instruction that would overrun the
-    budget does not retire. Pass a pre-built `state` to inspect memory
+    budget does not retire and changes nothing, so the state is that of the
+    last retired instruction. Pass a pre-built `state` to inspect memory
     after the run.
     """
     if max_cycles <= 0:
@@ -69,14 +70,8 @@ def run(image: ProgramImage, config: CoreConfig,
     classes = stats.classes
 
     while True:
-        before = core.cycle
         pc_before = state.pc
-        cycles, outcome, ins = core.step()
-        if core.cycle > max_cycles:
-            # roll back the straddling instruction's charge; it did not retire
-            core.cycle = before
-            stats.halt = MAX_STEPS
-            break
+        cycles, outcome, ins = core.step(max_cycles)
         if ins is not None and (not outcome.halted or
                                 outcome.reason in (golden.EBREAK, golden.ECALL)):
             stats.instret += 1
@@ -95,32 +90,11 @@ def run(image: ProgramImage, config: CoreConfig,
             break
 
     stats.cycles = core.cycle
-    stats.startup_cycles = min(core.startup_cycles, core.cycle)
+    stats.startup_cycles = core.startup_cycles
     stats.console = bytes(state.mem.console)
     if stats.halt == golden.ECALL and stats.exit_code is None:
         stats.exit_code = 0
     return stats
-
-
-def run_golden(image: ProgramImage, extensions: Optional[frozenset] = None,
-               max_steps: int = 1_000_000,
-               mem_size: int = DEFAULT_MEM_SIZE) -> tuple:
-    """Run the untimed reference model to completion.
-
-    Returns (final ArchState, instret, halt reason).
-    """
-    state = ArchState.from_image(image, mem_size=mem_size)
-    instret = 0
-    for _ in range(max_steps):
-        outcome = golden.step(state, extensions)
-        if outcome.halted:
-            if outcome.reason in (golden.EBREAK, golden.ECALL):
-                instret += 1
-            return state, instret, outcome.reason
-        instret += 1
-        if state.mem.exit_code is not None:
-            return state, instret, golden.ECALL
-    return state, instret, MAX_STEPS
 
 
 def stats_to_json(stats: ExecStats) -> str:

@@ -170,3 +170,19 @@ def test_disasm_hex_words(tmp_path, capsys):
     rc = cli.main(["disasm", str(p), "--format", "hex-words"])
     out = capsys.readouterr().out
     assert "ebreak" in out and ".word 0xffffffff" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{image}", "--trace", "{out}"],
+    ["run", "{image}", "--stats-json", "{out}"],
+    ["cosim", "--programs", "1", "--json", "{out}"],
+    ["bench", "--suite", "aes128", "--json", "{out}"],
+], ids=["run-trace", "run-stats-json", "cosim-json", "bench-json"])
+def test_unwritable_output_usage_error(argv, ebreak_image, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    argv = [a.format(image=ebreak_image, out=out) for a in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert str(out) in captured.err
+    assert captured.out == ""  # the output was opened before any work

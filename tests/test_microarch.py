@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serialrv import golden, isa
+from serialrv import golden, isa, microarch
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Ext, Mnemonic as M, instr
 from serialrv.microarch import (CLASS_OF, CoreConfig, MicroCore,
@@ -24,7 +24,6 @@ def exec_one(core, i, regs=None):
     if regs:
         for r, v in regs.items():
             core.arch.regs[r] = v & 0xFFFFFFFF
-    core.phase = "fetch"
     return core.run_instruction(i)
 
 
@@ -444,6 +443,57 @@ def test_micro_matches_golden_register_ops(rs1, rs2, m, data):
     bs = data.draw(st.integers(min_value=0, max_value=3)) \
         if m in isa.AES_MNEMONICS else None
     _equiv_case(m, rs1, rs2, imm, bs)
+
+
+def test_every_mnemonic_has_one_handler_per_model():
+    for table in (golden._EXECUTE, microarch._EXECUTE):
+        assert sorted(table) == sorted(M)
+
+
+def test_missing_handler_fails_loudly(monkeypatch):
+    fence = instr(M.FENCE)
+    monkeypatch.delitem(golden._EXECUTE, M.FENCE)
+    monkeypatch.delitem(microarch._EXECUTE, M.FENCE)
+    ref = ArchState(pc=0x1000, mem=Memory())
+    ref.mem.store_word(0x1000, fence.raw)
+    with pytest.raises(KeyError):
+        golden.step(ref)
+    with pytest.raises(KeyError):
+        exec_one(make_core(8), fence)
+
+
+IMM_FORMS = sorted(isa.IMM_FORMS)
+
+
+@given(words, st.sampled_from(IMM_FORMS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_imm_form_matches_its_r_form(rs1, m, data):
+    """An I-form computes what its R-form does with rs2 holding the
+    immediate: the same rd, pc and charged cycles, on both models."""
+    if isa.ENCODINGS[m].fmt == isa.FMT_I_SHAMT:
+        imm = data.draw(st.integers(min_value=0, max_value=31))
+    else:
+        imm = data.draw(st.integers(min_value=-2048, max_value=2047))
+    forms = (isa.instr(m, rd=5, rs1=1, imm=imm),
+             isa.instr(isa.R_FORM_OF[m], rd=5, rs1=1, rs2=2))
+
+    def golden_after(i):
+        ref = ArchState(pc=0x1000, mem=Memory())
+        ref.regs[1], ref.regs[2] = rs1, imm & 0xFFFFFFFF
+        ref.mem.store_word(0x1000, i.raw)
+        assert golden.step(ref) == golden.RETIRED
+        return ref.regs[5], ref.pc
+
+    assert golden_after(forms[0]) == golden_after(forms[1])
+    for width in WIDTHS:
+        for exts in (isa.ZKN, isa.ZKN_ZKT):
+            after = []
+            for i in forms:
+                core = make_core(width, exts=exts)
+                cycles, out = exec_one(core, i, {1: rs1, 2: imm})
+                assert out == golden.RETIRED
+                after.append((core.arch.regs[5], core.arch.pc, cycles))
+            assert after[0] == after[1], (m, width, exts)
 
 
 def test_micro_matches_golden_memory_ops():

@@ -128,10 +128,13 @@ def test_instret_matches_golden():
     a.emit(M.BNE, rs1=1, rs2=0, target="loop")
     a.emit(M.EBREAK)
     img = a.build()
+    gold = golden.ArchState.from_image(img)
+    instret = 1  # the halting ebreak retires
+    while not (outcome := golden.step(gold)).halted:
+        instret += 1
     for w in (1, 8, 32):
         stats = system.run(img, CoreConfig(serial_width=w))
-        _, instret, reason = system.run_golden(img)
-        assert stats.instret == instret and stats.halt == reason
+        assert stats.instret == instret and stats.halt == outcome.reason
 
 
 def test_stats_json_keys():
@@ -175,3 +178,37 @@ def test_ten_adds_cost_model():
     stats = system.run(a.build(), CoreConfig(serial_width=8))
     assert stats.instret == 11
     assert stats.cycles == stats.startup_cycles + 10 * 4 + 1
+
+
+def _console_program():
+    a = Assembler(base=0x1000)
+    a.emit(M.ADDI, rd=1, rs1=0, imm=7)
+    a.emit(M.LUI, rd=4, imm=0xF0000)
+    a.emit(M.ADDI, rd=5, rs1=0, imm=65)
+    a.emit(M.SB, rs1=4, rs2=5, imm=0)  # console store
+    a.emit(M.SW, rs1=0, rs2=1, imm=0x400)
+    a.emit(M.BEQ, rs1=0, rs2=0, target="next")
+    a.label("next")
+    a.emit(M.EBREAK)
+    return a.build()
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8, 16, 32))
+def test_budget_stop_leaves_last_retired_state(width):
+    """An instruction that does not fit the cycle budget writes nothing:
+    the state after a max-steps halt is the golden state after `instret`
+    steps, for every budget up to a full run."""
+    img = _console_program()
+    config = CoreConfig(serial_width=width, mem_latency=2)
+    full = system.run(img, config)
+    assert full.halt == golden.EBREAK and full.console == b"A"
+    for budget in range(1, full.cycles):
+        state = golden.ArchState.from_image(img)
+        stats = system.run(img, config, max_cycles=budget, state=state)
+        assert stats.halt == golden.MAX_STEPS and stats.cycles <= budget
+        ref = golden.ArchState.from_image(img)
+        for _ in range(stats.instret):
+            golden.step(ref)
+        assert (state.pc, state.regs) == (ref.pc, ref.regs), budget
+        assert state.mem.buf == ref.mem.buf, budget
+        assert state.mem.console == ref.mem.console == stats.console, budget
