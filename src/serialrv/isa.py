@@ -16,13 +16,18 @@ from .image import ProgramImage
 
 
 class IllegalInstruction(Exception):
-    """Word does not decode to a supported instruction."""
+    """Word does not decode to a supported instruction; args[0] is the word.
 
-    def __init__(self, word: int):
-        self.word = word
+    No Python-level __init__: decode raises this for most random words, and
+    the C constructor of BaseException is much cheaper.
+    """
+
+    @property
+    def word(self) -> int:
+        return self.args[0]
 
     def __str__(self) -> str:
-        return f"illegal instruction word 0x{self.word & 0xFFFFFFFF:08x}"
+        return f"illegal instruction word 0x{self.args[0] & 0xFFFFFFFF:08x}"
 
 
 class FieldRange(Exception):
@@ -144,12 +149,15 @@ EXT_OF.update({m: Ext.ZKNH for m in (M.SHA256SIG0, M.SHA256SIG1, M.SHA256SUM0, M
                                      M.SHA512SUM0R, M.SHA512SUM1R)})
 
 # Data-independent-latency contract coverage: every crypto-subset instruction
-# plus the base shifts and the ALU ops that touch key material in software
-# crypto (logic, add/sub).
+# plus the RV32I instructions that the ratified RISC-V Scalar Cryptography
+# spec lists in its "Zkt - Data Independent Execution Latency" section:
+# lui, auipc, the register and immediate ALU ops, shifts and set-less-than.
 ZKT_COVERED = frozenset(m for m, e in EXT_OF.items() if e is not Ext.RV32I) | {
+    M.LUI, M.AUIPC,
     M.SLL, M.SLLI, M.SRL, M.SRLI, M.SRA, M.SRAI,
     M.AND, M.ANDI, M.OR, M.ORI, M.XOR, M.XORI,
     M.ADD, M.ADDI, M.SUB,
+    M.SLT, M.SLTI, M.SLTU, M.SLTIU,
 }
 
 
@@ -176,6 +184,7 @@ class Instr(NamedTuple):
 
 # Instruction formats. UNARY covers the fixed-function OP-IMM instructions
 # (rev8, zip, sha256sig0, ...) whose entire imm12 field is a constant.
+# encode and decode compare formats by identity: use these constants.
 FMT_R = "r"
 FMT_R_AES = "r_aes"
 FMT_I = "i"
@@ -298,71 +307,75 @@ def _sext(value: int, bits: int) -> int:
     return (value & (sign - 1)) - (value & sign)
 
 
-def _check(cond: bool, msg: str, *args) -> None:
-    # the message is formatted only on failure: encode runs once per
-    # assembled instruction
-    if not cond:
-        raise FieldRange(msg.format(*args))
-
-
 def encode(i: Instr) -> int:
     """Produce the canonical 32-bit encoding of `i`.
 
-    Raises FieldRange if any operand does not fit its field.
+    Raises FieldRange if any operand does not fit its field. The register
+    fields are checked first (rd, rs1, rs2), then the byte select, then the
+    format's own fields; messages are formatted only on failure.
     """
-    enc = ENCODINGS[i.mnemonic]
-    _check(0 <= i.rd < 32, "rd {} out of range", i.rd)
-    _check(0 <= i.rs1 < 32, "rs1 {} out of range", i.rs1)
-    _check(0 <= i.rs2 < 32, "rs2 {} out of range", i.rs2)
-    if i.mnemonic in AES_MNEMONICS:
-        _check(i.bs is not None and 0 <= i.bs < 4, "bs {} out of range", i.bs)
-    else:
-        _check(i.bs is None, "{.value} takes no byte select", i.mnemonic)
-    base = enc.opcode | (enc.funct3 << 12)
-    fmt, imm = enc.fmt, i.imm
+    m, rd, rs1, rs2, imm, bs, _ = i
+    fmt, opcode, funct3, funct7 = ENCODINGS[m]
+    if not (0 <= rd < 32 and 0 <= rs1 < 32 and 0 <= rs2 < 32):
+        for name, reg in (("rd", rd), ("rs1", rs1), ("rs2", rs2)):
+            if not 0 <= reg < 32:
+                raise FieldRange(f"{name} {reg} out of range")
+    if bs is not None and fmt is not FMT_R_AES:
+        raise FieldRange(f"{m.value} takes no byte select")
+    base = opcode | (funct3 << 12)
 
-    if fmt == FMT_R:
-        return base | (i.rd << 7) | (i.rs1 << 15) | (i.rs2 << 20) | (enc.funct7 << 25)
-    if fmt == FMT_R_AES:
-        assert i.bs is not None
-        funct7 = (i.bs << 5) | enc.funct7
-        return base | (i.rd << 7) | (i.rs1 << 15) | (i.rs2 << 20) | (funct7 << 25)
-    if fmt in (FMT_I, FMT_LOAD, FMT_JALR):
-        _check(-2048 <= imm <= 2047, "imm {} exceeds 12-bit signed range", imm)
-        return base | (i.rd << 7) | (i.rs1 << 15) | ((imm & 0xFFF) << 20)
-    if fmt == FMT_I_SHAMT:
-        _check(0 <= imm <= 31, "shamt {} exceeds 5-bit range", imm)
-        return base | (i.rd << 7) | (i.rs1 << 15) | (imm << 20) | (enc.funct7 << 25)
-    if fmt == FMT_UNARY:
-        return base | (i.rd << 7) | (i.rs1 << 15) | (enc.funct7 << 20)
-    if fmt == FMT_STORE:
-        _check(-2048 <= imm <= 2047, "imm {} exceeds 12-bit signed range", imm)
+    if fmt is FMT_R:
+        return base | (rd << 7) | (rs1 << 15) | (rs2 << 20) | (funct7 << 25)
+    if fmt is FMT_I or fmt is FMT_LOAD or fmt is FMT_JALR:
+        if not -2048 <= imm <= 2047:
+            raise FieldRange(f"imm {imm} exceeds 12-bit signed range")
+        return base | (rd << 7) | (rs1 << 15) | ((imm & 0xFFF) << 20)
+    if fmt is FMT_STORE:
+        if not -2048 <= imm <= 2047:
+            raise FieldRange(f"imm {imm} exceeds 12-bit signed range")
         v = imm & 0xFFF
-        return base | ((v & 0x1F) << 7) | (i.rs1 << 15) | (i.rs2 << 20) | ((v >> 5) << 25)
-    if fmt == FMT_BRANCH:
-        _check(imm % 2 == 0, "branch offset {} must be even", imm)
-        _check(-4096 <= imm <= 4094, "branch offset {} out of range", imm)
+        return base | ((v & 0x1F) << 7) | (rs1 << 15) | (rs2 << 20) | ((v >> 5) << 25)
+    if fmt is FMT_BRANCH:
+        if imm % 2:
+            raise FieldRange(f"branch offset {imm} must be even")
+        if not -4096 <= imm <= 4094:
+            raise FieldRange(f"branch offset {imm} out of range")
         v = imm & 0x1FFF
-        return (base | (i.rs1 << 15) | (i.rs2 << 20)
+        return (base | (rs1 << 15) | (rs2 << 20)
                 | (((v >> 11) & 1) << 7) | (((v >> 1) & 0xF) << 8)
                 | (((v >> 5) & 0x3F) << 25) | (((v >> 12) & 1) << 31))
-    if fmt == FMT_U:
-        _check(0 <= imm <= 0xFFFFF, "imm {} exceeds 20-bit range", imm)
-        return base | (i.rd << 7) | (imm << 12)
-    if fmt == FMT_JAL:
-        _check(imm % 2 == 0, "jump offset {} must be even", imm)
-        _check(-(1 << 20) <= imm <= (1 << 20) - 2, "jump offset {} out of range", imm)
+    if fmt is FMT_U:
+        if not 0 <= imm <= 0xFFFFF:
+            raise FieldRange(f"imm {imm} exceeds 20-bit range")
+        return base | (rd << 7) | (imm << 12)
+    if fmt is FMT_JAL:
+        if imm % 2:
+            raise FieldRange(f"jump offset {imm} must be even")
+        if not -(1 << 20) <= imm <= (1 << 20) - 2:
+            raise FieldRange(f"jump offset {imm} out of range")
         v = imm & 0x1FFFFF
-        return (base | (i.rd << 7) | (((v >> 12) & 0xFF) << 12)
+        return (base | (rd << 7) | (((v >> 12) & 0xFF) << 12)
                 | (((v >> 11) & 1) << 20) | (((v >> 1) & 0x3FF) << 21)
                 | (((v >> 20) & 1) << 31))
-    if fmt == FMT_SYSTEM:
-        _check(i.rd == 0 and i.rs1 == 0 and imm == 0, "{.value} takes no operands", i.mnemonic)
-        return base | (enc.funct7 << 20)
-    if fmt == FMT_FENCE:
+    if fmt is FMT_I_SHAMT:
+        if not 0 <= imm <= 31:
+            raise FieldRange(f"shamt {imm} exceeds 5-bit range")
+        return base | (rd << 7) | (rs1 << 15) | (imm << 20) | (funct7 << 25)
+    if fmt is FMT_UNARY:
+        return base | (rd << 7) | (rs1 << 15) | (funct7 << 20)
+    if fmt is FMT_R_AES:
+        if bs is None or not 0 <= bs < 4:
+            raise FieldRange(f"bs {bs} out of range")
+        return base | (rd << 7) | (rs1 << 15) | (rs2 << 20) | (((bs << 5) | funct7) << 25)
+    if fmt is FMT_SYSTEM:
+        if rd or rs1 or imm:
+            raise FieldRange(f"{m.value} takes no operands")
+        return base | (funct7 << 20)
+    if fmt is FMT_FENCE:
         # imm carries the raw fm/pred/succ bits
-        _check(0 <= imm <= 0xFFF, "fence bits {} out of range", imm)
-        return base | (i.rd << 7) | (i.rs1 << 15) | (imm << 20)
+        if not 0 <= imm <= 0xFFF:
+            raise FieldRange(f"fence bits {imm} out of range")
+        return base | (rd << 7) | (rs1 << 15) | (imm << 20)
     raise AssertionError(f"unhandled format {fmt}")
 
 
@@ -402,120 +415,95 @@ def instr(mnemonic: Union[Mnemonic, str], rd: int = 0, rs1: int = 0, rs2: int = 
     return i._replace(raw=encode(i))
 
 
-# Decode dispatch tables, keyed by (opcode, funct3).
-_R_BY_F7: dict = {}
-_UNARY_BY_IMM12: dict = {}
-_SHAMT_BY_F7: dict = {}
-_I_ARITH: dict = {}
-_AES_BY_F5: dict = {}
-_LOADS: dict = {}
-_STORES: dict = {}
-_BRANCHES: dict = {}
-for _m, _e in ENCODINGS.items():
-    _k = (_e.opcode, _e.funct3)
-    if _e.fmt == FMT_R:
-        _R_BY_F7.setdefault(_k, {})[_e.funct7] = _m
-    elif _e.fmt == FMT_UNARY:
-        _UNARY_BY_IMM12.setdefault(_k, {})[_e.funct7] = _m
-    elif _e.fmt == FMT_I_SHAMT:
-        _SHAMT_BY_F7.setdefault(_k, {})[_e.funct7] = _m
-    elif _e.fmt == FMT_I:
-        _I_ARITH[_k] = _m
-    elif _e.fmt == FMT_R_AES:
-        _AES_BY_F5[_e.funct7] = _m
-    elif _e.fmt == FMT_LOAD:
-        _LOADS[_e.funct3] = _m
-    elif _e.fmt == FMT_STORE:
-        _STORES[_e.funct3] = _m
-    elif _e.fmt == FMT_BRANCH:
-        _BRANCHES[_e.funct3] = _m
+def _decode_table(encodings: dict) -> dict:
+    """Build decode's table from the encodings.
+
+    Keys are `word & 0x707F` (opcode | funct3). A key whose format fixes no
+    bits above funct3 maps to `(fmt, mnemonic)`; U and J formats claim all
+    eight funct3 values, since those bits belong to their immediate. A key
+    whose formats fix more bits maps to `(None, (shift, sub))`, where `sub`
+    maps `word >> shift` to `(fmt, mnemonic)`: funct7 for R (and funct5 with
+    every byte select for R_AES), imm12 for OP-IMM (every shamt for a shift),
+    and everything above the opcode for the exact ecall/ebreak words.
+    Sub-entries are added in precedence order and never replaced, so an exact
+    imm12 form (zip, rev8, sha256sig0, ...) wins over a shift on the same
+    bits, and an R form over an AES form.
+    """
+    top: dict = {}
+    subs: dict = {}
+    last = (FMT_I_SHAMT, FMT_R_AES)  # the lower-precedence forms
+    for m, e in sorted(encodings.items(), key=lambda kv: kv[1].fmt in last):
+        fmt, f7 = e.fmt, e.funct7
+        entry = (fmt, m)
+        if fmt == FMT_R:
+            shift, sub_keys = 25, [f7]
+        elif fmt == FMT_R_AES:
+            shift, sub_keys = 25, [(bs << 5) | f7 for bs in range(4)]
+        elif fmt == FMT_UNARY:
+            shift, sub_keys = 20, [f7]
+        elif fmt == FMT_I_SHAMT:
+            shift, sub_keys = 20, [(f7 << 5) | shamt for shamt in range(32)]
+        elif fmt == FMT_SYSTEM:
+            shift, sub_keys = 7, [f7 << 13]
+        else:
+            for f3 in range(8) if fmt in (FMT_U, FMT_JAL) else [e.funct3]:
+                top[e.opcode | (f3 << 12)] = entry
+            continue
+        _, sub = subs.setdefault(e.opcode | (e.funct3 << 12), (shift, {}))
+        for k in sub_keys:
+            sub.setdefault(k, entry)
+    for key, shift_sub in subs.items():
+        assert key not in top, f"key 0x{key:04x} is both direct and sub-tabled"
+        top[key] = (None, shift_sub)
+    return top
+
+
+_DECODE = _decode_table(ENCODINGS)
 
 
 def decode(word: int) -> Instr:
     """Decode a 32-bit word; raises IllegalInstruction for unsupported encodings."""
     word &= 0xFFFFFFFF
-    if word & 0b11 != 0b11:  # no compressed support
+    # compressed words (low bits not 0b11) have no key
+    hit = _DECODE.get(word & 0x707F)
+    if hit is None:
         raise IllegalInstruction(word)
-    opcode = word & 0x7F
+    fmt, m = hit
+    if fmt is None:
+        shift, sub = m
+        hit = sub.get(word >> shift)
+        if hit is None:
+            raise IllegalInstruction(word)
+        fmt, m = hit
+
     rd = (word >> 7) & 0x1F
-    f3 = (word >> 12) & 0x7
     rs1 = (word >> 15) & 0x1F
     rs2 = (word >> 20) & 0x1F
-    f7 = word >> 25
-    key = (opcode, f3)
-
-    if opcode == _OP:
-        m = _R_BY_F7.get(key, {}).get(f7)
-        if m is not None:
-            return Instr(m, rd, rs1, rs2, 0, None, word)
-        if f3 == 0 and (f7 & 0b10001) == 0b10001:
-            m = _AES_BY_F5.get(f7 & 0x1F)
-            if m is not None:
-                return Instr(m, rd, rs1, rs2, 0, f7 >> 5, word)
-        raise IllegalInstruction(word)
-
-    if opcode == _OP_IMM:
-        imm12 = word >> 20
-        m = _UNARY_BY_IMM12.get(key, {}).get(imm12)
-        if m is not None:
-            return Instr(m, rd, rs1, 0, 0, None, word)
-        m = _SHAMT_BY_F7.get(key, {}).get(f7)
-        if m is not None:
-            return Instr(m, rd, rs1, 0, rs2, None, word)
-        m = _I_ARITH.get(key)
-        if m is not None:
-            return Instr(m, rd, rs1, 0, _sext(imm12, 12), None, word)
-        raise IllegalInstruction(word)
-
-    if opcode == _LOAD:
-        m = _LOADS.get(f3)
-        if m is None:
-            raise IllegalInstruction(word)
+    if fmt is FMT_U:
+        return Instr(m, rd, 0, 0, word >> 12, None, word)
+    if fmt is FMT_JAL:
+        imm = (((word >> 21) & 0x3FF) << 1) | (((word >> 20) & 1) << 11) \
+            | (((word >> 12) & 0xFF) << 12) | ((word >> 31) << 20)
+        return Instr(m, rd, 0, 0, _sext(imm, 21), None, word)
+    if fmt is FMT_I or fmt is FMT_LOAD or fmt is FMT_JALR:
         return Instr(m, rd, rs1, 0, _sext(word >> 20, 12), None, word)
-
-    if opcode == _STORE:
-        m = _STORES.get(f3)
-        if m is None:
-            raise IllegalInstruction(word)
-        imm = _sext((f7 << 5) | rd, 12)
-        return Instr(m, 0, rs1, rs2, imm, None, word)
-
-    if opcode == _BRANCH:
-        m = _BRANCHES.get(f3)
-        if m is None:
-            raise IllegalInstruction(word)
+    if fmt is FMT_R:
+        return Instr(m, rd, rs1, rs2, 0, None, word)
+    if fmt is FMT_BRANCH:
         imm = (((word >> 8) & 0xF) << 1) | (((word >> 25) & 0x3F) << 5) \
             | (((word >> 7) & 1) << 11) | ((word >> 31) << 12)
         return Instr(m, 0, rs1, rs2, _sext(imm, 13), None, word)
-
-    if opcode == 0b0110111 or opcode == 0b0010111:
-        m = M.LUI if opcode == 0b0110111 else M.AUIPC
-        return Instr(m, rd, 0, 0, word >> 12, None, word)
-
-    if opcode == 0b1101111:  # jal
-        imm = (((word >> 21) & 0x3FF) << 1) | (((word >> 20) & 1) << 11) \
-            | (((word >> 12) & 0xFF) << 12) | ((word >> 31) << 20)
-        return Instr(M.JAL, rd, 0, 0, _sext(imm, 21), None, word)
-
-    if opcode == 0b1100111:  # jalr
-        if f3 != 0:
-            raise IllegalInstruction(word)
-        return Instr(M.JALR, rd, rs1, 0, _sext(word >> 20, 12), None, word)
-
-    if opcode == 0b0001111:  # fence
-        if f3 != 0:
-            raise IllegalInstruction(word)
-        return Instr(M.FENCE, rd, rs1, 0, word >> 20, None, word)
-
-    if opcode == 0b1110011:  # system
-        if f3 == 0 and rd == 0 and rs1 == 0:
-            if word >> 20 == 0:
-                return Instr(M.ECALL, 0, 0, 0, 0, None, word)
-            if word >> 20 == 1:
-                return Instr(M.EBREAK, 0, 0, 0, 0, None, word)
-        raise IllegalInstruction(word)
-
-    raise IllegalInstruction(word)
+    if fmt is FMT_STORE:
+        return Instr(m, 0, rs1, rs2, _sext(((word >> 25) << 5) | rd, 12), None, word)
+    if fmt is FMT_I_SHAMT:
+        return Instr(m, rd, rs1, 0, rs2, None, word)
+    if fmt is FMT_UNARY:
+        return Instr(m, rd, rs1, 0, 0, None, word)
+    if fmt is FMT_R_AES:
+        return Instr(m, rd, rs1, rs2, 0, word >> 30, word)
+    if fmt is FMT_FENCE:
+        return Instr(m, rd, rs1, 0, word >> 20, None, word)
+    return Instr(m, 0, 0, 0, 0, None, word)  # ecall/ebreak: the sub-key fixed every bit
 
 
 _DECODE_CACHE: dict = {}

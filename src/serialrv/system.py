@@ -75,7 +75,10 @@ def run(image: ProgramImage, config: CoreConfig,
         if ins is not None and (not outcome.halted or
                                 outcome.reason in (golden.EBREAK, golden.ECALL)):
             stats.instret += 1
-            entry = classes.setdefault(CLASS_OF[ins.mnemonic], [0, 0])
+            klass = CLASS_OF[ins.mnemonic]
+            entry = classes.get(klass)
+            if entry is None:
+                entry = classes[klass] = [0, 0]
             entry[0] += 1
             entry[1] += cycles
             if trace is not None:

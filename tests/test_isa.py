@@ -1,3 +1,5 @@
+import hashlib
+import pickle
 import random
 
 import pytest
@@ -77,9 +79,10 @@ def test_zkt_coverage_flags():
     for m in M:
         if isa.EXT_OF[m] is not Ext.RV32I:
             assert isa.zkt_covered(m), m
-    for m in (M.SLL, M.SRAI, M.ADD, M.SUB, M.XORI, M.AND):
+    for m in (M.SLL, M.SRAI, M.ADD, M.SUB, M.XORI, M.AND, M.LUI, M.AUIPC,
+              M.SLT, M.SLTU, M.SLTI, M.SLTIU):
         assert isa.zkt_covered(m)
-    for m in (M.BEQ, M.LW, M.SW, M.JAL, M.LUI, M.SLT, M.EBREAK):
+    for m in (M.BEQ, M.LW, M.SW, M.JAL, M.JALR, M.FENCE, M.EBREAK):
         assert not isa.zkt_covered(m)
 
 
@@ -123,6 +126,58 @@ def test_decode_totality_and_reencode(word):
     assert encode(i) == word
 
 
+def _decode_record(word):
+    try:
+        i = decode(word)
+    except IllegalInstruction as exc:
+        return f"{word:08x} ! {exc}\n"
+    return (f"{word:08x} {i.mnemonic.value} {i.rd} {i.rs1} {i.rs2} {i.imm} "
+            f"{i.bs} {i.raw:08x} {encode(i):08x}\n")
+
+
+def test_decode_output_pinned():
+    # sha256 over 200k seeded uniform words plus every single-bit flip of
+    # each mnemonic's canonical encoding (zero and non-zero operands), as
+    # decoded before the codec became table-driven; each record is the
+    # decoded fields and re-encoding, or the IllegalInstruction message
+    rng = random.Random(0xDEC0DE)
+    words = [rng.getrandbits(32) for _ in range(200_000)]
+    for m in M:
+        bs = 0 if m in isa.AES_MNEMONICS else None
+        for base in (instr(m, bs=bs).raw, instr(m, **_operands_for(m)).raw):
+            words.append(base)
+            words.extend(base ^ (1 << b) for b in range(32))
+    h = hashlib.sha256()
+    for word in words:
+        h.update(_decode_record(word).encode())
+    assert h.hexdigest() == "b83459b868353350590fa0c531242f94d68b2166025500969e644bd6a525d7de"
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_decode_table_precedence_by_construction(reverse):
+    # forms that claim the same bits: the exact imm12 form beats the shift,
+    # the R form beats the AES form, whatever order the encodings come in
+    op_imm = isa.ENCODINGS[M.SLLI].opcode
+    op = isa.ENCODINGS[M.ADD].opcode
+    encodings = {
+        "shift": isa.Enc(isa.FMT_I_SHAMT, op_imm, 0b001, 0b0000000),
+        "unary": isa.Enc(isa.FMT_UNARY, op_imm, 0b001, 0b000000000011),
+        "aes": isa.Enc(isa.FMT_R_AES, op, 0b000, 0b10001),
+        "r": isa.Enc(isa.FMT_R, op, 0b000, 0b0110001),
+    }
+    if reverse:
+        encodings = dict(reversed(encodings.items()))
+    table = isa._decode_table(encodings)
+    shift, sub = table[op_imm | 0b001 << 12][1]
+    assert shift == 20
+    assert sub[3] == (isa.FMT_UNARY, "unary")
+    assert sub[4] == (isa.FMT_I_SHAMT, "shift")
+    shift, sub = table[op][1]
+    assert shift == 25
+    assert sub[0b0110001] == (isa.FMT_R, "r")
+    assert sub[0b0010001] == (isa.FMT_R_AES, "aes")
+
+
 def test_random_encode_decode_identity():
     rng = random.Random(7)
     for _ in range(2000):
@@ -147,19 +202,67 @@ def test_random_encode_decode_identity():
         assert decode(encode(i)) == i
 
 
+# one case per encode field check, with the exact message; the operand
+# checks come first, in rd, rs1, rs2, bs order, then the format's own fields
+FIELD_ERRORS = [
+    (Instr(M.ADD, 32, 0, 0), "rd 32 out of range"),
+    (Instr(M.ADD, -1, 40, 40), "rd -1 out of range"),
+    (Instr(M.SW, 40, 1, 2, 4096), "rd 40 out of range"),
+    (Instr(M.ADDI, 1, 32, 0, 5000), "rs1 32 out of range"),
+    (Instr(M.LUI, 1, -3, 0, 1 << 20), "rs1 -3 out of range"),
+    (Instr(M.BEQ, 0, 1, 99, 3), "rs2 99 out of range"),
+    (Instr(M.ECALL, 0, 0, -1), "rs2 -1 out of range"),
+    (Instr(M.AES32ESI, 1, 1, 1, 0, 4), "bs 4 out of range"),
+    (Instr(M.AES32DSMI, 1, 1, 1, 0, -1), "bs -1 out of range"),
+    (Instr(M.AES32ESMI, 1, 1, 1), "bs None out of range"),
+    (Instr(M.ADD, 1, 1, 1, 0, 1), "add takes no byte select"),
+    (Instr(M.EBREAK, 1, 0, 0, 0, 0), "ebreak takes no byte select"),
+    (Instr(M.ADDI, 1, 1, 0, 2048), "imm 2048 exceeds 12-bit signed range"),
+    (Instr(M.LW, 1, 1, 0, -2049), "imm -2049 exceeds 12-bit signed range"),
+    (Instr(M.JALR, 1, 1, 0, 4096), "imm 4096 exceeds 12-bit signed range"),
+    (Instr(M.SH, 0, 1, 2, 2048), "imm 2048 exceeds 12-bit signed range"),
+    (Instr(M.RORI, 1, 1, 0, 32), "shamt 32 exceeds 5-bit range"),
+    (Instr(M.SLLI, 1, 1, 0, -1), "shamt -1 exceeds 5-bit range"),
+    (Instr(M.BEQ, 0, 1, 2, 3), "branch offset 3 must be even"),
+    (Instr(M.BNE, 0, 1, 2, 4097), "branch offset 4097 must be even"),
+    (Instr(M.BGEU, 0, 1, 2, 4096), "branch offset 4096 out of range"),
+    (Instr(M.BLT, 0, 1, 2, -4098), "branch offset -4098 out of range"),
+    (Instr(M.LUI, 1, 0, 0, 1 << 20), "imm 1048576 exceeds 20-bit range"),
+    (Instr(M.AUIPC, 1, 0, 0, -1), "imm -1 exceeds 20-bit range"),
+    (Instr(M.JAL, 1, 0, 0, 1), "jump offset 1 must be even"),
+    (Instr(M.JAL, 1, 0, 0, 1 << 20), "jump offset 1048576 out of range"),
+    (Instr(M.JAL, 1, 0, 0, -(1 << 20) - 2), "jump offset -1048578 out of range"),
+    (Instr(M.ECALL, 1), "ecall takes no operands"),
+    (Instr(M.EBREAK, 0, 1), "ebreak takes no operands"),
+    (Instr(M.ECALL, 0, 0, 0, 1), "ecall takes no operands"),
+    (Instr(M.FENCE, 0, 0, 0, 0x1000), "fence bits 4096 out of range"),
+    (Instr(M.FENCE, 0, 0, 0, -1), "fence bits -1 out of range"),
+]
+
+
 def test_field_range_errors():
-    with pytest.raises(FieldRange):
+    for ins, message in FIELD_ERRORS:
+        with pytest.raises(FieldRange) as exc:
+            encode(ins)
+        assert str(exc.value) == message, ins
+    with pytest.raises(FieldRange, match="^shamt 32 exceeds 5-bit range$"):
         instr(M.RORI, rd=1, rs1=1, imm=32)
-    with pytest.raises(FieldRange):
-        instr(M.ADDI, rd=1, rs1=1, imm=2048)
-    with pytest.raises(FieldRange):
-        instr(M.BEQ, rs1=1, rs2=2, imm=3)  # odd offset
-    with pytest.raises(FieldRange):
-        instr(M.ADD, rd=32, rs1=0, rs2=0)
-    with pytest.raises(FieldRange):
-        encode(Instr(M.AES32ESI, 1, 1, 1, 0, 4))
-    with pytest.raises(FieldRange):
-        encode(Instr(M.ADD, 1, 1, 1, 0, 1))  # bs on a non-AES op
+
+
+def test_illegal_instruction_surface():
+    with pytest.raises(IllegalInstruction) as exc:
+        decode(0x1_0000_0000 | 0xFFFFFFFF)
+    e = exc.value
+    assert e.word == 0xFFFFFFFF
+    assert e.args == (0xFFFFFFFF,)
+    assert str(e) == "illegal instruction word 0xffffffff"
+    assert repr(e) == "IllegalInstruction(4294967295)"
+    e = IllegalInstruction(0x13)
+    assert (e.word, e.args, str(e)) == (0x13, (0x13,), "illegal instruction word 0x00000013")
+    assert str(IllegalInstruction(-1)) == "illegal instruction word 0xffffffff"
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is IllegalInstruction
+    assert (back.word, back.args, str(back)) == (e.word, e.args, str(e))
 
 
 def test_aes_bs_field_position():
