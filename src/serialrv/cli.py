@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--suite", default="all",
                    help="comma list of kernels, or 'all'")
     b.add_argument("--widths", type=_width_list, default=VALID_WIDTHS)
-    b.add_argument("--ext-presets", default="rv32i,zkn",
-                   help="comma list over {rv32i, zkn}")
+    b.add_argument("--ext-presets", default=",".join(bench.VARIANTS),
+                   help=f"comma list over {', '.join(bench.VARIANTS)}")
     b.add_argument("--json", metavar="PATH")
 
     a = sub.add_parser("audit-ct", help="constant-time latency audit")
@@ -146,9 +146,13 @@ def _cmd_cosim(args) -> int:
     print(f"cosim: {passed}/{len(reports)} cells passed "
           f"({args.programs} programs x widths {','.join(map(str, args.widths))})")
     for r in reports:
-        if not r.passed:
-            print(f"  FAIL seed={r.seed} width={r.width} "
-                  f"field={r.divergence_field} pc={r.divergence_pc and hex(r.divergence_pc)}")
+        if r.passed:
+            continue
+        if r.divergence_pc is None:
+            where = "final signature only"
+        else:
+            where = f"field={r.divergence_field} pc={hex(r.divergence_pc)}"
+        print(f"  FAIL seed={r.seed} width={r.width} {where}")
     return EXIT_OK if passed == len(reports) else EXIT_FAIL
 
 
@@ -156,7 +160,7 @@ def _cmd_bench(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
     variants = tuple(v.strip() for v in args.ext_presets.split(",") if v.strip())
     for v in variants:
-        if v not in ("rv32i", "zkn"):
+        if v not in bench.VARIANTS:
             raise _UsageError(f"unknown preset {v!r}")
     with _open_output(args.json) as json_fh:
         try:
@@ -191,6 +195,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.trials < 32:
+        raise _UsageError("--trials must be >= 32")
     config = CoreConfig(serial_width=args.width, extensions=args.ext)
     report = bench.audit_constant_time(config, trials=args.trials)
     print(f"constant-time audit: width={report.width} zkt={report.zkt} "

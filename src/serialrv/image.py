@@ -6,6 +6,9 @@ import os
 from typing import NamedTuple, Optional, Union
 
 
+DEFAULT_BASE = 0x1000  # load address of images, assembled programs and kernels
+
+
 class MalformedHex(Exception):
     def __init__(self, line_no: int, text: str):
         self.line_no = line_no
@@ -39,7 +42,7 @@ class ProgramImage(NamedTuple):
 
 
 def load_image(source: Union[str, os.PathLike, bytes], fmt: str = "flat-bin",
-               base: int = 0x1000, entry: Optional[int] = None) -> ProgramImage:
+               base: int = DEFAULT_BASE, entry: Optional[int] = None) -> ProgramImage:
     """Build a ProgramImage from a file path or raw bytes.
 
     flat-bin: the bytes are the image.

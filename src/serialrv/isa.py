@@ -12,7 +12,7 @@ import enum
 import struct
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .image import ProgramImage
+from .image import DEFAULT_BASE, ProgramImage
 
 
 class IllegalInstruction(Exception):
@@ -563,19 +563,29 @@ class _Fixup(NamedTuple):
     target: str
 
 
+def _hi_lo(value: int) -> tuple:
+    """The lui and addi immediates that together load `value`."""
+    return ((value + 0x800) >> 12) & 0xFFFFF, _sext(value, 12)
+
+
 class Assembler:
     """Programmatic assembler producing a ProgramImage.
 
     Usage:
-        a = Assembler(base=0x1000)
+        a = Assembler()
         a.label("loop")
         a.emit("addi", rd=1, rs1=1, imm=-1)
         a.emit("bne", rs1=1, rs2=0, target="loop")
         a.emit("ebreak")
         img = a.build()
+
+    A `target` label is resolved in build(). Branches and jal take the
+    pc-relative offset to it; lui and addi take the hi and lo parts of its
+    absolute address, so the pair `lui rd, target=L` then
+    `addi rd, rd, target=L` loads the address of L.
     """
 
-    def __init__(self, base: int = 0x1000):
+    def __init__(self, base: int = DEFAULT_BASE):
         if base % 4 != 0:
             raise FieldRange(f"base 0x{base:x} not word-aligned")
         self.base = base
@@ -621,8 +631,7 @@ class Assembler:
         if -2048 <= signed <= 2047:
             self.emit(M.ADDI, rd=rd, rs1=0, imm=signed)
             return
-        hi = ((value + 0x800) >> 12) & 0xFFFFF
-        lo = _sext(value, 12)
+        hi, lo = _hi_lo(value)
         self.emit(M.LUI, rd=rd, imm=hi)
         if lo:
             self.emit(M.ADDI, rd=rd, rs1=rd, imm=lo)
@@ -634,22 +643,28 @@ class Assembler:
         for fx in self._fixups:
             if fx.target not in self._labels:
                 raise UnresolvedLabel(fx.target)
-            offset = self._labels[fx.target] - (self.base + 4 * fx.index)
+            address = self._labels[fx.target]
+            if fx.mnemonic is M.LUI:
+                imm = _hi_lo(address)[0]
+            elif fx.mnemonic is M.ADDI:
+                imm = _hi_lo(address)[1]
+            else:
+                imm = address - (self.base + 4 * fx.index)
             self._words[fx.index] = encode(
-                Instr(fx.mnemonic, fx.rd, fx.rs1, fx.rs2, offset))
+                Instr(fx.mnemonic, fx.rd, fx.rs1, fx.rs2, imm))
         blob = struct.pack(f"<{len(self._words)}I", *self._words)
         return ProgramImage(base=self.base, data=blob,
                             entry=self.base if entry is None else entry,
                             code_size=len(blob))
 
 
-def assemble(records: Iterable, base: int = 0x1000,
+def assemble(records: Iterable, base: int = DEFAULT_BASE,
              entry: Optional[int] = None) -> ProgramImage:
     """Assemble a sequence of records into a ProgramImage.
 
     Records may be Instr values, Label/Word markers, or
     (mnemonic, kwargs-dict) tuples; the tuple form supports a
-    `target` kwarg for label-relative branches and jumps.
+    `target` kwarg, resolved as in Assembler.
     """
     a = Assembler(base=base)
     for rec in records:

@@ -207,27 +207,6 @@ def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
     return latency_table(config)[mnemonic][shamt]
 
 
-def alu_mask_select(chunk_index: int, mode: str, control: int) -> Tuple[bool, int]:
-    """Chunk gating decision of the combined ALU operand mask.
-
-    Returns (enable, source_index): for clmul-bit mode the enable is the
-    multiplier bit for this chunk; for the xperm modes the source digit
-    index of rs1 to route through (with enable False when out of range).
-    plain mode passes through.
-    """
-    if mode == "plain":
-        return True, chunk_index
-    if mode == "clmul-bit":
-        return bool((control >> chunk_index) & 1), chunk_index
-    if mode == "xperm-byte":
-        idx = (control >> (8 * chunk_index)) & 0xFF
-        return idx < 4, idx
-    if mode == "xperm-nibble":
-        idx = (control >> (4 * chunk_index)) & 0xF
-        return idx < 8, idx
-    raise ValueError(f"unknown mask mode {mode!r}")
-
-
 # --- reorder unit wiring (fixed bit permutations) --------------------------
 
 def _perm_table(fn) -> tuple:
@@ -411,20 +390,20 @@ class MicroCore:
         # shifted multiplicand is folded into the Serializer1 accumulator
         acc = 0
         for i in range(32):
-            enable, _ = alu_mask_select(i, "clmul-bit", rs2)
-            if enable:
+            if (rs2 >> i) & 1:
                 acc ^= rs1 << i
         self.serializer1 = acc & MASK32
         return (acc >> 32) & MASK32 if m is M.CLMULH else acc & MASK32
 
     def _xperm_unit(self, m: M, rs1: int, rs2: int) -> int:
+        # each digit of rs2 selects a digit of rs1; an index past the last
+        # digit selects zero
         digit = 8 if m is M.XPERM8 else 4
-        mode = "xperm-byte" if m is M.XPERM8 else "xperm-nibble"
         mask = (1 << digit) - 1
         out = 0
         for i in range(32 // digit):
-            enable, src = alu_mask_select(i, mode, rs2)
-            if enable:
+            src = (rs2 >> (digit * i)) & mask
+            if src < 32 // digit:
                 out |= ((rs1 >> (digit * src)) & mask) << (digit * i)
         if self.config.serial_width < 32:
             self.serializer2 = out

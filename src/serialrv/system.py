@@ -8,11 +8,9 @@ from typing import Optional, TextIO
 
 from . import golden
 from .golden import ArchState
-from .image import EmptyImage, MalformedHex, ProgramImage, load_image  # noqa: F401
+from .image import DEFAULT_BASE, ProgramImage  # DEFAULT_BASE: the CLI's --base
 from .microarch import CLASS_OF, CoreConfig, MicroCore
 
-DEFAULT_BASE = 0x1000
-DEFAULT_MEM_SIZE = 64 * 1024
 DEFAULT_MAX_CYCLES = 10_000_000
 
 
@@ -50,7 +48,6 @@ class ExecStats:
 def run(image: ProgramImage, config: CoreConfig,
         max_cycles: int = DEFAULT_MAX_CYCLES,
         trace: Optional[TextIO] = None,
-        mem_size: int = DEFAULT_MEM_SIZE,
         state: Optional[ArchState] = None) -> ExecStats:
     """Execute an image on the cycle-accurate core until it halts.
 
@@ -63,7 +60,7 @@ def run(image: ProgramImage, config: CoreConfig,
     if max_cycles <= 0:
         raise ValueError("max_cycles must be > 0")
     if state is None:
-        state = ArchState.from_image(image, mem_size=mem_size)
+        state = ArchState.from_image(image)
     core = MicroCore(config, state)
     stats = ExecStats(code_size=image.code_size, width=config.serial_width,
                       extensions=tuple(e.value for e in config.extensions))

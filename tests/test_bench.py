@@ -87,6 +87,36 @@ def test_synthetic_kernels_self_check():
         assert out == kp.expected
 
 
+def test_every_kernel_cell_has_an_expected_output():
+    for name, kernel in KERNELS.items():
+        for variant in bench.VARIANTS:
+            assert kernel.build(variant).expected or kernel.expected, \
+                (name, variant)
+
+
+# sha256 over each registry kernel x variant's load address, entry, code
+# size, output window, expected output and image bytes; the kernels were
+# assembled in two passes when this was taken, so it pins that one-pass
+# assembly with labels lays out every image the same
+KERNEL_IMAGES_SHA256 = \
+    "a9939325979de26f4ca3930924e63ec06b077d974d3ac43f40e967a4af32fbde"
+
+
+def test_kernel_images_are_pinned():
+    lines = []
+    for name, kernel in sorted(KERNELS.items()):
+        for variant in bench.VARIANTS:
+            kp = kernel.build(variant)
+            img = kp.image
+            lines.append(
+                f"{name} {variant} base={img.base:#x} entry={img.entry:#x} "
+                f"code_size={img.code_size} out={kp.out_addr:#x}+{kp.out_len} "
+                f"expected={(kp.expected or kernel.expected).hex()} "
+                f"image={hashlib.sha256(img.data).hexdigest()}")
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_IMAGES_SHA256
+
+
 def test_checksum_invariant_across_variant_and_width():
     for name, kernel in KERNELS.items():
         sums = set()
@@ -177,6 +207,14 @@ def test_checksum_mismatch_raised(monkeypatch):
         run_suite(kernel_names=["prince-sbox"], widths=(32,))
 
 
+def test_cell_without_expected_output_is_a_mismatch(monkeypatch):
+    unchecked = KERNELS["prince-sbox"]
+    monkeypatch.setitem(bench.KERNELS, "prince-sbox",
+                        bench.Kernel(unchecked.name, unchecked.build, b""))
+    with pytest.raises(ChecksumMismatch):
+        run_suite(kernel_names=["prince-sbox"], widths=(32,))
+
+
 def test_suite_alias():
     results, _ = run_suite(kernel_names=["aes128"], widths=(1, 32))
     assert {r.kernel for r in results} == {"aes128-enc"}
@@ -224,6 +262,54 @@ def test_audit_respects_extension_subset():
     audited = {r.mnemonic for r in report.rows}
     assert "clmul" not in audited and "sll" in audited
     assert report.passed
+
+
+# sha256 over the audit rows at every width, with and without Zkt, 256
+# trials; taken while the audit's operand branches still shared one stream
+AUDIT_ROWS_SHA256 = \
+    "0f6eba2614b79c3bf5b6ccc74723d741940100fbbf4a7cdd25ba55255f29aaf6"
+
+
+def test_audit_rows_are_pinned():
+    lines = []
+    for w in (1, 2, 4, 8, 16, 32):
+        for exts in (isa.ZKN, isa.ZKN_ZKT):
+            r = audit_constant_time(CoreConfig(serial_width=w, extensions=exts),
+                                    trials=256)
+            lines.append(f"w{w} zkt={r.zkt} " + " ".join(
+                f"{x.mnemonic}:{x.latency_class}:{x.min_cycles}:{x.max_cycles}"
+                for x in r.rows))
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == AUDIT_ROWS_SHA256
+
+
+def _audited_operands(monkeypatch, covered):
+    """Every (instruction, rs1, rs2) the audit measures, by mnemonic."""
+    seen = {}
+
+    def spy(config, ins, rs1, rs2):
+        seen.setdefault(ins.mnemonic, []).append((ins, rs1, rs2))
+        return 1
+
+    monkeypatch.setattr(bench, "_measure_once", spy)
+    monkeypatch.setattr(isa, "ZKT_COVERED", covered)
+    audit_constant_time(CoreConfig.zkn_zkt(4), trials=64)
+    return seen
+
+
+@pytest.mark.parametrize("change", [M.LW, M.ADD], ids=["add-lw", "remove-add"])
+def test_audit_operands_independent_of_other_mnemonics(monkeypatch, change):
+    full = _audited_operands(monkeypatch, isa.ZKT_COVERED)
+    changed = _audited_operands(monkeypatch, isa.ZKT_COVERED ^ {change})
+    assert (change in full) != (change in changed)
+    full.pop(change, None)
+    changed.pop(change, None)
+    assert changed == full
+
+
+def test_audit_too_few_trials_rejected():
+    with pytest.raises(ValueError):
+        audit_constant_time(CoreConfig.zkn_zkt(4), trials=31)
 
 
 def test_zkt_never_faster():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from serialrv import cli, golden
+from serialrv import cli, cosim, golden, microarch
 from serialrv.isa import Assembler, Mnemonic as M
 
 
@@ -125,6 +125,22 @@ def test_cosim_deterministic_json(tmp_path):
     assert p1.read_text() == p2.read_text()
 
 
+def test_cosim_signature_only_failure_line(monkeypatch, capsys):
+    """A core store fault that no later instruction reads back is caught
+    only by the final signature, and the failure line says so."""
+    base, size = cosim.TortureConfig(seed=0).memory_window
+    x31_slot = base + size - 4  # written once, by the final register dump
+    store_word = golden.Memory.store_word
+
+    def faulty(mem, addr, value):
+        store_word(mem, addr, value ^ 1 if addr == x31_slot else value)
+
+    monkeypatch.setitem(microarch._MEM_WRITE, 4, faulty)
+    rc = cli.main(["cosim", "--seed", "0", "--programs", "1", "--widths", "4"])
+    assert rc == cli.EXIT_FAIL
+    assert "  FAIL seed=0 width=4 final signature only\n" in capsys.readouterr().out
+
+
 def test_bench_cli_rows_and_json(tmp_path, capsys):
     out = tmp_path / "bench.json"
     rc = cli.main(["bench", "--suite", "aes128", "--widths", "1,32",
@@ -139,6 +155,17 @@ def test_bench_cli_rows_and_json(tmp_path, capsys):
 
 def test_bench_unknown_kernel(capsys):
     assert cli.main(["bench", "--suite", "nope"]) == cli.EXIT_USAGE
+
+
+def test_bench_unknown_preset(capsys):
+    assert cli.main(["bench", "--ext-presets", "rv32i,zkx"]) == cli.EXIT_USAGE
+    assert "zkx" in capsys.readouterr().err
+
+
+def test_audit_cli_too_few_trials_usage_error(capsys):
+    assert cli.main(["audit-ct", "--trials", "31"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--trials" in err
 
 
 def test_audit_cli_pass(capsys):

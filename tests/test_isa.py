@@ -314,6 +314,35 @@ def test_unresolved_label():
         a.build()
 
 
+@pytest.mark.parametrize("pad,want", [
+    (0, 0x100C),
+    (0x7F4, 0x1800),   # bit 11 set: addi adds -2048, lui rounds up
+    (0x7F8, 0x1804),
+    (0xFF4, 0x2000),   # low 12 bits zero
+])
+def test_lui_addi_target_load_label_address(pad, want):
+    a = Assembler(base=0x1000)
+    a.emit(M.LUI, rd=5, target="data")
+    a.emit(M.ADDI, rd=5, rs1=5, target="data")
+    a.emit(M.EBREAK)
+    a.data(bytes(pad))
+    a.label("data")
+    img = a.build()
+    lui, addi = (decode(int.from_bytes(img.data[k:k + 4], "little"))
+                 for k in (0, 4))
+    assert (lui.mnemonic, lui.rd) == (M.LUI, 5)
+    assert (addi.mnemonic, addi.rd, addi.rs1) == (M.ADDI, 5, 5)
+    assert ((lui.imm << 12) + addi.imm) & 0xFFFFFFFF == want
+
+
+@pytest.mark.parametrize("m", [M.LUI, M.ADDI])
+def test_absolute_load_of_missing_label(m):
+    a = Assembler(base=0x1000)
+    a.emit(m, rd=1, target="nowhere")
+    with pytest.raises(UnresolvedLabel):
+        a.build()
+
+
 def test_branch_out_of_range_is_field_error():
     a = Assembler(base=0x1000)
     a.emit(M.BEQ, rs1=0, rs2=0, target="far")

@@ -7,8 +7,7 @@ from serialrv import golden, isa, microarch
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Ext, Mnemonic as M, instr
 from serialrv.microarch import (CLASS_OF, CoreConfig, MicroCore,
-                                alu_mask_select, parse_extensions,
-                                shift_latency)
+                                parse_extensions, shift_latency)
 
 WIDTHS = (1, 2, 4, 8, 16, 32)
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -361,19 +360,30 @@ def test_fetch_stall_when_execution_shorter_than_memory():
     assert cycles == 3  # 1 execute cycle hidden under the 3-cycle fetch
 
 
-# --- operand mask -------------------------------------------------------------------
+# --- clmul and xperm results ----------------------------------------------------------
 
-def test_mask_clmul_bit():
-    assert alu_mask_select(0, "clmul-bit", 0b1)[0] is True
-    assert alu_mask_select(1, "clmul-bit", 0b1)[0] is False
+# (mnemonic, rs1, rs2, rd or None): rd is pinned where the operands make it
+# easy to state; every case is also checked against golden at all widths
+GATED_UNIT_CASES = [
+    (M.CLMUL, 0xDEADBEEF, 0x00000001, 0xDEADBEEF),
+    (M.CLMULH, 0xDEADBEEF, 0x00000001, 0),
+    (M.CLMUL, 0x80000001, 0xFFFFFFFF, None),
+    (M.CLMULH, 0x80000001, 0xFFFFFFFF, None),
+    (M.XPERM8, 0x44332211, 0x03020100, 0x44332211),
+    (M.XPERM8, 0x44332211, 0xFF040102, 0x00002233),  # 4 and 0xFF out of range
+    (M.XPERM4, 0x76543210, 0x01234567, 0x01234567),
+    (M.XPERM4, 0x76543210, 0xFEDCBA98, 0),           # every index out of range
+    (M.XPERM4, 0x76543210, 0x0F8070A1, 0x00007001),
+]
 
 
-def test_mask_xperm_modes():
-    assert alu_mask_select(0, "xperm-byte", 0x03020100) == (True, 0)
-    assert alu_mask_select(3, "xperm-byte", 0x03020100) == (True, 3)
-    assert alu_mask_select(0, "xperm-byte", 0x000000FF)[0] is False
-    assert alu_mask_select(0, "xperm-nibble", 0x00000008)[0] is False
-    assert alu_mask_select(0, "plain", 0) == (True, 0)
+@pytest.mark.parametrize("m,rs1,rs2,want", GATED_UNIT_CASES)
+def test_clmul_xperm_results_match_golden(m, rs1, rs2, want):
+    _equiv_case(m, rs1, rs2)
+    if want is not None:
+        core = make_core(1)
+        exec_one(core, instr(m, rd=5, rs1=1, rs2=2), {1: rs1, 2: rs2})
+        assert core.arch.regs[5] == want
 
 
 # --- serializer bookkeeping -----------------------------------------------------------
