@@ -573,11 +573,11 @@ SUITE_ALIASES = {"aes128": "aes128-enc", "sha256": "sha256-compress",
                  "prince": "prince-sbox"}
 
 
-def run_kernel(kp: KernelProgram, config: CoreConfig,
-               max_cycles: int = 50_000_000) -> Tuple[system.ExecStats, bytes]:
+def run_kernel(kp: KernelProgram,
+               config: CoreConfig) -> Tuple[system.ExecStats, bytes]:
     """Run one kernel cell and return (stats, output bytes)."""
-    state = ArchState.from_image(kp.image, mem_size=128 * 1024)
-    stats = system.run(kp.image, config, max_cycles=max_cycles, state=state)
+    state = ArchState.from_image(kp.image)
+    stats = system.run(kp.image, config, state=state)
     return stats, state.mem.read_bytes(kp.out_addr, kp.out_len)
 
 

@@ -23,6 +23,8 @@ from .isa import Assembler, Ext, Mnemonic as M
 from .microarch import CoreConfig, MicroCore
 
 SCRATCH_REG = 3  # holds the scratch window base for all loads/stores
+MEMORY_WINDOW = (0x2000, 0x200)  # (base, size) of the scratch window
+BRANCH_DENSITY = 0.1  # chance that a slot starts a branch or jal
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -32,8 +34,6 @@ class TortureConfig(NamedTuple):
     seed: int
     length: int = 200
     extensions: frozenset = isa.ZKN
-    memory_window: Tuple[int, int] = (0x2000, 0x200)  # (base, size)
-    branch_density: float = 0.1
 
 
 class CosimReport(NamedTuple):
@@ -142,7 +142,7 @@ def generate(config: TortureConfig) -> ProgramImage:
     below the scratch window.
     """
     rng = random.Random(config.seed)
-    wbase, wsize = config.memory_window
+    wbase, wsize = MEMORY_WINDOW
     pool = _build_pool(config.extensions)
     a = Assembler(base=system.DEFAULT_BASE)
 
@@ -154,7 +154,7 @@ def generate(config: TortureConfig) -> ProgramImage:
 
     executed = 0
     while executed < config.length:
-        if rng.random() < config.branch_density:
+        if rng.random() < BRANCH_DENSITY:
             shadow = rng.randrange(1, 4)
             if rng.random() < 0.15:
                 a.emit(M.JAL, rd=rng.choice(_RD_CHOICES), imm=4 * (shadow + 1))
@@ -213,17 +213,15 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
         steps.append((gold.pc, gold.regs[:], out))
         if out.halted:
             break
-    return _GoldenTrace(img, tuple(steps),
-                        signature(gold, torture.memory_window))
+    return _GoldenTrace(img, tuple(steps), signature(gold, MEMORY_WINDOW))
 
 
-def _golden_signature(img: ProgramImage, exts: frozenset, n: int,
-                      window: Tuple[int, int]) -> str:
+def _golden_signature(img: ProgramImage, exts: frozenset, n: int) -> str:
     """The golden signature after `n` steps, for a run that diverged early."""
     gold = ArchState.from_image(img)
     for _ in range(n):
         golden.step(gold, exts)
-    return signature(gold, window)
+    return signature(gold, MEMORY_WINDOW)
 
 
 def cosim_run(torture: TortureConfig, core: CoreConfig,
@@ -268,9 +266,8 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     if instret + 1 >= len(trace.steps):
         sig_g = trace.signature
     else:
-        sig_g = _golden_signature(trace.image, exts, instret + 1,
-                                  torture.memory_window)
-    sig_m = signature(march, torture.memory_window)
+        sig_g = _golden_signature(trace.image, exts, instret + 1)
+    sig_m = signature(march, MEMORY_WINDOW)
     passed = divergence is None and sig_g == sig_m
     return CosimReport(
         seed=torture.seed, width=core.serial_width,

@@ -15,9 +15,10 @@ from .image import ProgramImage
 
 MASK32 = 0xFFFFFFFF
 
-# Memory-mapped I/O: a store to CONSOLE_ADDR appends the low byte of the
-# stored value to the console buffer; a store to EXIT_ADDR requests a halt
-# with the stored word as exit code.
+# Memory-mapped I/O, matched on the access address of a store: a store to
+# CONSOLE_ADDR appends the low byte of the stored value to the console
+# buffer; a store to EXIT_ADDR requests a halt with the stored bytes as exit
+# code. Neither reaches memory.
 CONSOLE_ADDR = 0xF0000000
 EXIT_ADDR = 0xF0000004
 
@@ -41,94 +42,70 @@ RETIRED = StepOutcome(False)
 class Memory:
     """Byte-addressed little-endian memory: a dense window plus sparse spill.
 
-    MMIO stores are intercepted here so the golden and cycle models see
-    identical behavior.
+    Every byte address is masked to 32 bits, then lives in the dense window
+    if it falls inside it, else in the sparse dict. `load` and `store` are
+    the one access port of both models, so the golden and cycle models see
+    identical behavior; `store` also holds the MMIO check.
     """
 
     def __init__(self, size: int = 64 * 1024, base: int = 0):
+        if not 0 <= base <= (1 << 32) - size:
+            raise ValueError("the dense window must lie in the 32-bit address space")
         self.base = base
         self.buf = bytearray(size)
         self.sparse: dict = {}
         self.console = bytearray()
         self.exit_code: Optional[int] = None
 
-    def load_program(self, image: ProgramImage) -> None:
-        self.store_bytes(image.base, image.data)
+    def _offset(self, addr: int, n: int) -> Optional[int]:
+        """The dense-window offset of the n bytes from `addr`, or None unless
+        all of them fall in the window."""
+        off = (addr & MASK32) - self.base
+        return off if 0 <= off <= len(self.buf) - n else None
 
-    def store_bytes(self, addr: int, data: bytes) -> None:
-        off = addr - self.base
-        if 0 <= off and off + len(data) <= len(self.buf):
-            self.buf[off:off + len(data)] = data
+    def load_program(self, image: ProgramImage) -> None:
+        off = self._offset(image.base, len(image.data))
+        if off is not None:
+            self.buf[off:off + len(image.data)] = image.data
         else:
-            for i, b in enumerate(data):
-                self.store_byte(addr + i, b)
+            for i, b in enumerate(image.data):
+                self.store(image.base + i, 1, b)
 
     def read_bytes(self, addr: int, n: int) -> bytes:
-        off = addr - self.base
-        if 0 <= off and off + n <= len(self.buf):
-            return bytes(self.buf[off:off + n])
-        return bytes(self.load_byte(addr + i) for i in range(n))
+        return self.load(addr, n).to_bytes(n, "little")
 
-    def load_byte(self, addr: int) -> int:
-        off = addr - self.base
-        if 0 <= off < len(self.buf):
-            return self.buf[off]
+    def load(self, addr: int, size: int) -> int:
+        """The little-endian value of the `size` bytes at `addr`."""
+        off = self._offset(addr, size)
+        if off is not None:
+            return int.from_bytes(self.buf[off:off + size], "little")
+        if size != 1:  # not all in the window: byte by byte
+            return sum(self.load(addr + i, 1) << 8 * i for i in range(size))
         return self.sparse.get(addr & MASK32, 0)
 
-    def load_half(self, addr: int) -> int:
-        off = addr - self.base
-        if 0 <= off and off + 2 <= len(self.buf):
-            b = self.buf
-            return b[off] | (b[off + 1] << 8)
-        return self.load_byte(addr) | (self.load_byte(addr + 1) << 8)
+    def store(self, addr: int, size: int, value: int) -> None:
+        """Store the low `size` bytes of `value` at `addr`, little-endian.
 
-    def load_word(self, addr: int) -> int:
-        off = addr - self.base
-        if 0 <= off and off + 4 <= len(self.buf):
-            return int.from_bytes(self.buf[off:off + 4], "little")
-        return self.load_half(addr) | (self.load_half(addr + 2) << 16)
-
-    def _mmio_store(self, addr: int, value: int) -> bool:
+        A store to an MMIO word reaches the device instead of memory.
+        """
+        addr &= MASK32
+        value &= (1 << 8 * size) - 1
         if addr == CONSOLE_ADDR:
             self.console.append(value & 0xFF)
-            return True
-        if addr == EXIT_ADDR:
-            self.exit_code = value & MASK32
-            return True
-        return False
-
-    def store_byte(self, addr: int, value: int) -> None:
-        addr &= MASK32
-        if self._mmio_store(addr, value):
-            return
-        off = addr - self.base
-        if 0 <= off < len(self.buf):
-            self.buf[off] = value & 0xFF
+        elif addr == EXIT_ADDR:
+            self.exit_code = value
         else:
-            self.sparse[addr] = value & 0xFF
+            self._write(addr, size, value)
 
-    def store_half(self, addr: int, value: int) -> None:
-        addr &= MASK32
-        if self._mmio_store(addr, value):
-            return
-        off = addr - self.base
-        if 0 <= off and off + 2 <= len(self.buf):
-            self.buf[off] = value & 0xFF
-            self.buf[off + 1] = (value >> 8) & 0xFF
+    def _write(self, addr: int, size: int, value: int) -> None:
+        off = self._offset(addr, size)
+        if off is not None:
+            self.buf[off:off + size] = value.to_bytes(size, "little")
+        elif size != 1:  # not all in the window: byte by byte
+            for i in range(size):
+                self._write(addr + i, 1, (value >> 8 * i) & 0xFF)
         else:
-            self.store_byte(addr, value)
-            self.store_byte(addr + 1, value >> 8)
-
-    def store_word(self, addr: int, value: int) -> None:
-        addr &= MASK32
-        if self._mmio_store(addr, value):
-            return
-        off = addr - self.base
-        if 0 <= off and off + 4 <= len(self.buf):
-            self.buf[off:off + 4] = (value & MASK32).to_bytes(4, "little")
-        else:
-            self.store_half(addr, value)
-            self.store_half(addr + 2, value >> 16)
+            self.sparse[addr & MASK32] = value
 
 
 class ArchState:
@@ -142,8 +119,8 @@ class ArchState:
         self.mem = mem if mem is not None else Memory()
 
     @classmethod
-    def from_image(cls, image: ProgramImage, mem_size: int = 64 * 1024) -> "ArchState":
-        mem = Memory(size=mem_size)
+    def from_image(cls, image: ProgramImage) -> "ArchState":
+        mem = Memory()
         mem.load_program(image)
         return cls(pc=image.entry, mem=mem)
 
@@ -199,14 +176,6 @@ AES_SBOX_INV = bytes((
     0x17, 0x2B, 0x04, 0x7E, 0xBA, 0x77, 0xD6, 0x26, 0xE1, 0x69, 0x14, 0x63,
     0x55, 0x21, 0x0C, 0x7D,
 ))
-
-
-def aes_sbox_fwd(b: int) -> int:
-    return AES_SBOX[b & 0xFF]
-
-
-def aes_sbox_inv(b: int) -> int:
-    return AES_SBOX_INV[b & 0xFF]
 
 
 def xt2(b: int) -> int:
@@ -381,21 +350,24 @@ def _branch(taken):
     return lambda s, i, a, b: (None, s.pc + i.imm if taken(a, b) else None)
 
 
-def _load(width: int, extract):
+def _load(width: int, signed: bool):
+    sign = 1 << (8 * width - 1)
+
     def handler(s, i, a, b):
         addr = (a + i.imm) & MASK32
         if addr % width:
             raise _Halt(MISALIGNED_ACCESS)
-        return extract(s.mem, addr), None
+        val = s.mem.load(addr, width)
+        return ((val ^ sign) - sign) & MASK32 if signed else val, None
     return handler
 
 
-def _store(width: int, write):
+def _store(width: int):
     def handler(s, i, a, b):
         addr = (a + i.imm) & MASK32
         if addr % width:
             raise _Halt(MISALIGNED_ACCESS)
-        write(s.mem, addr, b)
+        s.mem.store(addr, width, b)
         return None, None
     return handler
 
@@ -425,14 +397,14 @@ _EXECUTE = {
     M.BGE: _branch(lambda a, b: _signed(a) >= _signed(b)),
     M.BLTU: _branch(lambda a, b: a < b),
     M.BGEU: _branch(lambda a, b: a >= b),
-    M.LB: _load(1, lambda mem, a: ((mem.load_byte(a) ^ 0x80) - 0x80) & MASK32),
-    M.LBU: _load(1, lambda mem, a: mem.load_byte(a)),
-    M.LH: _load(2, lambda mem, a: ((mem.load_half(a) ^ 0x8000) - 0x8000) & MASK32),
-    M.LHU: _load(2, lambda mem, a: mem.load_half(a)),
-    M.LW: _load(4, lambda mem, a: mem.load_word(a)),
-    M.SB: _store(1, lambda mem, a, v: mem.store_byte(a, v)),
-    M.SH: _store(2, lambda mem, a, v: mem.store_half(a, v)),
-    M.SW: _store(4, lambda mem, a, v: mem.store_word(a, v)),
+    M.LB: _load(1, True),
+    M.LBU: _load(1, False),
+    M.LH: _load(2, True),
+    M.LHU: _load(2, False),
+    M.LW: _load(4, False),
+    M.SB: _store(1),
+    M.SH: _store(2),
+    M.SW: _store(4),
     M.FENCE: lambda s, i, a, b: (None, None),
     M.EBREAK: _halt(EBREAK),
     M.ECALL: _halt(ECALL),
@@ -460,7 +432,7 @@ def step(state: ArchState, extensions: Optional[frozenset] = None) -> StepOutcom
     pc = state.pc
     if pc & 3:
         return StepOutcome(True, MISALIGNED_FETCH)
-    word = state.mem.load_word(pc)
+    word = state.mem.load(pc, 4)
     try:
         ins = isa.decode_cached(word)
     except isa.IllegalInstruction:

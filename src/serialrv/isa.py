@@ -161,10 +161,6 @@ ZKT_COVERED = frozenset(m for m, e in EXT_OF.items() if e is not Ext.RV32I) | {
 }
 
 
-def zkt_covered(m: Mnemonic) -> bool:
-    return m in ZKT_COVERED
-
-
 class Instr(NamedTuple):
     """One decoded instruction.
 
@@ -563,6 +559,11 @@ class _Fixup(NamedTuple):
     target: str
 
 
+# the mnemonics whose immediate Assembler.build can resolve from a label
+_TARGET_MNEMONICS = frozenset(
+    m for m, e in ENCODINGS.items() if e.fmt == FMT_BRANCH) | {M.JAL, M.LUI, M.ADDI}
+
+
 def _hi_lo(value: int) -> tuple:
     """The lui and addi immediates that together load `value`."""
     return ((value + 0x800) >> 12) & 0xFFFFF, _sext(value, 12)
@@ -582,7 +583,8 @@ class Assembler:
     A `target` label is resolved in build(). Branches and jal take the
     pc-relative offset to it; lui and addi take the hi and lo parts of its
     absolute address, so the pair `lui rd, target=L` then
-    `addi rd, rd, target=L` loads the address of L.
+    `addi rd, rd, target=L` loads the address of L. emit() rejects a
+    target on any other mnemonic.
     """
 
     def __init__(self, base: int = DEFAULT_BASE):
@@ -605,6 +607,8 @@ class Assembler:
              target: Optional[str] = None) -> None:
         m = mnemonic if type(mnemonic) is Mnemonic else Mnemonic(mnemonic)
         if target is not None:
+            if m not in _TARGET_MNEMONICS:
+                raise FieldRange(f"{m.value} cannot take a target label")
             self._fixups.append(_Fixup(len(self._words), m, rd, rs1, rs2, target))
             self._words.append(None)
         else:

@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Callable, Optional, Tuple
 
 from . import golden, isa
-from .golden import (ArchState, Memory, StepOutcome, RETIRED, MASK32, EBREAK,
+from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
                      ECALL, ILLEGAL, MAX_STEPS, MISALIGNED_FETCH, MISALIGNED_ACCESS)
 from .isa import Ext, Instr, Mnemonic as M
 
@@ -454,7 +454,7 @@ class MicroCore:
             return charged, outcome
 
         if self.store_addr is not None:
-            _MEM_WRITE[isa.ACCESS_BYTES[m]](arch.mem, self.store_addr, self.lsu_buffer)
+            arch.mem.store(self.store_addr, isa.ACCESS_BYTES[m], self.lsu_buffer)
             self.store_addr = None
         if val is not None and ins.rd:
             regs[ins.rd] = val & MASK32
@@ -467,7 +467,7 @@ class MicroCore:
         if next_pc & 3:
             return charged, StepOutcome(True, MISALIGNED_FETCH)
         if target is None:
-            self.fetch_buffer = (next_pc, arch.mem.load_word(next_pc))
+            self.fetch_buffer = (next_pc, arch.mem.load(next_pc, 4))
         return charged, RETIRED
 
     def step(self, max_cycles: Optional[int] = None
@@ -491,7 +491,7 @@ class MicroCore:
             cycles, outcome = 0, StepOutcome(True, MISALIGNED_FETCH)
         else:
             buf = self.fetch_buffer
-            word = buf[1] if buf is not None and buf[0] == pc else self.arch.mem.load_word(pc)
+            word = buf[1] if buf is not None and buf[0] == pc else self.arch.mem.load(pc, 4)
             try:
                 ins = isa.decode_cached(word)
             except isa.IllegalInstruction:
@@ -542,7 +542,7 @@ def _load(signed: bool):
     def handler(core, i, a, b):
         # a full-word read through the LSU buffer, then the addressed bytes
         addr = _lsu_address(i, a)
-        core.lsu_buffer = core.arch.mem.load_word(addr & ~3)
+        core.lsu_buffer = core.arch.mem.load(addr & ~3, 4)
         bits = 8 * isa.ACCESS_BYTES[i.mnemonic]
         val = (core.lsu_buffer >> (8 * (addr & 3))) & ((1 << bits) - 1)
         if signed:
@@ -558,8 +558,6 @@ def _store(core, i, a, b):
     core.lsu_buffer = b
     return None, None
 
-
-_MEM_WRITE = {1: Memory.store_byte, 2: Memory.store_half, 4: Memory.store_word}
 
 # What each mnemonic does on the chunked data path. A handler takes (core,
 # instruction, rs1 value, operand 2) and returns (value for rd or None, jump

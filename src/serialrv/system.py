@@ -69,8 +69,7 @@ def run(image: ProgramImage, config: CoreConfig,
     while True:
         pc_before = state.pc
         cycles, outcome, ins = core.step(max_cycles)
-        if ins is not None and (not outcome.halted or
-                                outcome.reason in (golden.EBREAK, golden.ECALL)):
+        if cycles:  # the core charges cycles to a retired instruction only
             stats.instret += 1
             klass = CLASS_OF[ins.mnemonic]
             entry = classes.get(klass)

@@ -128,14 +128,17 @@ def test_cosim_deterministic_json(tmp_path):
 def test_cosim_signature_only_failure_line(monkeypatch, capsys):
     """A core store fault that no later instruction reads back is caught
     only by the final signature, and the failure line says so."""
-    base, size = cosim.TortureConfig(seed=0).memory_window
+    base, size = cosim.MEMORY_WINDOW
     x31_slot = base + size - 4  # written once, by the final register dump
-    store_word = golden.Memory.store_word
+    store = microarch._EXECUTE[M.SW]
 
-    def faulty(mem, addr, value):
-        store_word(mem, addr, value ^ 1 if addr == x31_slot else value)
+    def faulty(core, i, a, b):
+        result = store(core, i, a, b)
+        if core.store_addr == x31_slot:
+            core.lsu_buffer ^= 1
+        return result
 
-    monkeypatch.setitem(microarch._MEM_WRITE, 4, faulty)
+    monkeypatch.setitem(microarch._EXECUTE, M.SW, faulty)
     rc = cli.main(["cosim", "--seed", "0", "--programs", "1", "--widths", "4"])
     assert rc == cli.EXIT_FAIL
     assert "  FAIL seed=0 width=4 final signature only\n" in capsys.readouterr().out

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from serialrv import cosim, golden, isa, microarch
-from serialrv.cosim import TortureConfig, cosim_run, generate, signature
+from serialrv.cosim import (MEMORY_WINDOW, TortureConfig, cosim_run, generate,
+                            signature)
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Ext, Mnemonic as M
 from serialrv.microarch import CoreConfig
@@ -32,7 +33,7 @@ def test_generation_deterministic():
 def test_generated_words_all_decode():
     tc = TortureConfig(seed=3)
     img = generate(tc)
-    wbase = tc.memory_window[0]
+    wbase = MEMORY_WINDOW[0]
     for off in range(0, len(img.data), 4):
         addr = img.base + off
         word = int.from_bytes(img.data[off:off + 4], "little")
@@ -43,7 +44,7 @@ def test_generated_words_all_decode():
 def test_extension_filter():
     tc = TortureConfig(seed=5, extensions=frozenset())
     img = generate(tc)
-    wbase = tc.memory_window[0]
+    wbase = MEMORY_WINDOW[0]
     for off in range(0, len(img.data), 4):
         if img.base + off >= wbase:
             break
@@ -66,7 +67,7 @@ def test_memory_traffic_stays_in_window():
     tc = TortureConfig(seed=11)
     img = generate(tc)
     state = ArchState.from_image(img)
-    base, size = tc.memory_window
+    base, size = MEMORY_WINDOW
     snapshot_lo = state.mem.read_bytes(0, img.base)
     while not golden.step(state).halted:
         pass
@@ -124,10 +125,10 @@ def test_signature_single_bit_sensitivity():
 def test_signature_covers_window_memory():
     s = ArchState(mem=Memory())
     ref = signature(s, (0x2000, 64))
-    s.mem.store_byte(0x2000 + 63, 1)
+    s.mem.store(0x2000 + 63, 1, 1)
     assert signature(s, (0x2000, 64)) != ref
     s2 = ArchState(mem=Memory())
-    s2.mem.store_byte(0x2000 + 64, 1)  # just outside
+    s2.mem.store(0x2000 + 64, 1, 1)  # just outside
     assert signature(s2, (0x2000, 64)) == ref
 
 
@@ -208,8 +209,8 @@ def _lockstep_oracle(torture, core, max_steps=200_000):
         instret += 1
     else:
         divergence = (gold.pc, "no-halt")
-    sig_g = signature(gold, torture.memory_window)
-    sig_m = signature(micro.arch, torture.memory_window)
+    sig_g = signature(gold, MEMORY_WINDOW)
+    sig_m = signature(micro.arch, MEMORY_WINDOW)
     return cosim.CosimReport(
         seed=torture.seed, width=core.serial_width,
         extensions=tuple(e.value for e in core.extensions),

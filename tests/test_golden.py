@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -19,7 +20,7 @@ def run_one(i, regs=None, pc=0x1000, exts=None):
     if regs:
         for r, v in regs.items():
             st_.regs[r] = v & 0xFFFFFFFF
-    st_.mem.store_word(pc, i.raw)
+    st_.mem.store(pc, 4, i.raw)
     out = golden.step(st_, exts)
     return st_, out
 
@@ -58,7 +59,7 @@ def test_misaligned_load_halts():
 
 def test_illegal_word_halts():
     s = fresh_state()
-    s.mem.store_word(0x1000, 0)
+    s.mem.store(0x1000, 4, 0)
     assert golden.step(s).reason == golden.ILLEGAL
 
 
@@ -90,19 +91,19 @@ def test_jalr_clears_bit0():
 
 def test_sign_extended_loads():
     s = fresh_state()
-    s.mem.store_word(0x1000, instr(M.LB, rd=1, rs1=0, imm=0x200).raw)
-    s.mem.store_byte(0x200, 0x80)
+    s.mem.store(0x1000, 4, instr(M.LB, rd=1, rs1=0, imm=0x200).raw)
+    s.mem.store(0x200, 1, 0x80)
     golden.step(s)
     assert s.regs[1] == 0xFFFFFF80
 
 
 def test_store_byte_preserves_neighbors():
     s = fresh_state()
-    s.mem.store_word(0x200, 0x11223344)
+    s.mem.store(0x200, 4, 0x11223344)
     s.regs[2] = 0xAA
-    s.mem.store_word(0x1000, instr(M.SB, rs1=0, rs2=2, imm=0x201).raw)
+    s.mem.store(0x1000, 4, instr(M.SB, rs1=0, rs2=2, imm=0x201).raw)
     golden.step(s)
-    assert s.mem.load_word(0x200) == 0x1122AA44
+    assert s.mem.load(0x200, 4) == 0x1122AA44
 
 
 # --- MMIO ---------------------------------------------------------------------
@@ -111,36 +112,104 @@ def test_console_mmio():
     s = fresh_state()
     s.regs[1] = golden.CONSOLE_ADDR
     s.regs[2] = 0x48  # 'H'
-    s.mem.store_word(0x1000, instr(M.SW, rs1=1, rs2=2, imm=0).raw)
+    s.mem.store(0x1000, 4, instr(M.SW, rs1=1, rs2=2, imm=0).raw)
     golden.step(s)
     assert bytes(s.mem.console) == b"H"
-    assert s.mem.load_word(golden.CONSOLE_ADDR) == 0
+    assert s.mem.load(golden.CONSOLE_ADDR, 4) == 0
 
 
 def test_exit_mmio():
     s = fresh_state()
     s.regs[1] = golden.EXIT_ADDR
     s.regs[2] = 42
-    s.mem.store_word(0x1000, instr(M.SW, rs1=1, rs2=2, imm=0).raw)
+    s.mem.store(0x1000, 4, instr(M.SW, rs1=1, rs2=2, imm=0).raw)
     golden.step(s)
     assert s.mem.exit_code == 42
+
+
+@pytest.mark.parametrize("m,want", [
+    (M.SB, 0x03), (M.SH, 0x5603), (M.SW, 0x12345603)])
+def test_exit_mmio_takes_the_stored_bytes(m, want):
+    s = fresh_state()
+    s.regs[1] = golden.EXIT_ADDR
+    s.regs[2] = 0x12345603
+    s.mem.store(0x1000, 4, instr(m, rs1=1, rs2=2, imm=0).raw)
+    assert not golden.step(s).halted
+    assert s.mem.exit_code == want
+    assert s.mem.load(golden.EXIT_ADDR, 4) == 0
+
+
+@pytest.mark.parametrize("size", (1, 2, 4))
+def test_console_mmio_appends_the_low_byte(size):
+    mem = Memory()
+    mem.store(golden.CONSOLE_ADDR, size, 0x12345648)
+    mem.store(golden.CONSOLE_ADDR, size, 0x69)
+    assert bytes(mem.console) == b"Hi"
+    assert mem.load(golden.CONSOLE_ADDR, 4) == 0
+    assert mem.sparse == {} and mem.exit_code is None
+
+
+# --- the memory port ----------------------------------------------------------
+
+# addresses near the two edges of the 64 KiB dense window (the low edge is
+# also the 2^32 wrap) and deep in the sparse range
+_EDGES = (0, 64 * 1024, 0x80000000)
+addresses = st.builds(lambda e, d: (e + d) & 0xFFFFFFFF,
+                      st.sampled_from(_EDGES), st.integers(-5, 5))
+sizes = st.sampled_from((1, 2, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(sizes, addresses, words, sizes, addresses), max_size=30))
+def test_load_store_match_a_byte_dict(ops):
+    """Each byte of an access is placed by one rule, whatever the access
+    size and wherever it starts, so every load returns what stores left."""
+    mem, model = Memory(), {}
+
+    def expect(addr, size):
+        return sum(model.get((addr + i) & 0xFFFFFFFF, 0) << 8 * i
+                   for i in range(size))
+
+    for size, addr, value, load_size, load_addr in ops:
+        mem.store(addr, size, value)
+        for i in range(size):
+            model[(addr + i) & 0xFFFFFFFF] = (value >> 8 * i) & 0xFF
+        assert mem.load(addr, size) == expect(addr, size)
+        assert mem.load(load_addr, load_size) == expect(load_addr, load_size)
+    for a, b in model.items():
+        assert (mem.buf[a] if a < len(mem.buf) else mem.sparse[a]) == b
+    assert not any(a < len(mem.buf) for a in mem.sparse)
+
+
+def test_word_across_the_wrap():
+    mem = Memory()
+    mem.store(0xFFFFFFFE, 4, 0x44332211)
+    assert mem.load(0xFFFFFFFE, 4) == 0x44332211
+    assert mem.buf[:2] == b"\x33\x44"
+    assert mem.sparse == {0xFFFFFFFE: 0x11, 0xFFFFFFFF: 0x22}
+    assert mem.read_bytes(0xFFFFFFFE, 4) == bytes.fromhex("11223344")
+
+
+def test_dense_window_must_fit_below_the_wrap():
+    with pytest.raises(ValueError):
+        Memory(size=4096, base=0xFFFFF004)
 
 
 # --- AES primitives ------------------------------------------------------------
 
 def test_sbox_known_values():
-    assert golden.aes_sbox_fwd(0x00) == 0x63
-    assert golden.aes_sbox_inv(0x63) == 0x00
+    assert golden.AES_SBOX[0x00] == 0x63
+    assert golden.AES_SBOX_INV[0x63] == 0x00
 
 
 def test_sbox_matches_algebraic_oracle():
     for x in range(256):
-        assert golden.aes_sbox_fwd(x) == oracles.aes_sbox_algebraic(x)
+        assert golden.AES_SBOX[x] == oracles.aes_sbox_algebraic(x)
 
 
 def test_sbox_bijection():
     for b in range(256):
-        assert golden.aes_sbox_inv(golden.aes_sbox_fwd(b)) == b
+        assert golden.AES_SBOX_INV[golden.AES_SBOX[b]] == b
 
 
 def test_xt2():

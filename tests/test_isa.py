@@ -78,12 +78,12 @@ def test_extension_partition():
 def test_zkt_coverage_flags():
     for m in M:
         if isa.EXT_OF[m] is not Ext.RV32I:
-            assert isa.zkt_covered(m), m
+            assert m in isa.ZKT_COVERED, m
     for m in (M.SLL, M.SRAI, M.ADD, M.SUB, M.XORI, M.AND, M.LUI, M.AUIPC,
               M.SLT, M.SLTU, M.SLTI, M.SLTIU):
-        assert isa.zkt_covered(m)
+        assert m in isa.ZKT_COVERED
     for m in (M.BEQ, M.LW, M.SW, M.JAL, M.JALR, M.FENCE, M.EBREAK):
-        assert not isa.zkt_covered(m)
+        assert m not in isa.ZKT_COVERED
 
 
 def _operands_for(m):
@@ -341,6 +341,17 @@ def test_absolute_load_of_missing_label(m):
     a.emit(m, rd=1, target="nowhere")
     with pytest.raises(UnresolvedLabel):
         a.build()
+
+
+@pytest.mark.parametrize("m", [M.AUIPC, M.JALR, M.LW, M.SW])
+def test_target_on_unresolvable_mnemonic_is_field_error(m):
+    """build resolves a label only for branches, jal, lui and addi; any
+    other mnemonic would take the pc-relative offset as its raw immediate."""
+    a = Assembler(base=0x1000)
+    with pytest.raises(FieldRange):
+        a.emit(m, rd=1, rs1=2, rs2=3, target="L")
+    a.label("L")
+    assert a.build().data == b""
 
 
 def test_branch_out_of_range_is_field_error():

@@ -76,7 +76,7 @@ def test_lw_cycles():
     # 32/w address add + mem_latency + 1 commit
     for width, want in ((32, 3), (4, 10), (1, 34)):
         core = make_core(width)
-        core.arch.mem.store_word(0x200, 0xABCD)
+        core.arch.mem.store(0x200, 4, 0xABCD)
         cycles, _ = exec_one(core, instr(M.LW, rd=1, rs1=0, imm=0x200))
         assert cycles == want
         assert core.arch.regs[1] == 0xABCD
@@ -423,7 +423,7 @@ def _equiv_case(m, rs1, rs2, imm=0, bs=None):
     i = isa.instr(m, rd=5, rs1=1, rs2=2, imm=imm, bs=bs)
     ref = ArchState(pc=0x1000, mem=Memory())
     ref.regs[1], ref.regs[2] = rs1, rs2
-    ref.mem.store_word(0x1000, i.raw)
+    ref.mem.store(0x1000, 4, i.raw)
     golden.step(ref)
     for width in WIDTHS:
         core = make_core(width)
@@ -465,7 +465,7 @@ def test_missing_handler_fails_loudly(monkeypatch):
     monkeypatch.delitem(golden._EXECUTE, M.FENCE)
     monkeypatch.delitem(microarch._EXECUTE, M.FENCE)
     ref = ArchState(pc=0x1000, mem=Memory())
-    ref.mem.store_word(0x1000, fence.raw)
+    ref.mem.store(0x1000, 4, fence.raw)
     with pytest.raises(KeyError):
         golden.step(ref)
     with pytest.raises(KeyError):
@@ -490,7 +490,7 @@ def test_imm_form_matches_its_r_form(rs1, m, data):
     def golden_after(i):
         ref = ArchState(pc=0x1000, mem=Memory())
         ref.regs[1], ref.regs[2] = rs1, imm & 0xFFFFFFFF
-        ref.mem.store_word(0x1000, i.raw)
+        ref.mem.store(0x1000, 4, i.raw)
         assert golden.step(ref) == golden.RETIRED
         return ref.regs[5], ref.pc
 
@@ -518,13 +518,13 @@ def test_micro_matches_golden_memory_ops():
             i = isa.instr(m, rd=5, rs1=1, rs2=2, imm=off)
             ref = ArchState(pc=0x1000, mem=Memory())
             ref.regs[1], ref.regs[2] = 0, val
-            ref.mem.store_word(off & ~3, fill)
-            ref.mem.store_word(0x1000, i.raw)
+            ref.mem.store(off & ~3, 4, fill)
+            ref.mem.store(0x1000, 4, i.raw)
             golden.step(ref)
             for width in (1, 8, 32):
                 core = make_core(width)
                 core.arch.regs[1], core.arch.regs[2] = 0, val
-                core.arch.mem.store_word(off & ~3, fill)
+                core.arch.mem.store(off & ~3, 4, fill)
                 exec_one(core, i)
                 assert core.arch.regs == ref.regs, (m, width)
                 assert core.arch.mem.read_bytes(off & ~3, 8) == \

@@ -109,6 +109,42 @@ def test_exit_mmio_halts_with_code():
     assert stats.halt == golden.ECALL and stats.exit_code == 7
 
 
+@pytest.mark.parametrize("m,want", [
+    (M.SB, 0x03), (M.SH, 0x5603), (M.SW, 0x12345603)])
+def test_exit_mmio_code_is_the_stored_bytes(m, want):
+    a = Assembler(base=0x1000)
+    a.li(1, golden.EXIT_ADDR)
+    a.li(2, 0x12345603)
+    a.emit(m, rs1=1, rs2=2, imm=0)
+    a.emit(M.EBREAK)
+    for w in (1, 32):
+        stats = system.run(a.build(), CoreConfig(serial_width=w))
+        assert stats.halt == golden.ECALL and stats.exit_code == want
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8, 16, 32))
+def test_transfer_to_a_misaligned_target_is_counted(width):
+    """A taken jalr to a target 2 mod 4 writes rd, moves pc and is charged
+    its cycles before the fetch trap, so it counts as retired."""
+    a = Assembler(base=0x1000)
+    a.li(1, 0x1006)
+    a.emit(M.JALR, rd=5, rs1=1, imm=0)
+    a.emit(M.EBREAK)
+    img = a.build()
+    state = golden.ArchState.from_image(img)
+    trace = io.StringIO()
+    stats = system.run(img, CoreConfig(serial_width=width), trace=trace,
+                       state=state)
+    assert stats.halt == golden.MISALIGNED_FETCH
+    assert state.regs[5] == 0x100C and state.pc == 0x1006
+    assert stats.instret == 3 and stats.classes["jump"][0] == 1
+    total = sum(c for _, c in stats.classes.values())
+    assert total + stats.startup_cycles == stats.cycles
+    lines = trace.getvalue().splitlines()
+    assert len(lines) == stats.instret
+    assert lines[-1].split(",")[3] == "jalr"
+
+
 def test_plain_ecall():
     stats = system.run(simple_image(instr(M.ECALL)), CoreConfig())
     assert stats.halt == golden.ECALL and stats.exit_code == 0
