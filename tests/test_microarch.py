@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -543,3 +544,81 @@ def test_disabled_extension_trap():
     core = make_core(8, exts=frozenset())
     _, out = exec_one(core, instr(M.CLMUL, rd=1, rs1=1, rs2=2))
     assert out.halted and out.reason == golden.ILLEGAL
+
+
+# --- micro state pin: every mnemonic x operands x widths x knobs --------------
+
+def _sx(v, bits):
+    sign = 1 << (bits - 1)
+    return ((v & ((sign << 1) - 1)) ^ sign) - sign
+
+
+# Operand 2 of each format, drawn from a 32-bit operand word.
+_IMM_OF_FMT = {
+    isa.FMT_I: lambda b: _sx(b, 12),
+    isa.FMT_LOAD: lambda b: _sx(b, 12),
+    isa.FMT_STORE: lambda b: _sx(b, 12),
+    isa.FMT_JALR: lambda b: _sx(b, 12),
+    isa.FMT_I_SHAMT: lambda b: b & 31,
+    isa.FMT_BRANCH: lambda b: _sx(b & ~1, 13),
+    isa.FMT_JAL: lambda b: _sx(b & ~1, 21),
+    isa.FMT_U: lambda b: b >> 12,
+}
+
+
+def _sweep_operands():
+    """(rs1, operand word) pairs: 0, all-ones, each single bit and seeded
+    random words against a random partner, plus every shift amount."""
+    rng = random.Random(8)
+    values = [0, 0xFFFFFFFF] + [1 << k for k in range(32)] + \
+        [rng.getrandbits(32) for _ in range(8)]
+    pairs = [(v, rng.getrandbits(32)) for v in values]
+    pairs += [(rng.getrandbits(32), v) for v in values + list(range(32))]
+    return pairs
+
+
+def _sweep_digest(width):
+    """sha256 over every run_instruction call at `width`: charged cycles,
+    outcome, rd value, pc and the micro state the call leaves."""
+    h = hashlib.sha256()
+    pairs = _sweep_operands()
+    fill = random.Random(9).randbytes(0x2000)
+    for exts in (isa.ZKN, isa.ZKN_ZKT):
+        for support in (True, False):
+            cfg = CoreConfig(serial_width=width, extensions=exts,
+                             left_shift_support=support)
+            for m in sorted(M, key=lambda x: x.value):
+                fmt = isa.ENCODINGS[m].fmt
+                core = MicroCore(cfg, ArchState(mem=Memory()))
+                core.arch.mem.buf[:len(fill)] = fill
+                for a, b in pairs:
+                    imm = _IMM_OF_FMT.get(fmt, lambda b: 0)(b)
+                    i = instr(m, rd=5, rs1=1, rs2=2, imm=imm, bs=b & 3)
+                    core.arch.pc = 0x1000
+                    core.arch.regs[1], core.arch.regs[2] = a, b
+                    # stale micro state, so that what a call leaves shows
+                    core.serializer1, core.serializer2 = b ^ 0x5A5A5A5A, a ^ b
+                    core.lsu_buffer = a ^ 0xA5A5A5A5
+                    cycles, out = core.run_instruction(i)
+                    h.update(repr((m.value, a, b, cycles, out.halted, out.reason,
+                                   core.arch.regs[5], core.arch.pc,
+                                   core.serializer1, core.serializer2,
+                                   core.lsu_buffer, core.store_addr)).encode())
+    return h.hexdigest()
+
+
+# Taken on the chunked data path before its per-width rewrite; any change
+# to a result, a charged cycle or the micro state a call leaves moves it.
+SWEEP_DIGESTS = {
+    1: "de64ba230935f423bf27723ac4fc110f97336d0ea0f9296f43b182e27c921c3f",
+    2: "707922d0b482fd444a942ea227a34bc4a4d4de1c301f23ea357d8007078d55ed",
+    4: "4e711343b17ab9a7e3cd69f1c942658ec1152983ff394b3182c7a4cb6c5652fc",
+    8: "32196e4afb855d696f0fc9c104aacd61228323c69c90284df569c415df9bc3a2",
+    16: "37aa352ea8c1b6d0832d2033bd1719cca6fc7ea43803c3344846fdaca3ffb326",
+    32: "faa755074bbb8b5c3e3bbb6e3b84319128af3be0c7ee55b3c0254b3828b97854",
+}
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_run_instruction_sweep_is_pinned(width):
+    assert _sweep_digest(width) == SWEEP_DIGESTS[width]
