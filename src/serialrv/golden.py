@@ -64,20 +64,22 @@ class Memory:
         return off if 0 <= off <= len(self.buf) - n else None
 
     def load_program(self, image: ProgramImage) -> None:
+        """Place the image's bytes; loading is not a store, so it reaches
+        memory even at an MMIO address."""
         off = self._offset(image.base, len(image.data))
         if off is not None:
             self.buf[off:off + len(image.data)] = image.data
         else:
             for i, b in enumerate(image.data):
-                self.store(image.base + i, 1, b)
+                self._write(image.base + i, 1, b)
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         return self.load(addr, n).to_bytes(n, "little")
 
     def load(self, addr: int, size: int) -> int:
         """The little-endian value of the `size` bytes at `addr`."""
-        off = self._offset(addr, size)
-        if off is not None:
+        off = (addr & MASK32) - self.base  # _offset, inlined on the fetch path
+        if 0 <= off <= len(self.buf) - size:
             return int.from_bytes(self.buf[off:off + size], "little")
         if size != 1:  # not all in the window: byte by byte
             return sum(self.load(addr + i, 1) << 8 * i for i in range(size))

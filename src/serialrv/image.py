@@ -31,6 +31,9 @@ class ProgramImage(NamedTuple):
     code_size: int
 
     def validate(self) -> "ProgramImage":
+        if not 0 <= self.base <= self.base + len(self.data) <= 1 << 32:
+            raise ValueError(f"image at base {self.base:#x} with {len(self.data)} "
+                             "bytes does not fit in the 32-bit address space")
         if self.base % 4 != 0:
             raise ValueError(f"base 0x{self.base:x} not word-aligned")
         if not self.data:

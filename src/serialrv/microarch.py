@@ -10,17 +10,32 @@ path) but the shift unit still serializes in 8-bit chunks plus single-bit
 steps, and clmul keeps using Serializer1 for accumulation.
 
 `latency_table` is the cycle model: the execution cycles of every
-mnemonic under one CoreConfig. `run_instruction` adds the frontend rule
-(fetch overlap, taken-transfer penalty) on top of it.
+mnemonic under one CoreConfig. It costs each shift from `shift_plans`,
+the same plans the shift unit carries out. The frontend rule (fetch
+overlap, taken-transfer penalty) is added on top of it when an
+instruction retires.
+
+What a core binds once, so that a step need not look it up again (none
+of it changes a simulated cycle):
+
+- per width, in `__init__`: the bit position of each chunk, the chunk
+  mask, the shift unit's step sequence for every move amount and the
+  config's shift plans. Each chunk loop walks the positions tuple.
+- per instruction word, the first time the core meets it: one record
+  holding the decoded instruction, whether its extension is enabled, its
+  handler, operand 2's immediate (None when operand 2 is rs2), its cycles
+  (per shift amount for a register shift) and its access size. The
+  records live on the core, keyed by word, so storing over code needs no
+  invalidation and a handler replaced before a core is built is the one
+  that core uses. `step` and `run_instruction` retire through one body.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import golden, isa
 from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
@@ -145,8 +160,16 @@ def parse_extensions(spec: str) -> frozenset:
 
 # --- the cycle model ----------------------------------------------------------
 
-def _movement(steps: int, chunk_w: int) -> int:
-    return steps // chunk_w + steps % chunk_w
+@functools.lru_cache(maxsize=None)
+def _move_steps(chunk_w: int) -> tuple:
+    """The steps of a move by each amount 0..32: chunk steps, then
+    single-bit steps."""
+    return tuple((chunk_w,) * (n // chunk_w) + (1,) * (n % chunk_w)
+                 for n in range(33))
+
+
+def _movement(amount: int, chunk_w: int) -> int:
+    return len(_move_steps(chunk_w)[amount])
 
 
 def shift_plan(config: CoreConfig, m: M, shamt: int) -> Tuple[bool, int, bool]:
@@ -159,14 +182,27 @@ def shift_plan(config: CoreConfig, m: M, shamt: int) -> Tuple[bool, int, bool]:
     still picks the emulated form for a logical shift when it is cheaper.
     """
     if m not in _LEFT_SHIFTS:
-        return False, shamt, False
+        return _plan(False, shamt, False)
     logical = m is not M.ROL
     if config.left_shift_support:
         direct = _movement(shamt, config.shift_chunk_width)
         emulated = _movement(32 - shamt, config.shift_chunk_width) + config.chunks
         if not logical or direct <= emulated:
-            return True, shamt, False
-    return False, 32 - shamt, logical
+            return _plan(True, shamt, False)
+    return _plan(False, 32 - shamt, logical)
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(left: bool, amount: int, mask: bool) -> Tuple[bool, int, bool]:
+    # one tuple per distinct plan, shared by every config's plan table
+    return left, amount, mask
+
+
+@functools.lru_cache(maxsize=256)
+def shift_plans(config: CoreConfig) -> MappingProxyType:
+    """Every shift/rotate mnemonic's `shift_plan` for each amount 0..31."""
+    return MappingProxyType({m: tuple(shift_plan(config, m, s) for s in range(32))
+                             for m in SHIFT_MNEMONICS})
 
 
 @functools.lru_cache(maxsize=256)
@@ -188,18 +224,25 @@ def latency_table(config: CoreConfig) -> MappingProxyType:
         SHA: config.sha_select_latency + chunks,
         REORDER: config.reorder_latency, FENCE_NOP: 1,
     }
+    plans = shift_plans(config)
     table = {}
     for m, klass in CLASS_OF.items():
         if m not in SHIFT_MNEMONICS:
             table[m] = per_class[klass]
             continue
-        costs = []
-        for shamt in range(32):
-            _, amount, mask = shift_plan(config, m, shamt)
-            costs.append(_movement(amount, config.shift_chunk_width)
-                         + (chunks if mask else 0) + 1)
+        costs = [_movement(amount, config.shift_chunk_width)
+                 + (chunks if mask else 0) + 1 for _, amount, mask in plans[m]]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
     return MappingProxyType(table)
+
+
+@functools.lru_cache(maxsize=256)
+def _core_bindings(config: CoreConfig) -> tuple:
+    """What each core under `config` binds in __init__: (latency table,
+    shift plans, move steps, chunk bit positions)."""
+    return (latency_table(config), shift_plans(config),
+            _move_steps(config.shift_chunk_width),
+            tuple(range(0, 32, config.serial_width)))
 
 
 def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
@@ -229,12 +272,42 @@ def _apply_wiring(table: tuple, v: int) -> int:
     return out
 
 
+# --- SHA unit wiring (fixed shifts into an XOR tree) ------------------------
+
+_SHA_NETWORK = {
+    # (source operand, op, amount); op r=rotate-right, s=shift-right,
+    # l=shift-left. Sources: 1 = rs1, 2 = rs2.
+    M.SHA256SIG0: ((1, "r", 7), (1, "r", 18), (1, "s", 3)),
+    M.SHA256SIG1: ((1, "r", 17), (1, "r", 19), (1, "s", 10)),
+    M.SHA256SUM0: ((1, "r", 2), (1, "r", 13), (1, "r", 22)),
+    M.SHA256SUM1: ((1, "r", 6), (1, "r", 11), (1, "r", 25)),
+    M.SHA512SIG0H: ((1, "s", 1), (1, "s", 7), (1, "s", 8), (2, "l", 31), (2, "l", 24)),
+    M.SHA512SIG0L: ((1, "s", 1), (1, "s", 7), (1, "s", 8), (2, "l", 31), (2, "l", 25), (2, "l", 24)),
+    M.SHA512SIG1H: ((1, "l", 3), (1, "s", 6), (1, "s", 19), (2, "s", 29), (2, "l", 13)),
+    M.SHA512SIG1L: ((1, "l", 3), (1, "s", 6), (1, "s", 19), (2, "s", 29), (2, "l", 26), (2, "l", 13)),
+    M.SHA512SUM0R: ((1, "l", 25), (1, "l", 30), (1, "s", 28), (2, "s", 7), (2, "s", 2), (2, "l", 4)),
+    M.SHA512SUM1R: ((1, "l", 23), (1, "s", 14), (1, "s", 18), (2, "s", 9), (2, "l", 18), (2, "l", 14)),
+}
+
+
+def _sha_shifts(op: str, n: int) -> Tuple[int, int]:
+    # a term is (v >> right | v << left) & MASK32; a shift by 32 or more
+    # contributes nothing
+    return {"r": (n, 32 - n), "s": (n, 32), "l": (32, n)}[op]
+
+
+# the network as (right, left) shift pairs, one tuple per source operand
+_SHA_WIRING = {m: tuple(tuple(_sha_shifts(op, n) for s, op, n in terms if s == src)
+                        for src in (1, 2))
+               for m, terms in _SHA_NETWORK.items()}
+
+
 class MicroCore:
     """One serialized core instance: architectural state plus micro state."""
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        self.latency = latency_table(config)
+        self.latency, self._plans, self._steps, self._positions = _core_bindings(config)
         self.arch = state
         self.serializer1 = 0
         self.serializer2 = 0
@@ -243,43 +316,64 @@ class MicroCore:
         self.store_addr: Optional[int] = None  # a store waiting in the LSU buffer
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
+        w = config.serial_width
+        self._width = w
+        self._full = w == 32  # the ALU takes the whole word; Serializer2 is unused
+        self._mask = (1 << w) - 1
+        self._mem_latency = config.mem_latency
+        self._transfer_penalty = config.taken_branch_penalty + config.mem_latency - 1
+        self._bound: dict = {}  # instruction word -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
 
     def _chunk_add(self, a: int, b: int, carry_in: int) -> Tuple[int, int]:
         """LSB-first chunked addition; returns (sum32, carry_out)."""
-        w = self.config.serial_width
-        if w == 32:
+        if self._full:
             s = a + b + carry_in
             return s & MASK32, s >> 32
-        mask = (1 << w) - 1
+        w = self._width
+        mask = self._mask
         res = 0
         carry = carry_in
-        pos = 0
-        while pos < 32:
-            s = (a & mask) + (b & mask) + carry
+        for pos in self._positions:
+            s = ((a >> pos) & mask) + ((b >> pos) & mask) + carry
             res |= (s & mask) << pos
             carry = s >> w
-            a >>= w
-            b >>= w
-            pos += w
         self.serializer1 = 0
         self.serializer2 = res
         return res, carry
 
-    def _chunk_logic(self, op: Callable[[int, int], int], a: int, b: int) -> int:
-        """Bitwise `op(a, b)` chunk by chunk, LSB first."""
-        w = self.config.serial_width
-        if w == 32:
-            return op(a, b) & MASK32
-        mask = (1 << w) - 1
+    # One loop per bitwise op, chunk by chunk, LSB first. andn, orn and xnor
+    # feed ~b to the and, or and xor loops.
+    def _chunk_xor(self, a: int, b: int) -> int:
+        if self._full:
+            return (a ^ b) & MASK32
+        mask = self._mask
         res = 0
-        pos = 0
-        while pos < 32:
-            res |= (op(a & mask, b & mask) & mask) << pos
-            a >>= w
-            b >>= w
-            pos += w
+        for pos in self._positions:
+            res |= (((a >> pos) ^ (b >> pos)) & mask) << pos
+        self.serializer1 = 0
+        self.serializer2 = res
+        return res
+
+    def _chunk_and(self, a: int, b: int) -> int:
+        if self._full:
+            return a & b & MASK32
+        mask = self._mask
+        res = 0
+        for pos in self._positions:
+            res |= ((a >> pos) & (b >> pos) & mask) << pos
+        self.serializer1 = 0
+        self.serializer2 = res
+        return res
+
+    def _chunk_or(self, a: int, b: int) -> int:
+        if self._full:
+            return (a | b) & MASK32
+        mask = self._mask
+        res = 0
+        for pos in self._positions:
+            res |= (((a >> pos) | (b >> pos)) & mask) << pos
         self.serializer1 = 0
         self.serializer2 = res
         return res
@@ -300,12 +394,10 @@ class MicroCore:
 
     # -- serializer shift/rotate path ----------------------------------------
 
-    def _serial_move(self, v: int, shamt: int, left: bool, arith: bool,
+    def _serial_move(self, v: int, amount: int, left: bool, arith: bool,
                      rotate: bool) -> int:
-        """Move `v` by `shamt` bits via chunk steps plus single-bit steps."""
-        cw = self.config.shift_chunk_width
-        steps = [cw] * (shamt // cw) + [1] * (shamt % cw)
-        for k in steps:
+        """Move `v` by `amount` bits via chunk steps plus single-bit steps."""
+        for k in self._steps[amount]:
             if left:
                 wrap = v >> (32 - k)
                 v = (v << k) & MASK32
@@ -323,7 +415,7 @@ class MicroCore:
 
     def _shift_exec(self, m: M, value: int, shamt: int) -> int:
         """Result of any shift/rotate mnemonic, carried out by its plan."""
-        left, amount, mask = shift_plan(self.config, m, shamt)
+        left, amount, mask = self._plans[m][shamt]
         rotate = mask or CLASS_OF[m] == ROTATE
         arith = m is M.SRA or m is M.SRAI
         res = self._serial_move(value, amount, left, arith, rotate)
@@ -355,35 +447,16 @@ class MicroCore:
         rotated = self._serial_move(word, (8 * bs) & 31, True, False, True)
         return (rs1 ^ rotated) & MASK32
 
-
-    _SHA_NETWORK = {
-        # (source operand, op, amount); op r=rotate-right, s=shift-right,
-        # l=shift-left. Sources: 1 = rs1, 2 = rs2.
-        M.SHA256SIG0: ((1, "r", 7), (1, "r", 18), (1, "s", 3)),
-        M.SHA256SIG1: ((1, "r", 17), (1, "r", 19), (1, "s", 10)),
-        M.SHA256SUM0: ((1, "r", 2), (1, "r", 13), (1, "r", 22)),
-        M.SHA256SUM1: ((1, "r", 6), (1, "r", 11), (1, "r", 25)),
-        M.SHA512SIG0H: ((1, "s", 1), (1, "s", 7), (1, "s", 8), (2, "l", 31), (2, "l", 24)),
-        M.SHA512SIG0L: ((1, "s", 1), (1, "s", 7), (1, "s", 8), (2, "l", 31), (2, "l", 25), (2, "l", 24)),
-        M.SHA512SIG1H: ((1, "l", 3), (1, "s", 6), (1, "s", 19), (2, "s", 29), (2, "l", 13)),
-        M.SHA512SIG1L: ((1, "l", 3), (1, "s", 6), (1, "s", 19), (2, "s", 29), (2, "l", 26), (2, "l", 13)),
-        M.SHA512SUM0R: ((1, "l", 25), (1, "l", 30), (1, "s", 28), (2, "s", 7), (2, "s", 2), (2, "l", 4)),
-        M.SHA512SUM1R: ((1, "l", 23), (1, "s", 14), (1, "s", 18), (2, "s", 9), (2, "l", 18), (2, "l", 14)),
-    }
-
     def _sha_unit(self, m: M, rs1: int, rs2: int) -> int:
-        # fixed-shift multiplexer feeding a chunked XOR accumulation
-        acc = 0
-        for src, op, n in self._SHA_NETWORK[m]:
-            v = rs1 if src == 1 else rs2
-            if op == "r":
-                v = ((v >> n) | (v << (32 - n))) & MASK32
-            elif op == "s":
-                v >>= n
-            else:
-                v = (v << n) & MASK32
-            acc = self._chunk_logic(operator.xor, acc, v)
-        return acc
+        # fixed-shift multiplexer: the terms of each source meet in an XOR
+        # tree, and one chunked XOR pass merges the two trees
+        wiring1, wiring2 = _SHA_WIRING[m]
+        t1 = t2 = 0
+        for right, left in wiring1:
+            t1 ^= (rs1 >> right) | (rs1 << left)
+        for right, left in wiring2:
+            t2 ^= (rs2 >> right) | (rs2 << left)
+        return self._chunk_xor(t1 & MASK32, t2 & MASK32)
 
     def _clmul_unit(self, m: M, rs1: int, rs2: int) -> int:
         # bit-serial accumulation: the multiplier bit gates whether the
@@ -411,6 +484,21 @@ class MicroCore:
 
     # -- instruction execution -------------------------------------------------
 
+    def _bind(self, ins: Instr) -> tuple:
+        """Bind the record of `ins` under this core's config and keep it
+        under its word: (instruction, legal, handler, operand 2 immediate
+        or None, cycles, access size)."""
+        m = ins.mnemonic
+        ext = isa.EXT_OF[m]
+        legal = ext is Ext.RV32I or ext in self.config.extensions
+        imm = ins.imm & MASK32 if m in isa.IMM_FORMS else None
+        cycles = self.latency[m]
+        if m in SHIFT_MNEMONICS and imm is not None:
+            cycles = cycles[imm & 31]
+        rec = self._bound[ins.raw] = (ins, legal, _EXECUTE[m] if legal else None,
+                                      imm, cycles, isa.ACCESS_BYTES.get(m))
+        return rec
+
     def run_instruction(self, ins: Instr,
                         max_cycles: Optional[int] = None) -> Tuple[int, StepOutcome]:
         """Execute one instruction at the current pc; returns charged cycles.
@@ -421,20 +509,23 @@ class MicroCore:
         would take `cycle` past `max_cycles`, nothing is written or charged
         and the outcome is a max-steps halt.
         """
-        cfg = self.config
-        m = ins.mnemonic
-        ext = isa.EXT_OF[m]
-        if ext is not Ext.RV32I and ext not in cfg.extensions:
-            return 0, StepOutcome(True, ILLEGAL)
+        rec = self._bound.get(ins.raw)
+        if rec is None or rec[0] != ins:
+            rec = self._bind(ins)
+        return self._retire(rec, max_cycles)
 
+    def _retire(self, rec: tuple, max_cycles: Optional[int]) -> Tuple[int, StepOutcome]:
+        """The body of run_instruction, on a bound record."""
+        ins, legal, handler, imm, cycles, size = rec
+        if not legal:
+            return 0, _ILLEGAL
         arch = self.arch
         regs = arch.regs
-        op2 = ins.imm & MASK32 if m in isa.IMM_FORMS else regs[ins.rs2]
-        cycles = self.latency[m]
-        if m in SHIFT_MNEMONICS:
+        op2 = regs[ins.rs2] if imm is None else imm
+        if type(cycles) is tuple:  # a register shift, costed by its amount
             cycles = cycles[op2 & 31]
         try:
-            val, target = _EXECUTE[m](self, ins, regs[ins.rs1], op2)
+            val, target = handler(self, ins, regs[ins.rs1], op2)
         except _Halt as halt:
             # ebreak and ecall retire, with no next fetch to overlap
             charged = cycles if halt.retires else 0
@@ -442,9 +533,11 @@ class MicroCore:
         else:
             # frontend: overlap the sequential prefetch, or flush on a transfer
             if target is None:
-                charged = max(cycles, cfg.mem_latency)
+                charged = self._mem_latency
+                if cycles > charged:
+                    charged = cycles
             else:
-                charged = cycles + cfg.taken_branch_penalty + (cfg.mem_latency - 1)
+                charged = cycles + self._transfer_penalty
             outcome = RETIRED
         if max_cycles is not None and self.cycle + charged > max_cycles:
             self.store_addr = None
@@ -454,7 +547,7 @@ class MicroCore:
             return charged, outcome
 
         if self.store_addr is not None:
-            arch.mem.store(self.store_addr, isa.ACCESS_BYTES[m], self.lsu_buffer)
+            arch.mem.store(self.store_addr, size, self.lsu_buffer)
             self.store_addr = None
         if val is not None and ins.rd:
             regs[ins.rd] = val & MASK32
@@ -465,7 +558,7 @@ class MicroCore:
             self.fetch_buffer = None
         arch.pc = next_pc
         if next_pc & 3:
-            return charged, StepOutcome(True, MISALIGNED_FETCH)
+            return charged, _MISALIGNED_FETCH
         if target is None:
             self.fetch_buffer = (next_pc, arch.mem.load(next_pc, 4))
         return charged, RETIRED
@@ -480,7 +573,7 @@ class MicroCore:
         take `cycle` past `max_cycles`, it writes nothing and halts with
         max-steps.
         """
-        fill = 0 if self.startup_cycles else self.config.mem_latency
+        fill = 0 if self.startup_cycles else self._mem_latency
         if max_cycles is not None:
             max_cycles -= fill
             if self.cycle > max_cycles:
@@ -488,16 +581,19 @@ class MicroCore:
         ins = None
         pc = self.arch.pc
         if pc & 3:
-            cycles, outcome = 0, StepOutcome(True, MISALIGNED_FETCH)
+            cycles, outcome = 0, _MISALIGNED_FETCH
         else:
             buf = self.fetch_buffer
             word = buf[1] if buf is not None and buf[0] == pc else self.arch.mem.load(pc, 4)
             try:
                 ins = isa.decode_cached(word)
             except isa.IllegalInstruction:
-                cycles, outcome = 0, StepOutcome(True, ILLEGAL)
+                cycles, outcome = 0, _ILLEGAL
             else:
-                cycles, outcome = self.run_instruction(ins, max_cycles)
+                rec = self._bound.get(word)
+                if rec is None:
+                    rec = self._bind(ins)
+                cycles, outcome = self._retire(rec, max_cycles)
         if fill and outcome is not _OVER_BUDGET:
             self.startup_cycles = fill
             self.cycle += fill
@@ -505,6 +601,8 @@ class MicroCore:
 
 
 _OVER_BUDGET = StepOutcome(True, MAX_STEPS)
+_ILLEGAL = StepOutcome(True, ILLEGAL)
+_MISALIGNED_FETCH = StepOutcome(True, MISALIGNED_FETCH)
 
 
 class _Halt(Exception):
@@ -520,10 +618,6 @@ def _halt(reason: str):
     def handler(core, i, a, b):
         raise _Halt(reason, retires=True)
     return handler
-
-
-def _logic(op):
-    return lambda core, i, a, b: (core._chunk_logic(op, a, b), None)
 
 
 def _branch(taken):
@@ -567,12 +661,12 @@ def _store(core, i, a, b):
 _EXECUTE = {
     M.ADD: lambda core, i, a, b: (core._chunk_add(a, b, 0)[0], None),
     M.SUB: lambda core, i, a, b: (core._chunk_sub(a, b)[0], None),
-    M.AND: _logic(operator.and_),
-    M.OR: _logic(operator.or_),
-    M.XOR: _logic(operator.xor),
-    M.ANDN: _logic(lambda a, b: a & ~b),
-    M.ORN: _logic(lambda a, b: a | ~b),
-    M.XNOR: _logic(lambda a, b: ~(a ^ b)),
+    M.AND: lambda core, i, a, b: (core._chunk_and(a, b), None),
+    M.OR: lambda core, i, a, b: (core._chunk_or(a, b), None),
+    M.XOR: lambda core, i, a, b: (core._chunk_xor(a, b), None),
+    M.ANDN: lambda core, i, a, b: (core._chunk_and(a, ~b & MASK32), None),
+    M.ORN: lambda core, i, a, b: (core._chunk_or(a, ~b & MASK32), None),
+    M.XNOR: lambda core, i, a, b: (core._chunk_xor(a, ~b & MASK32), None),
     M.SLT: lambda core, i, a, b: (core._less_than(a, b, True), None),
     M.SLTU: lambda core, i, a, b: (core._less_than(a, b, False), None),
     M.LUI: lambda core, i, a, b: ((i.imm << 12) & MASK32, None),
@@ -580,8 +674,8 @@ _EXECUTE = {
         core._chunk_add(core.arch.pc, (i.imm << 12) & MASK32, 0)[0], None),
     M.PACK: lambda core, i, a, b: (((b & 0xFFFF) << 16) | (a & 0xFFFF), None),
     M.PACKH: lambda core, i, a, b: (((b & 0xFF) << 8) | (a & 0xFF), None),
-    M.BEQ: _branch(lambda core, a, b: core._chunk_logic(operator.xor, a, b) == 0),
-    M.BNE: _branch(lambda core, a, b: core._chunk_logic(operator.xor, a, b) != 0),
+    M.BEQ: _branch(lambda core, a, b: core._chunk_xor(a, b) == 0),
+    M.BNE: _branch(lambda core, a, b: core._chunk_xor(a, b) != 0),
     M.BLT: _branch(lambda core, a, b: core._less_than(a, b, True) == 1),
     M.BGE: _branch(lambda core, a, b: core._less_than(a, b, True) == 0),
     M.BLTU: _branch(lambda core, a, b: core._less_than(a, b, False) == 1),

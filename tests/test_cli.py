@@ -40,6 +40,29 @@ def test_run_trace(ebreak_image, tmp_path, capsys):
     assert lines and all(len(l.split(",")) == 5 for l in lines)
 
 
+def test_run_image_at_mmio_base(tmp_path, capsys):
+    a = Assembler(base=golden.CONSOLE_ADDR)
+    a.emit(M.ADDI, rd=1, rs1=0, imm=5)
+    a.emit(M.EBREAK)
+    p = tmp_path / "mmio.bin"
+    p.write_bytes(a.build().data)
+    rc = cli.main(["run", str(p), "--base", "0xF0000000"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK
+    assert out.startswith("halt: ebreak ") and "instret: 2 " in out
+    assert out.count("\n") == 1  # the summary line, and no console output
+
+
+@pytest.mark.parametrize("cmd", ["run", "disasm"])
+@pytest.mark.parametrize("base", ["0x100001000", "-4"])
+def test_image_outside_address_space_load_error(cmd, base, ebreak_image, capsys):
+    assert cli.main([cmd, ebreak_image, "--base", base]) == cli.EXIT_LOAD
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: cannot load image:")
+    assert "32-bit address space" in captured.err and captured.out == ""
+
+
 def test_run_bad_width_usage_error(ebreak_image):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", ebreak_image, "--width", "3"])

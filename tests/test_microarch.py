@@ -473,6 +473,26 @@ def test_missing_handler_fails_loudly(monkeypatch):
         exec_one(make_core(8), fence)
 
 
+def test_handler_patched_after_a_run_takes_effect(monkeypatch):
+    """Each core binds handlers for itself, so a handler replaced after
+    another core ran under the same config is the one a new core uses."""
+    sw = instr(M.SW, rs1=0, rs2=2, imm=0x200)
+    first = make_core(8)
+    exec_one(first, sw, {2: 7})
+    assert first.arch.mem.load(0x200, 4) == 7
+    store = microarch._EXECUTE[M.SW]
+
+    def faulty(core, i, a, b):
+        result = store(core, i, a, b)
+        core.lsu_buffer ^= 1
+        return result
+
+    monkeypatch.setitem(microarch._EXECUTE, M.SW, faulty)
+    second = make_core(8)
+    exec_one(second, sw, {2: 7})
+    assert second.arch.mem.load(0x200, 4) == 6
+
+
 IMM_FORMS = sorted(isa.IMM_FORMS)
 
 

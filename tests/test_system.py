@@ -55,6 +55,30 @@ def test_unaligned_base_rejected():
         load_image(b"\x13\x00\x00\x00", base=0x1002)
 
 
+@pytest.mark.parametrize("base,size", [(-4, 4), (1 << 32, 4), ((1 << 32) - 4, 8)])
+def test_image_outside_address_space_rejected(base, size):
+    with pytest.raises(ValueError, match="32-bit address space"):
+        load_image(bytes(size), base=base)
+
+
+def test_image_ending_at_top_of_address_space_accepted():
+    img = load_image(bytes(8), base=(1 << 32) - 8)
+    assert img.base + len(img.data) == 1 << 32
+
+
+def test_image_over_mmio_words_is_code_not_stores():
+    """Loading is not a store: an image placed over the console and exit
+    words reaches memory, and runs."""
+    img = simple_image(instr(M.ADDI, rd=1, rs1=0, imm=5), instr(M.EBREAK),
+                       base=golden.CONSOLE_ADDR)
+    state = golden.ArchState.from_image(img)
+    assert state.mem.load(golden.EXIT_ADDR, 4) == instr(M.EBREAK).raw
+    stats = system.run(img, CoreConfig(serial_width=4), state=state)
+    assert stats.halt == golden.EBREAK and stats.instret == 2
+    assert state.regs[1] == 5
+    assert stats.console == b"" and stats.exit_code is None
+
+
 # --- run loop -------------------------------------------------------------------
 
 def test_single_ebreak():
