@@ -132,6 +132,8 @@ def _cmd_run(args) -> int:
 def _cmd_cosim(args) -> int:
     if args.programs < 1:
         raise _UsageError("--programs must be >= 1")
+    if args.length < 1:
+        raise _UsageError("--length must be >= 1")
     with _open_output(args.json) as json_fh:
         try:
             reports = cosim.run_matrix(range(args.seed, args.seed + args.programs),
@@ -159,6 +161,8 @@ def _cmd_cosim(args) -> int:
 def _cmd_bench(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
     variants = tuple(v.strip() for v in args.ext_presets.split(",") if v.strip())
+    if not variants:
+        raise _UsageError("--ext-presets names no preset")
     for v in variants:
         if v not in bench.VARIANTS:
             raise _UsageError(f"unknown preset {v!r}")

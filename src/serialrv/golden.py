@@ -7,6 +7,7 @@ checked against this model instruction by instruction.
 
 from __future__ import annotations
 
+import struct
 from typing import NamedTuple, Optional
 
 from . import isa
@@ -37,6 +38,11 @@ class StepOutcome(NamedTuple):
 
 
 RETIRED = StepOutcome(False)
+
+# the word port of the dense window: one little-endian 32-bit read or write
+_WORD = struct.Struct("<I")
+_unpack_word = _WORD.unpack_from
+_pack_word = _WORD.pack_into
 
 
 class Memory:
@@ -80,6 +86,8 @@ class Memory:
         """The little-endian value of the `size` bytes at `addr`."""
         off = (addr & MASK32) - self.base  # _offset, inlined on the fetch path
         if 0 <= off <= len(self.buf) - size:
+            if size == 4:
+                return _unpack_word(self.buf, off)[0]
             return int.from_bytes(self.buf[off:off + size], "little")
         if size != 1:  # not all in the window: byte by byte
             return sum(self.load(addr + i, 1) << 8 * i for i in range(size))
@@ -102,7 +110,10 @@ class Memory:
     def _write(self, addr: int, size: int, value: int) -> None:
         off = self._offset(addr, size)
         if off is not None:
-            self.buf[off:off + size] = value.to_bytes(size, "little")
+            if size == 4:
+                _pack_word(self.buf, off, value)
+            else:
+                self.buf[off:off + size] = value.to_bytes(size, "little")
         elif size != 1:  # not all in the window: byte by byte
             for i in range(size):
                 self._write(addr + i, 1, (value >> 8 * i) & 0xFF)

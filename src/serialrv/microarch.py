@@ -21,13 +21,18 @@ of it changes a simulated cycle):
 - per width, in `__init__`: the bit position of each chunk, the chunk
   mask, the shift unit's step sequence for every move amount and the
   config's shift plans. Each chunk loop walks the positions tuple.
-- per instruction word, the first time the core meets it: one record
-  holding the decoded instruction, whether its extension is enabled, its
-  handler, operand 2's immediate (None when operand 2 is rs2), its cycles
-  (per shift amount for a register shift) and its access size. The
-  records live on the core, keyed by word, so storing over code needs no
-  invalidation and a handler replaced before a core is built is the one
-  that core uses. `step` and `run_instruction` retire through one body.
+- per mnemonic, the first time the core meets it: one record holding
+  whether its extension is enabled, its handler, whether operand 2 is
+  the immediate (else rs2), its cycles (per shift amount for a shift or
+  rotate) and its access size. A record holds no field of an instruction
+  word: rd, rs1, rs2 and the immediate are read from the decoded
+  instruction when it retires. The records live on the core, keyed by
+  mnemonic, so storing over code needs no invalidation and a handler
+  replaced before a core is built is the one that core uses. `step` and
+  `run_instruction` retire through one body.
+
+Each record also carries the retired count and charged cycles of its
+mnemonic, added where the cycles are charged; `retired` reads them out.
 """
 
 from __future__ import annotations
@@ -322,7 +327,7 @@ class MicroCore:
         self._mask = (1 << w) - 1
         self._mem_latency = config.mem_latency
         self._transfer_penalty = config.taken_branch_penalty + config.mem_latency - 1
-        self._bound: dict = {}  # instruction word -> its record, see _bind
+        self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
 
@@ -484,20 +489,21 @@ class MicroCore:
 
     # -- instruction execution -------------------------------------------------
 
-    def _bind(self, ins: Instr) -> tuple:
-        """Bind the record of `ins` under this core's config and keep it
-        under its word: (instruction, legal, handler, operand 2 immediate
-        or None, cycles, access size)."""
-        m = ins.mnemonic
+    def _bind(self, m: M) -> tuple:
+        """Bind the record of mnemonic `m` under this core's config and keep
+        it: (legal, handler, operand 2 is the immediate, cycles, access
+        size, [retired, charged cycles])."""
         ext = isa.EXT_OF[m]
         legal = ext is Ext.RV32I or ext in self.config.extensions
-        imm = ins.imm & MASK32 if m in isa.IMM_FORMS else None
-        cycles = self.latency[m]
-        if m in SHIFT_MNEMONICS and imm is not None:
-            cycles = cycles[imm & 31]
-        rec = self._bound[ins.raw] = (ins, legal, _EXECUTE[m] if legal else None,
-                                      imm, cycles, isa.ACCESS_BYTES.get(m))
+        rec = self._bound[m] = (legal, _EXECUTE[m] if legal else None,
+                                m in isa.IMM_FORMS, self.latency[m],
+                                isa.ACCESS_BYTES.get(m), [0, 0])
         return rec
+
+    def retired(self) -> dict:
+        """{mnemonic: (instructions retired, cycles charged to them)} over
+        every mnemonic that retired on this core."""
+        return {m: tuple(rec[5]) for m, rec in self._bound.items() if rec[5][0]}
 
     def run_instruction(self, ins: Instr,
                         max_cycles: Optional[int] = None) -> Tuple[int, StepOutcome]:
@@ -509,20 +515,21 @@ class MicroCore:
         would take `cycle` past `max_cycles`, nothing is written or charged
         and the outcome is a max-steps halt.
         """
-        rec = self._bound.get(ins.raw)
-        if rec is None or rec[0] != ins:
-            rec = self._bind(ins)
-        return self._retire(rec, max_cycles)
+        rec = self._bound.get(ins.mnemonic)
+        if rec is None:
+            rec = self._bind(ins.mnemonic)
+        return self._retire(ins, rec, max_cycles)
 
-    def _retire(self, rec: tuple, max_cycles: Optional[int]) -> Tuple[int, StepOutcome]:
-        """The body of run_instruction, on a bound record."""
-        ins, legal, handler, imm, cycles, size = rec
+    def _retire(self, ins: Instr, rec: tuple,
+                max_cycles: Optional[int]) -> Tuple[int, StepOutcome]:
+        """The body of run_instruction, on the bound record of ins's mnemonic."""
+        legal, handler, imm_op2, cycles, size, counts = rec
         if not legal:
             return 0, _ILLEGAL
         arch = self.arch
         regs = arch.regs
-        op2 = regs[ins.rs2] if imm is None else imm
-        if type(cycles) is tuple:  # a register shift, costed by its amount
+        op2 = ins.imm & MASK32 if imm_op2 else regs[ins.rs2]
+        if type(cycles) is tuple:  # a shift or rotate, costed by its amount
             cycles = cycles[op2 & 31]
         try:
             val, target = handler(self, ins, regs[ins.rs1], op2)
@@ -543,6 +550,9 @@ class MicroCore:
             self.store_addr = None
             return 0, _OVER_BUDGET
         self.cycle += charged
+        if charged:  # cycles are charged to a retired instruction only
+            counts[0] += 1
+            counts[1] += charged
         if outcome is not RETIRED:
             return charged, outcome
 
@@ -590,10 +600,10 @@ class MicroCore:
             except isa.IllegalInstruction:
                 cycles, outcome = 0, _ILLEGAL
             else:
-                rec = self._bound.get(word)
+                rec = self._bound.get(ins.mnemonic)
                 if rec is None:
-                    rec = self._bind(ins)
-                cycles, outcome = self._retire(rec, max_cycles)
+                    rec = self._bind(ins.mnemonic)
+                cycles, outcome = self._retire(ins, rec, max_cycles)
         if fill and outcome is not _OVER_BUDGET:
             self.startup_cycles = fill
             self.cycle += fill

@@ -56,41 +56,42 @@ def run(image: ProgramImage, config: CoreConfig,
     budget does not retire and changes nothing, so the state is that of the
     last retired instruction. Pass a pre-built `state` to inspect memory
     after the run.
+
+    The core counts each mnemonic's retirements and charged cycles where it
+    charges them (`MicroCore.retired`); `instret` and the per-class counts
+    are summed from those once, through CLASS_OF, after the run.
     """
     if max_cycles <= 0:
         raise ValueError("max_cycles must be > 0")
     if state is None:
         state = ArchState.from_image(image)
     core = MicroCore(config, state)
+    mem = state.mem
     stats = ExecStats(code_size=image.code_size, width=config.serial_width,
                       extensions=tuple(e.value for e in config.extensions))
-    classes = stats.classes
 
     while True:
         pc_before = state.pc
         cycles, outcome, ins = core.step(max_cycles)
-        if cycles:  # the core charges cycles to a retired instruction only
-            stats.instret += 1
-            klass = CLASS_OF[ins.mnemonic]
-            entry = classes.get(klass)
-            if entry is None:
-                entry = classes[klass] = [0, 0]
-            entry[0] += 1
-            entry[1] += cycles
-            if trace is not None:
-                trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
-                            f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
+        if trace is not None and cycles:  # cycles go to a retired instruction only
+            trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
+                        f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
         if outcome.halted:
             stats.halt = outcome.reason
             break
-        if state.mem.exit_code is not None:
+        if mem.exit_code is not None:
             stats.halt = golden.ECALL
-            stats.exit_code = state.mem.exit_code
+            stats.exit_code = mem.exit_code
             break
 
+    for m, (count, cycles) in core.retired().items():
+        stats.instret += count
+        entry = stats.classes.setdefault(CLASS_OF[m], [0, 0])
+        entry[0] += count
+        entry[1] += cycles
     stats.cycles = core.cycle
     stats.startup_cycles = core.startup_cycles
-    stats.console = bytes(state.mem.console)
+    stats.console = bytes(mem.console)
     if stats.halt == golden.ECALL and stats.exit_code is None:
         stats.exit_code = 0
     return stats

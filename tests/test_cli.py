@@ -139,6 +139,14 @@ def test_cosim_length_too_long_usage_error(capsys):
     assert err.count("\n") == 1 and "--length" in err
 
 
+@pytest.mark.parametrize("length", ["0", "-5"])
+def test_cosim_length_not_positive_usage_error(length, capsys):
+    assert cli.main(["cosim", "--length", length, "--programs", "1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "--length" in captured.err and captured.out == ""
+
+
 def test_cosim_deterministic_json(tmp_path):
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     cli.main(["cosim", "--seed", "9", "--programs", "2", "--widths", "4",
@@ -186,6 +194,14 @@ def test_bench_unknown_kernel(capsys):
 def test_bench_unknown_preset(capsys):
     assert cli.main(["bench", "--ext-presets", "rv32i,zkx"]) == cli.EXIT_USAGE
     assert "zkx" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("presets", [",", " , ,", ""])
+def test_bench_no_preset_usage_error(presets, capsys):
+    assert cli.main(["bench", "--ext-presets", presets]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "--ext-presets" in captured.err and captured.out == ""
 
 
 def test_audit_cli_too_few_trials_usage_error(capsys):

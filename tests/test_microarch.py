@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from serialrv import golden, isa, microarch
+from serialrv import cosim, golden, isa, microarch
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Ext, Mnemonic as M, instr
 from serialrv.microarch import (CLASS_OF, CoreConfig, MicroCore,
@@ -491,6 +491,44 @@ def test_handler_patched_after_a_run_takes_effect(monkeypatch):
     second = make_core(8)
     exec_one(second, sw, {2: 7})
     assert second.arch.mem.load(0x200, 4) == 6
+
+
+def test_one_record_per_mnemonic_over_a_torture_program():
+    """A core binds one record per distinct mnemonic it meets, however many
+    words carry it, and counts each one's retirements in that record."""
+    image = cosim.generate(cosim.TortureConfig(seed=3))
+    for width in (1, 32):
+        core = MicroCore(CoreConfig(serial_width=width, extensions=isa.ZKN_ZKT),
+                         ArchState.from_image(image))
+        tally, words = {}, set()
+        while True:
+            cycles, outcome, ins = core.step()
+            words.add(ins.raw)
+            entry = tally.setdefault(ins.mnemonic, [0, 0])
+            entry[0] += 1
+            entry[1] += cycles
+            if outcome.halted:
+                break
+        assert outcome.reason == golden.EBREAK
+        assert sorted(core._bound) == sorted(tally)
+        assert len(words) > 2 * len(tally)  # most mnemonics recur in other words
+        assert core.retired() == {m: tuple(e) for m, e in tally.items()}
+
+
+def test_same_mnemonic_reads_each_instructions_own_fields():
+    core = make_core(1, exts=isa.ZKN)
+    core.arch.regs[1], core.arch.regs[2] = 100, 0x80000001
+    core.run_instruction(instr(M.ADDI, rd=5, rs1=1, imm=7))
+    core.run_instruction(instr(M.ADDI, rd=6, rs1=2, imm=-3))
+    assert core.arch.regs[5] == 107 and core.arch.regs[6] == 0x7FFFFFFE
+    assert core.arch.pc == 0x1008
+    for shamt in (1, 31, 4):
+        core.arch.pc = 0x1000
+        cycles, _ = core.run_instruction(instr(M.SLLI, rd=7, rs1=2, imm=shamt))
+        assert core.arch.regs[7] == (0x80000001 << shamt) & 0xFFFFFFFF
+        assert cycles == shift_latency(core.config, M.SLLI, shamt)
+    assert len(core._bound) == 2
+    assert core.retired()[M.ADDI][0] == 2 and core.retired()[M.SLLI][0] == 3
 
 
 IMM_FORMS = sorted(isa.IMM_FORMS)

@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from serialrv import golden, system
+from serialrv import bench, golden, system
 from serialrv.image import EmptyImage, MalformedHex, load_image
 from serialrv.isa import Assembler, Mnemonic as M, instr
-from serialrv.microarch import CoreConfig
+from serialrv.microarch import CLASS_OF, CoreConfig
 
 
 def simple_image(*instrs, base=0x1000):
@@ -272,3 +272,69 @@ def test_budget_stop_leaves_last_retired_state(width):
         assert (state.pc, state.regs) == (ref.pc, ref.regs), budget
         assert state.mem.buf == ref.mem.buf, budget
         assert state.mem.console == ref.mem.console == stats.console, budget
+
+
+# --- the core's counts against the trace ----------------------------------------
+
+def _recount(trace_text):
+    """(instret, classes) recounted from a trace: one line per retired
+    step, its mnemonic mapped through CLASS_OF, its cycles column summed."""
+    lines = trace_text.splitlines()
+    classes = {}
+    for line in lines:
+        _, _, _, mnemonic, cycles = line.split(",")
+        entry = classes.setdefault(CLASS_OF[M(mnemonic)], [0, 0])
+        entry[0] += 1
+        entry[1] += int(cycles)
+    return len(lines), classes
+
+
+def _run_and_recount(image, config, **kwargs):
+    trace = io.StringIO()
+    stats = system.run(image, config, trace=trace, **kwargs)
+    assert (stats.instret, stats.classes) == _recount(trace.getvalue())
+    return stats
+
+
+@pytest.mark.parametrize("width", (1, 32))
+@pytest.mark.parametrize("variant", bench.VARIANTS)
+@pytest.mark.parametrize("name", sorted(bench.KERNELS))
+def test_counts_match_trace_for_every_kernel(name, variant, width):
+    kernel = bench.KERNELS[name]
+    exts = kernel.zkn_exts if variant == "zkn" else kernel.rv32i_exts
+    stats = _run_and_recount(kernel.build(variant).image,
+                             CoreConfig(serial_width=width, extensions=exts))
+    assert stats.halt == golden.EBREAK
+
+
+@pytest.mark.parametrize("width", (1, 32))
+def test_counts_match_trace_at_the_cycle_budget(width):
+    image = bench.KERNELS["sha256-compress"].build("zkn").image
+    config = CoreConfig(serial_width=width, extensions=bench.Kernel.zkn_exts)
+    full = system.run(image, config)
+    stats = _run_and_recount(image, config, max_cycles=full.cycles // 2)
+    assert stats.halt == golden.MAX_STEPS and 0 < stats.instret < full.instret
+
+
+@pytest.mark.parametrize("width", (1, 32))
+def test_counts_match_trace_on_mmio_exit(width):
+    a = Assembler(base=0x1000)
+    a.li(1, golden.EXIT_ADDR)
+    a.li(2, 3)
+    a.emit(M.SLLI, rd=2, rs1=2, imm=1)
+    a.emit(M.SW, rs1=1, rs2=2, imm=0)
+    a.emit(M.ADDI, rd=3, rs1=0, imm=1)  # must not execute
+    a.emit(M.EBREAK)
+    stats = _run_and_recount(a.build(), CoreConfig(serial_width=width))
+    assert stats.halt == golden.ECALL and stats.exit_code == 6
+    assert stats.classes["store"][0] == 1 and "fence_nop" not in stats.classes
+
+
+@pytest.mark.parametrize("last,reason", [
+    (instr(M.LW, rd=1, rs1=0, imm=0x201), golden.MISALIGNED_ACCESS),
+    (instr(M.AES32ESI, rd=1, rs1=1, rs2=1, bs=0), golden.ILLEGAL)])
+def test_counts_match_trace_on_a_trap(last, reason):
+    """A halting instruction that is not charged cycles is not counted."""
+    stats = _run_and_recount(simple_image(instr(M.ADDI, rd=1, rs1=0, imm=1), last),
+                             CoreConfig(serial_width=4))
+    assert stats.halt == reason and stats.instret == 1
