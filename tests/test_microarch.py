@@ -680,3 +680,46 @@ SWEEP_DIGESTS = {
 @pytest.mark.parametrize("width", WIDTHS)
 def test_run_instruction_sweep_is_pinned(width):
     assert _sweep_digest(width) == SWEEP_DIGESTS[width]
+
+
+# --- step state pin: torture programs x widths ----------------------------------
+
+def _step_digests():
+    """sha256 per width over every core.step() of 20 torture programs:
+    charged cycles, outcome, instruction word, pc, cycle counters, micro
+    state and the 32 registers after the step."""
+    images = [cosim.generate(cosim.TortureConfig(seed=s)) for s in range(20)]
+    digests = {}
+    for width in WIDTHS:
+        h = hashlib.sha256()
+        for image in images:
+            core = MicroCore(CoreConfig.zkn_zkt(width), ArchState.from_image(image))
+            while True:
+                cycles, out, ins = core.step()
+                h.update(repr((cycles, out.halted, out.reason,
+                               ins.raw if ins is not None else None,
+                               core.arch.pc, core.cycle, core.startup_cycles,
+                               core.serializer1, core.serializer2,
+                               core.lsu_buffer, core.store_addr,
+                               core.fetch_buffer, core.arch.regs)).encode())
+                if out.halted:
+                    break
+        digests[width] = h.hexdigest()
+    return digests
+
+
+# Taken before the step path was fused into one frame; any change to a
+# charged cycle, the fill, the fetch buffer or the micro state a step
+# leaves moves it.
+STEP_DIGESTS = {
+    1: "f5f73b8184079d93bed83f5977aa30c8fcc701bd86c7073a4057b94438fd43ec",
+    2: "5f5748b87b36613e255805ae93153188d5a3cbad1985e3e8ff60e8d20327ec82",
+    4: "3ea74c4b7ac078e0234d2c68f6e2eb9e3e162010bd7698b7e044d1c11795d882",
+    8: "26bbb0a50e59cca0f30cceb987b3f3522e0f07ca4e958e63081d2e2fc1a7c81e",
+    16: "547df08d8b0b8644cafec540679ce9824883240120afc68e99397e9c62ff510c",
+    32: "4eec0e038120bd9d2eb2ec02135b0276e8bdeeda457ef2f4c6df865f449f65a5",
+}
+
+
+def test_step_path_is_pinned():
+    assert _step_digests() == STEP_DIGESTS
