@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -723,3 +725,22 @@ STEP_DIGESTS = {
 
 def test_step_path_is_pinned():
     assert _step_digests() == STEP_DIGESTS
+
+
+def test_finished_core_is_freed_without_gc():
+    """Nothing a core keeps refers back to it, so a finished core (and its
+    64 KiB memory window) is freed when its last reference goes, not at
+    the next garbage-collector pass."""
+    image = cosim.generate(cosim.TortureConfig(seed=5))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        core = MicroCore(CoreConfig.zkn_zkt(4), ArchState.from_image(image))
+        while not core.step()[1].halted:
+            pass
+        ref = weakref.ref(core)
+        del core
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

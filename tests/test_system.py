@@ -6,7 +6,7 @@ import pytest
 from serialrv import bench, golden, system
 from serialrv.image import EmptyImage, MalformedHex, load_image
 from serialrv.isa import Assembler, Mnemonic as M, instr
-from serialrv.microarch import CLASS_OF, CoreConfig
+from serialrv.microarch import CLASS_OF, CoreConfig, MicroCore
 
 
 def simple_image(*instrs, base=0x1000):
@@ -273,6 +273,36 @@ def test_budget_stop_leaves_last_retired_state(width):
         assert state.mem.buf == ref.mem.buf, budget
         assert state.mem.console == ref.mem.console == stats.console, budget
 
+
+
+@pytest.mark.parametrize("latency", (1, 3))
+def test_first_step_edge_cases(latency):
+    """The fetch-buffer fill on a core's first step, on every way that
+    step can end: (cycles, startup_cycles, instret, halt)."""
+    config = CoreConfig(serial_width=4, mem_latency=latency)
+    L = latency
+
+    def outcome(stats):
+        return stats.cycles, stats.startup_cycles, stats.instret, stats.halt
+
+    illegal_word = load_image(bytes(4), base=0x1000)
+    assert outcome(system.run(illegal_word, config)) == (L, L, 0, golden.ILLEGAL)
+    aes = simple_image(instr(M.AES32ESI, rd=1, rs1=1, rs2=2, bs=0))
+    assert outcome(system.run(aes, config)) == (L, L, 0, golden.ILLEGAL)
+    ebreak = simple_image(instr(M.EBREAK))
+    assert outcome(system.run(ebreak, config, max_cycles=1)) == \
+        (0, 0, 0, golden.MAX_STEPS)
+
+    core = MicroCore(config, golden.ArchState(pc=0x1002))
+    assert core.step() == (0, golden.StepOutcome(True, golden.MISALIGNED_FETCH), None)
+    assert core.cycle == core.startup_cycles == L
+
+    # run_instruction fills nothing, so the step after it still pays the fill
+    core = MicroCore(config, golden.ArchState(pc=0x1000))
+    assert core.run_instruction(instr(M.ADDI, rd=1, imm=1)) == (8, golden.RETIRED)
+    _, out, ins = core.step()
+    assert out.reason == golden.ILLEGAL and ins is None
+    assert (core.cycle, core.startup_cycles) == (8 + L, L)
 
 # --- the core's counts against the trace ----------------------------------------
 
