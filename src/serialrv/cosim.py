@@ -138,9 +138,12 @@ def generate(config: TortureConfig) -> ProgramImage:
     """Emit a legal, self-terminating random program ending in a register
     dump to the scratch window followed by ebreak.
 
-    Raises ProgramTooLong if `config.length` leaves no room for the code
-    below the scratch window.
+    Raises ValueError if `config.length` is below 1, and ProgramTooLong
+    if it leaves no room for the code below the scratch window.
     """
+    if config.length < 1:
+        raise ValueError(f"a torture program needs length >= 1, "
+                         f"not {config.length}")
     rng = random.Random(config.seed)
     wbase, wsize = MEMORY_WINDOW
     pool = _build_pool(config.extensions)

@@ -92,6 +92,17 @@ def test_overlong_program_rejected():
         generate(TortureConfig(seed=0, length=2000))
 
 
+@pytest.mark.parametrize("length", (0, -5))
+def test_nonpositive_length_rejected(length):
+    tc = TortureConfig(seed=0, length=length)
+    for call in (lambda: generate(tc),
+                 lambda: cosim_run(tc, CoreConfig.zkn_zkt(4)),
+                 lambda: cosim.run_matrix(range(1), (4,), length=length)):
+        with pytest.raises(ValueError, match="length >= 1") as exc:
+            call()
+        assert not isinstance(exc.value, cosim.ProgramTooLong)
+
+
 # --- signature -------------------------------------------------------------------
 
 def test_signature_of_reset_state_pinned():
