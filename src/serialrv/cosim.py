@@ -239,18 +239,20 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     trace = _golden_trace(torture, exts, max_steps)
     micro = MicroCore(core, ArchState.from_image(trace.image))
     march = micro.arch
+    step = micro.step
+    regs = march.regs
 
     divergence: Optional[Tuple[int, str]] = None
     instret = 0
     pc = trace.image.entry
     for gold_pc, gold_regs, g_out in trace.steps:
-        _, m_out, _ = micro.step()
+        _, m_out, _ = step()
         if march.pc != gold_pc:
             divergence = (pc, "pc")
             break
-        if march.regs != gold_regs:
+        if regs != gold_regs:
             for i in range(32):
-                if march.regs[i] != gold_regs[i]:
+                if regs[i] != gold_regs[i]:
                     divergence = (pc, f"x{i}")
                     break
             break

@@ -1,9 +1,11 @@
 """Cycle-accurate model of the serialized core.
 
 Execution walks the operands through Serializer1/Serializer2 in
-serial_width-bit chunks, LSB first, with a carry latch between chunks.
-The fetch buffer overlaps instruction fetch with multi-cycle execution;
-taken control transfers flush it and pay a fixed penalty.
+serial_width-bit chunks, LSB first, with a carry latch between chunks:
+`_chunk_add` returns the sum and leaves its carry-out in `carry`, where
+`_less_than` reads it. The fetch buffer overlaps instruction fetch with
+multi-cycle execution; taken control transfers flush it and pay a fixed
+penalty.
 
 At width 32 the ALU is full-width (Serializer2 is absent from the data
 path) but the shift unit still serializes in 8-bit chunks plus single-bit
@@ -15,6 +17,14 @@ the same plans the shift unit carries out. The frontend rule (fetch
 overlap, taken-transfer penalty) is added on top of it when an
 instruction retires.
 
+One instruction is one call of `MicroCore.step`, and one frame carries it
+from fetch to commit: fetch (the first step also fills the fetch buffer),
+decode, bind, execute, the frontend charge, the cycle-budget check, the
+per-mnemonic count and the commit, which also prefetches the next
+sequential word straight from the dense memory window. `run_instruction`
+enters the same frame at the execute stage, so the retire code exists
+once.
+
 What a core binds once, so that a step need not look it up again (none
 of it changes a simulated cycle):
 
@@ -22,14 +32,19 @@ of it changes a simulated cycle):
   mask, the shift unit's step sequence for every move amount and the
   config's shift plans. Each chunk loop walks the positions tuple.
 - per mnemonic, the first time the core meets it: one record holding
-  whether its extension is enabled, its handler, whether operand 2 is
-  the immediate (else rs2), its cycles (per shift amount for a shift or
-  rotate) and its access size. A record holds no field of an instruction
-  word: rd, rs1, rs2 and the immediate are read from the decoded
-  instruction when it retires. The records live on the core, keyed by
-  mnemonic, so storing over code needs no invalidation and a handler
-  replaced before a core is built is the one that core uses. `step` and
-  `run_instruction` retire through one body.
+  what executes it, whether operand 2 is the immediate (else rs2), its
+  cycles (per shift amount for a shift or rotate) and its access size.
+  What executes it is either a value unit or a handler (see `_EXECUTE`),
+  or neither when its extension is not enabled. A value unit is a chunk
+  function of the class (add, sub, and, or, xor and their I-forms),
+  which the frame calls as `unit(core, rs1, operand 2)` for the rd value.
+  The record holds the function, never a method bound to the core, so a
+  finished core is freed as soon as nothing refers to it.
+- A record holds no field of an instruction word: rd, rs1, rs2 and the
+  immediate are read from the decoded instruction when it retires. The
+  records live on the core, keyed by mnemonic, so storing over code
+  needs no invalidation, and a handler or unit replaced before a core is
+  built is the one that core uses.
 
 Each record also carries the retired count and charged cycles of its
 mnemonic, added where the cycles are charged; `retired` reads them out.
@@ -44,7 +59,8 @@ from typing import Optional, Tuple
 
 from . import golden, isa
 from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
-                     ECALL, ILLEGAL, MAX_STEPS, MISALIGNED_FETCH, MISALIGNED_ACCESS)
+                     ECALL, ILLEGAL, MAX_STEPS, MISALIGNED_FETCH, MISALIGNED_ACCESS,
+                     _unpack_word)
 from .isa import Ext, Instr, Mnemonic as M
 
 VALID_WIDTHS = (1, 2, 4, 8, 16, 32)
@@ -319,6 +335,7 @@ class MicroCore:
         self.fetch_buffer: Optional[Tuple[int, int]] = None
         self.lsu_buffer = 0
         self.store_addr: Optional[int] = None  # a store waiting in the LSU buffer
+        self.carry = 0  # the carry latch between chunks, left by the last add
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         w = config.serial_width
@@ -330,12 +347,16 @@ class MicroCore:
         self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
+    # The value units: each takes (a, b) and returns a 32-bit result. The
+    # records of add, sub, and, or, xor and their I-forms hold one of them.
 
-    def _chunk_add(self, a: int, b: int, carry_in: int) -> Tuple[int, int]:
-        """LSB-first chunked addition; returns (sum32, carry_out)."""
+    def _chunk_add(self, a: int, b: int, carry_in: int = 0) -> int:
+        """LSB-first chunked addition; returns the 32-bit sum and leaves the
+        carry-out in the carry latch."""
         if self._full:
             s = a + b + carry_in
-            return s & MASK32, s >> 32
+            self.carry = s >> 32
+            return s & MASK32
         w = self._width
         mask = self._mask
         res = 0
@@ -344,9 +365,10 @@ class MicroCore:
             s = ((a >> pos) & mask) + ((b >> pos) & mask) + carry
             res |= (s & mask) << pos
             carry = s >> w
+        self.carry = carry
         self.serializer1 = 0
         self.serializer2 = res
-        return res, carry
+        return res
 
     # One loop per bitwise op, chunk by chunk, LSB first. andn, orn and xnor
     # feed ~b to the and, or and xor loops.
@@ -383,14 +405,14 @@ class MicroCore:
         self.serializer2 = res
         return res
 
-    def _chunk_sub(self, a: int, b: int) -> Tuple[int, int]:
+    def _chunk_sub(self, a: int, b: int) -> int:
         # a - b == a + ~b + 1 with the carry latch preloaded
         return self._chunk_add(a, (~b) & MASK32, 1)
 
     def _less_than(self, a: int, b: int, signed: bool) -> int:
-        diff, carry = self._chunk_sub(a, b)
+        diff = self._chunk_sub(a, b)
         if not signed:
-            return 0 if carry else 1  # carry-out set means no borrow
+            return 0 if self.carry else 1  # carry-out set means no borrow
         a_neg = a >> 31
         b_neg = b >> 31
         if a_neg != b_neg:
@@ -401,20 +423,29 @@ class MicroCore:
 
     def _serial_move(self, v: int, amount: int, left: bool, arith: bool,
                      rotate: bool) -> int:
-        """Move `v` by `amount` bits via chunk steps plus single-bit steps."""
-        for k in self._steps[amount]:
-            if left:
-                wrap = v >> (32 - k)
-                v = (v << k) & MASK32
-                if rotate:
-                    v |= wrap
+        """Move `v` by `amount` bits via chunk steps plus single-bit steps.
+
+        The loop is chosen once per move; each step of `_steps[amount]`
+        still moves the operand by its own k bits.
+        """
+        steps = self._steps[amount]
+        if left:
+            if rotate:
+                for k in steps:
+                    v = ((v << k) & MASK32) | (v >> (32 - k))
             else:
-                wrap = v & ((1 << k) - 1)
+                for k in steps:
+                    v = (v << k) & MASK32
+        elif rotate:
+            for k in steps:
+                v = (v >> k) | ((v & ((1 << k) - 1)) << (32 - k))
+        elif arith and v >> 31:
+            # each step fills the k vacated bits with the sign, which stays set
+            for k in steps:
+                v = (v >> k) | ((MASK32 << (32 - k)) & MASK32)
+        else:
+            for k in steps:
                 v >>= k
-                if rotate:
-                    v |= wrap << (32 - k)
-                elif arith and (v >> (31 - k)) & 1:
-                    v |= ((1 << k) - 1) << (32 - k)
         self.serializer1 = v
         return v
 
@@ -491,13 +522,21 @@ class MicroCore:
 
     def _bind(self, m: M) -> tuple:
         """Bind the record of mnemonic `m` under this core's config and keep
-        it: (legal, handler, operand 2 is the immediate, cycles, access
-        size, [retired, charged cycles])."""
+        it: (value unit, handler, operand 2 is the immediate, cycles, access
+        size, [retired, charged cycles]). An illegal mnemonic has neither a
+        unit nor a handler."""
         ext = isa.EXT_OF[m]
-        legal = ext is Ext.RV32I or ext in self.config.extensions
-        rec = self._bound[m] = (legal, _EXECUTE[m] if legal else None,
-                                m in isa.IMM_FORMS, self.latency[m],
-                                isa.ACCESS_BYTES.get(m), [0, 0])
+        execute = _EXECUTE[m]
+        unit = handler = None
+        if ext is Ext.RV32I or ext in self.config.extensions:
+            if type(execute) is str:
+                # the class's function, never a bound method: a record that
+                # held the core would keep every finished core for the gc
+                unit = getattr(type(self), execute)
+            else:
+                handler = execute
+        rec = self._bound[m] = (unit, handler, m in isa.IMM_FORMS,
+                                self.latency[m], isa.ACCESS_BYTES.get(m), [0, 0])
         return rec
 
     def retired(self) -> dict:
@@ -507,107 +546,118 @@ class MicroCore:
 
     def run_instruction(self, ins: Instr,
                         max_cycles: Optional[int] = None) -> Tuple[int, StepOutcome]:
-        """Execute one instruction at the current pc; returns charged cycles.
+        """Execute `ins` at the current pc; returns (charged cycles, outcome).
 
-        Charged cycles include frontend effects: overlap of the next fetch
-        with execution (a stall if execution is shorter than mem_latency)
-        and the flush penalty of taken control transfers. If the charge
-        would take `cycle` past `max_cycles`, nothing is written or charged
-        and the outcome is a max-steps halt.
+        This is `step` entered at its execute stage: no fetch, no decode and
+        no fill of the fetch buffer, so the first `step` after it still pays
+        the fill.
         """
+        return self.step(max_cycles, ins=ins)[:2]
+
+    def step(self, max_cycles: Optional[int] = None, *, ins: Optional[Instr] = None
+             ) -> Tuple[int, StepOutcome, Optional[Instr]]:
+        """Fetch, decode and execute one instruction, in one frame.
+
+        Returns (charged cycles, outcome, instruction or None when the
+        fetch/decode itself trapped). The first step also fills the fetch
+        buffer, which costs `startup_cycles` more. Charged cycles include
+        the frontend effects: overlap of the next fetch with execution (a
+        stall if execution is shorter than mem_latency) and the flush
+        penalty of taken control transfers. If a step's cycles would take
+        `cycle` past `max_cycles`, it writes nothing and halts with
+        max-steps. `run_instruction` passes `ins` to skip the fetch.
+        """
+        arch = self.arch
+        fill = 0
+        if ins is None:
+            if not self.startup_cycles:
+                fill = self._mem_latency
+            if max_cycles is not None and self.cycle + fill > max_cycles:
+                return 0, _OVER_BUDGET, None
+            if fill:  # taken back below if the instruction overruns the budget
+                self.startup_cycles = fill
+                self.cycle += fill
+            pc = arch.pc
+            if pc & 3:
+                return 0, _MISALIGNED_FETCH, None
+            buf = self.fetch_buffer
+            word = buf[1] if buf is not None and buf[0] == pc else arch.mem.load(pc, 4)
+            try:
+                ins = isa.decode_cached(word)
+            except isa.IllegalInstruction:
+                return 0, _ILLEGAL, None
+
+        # bind, then execute on the record
         rec = self._bound.get(ins.mnemonic)
         if rec is None:
             rec = self._bind(ins.mnemonic)
-        return self._retire(ins, rec, max_cycles)
-
-    def _retire(self, ins: Instr, rec: tuple,
-                max_cycles: Optional[int]) -> Tuple[int, StepOutcome]:
-        """The body of run_instruction, on the bound record of ins's mnemonic."""
-        legal, handler, imm_op2, cycles, size, counts = rec
-        if not legal:
-            return 0, _ILLEGAL
-        arch = self.arch
+        unit, handler, imm_op2, cycles, size, counts = rec
         regs = arch.regs
         op2 = ins.imm & MASK32 if imm_op2 else regs[ins.rs2]
-        if type(cycles) is tuple:  # a shift or rotate, costed by its amount
-            cycles = cycles[op2 & 31]
-        try:
-            val, target = handler(self, ins, regs[ins.rs1], op2)
-        except _Halt as halt:
-            # ebreak and ecall retire, with no next fetch to overlap
-            charged = cycles if halt.retires else 0
-            outcome = halt.outcome
+        outcome = RETIRED
+        if unit is not None:
+            val = unit(self, regs[ins.rs1], op2)
+            target = None
+        elif handler is None:
+            return 0, _ILLEGAL, ins
         else:
-            # frontend: overlap the sequential prefetch, or flush on a transfer
+            if type(cycles) is tuple:  # a shift or rotate, costed by its amount
+                cycles = cycles[op2 & 31]
+            try:
+                val, target = handler(self, ins, regs[ins.rs1], op2)
+            except _Halt as halt:
+                # ebreak and ecall retire, with no next fetch to overlap
+                charged = cycles if halt.retires else 0
+                outcome = halt.outcome
+
+        # frontend: overlap the sequential prefetch, or flush on a transfer
+        if outcome is RETIRED:
             if target is None:
                 charged = self._mem_latency
                 if cycles > charged:
                     charged = cycles
             else:
                 charged = cycles + self._transfer_penalty
-            outcome = RETIRED
         if max_cycles is not None and self.cycle + charged > max_cycles:
             self.store_addr = None
-            return 0, _OVER_BUDGET
+            if fill:
+                self.cycle -= fill
+                self.startup_cycles = 0
+            return 0, _OVER_BUDGET, ins
         self.cycle += charged
         if charged:  # cycles are charged to a retired instruction only
             counts[0] += 1
             counts[1] += charged
         if outcome is not RETIRED:
-            return charged, outcome
+            return charged, outcome, ins
 
+        # commit
         if self.store_addr is not None:
             arch.mem.store(self.store_addr, size, self.lsu_buffer)
             self.store_addr = None
         if val is not None and ins.rd:
             regs[ins.rd] = val & MASK32
         if target is None:
-            next_pc = (arch.pc + 4) & MASK32
-        else:
-            next_pc = target & MASK32
-            self.fetch_buffer = None
-        arch.pc = next_pc
-        if next_pc & 3:
-            return charged, _MISALIGNED_FETCH
-        if target is None:
-            self.fetch_buffer = (next_pc, arch.mem.load(next_pc, 4))
-        return charged, RETIRED
-
-    def step(self, max_cycles: Optional[int] = None
-             ) -> Tuple[int, StepOutcome, Optional[Instr]]:
-        """Fetch, decode and execute one instruction.
-
-        Returns (charged cycles, outcome, instruction or None when the
-        fetch/decode itself trapped). The first step also fills the fetch
-        buffer, which costs `startup_cycles` more. If a step's cycles would
-        take `cycle` past `max_cycles`, it writes nothing and halts with
-        max-steps.
-        """
-        fill = 0 if self.startup_cycles else self._mem_latency
-        if max_cycles is not None:
-            max_cycles -= fill
-            if self.cycle > max_cycles:
-                return 0, _OVER_BUDGET, None
-        ins = None
-        pc = self.arch.pc
-        if pc & 3:
-            cycles, outcome = 0, _MISALIGNED_FETCH
-        else:
-            buf = self.fetch_buffer
-            word = buf[1] if buf is not None and buf[0] == pc else self.arch.mem.load(pc, 4)
-            try:
-                ins = isa.decode_cached(word)
-            except isa.IllegalInstruction:
-                cycles, outcome = 0, _ILLEGAL
+            pc = (arch.pc + 4) & MASK32
+            arch.pc = pc
+            if pc & 3:
+                return charged, _MISALIGNED_FETCH, ins
+            # the sequential prefetch: a dense-window word straight from the
+            # buffer, anything else through the memory port
+            mem = arch.mem
+            window = mem.buf
+            off = pc - mem.base
+            if 0 <= off <= len(window) - 4:
+                self.fetch_buffer = (pc, _unpack_word(window, off)[0])
             else:
-                rec = self._bound.get(ins.mnemonic)
-                if rec is None:
-                    rec = self._bind(ins.mnemonic)
-                cycles, outcome = self._retire(ins, rec, max_cycles)
-        if fill and outcome is not _OVER_BUDGET:
-            self.startup_cycles = fill
-            self.cycle += fill
-        return cycles, outcome, ins
+                self.fetch_buffer = (pc, mem.load(pc, 4))
+        else:
+            pc = target & MASK32
+            arch.pc = pc
+            self.fetch_buffer = None
+            if pc & 3:
+                return charged, _MISALIGNED_FETCH, ins
+        return charged, RETIRED, ins
 
 
 _OVER_BUDGET = StepOutcome(True, MAX_STEPS)
@@ -663,17 +713,18 @@ def _store(core, i, a, b):
     return None, None
 
 
-# What each mnemonic does on the chunked data path. A handler takes (core,
-# instruction, rs1 value, operand 2) and returns (value for rd or None, jump
-# target or None for the next instruction); it writes no architectural
-# state. Operand 2 is the immediate for the isa.IMM_FORMS, so each I-form
-# shares the handler of its R-form.
+# What each mnemonic does on the chunked data path: the name of a MicroCore
+# value unit, or a handler. A handler takes (core, instruction, rs1 value,
+# operand 2) and returns (value for rd or None, jump target or None for the
+# next instruction); it writes no architectural state. Operand 2 is the
+# immediate for the isa.IMM_FORMS, so each I-form shares the entry of its
+# R-form.
 _EXECUTE = {
-    M.ADD: lambda core, i, a, b: (core._chunk_add(a, b, 0)[0], None),
-    M.SUB: lambda core, i, a, b: (core._chunk_sub(a, b)[0], None),
-    M.AND: lambda core, i, a, b: (core._chunk_and(a, b), None),
-    M.OR: lambda core, i, a, b: (core._chunk_or(a, b), None),
-    M.XOR: lambda core, i, a, b: (core._chunk_xor(a, b), None),
+    M.ADD: "_chunk_add",
+    M.SUB: "_chunk_sub",
+    M.AND: "_chunk_and",
+    M.OR: "_chunk_or",
+    M.XOR: "_chunk_xor",
     M.ANDN: lambda core, i, a, b: (core._chunk_and(a, ~b & MASK32), None),
     M.ORN: lambda core, i, a, b: (core._chunk_or(a, ~b & MASK32), None),
     M.XNOR: lambda core, i, a, b: (core._chunk_xor(a, ~b & MASK32), None),
@@ -681,7 +732,7 @@ _EXECUTE = {
     M.SLTU: lambda core, i, a, b: (core._less_than(a, b, False), None),
     M.LUI: lambda core, i, a, b: ((i.imm << 12) & MASK32, None),
     M.AUIPC: lambda core, i, a, b: (
-        core._chunk_add(core.arch.pc, (i.imm << 12) & MASK32, 0)[0], None),
+        core._chunk_add(core.arch.pc, (i.imm << 12) & MASK32), None),
     M.PACK: lambda core, i, a, b: (((b & 0xFFFF) << 16) | (a & 0xFFFF), None),
     M.PACKH: lambda core, i, a, b: (((b & 0xFF) << 8) | (a & 0xFF), None),
     M.BEQ: _branch(lambda core, a, b: core._chunk_xor(a, b) == 0),
@@ -691,9 +742,9 @@ _EXECUTE = {
     M.BLTU: _branch(lambda core, a, b: core._less_than(a, b, False) == 1),
     M.BGEU: _branch(lambda core, a, b: core._less_than(a, b, False) == 0),
     M.JAL: lambda core, i, a, b: (
-        core.arch.pc + 4, core._chunk_add(core.arch.pc, i.imm & MASK32, 0)[0]),
+        core.arch.pc + 4, core._chunk_add(core.arch.pc, i.imm & MASK32)),
     M.JALR: lambda core, i, a, b: (
-        core.arch.pc + 4, core._chunk_add(a, i.imm & MASK32, 0)[0] & ~1),
+        core.arch.pc + 4, core._chunk_add(a, i.imm & MASK32) & ~1),
     M.LB: _load(True),
     M.LH: _load(True),
     M.LW: _load(False),

@@ -70,9 +70,10 @@ def run(image: ProgramImage, config: CoreConfig,
     stats = ExecStats(code_size=image.code_size, width=config.serial_width,
                       extensions=tuple(e.value for e in config.extensions))
 
+    step = core.step
     while True:
         pc_before = state.pc
-        cycles, outcome, ins = core.step(max_cycles)
+        cycles, outcome, ins = step(max_cycles)
         if trace is not None and cycles:  # cycles go to a retired instruction only
             trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
                         f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
