@@ -274,7 +274,6 @@ def test_budget_stop_leaves_last_retired_state(width):
         assert state.mem.console == ref.mem.console == stats.console, budget
 
 
-
 @pytest.mark.parametrize("latency", (1, 3))
 def test_first_step_edge_cases(latency):
     """The fetch-buffer fill on a core's first step, on every way that
@@ -303,6 +302,7 @@ def test_first_step_edge_cases(latency):
     _, out, ins = core.step()
     assert out.reason == golden.ILLEGAL and ins is None
     assert (core.cycle, core.startup_cycles) == (8 + L, L)
+
 
 # --- the core's counts against the trace ----------------------------------------
 
