@@ -3,8 +3,8 @@
 from .golden import ArchState, Memory, StepOutcome, step
 from .image import ProgramImage, load_image
 from .isa import (Assembler, Ext, FieldRange, IllegalInstruction, Instr,
-                  Mnemonic, UnresolvedLabel, assemble, decode, disassemble,
-                  encode, instr)
+                  Mnemonic, UnresolvedLabel, decode, disassemble, encode,
+                  instr)
 from .microarch import CoreConfig, MicroCore, shift_latency
 from .system import ExecStats, run
 
@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchState", "Assembler", "CoreConfig", "ExecStats", "Ext", "FieldRange",
     "IllegalInstruction", "Instr", "Memory", "MicroCore", "Mnemonic",
-    "ProgramImage", "StepOutcome", "UnresolvedLabel", "assemble", "decode",
+    "ProgramImage", "StepOutcome", "UnresolvedLabel", "decode",
     "disassemble", "encode", "instr", "load_image", "run", "shift_latency",
     "step",
 ]

@@ -144,8 +144,14 @@ def generate(config: TortureConfig) -> ProgramImage:
     if config.length < 1:
         raise ValueError(f"a torture program needs length >= 1, "
                          f"not {config.length}")
-    rng = random.Random(config.seed)
     wbase, wsize = MEMORY_WINDOW
+    # every slot emits at least one word, so this bound needs no program
+    room = (wbase - system.DEFAULT_BASE) // 4
+    if config.length > room:
+        raise ProgramTooLong(
+            f"a torture program of length {config.length} needs more than "
+            f"the {room} words below the scratch window at 0x{wbase:x}")
+    rng = random.Random(config.seed)
     pool = _build_pool(config.extensions)
     a = Assembler(base=system.DEFAULT_BASE)
 

@@ -28,7 +28,11 @@ class ProgramImage(NamedTuple):
     base: int
     data: bytes
     entry: int
-    code_size: int
+
+    @property
+    def code_size(self) -> int:
+        """Bytes of code and data together."""
+        return len(self.data)
 
     def validate(self) -> "ProgramImage":
         if not 0 <= self.base <= self.base + len(self.data) <= 1 << 32:
@@ -76,5 +80,4 @@ def load_image(source: Union[str, os.PathLike, bytes], fmt: str = "flat-bin",
     if not data:
         raise EmptyImage("image has no bytes")
     return ProgramImage(base=base, data=data,
-                        entry=base if entry is None else entry,
-                        code_size=len(data)).validate()
+                        entry=base if entry is None else entry).validate()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import struct
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .image import DEFAULT_BASE, ProgramImage
 
@@ -540,16 +540,6 @@ def disassemble(i: Instr) -> str:
     return m.value  # fence/ecall/ebreak
 
 
-class Label(NamedTuple):
-    name: str
-
-
-class Word(NamedTuple):
-    """A raw 32-bit data word placed in the instruction stream."""
-
-    value: int
-
-
 class _Fixup(NamedTuple):
     index: int
     mnemonic: Mnemonic
@@ -658,28 +648,5 @@ class Assembler:
                 Instr(fx.mnemonic, fx.rd, fx.rs1, fx.rs2, imm))
         blob = struct.pack(f"<{len(self._words)}I", *self._words)
         return ProgramImage(base=self.base, data=blob,
-                            entry=self.base if entry is None else entry,
-                            code_size=len(blob))
+                            entry=self.base if entry is None else entry)
 
-
-def assemble(records: Iterable, base: int = DEFAULT_BASE,
-             entry: Optional[int] = None) -> ProgramImage:
-    """Assemble a sequence of records into a ProgramImage.
-
-    Records may be Instr values, Label/Word markers, or
-    (mnemonic, kwargs-dict) tuples; the tuple form supports a
-    `target` kwarg, resolved as in Assembler.
-    """
-    a = Assembler(base=base)
-    for rec in records:
-        if isinstance(rec, Label):
-            a.label(rec.name)
-        elif isinstance(rec, Word):
-            a.word(rec.value)
-        elif isinstance(rec, Instr):
-            a.put(rec)
-        elif isinstance(rec, tuple) and len(rec) == 2:
-            a.emit(rec[0], **rec[1])
-        else:
-            raise TypeError(f"unsupported assembler record: {rec!r}")
-    return a.build(entry=entry)

@@ -12,10 +12,11 @@ path) but the shift unit still serializes in 8-bit chunks plus single-bit
 steps, and clmul keeps using Serializer1 for accumulation.
 
 `latency_table` is the cycle model: the execution cycles of every
-mnemonic under one CoreConfig. It costs each shift from `shift_plans`,
-the same plans the shift unit carries out. The frontend rule (fetch
-overlap, taken-transfer penalty) is added on top of it when an
-instruction retires.
+mnemonic under one CoreConfig. It is built in one pass with the config's
+shift plans (see `shift_plan`), and each shift is costed from the same
+plan the shift unit carries out. The frontend rule (fetch overlap,
+taken-transfer penalty) is added on top of it when an instruction
+retires.
 
 One instruction is one call of `MicroCore.step`, and one frame carries it
 from fetch to commit: fetch (the first step also fills the fetch buffer),
@@ -28,9 +29,13 @@ once.
 What a core binds once, so that a step need not look it up again (none
 of it changes a simulated cycle):
 
-- per width, in `__init__`: the bit position of each chunk, the chunk
-  mask, the shift unit's step sequence for every move amount and the
-  config's shift plans. Each chunk loop walks the positions tuple.
+- per config, in `__init__`: one binding shared by every core under an
+  equal config and by `latency_table`. It holds the latency table, the
+  shift plans, the shift unit's step sequence for every move amount and
+  the bit position of each chunk. Each chunk loop walks the positions
+  tuple. A shift or rotate looks up its plan by amount, and
+  `_serial_move` walks the loop the plan names one chunk or single-bit
+  step at a time.
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
   cycles (per shift amount for a shift or rotate) and its access size.
@@ -110,8 +115,13 @@ for _m in (M.FENCE, M.ECALL, M.EBREAK):
 
 SHIFT_MNEMONICS = frozenset(m for m, c in CLASS_OF.items()
                             if c in (SHIFT, ROTATE))
-IMM_SHIFTS = SHIFT_MNEMONICS & isa.IMM_FORMS
-_LEFT_SHIFTS = frozenset({M.SLL, M.SLLI, M.ROL})
+# the loop of the shift unit that each shift/rotate walks on its direct
+# path, named after its R-form: sll, rol, srl, ror or sra
+_LOOP_OF = {m: isa.R_FORM_OF.get(m, m).value for m in SHIFT_MNEMONICS}
+
+# the least value of each integer timing knob of CoreConfig
+_KNOB_MIN = {"mem_latency": 1, "taken_branch_penalty": 0, "aes_latency": 1,
+             "clmul_latency": 1, "reorder_latency": 1, "sha_select_latency": 0}
 
 
 @dataclass(frozen=True)
@@ -129,17 +139,20 @@ class CoreConfig:
     sha_select_latency: int = 1
 
     def __post_init__(self):
-        if self.serial_width not in VALID_WIDTHS:
-            raise ValueError(f"serial_width must be one of {VALID_WIDTHS}")
-        if self.mem_latency < 1:
-            raise ValueError("mem_latency must be >= 1")
-        for knob in ("aes_latency", "clmul_latency", "reorder_latency"):
-            if getattr(self, knob) < 1:
-                raise ValueError(f"{knob} must be >= 1")
-        for knob in ("taken_branch_penalty", "sha_select_latency"):
-            if getattr(self, knob) < 0:
-                raise ValueError(f"{knob} must be >= 0")
+        if type(self.serial_width) is not int or self.serial_width not in VALID_WIDTHS:
+            raise ValueError(f"serial_width must be one of {VALID_WIDTHS}, "
+                             f"not {self.serial_width!r}")
+        for knob, least in _KNOB_MIN.items():
+            value = getattr(self, knob)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{knob} must be an int >= {least}, not {value!r}")
+        if type(self.left_shift_support) is not bool:
+            raise ValueError("left_shift_support must be a bool, "
+                             f"not {self.left_shift_support!r}")
         object.__setattr__(self, "extensions", frozenset(self.extensions))
+        for ext in self.extensions:
+            if not isinstance(ext, Ext):
+                raise ValueError(f"extensions must hold Ext members, not {ext!r}")
 
     @classmethod
     def zkn_zkt(cls, serial_width: int = 32, **knobs) -> "CoreConfig":
@@ -189,53 +202,40 @@ def _move_steps(chunk_w: int) -> tuple:
                  for n in range(33))
 
 
-def _movement(amount: int, chunk_w: int) -> int:
-    return len(_move_steps(chunk_w)[amount])
+def shift_plan(config: CoreConfig, m: M, shamt: int) -> Tuple[str, int, int]:
+    """How the shift unit carries out one shift/rotate: (loop, amount, mask).
 
-
-def shift_plan(config: CoreConfig, m: M, shamt: int) -> Tuple[bool, int, bool]:
-    """How the shift unit carries out one shift/rotate: (left, amount, mask).
-
-    The operand moves `amount` bits (left or right) in chunk steps plus
-    single-bit steps. Without a usable left path, a left shift becomes a
-    right rotate by 32 - shamt; the logical form then needs a mask pass to
-    clear the bits that wrapped around. With left support the control
-    still picks the emulated form for a logical shift when it is cheaper.
+    The operand walks `loop` (sll or rol move it left; srl, ror or sra
+    move it right) by `amount` bits, in chunk steps plus single-bit steps.
+    Without a usable left path, a left shift becomes a right rotate by
+    32 - shamt; the logical form then needs a mask pass, which ANDs the
+    result with `mask` to clear the bits that wrapped around. `mask` is 0
+    when there is no mask pass. With left support the control still
+    picks the emulated form for a logical shift when it is cheaper.
     """
-    if m not in _LEFT_SHIFTS:
-        return _plan(False, shamt, False)
-    logical = m is not M.ROL
+    loop = _LOOP_OF[m]
+    if loop != "sll" and loop != "rol":
+        return _plan(loop, shamt, 0)
     if config.left_shift_support:
-        direct = _movement(shamt, config.shift_chunk_width)
-        emulated = _movement(32 - shamt, config.shift_chunk_width) + config.chunks
-        if not logical or direct <= emulated:
-            return _plan(True, shamt, False)
-    return _plan(False, 32 - shamt, logical)
+        steps = _move_steps(config.shift_chunk_width)
+        emulated = len(steps[32 - shamt]) + config.chunks
+        if loop == "rol" or len(steps[shamt]) <= emulated:
+            return _plan(loop, shamt, 0)
+    return _plan("ror", 32 - shamt, (MASK32 << shamt) & MASK32 if loop == "sll" else 0)
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(left: bool, amount: int, mask: bool) -> Tuple[bool, int, bool]:
-    # one tuple per distinct plan, shared by every config's plan table
-    return left, amount, mask
+def _plan(loop: str, amount: int, mask: int) -> Tuple[str, int, int]:
+    # one tuple per distinct plan, shared by every config's plans
+    return loop, amount, mask
 
 
 @functools.lru_cache(maxsize=256)
-def shift_plans(config: CoreConfig) -> MappingProxyType:
-    """Every shift/rotate mnemonic's `shift_plan` for each amount 0..31."""
-    return MappingProxyType({m: tuple(shift_plan(config, m, s) for s in range(32))
-                             for m in SHIFT_MNEMONICS})
-
-
-@functools.lru_cache(maxsize=256)
-def latency_table(config: CoreConfig) -> MappingProxyType:
-    """Execution cycles of every mnemonic in CLASS_OF under `config`.
-
-    Shifts and rotates map to a 32-entry tuple indexed by shift amount; the
-    cost of a plan is its movement steps, the mask pass and one writeback
-    cycle. Under Zkt each such tuple is its own maximum repeated, so the
-    latency no longer depends on the shift amount. The table is shared by
-    every caller with an equal config, so it is read-only.
-    """
+def _binding(config: CoreConfig) -> tuple:
+    """What every core under `config` binds, built once: (latency table,
+    {shift/rotate mnemonic: its 32 plans by amount}, move steps, chunk
+    bit positions)."""
+    steps = _move_steps(config.shift_chunk_width)
     chunks = config.chunks
     mem_op = chunks + config.mem_latency + 1  # address add, access, commit
     per_class = {
@@ -245,25 +245,30 @@ def latency_table(config: CoreConfig) -> MappingProxyType:
         SHA: config.sha_select_latency + chunks,
         REORDER: config.reorder_latency, FENCE_NOP: 1,
     }
-    plans = shift_plans(config)
-    table = {}
+    table, plans = {}, {}
     for m, klass in CLASS_OF.items():
         if m not in SHIFT_MNEMONICS:
             table[m] = per_class[klass]
             continue
-        costs = [_movement(amount, config.shift_chunk_width)
-                 + (chunks if mask else 0) + 1 for _, amount, mask in plans[m]]
+        plans[m] = tuple(shift_plan(config, m, s) for s in range(32))
+        costs = [len(steps[amount]) + (chunks if mask else 0) + 1
+                 for _, amount, mask in plans[m]]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
-    return MappingProxyType(table)
-
-
-@functools.lru_cache(maxsize=256)
-def _core_bindings(config: CoreConfig) -> tuple:
-    """What each core under `config` binds in __init__: (latency table,
-    shift plans, move steps, chunk bit positions)."""
-    return (latency_table(config), shift_plans(config),
-            _move_steps(config.shift_chunk_width),
+    return (MappingProxyType(table), plans, steps,
             tuple(range(0, 32, config.serial_width)))
+
+
+def latency_table(config: CoreConfig) -> MappingProxyType:
+    """Execution cycles of every mnemonic in CLASS_OF under `config`.
+
+    Shifts and rotates map to a 32-entry tuple indexed by shift amount; the
+    cost of a plan is its movement steps, the mask pass and one writeback
+    cycle. Under Zkt each such tuple is its own maximum repeated, so the
+    latency no longer depends on the shift amount. The table is built once
+    per config, with the shift plans, and shared by every caller and every
+    core with an equal config, so it is read-only.
+    """
+    return _binding(config)[0]
 
 
 def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
@@ -328,7 +333,7 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        self.latency, self._plans, self._steps, self._positions = _core_bindings(config)
+        self.latency, self._plans, self._steps, self._positions = _binding(config)
         self.arch = state
         self.serializer1 = 0
         self.serializer2 = 0
@@ -421,25 +426,24 @@ class MicroCore:
 
     # -- serializer shift/rotate path ----------------------------------------
 
-    def _serial_move(self, v: int, amount: int, left: bool, arith: bool,
-                     rotate: bool) -> int:
-        """Move `v` by `amount` bits via chunk steps plus single-bit steps.
-
-        The loop is chosen once per move; each step of `_steps[amount]`
-        still moves the operand by its own k bits.
-        """
+    def _serial_move(self, v: int, amount: int, loop: str) -> int:
+        """Move `v` by `amount` bits along `loop` (sll, rol, srl, ror or
+        sra), one step of `_steps[amount]` at a time: chunk steps, then
+        single-bit steps."""
         steps = self._steps[amount]
-        if left:
-            if rotate:
-                for k in steps:
-                    v = ((v << k) & MASK32) | (v >> (32 - k))
-            else:
-                for k in steps:
-                    v = (v << k) & MASK32
-        elif rotate:
+        if loop == "srl":
+            for k in steps:
+                v >>= k
+        elif loop == "sll":
+            for k in steps:
+                v = (v << k) & MASK32
+        elif loop == "ror":
             for k in steps:
                 v = (v >> k) | ((v & ((1 << k) - 1)) << (32 - k))
-        elif arith and v >> 31:
+        elif loop == "rol":
+            for k in steps:
+                v = ((v << k) & MASK32) | (v >> (32 - k))
+        elif v >> 31:  # sra of a negative operand
             # each step fills the k vacated bits with the sign, which stays set
             for k in steps:
                 v = (v >> k) | ((MASK32 << (32 - k)) & MASK32)
@@ -448,16 +452,6 @@ class MicroCore:
                 v >>= k
         self.serializer1 = v
         return v
-
-    def _shift_exec(self, m: M, value: int, shamt: int) -> int:
-        """Result of any shift/rotate mnemonic, carried out by its plan."""
-        left, amount, mask = self._plans[m][shamt]
-        rotate = mask or CLASS_OF[m] == ROTATE
-        arith = m is M.SRA or m is M.SRAI
-        res = self._serial_move(value, amount, left, arith, rotate)
-        if mask:
-            res &= (MASK32 << shamt) & MASK32
-        return res
 
     # -- crypto function units ----------------------------------------------
 
@@ -480,7 +474,7 @@ class MicroCore:
                     | ((s8 ^ s4 ^ s) << 16) | ((s8 ^ s2 ^ s) << 24))
         else:
             word = s
-        rotated = self._serial_move(word, (8 * bs) & 31, True, False, True)
+        rotated = self._serial_move(word, (8 * bs) & 31, "rol")
         return (rs1 ^ rotated) & MASK32
 
     def _sha_unit(self, m: M, rs1: int, rs2: int) -> int:
@@ -706,6 +700,13 @@ def _load(signed: bool):
     return handler
 
 
+def _shift(core, i, a, b):
+    # the shift unit carries out the plan of this mnemonic and amount
+    loop, amount, mask = core._plans[i.mnemonic][b & 31]
+    v = core._serial_move(a, amount, loop)
+    return (v & mask if mask else v), None
+
+
 def _store(core, i, a, b):
     # the value waits in the LSU buffer until the instruction commits
     core.store_addr = _lsu_address(i, a)
@@ -759,7 +760,8 @@ _EXECUTE = {
 }
 # each function unit serves its whole latency class
 _BY_CLASS = {
-    SHIFT: lambda core, i, a, b: (core._shift_exec(i.mnemonic, a, b & 31), None),
+    SHIFT: _shift,
+    ROTATE: _shift,
     AES: lambda core, i, a, b: (core._aes_unit(i.mnemonic, a, b, i.bs), None),
     SHA: lambda core, i, a, b: (core._sha_unit(i.mnemonic, a, b), None),
     CLMUL: lambda core, i, a, b: (core._clmul_unit(i.mnemonic, a, b), None),
@@ -767,7 +769,6 @@ _BY_CLASS = {
     REORDER: lambda core, i, a, b: (
         _apply_wiring(_REORDER_WIRING[i.mnemonic], a), None),
 }
-_BY_CLASS[ROTATE] = _BY_CLASS[SHIFT]
 _EXECUTE.update((m, _BY_CLASS[c]) for m, c in CLASS_OF.items() if c in _BY_CLASS)
 for _m, _r in isa.R_FORM_OF.items():
     _EXECUTE[_m] = _EXECUTE[_r]

@@ -12,7 +12,7 @@ from serialrv.bench import (ChecksumMismatch, KERNELS,
                             run_kernel, run_suite, sha256_digest_from_out,
                             sha256_pad)
 from serialrv.isa import Ext, Mnemonic as M
-from serialrv.microarch import IMM_SHIFTS, CoreConfig
+from serialrv.microarch import SHIFT_MNEMONICS, CoreConfig
 
 ZKN_CFG = CoreConfig.zkn_zkt(32)
 BASE_CFG = CoreConfig(serial_width=32)
@@ -316,7 +316,7 @@ def test_zkt_never_faster():
     zkt_on = CoreConfig.zkn_zkt(4)
     zkt_off = CoreConfig(serial_width=4, extensions=isa.ZKN)
     for m in sorted(isa.ZKT_COVERED, key=lambda x: x.value):
-        if m in IMM_SHIFTS:
+        if m in SHIFT_MNEMONICS & isa.IMM_FORMS:
             for s in (0, 1, 17, 31):
                 i = isa.instr(m, rd=4, rs1=1, imm=s)
                 assert bench._measure_once(zkt_on, i, 0xDEAD, 0) >= \

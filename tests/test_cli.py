@@ -139,6 +139,16 @@ def test_cosim_length_too_long_usage_error(capsys):
     assert err.count("\n") == 1 and "--length" in err
 
 
+def test_cosim_huge_length_rejected_before_generating(monkeypatch, capsys):
+    def no_slot(*args):
+        raise AssertionError("generate emitted a slot")
+    monkeypatch.setattr(cosim, "_random_non_branch", no_slot)
+    assert cli.main(["cosim", "--length", "100000000", "--programs", "1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "--length" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("length", ["0", "-5"])
 def test_cosim_length_not_positive_usage_error(length, capsys):
     assert cli.main(["cosim", "--length", length, "--programs", "1"]) == cli.EXIT_USAGE

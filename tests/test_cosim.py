@@ -92,6 +92,20 @@ def test_overlong_program_rejected():
         generate(TortureConfig(seed=0, length=2000))
 
 
+def _no_slot(*args):
+    raise AssertionError("generate emitted a slot")
+
+
+def test_overlong_program_rejected_before_generating(monkeypatch):
+    """A length past the words between the code base and the window can
+    never fit, so it is rejected before any slot is generated."""
+    monkeypatch.setattr(cosim, "_random_non_branch", _no_slot)
+    room = (MEMORY_WINDOW[0] - 0x1000) // 4
+    for length in (room + 1, 10**8):
+        with pytest.raises(cosim.ProgramTooLong, match="scratch window at 0x2000"):
+            generate(TortureConfig(seed=0, length=length))
+
+
 @pytest.mark.parametrize("length", (0, -5))
 def test_nonpositive_length_rejected(length):
     tc = TortureConfig(seed=0, length=length)

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from serialrv import isa
 from serialrv.image import ProgramImage
 from serialrv.isa import (Assembler, Ext, FieldRange, IllegalInstruction,
-                          Instr, Label, Mnemonic as M, UnresolvedLabel, Word,
-                          assemble, decode, disassemble, encode, instr)
+                          Instr, Mnemonic as M, UnresolvedLabel, decode,
+                          disassemble, encode, instr)
 
 # encodings pinned against the ratified base/bitmanip/crypto tables
 KNOWN_WORDS = {
@@ -274,13 +274,15 @@ def test_aes_bs_field_position():
 # --- assembler -------------------------------------------------------------
 
 def test_assemble_empty_sequence():
-    img = assemble([])
+    img = Assembler().build()
     assert isinstance(img, ProgramImage)
     assert len(img.data) == 0 and img.code_size == 0
 
 
 def test_assemble_single_ebreak():
-    img = assemble([instr(M.EBREAK)])
+    a = Assembler()
+    a.put(instr(M.EBREAK))
+    img = a.build()
     assert len(img.data) == 4
     assert int.from_bytes(img.data, "little") == 0x00100073
 
@@ -378,12 +380,12 @@ def test_li_small_and_large():
 
 
 def test_assemble_record_forms():
-    img = assemble([
-        ("addi", dict(rd=1, rs1=0, imm=5)),
-        Label("done"),
-        Word(0xDEADBEEF),
-        instr(M.EBREAK),
-    ])
+    a = Assembler()
+    a.emit("addi", rd=1, rs1=0, imm=5)
+    a.label("done")
+    a.word(0xDEADBEEF)
+    a.put(instr(M.EBREAK))
+    img = a.build()
     assert len(img.data) == 12
     assert int.from_bytes(img.data[4:8], "little") == 0xDEADBEEF
 

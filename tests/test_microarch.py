@@ -47,6 +47,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="sha_select_latency"):
         CoreConfig(sha_select_latency=-1)
     CoreConfig(sha_select_latency=0)
+    # knobs that cannot describe hardware: a bool or fractional width or
+    # latency, a non-bool left path, an extension that is not an Ext
+    for knob, bad in (("serial_width", True), ("serial_width", 4.0),
+                      ("mem_latency", 2.5), ("mem_latency", True),
+                      ("taken_branch_penalty", 1.5), ("clmul_latency", "33"),
+                      ("left_shift_support", 1), ("left_shift_support", None),
+                      ("extensions", frozenset({"zkne"})),
+                      ("extensions", frozenset({Ext.ZKNE, "zkt"}))):
+        with pytest.raises(ValueError, match=knob):
+            CoreConfig(**{knob: bad})
 
 
 def test_zkn_zkt_preset():
