@@ -10,11 +10,13 @@ is how a non-crypto workload experiences the constant-time contract.
 
 Kernels are assembled programmatically and verified functionally before
 any timing is reported: a cell whose output bytes differ from the kernel's
-expected output raises ChecksumMismatch.
+expected output raises ChecksumMismatch. A kernel's code is assembled once
+per variant (see `_build`), and a build places only its data after it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -107,6 +109,7 @@ def _dec_round_key_bytes(key: bytes) -> bytes:
     return bytes(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _te0_table() -> bytes:
     # Te0[x] = MixColumns column contribution of S(x): LE bytes [2s, s, s, 3s]
     out = bytearray()
@@ -116,6 +119,7 @@ def _te0_table() -> bytes:
     return bytes(out)
 
 
+@functools.lru_cache(maxsize=None)
 def _td0_table() -> bytes:
     # Td0[x] = InvMixColumns contribution of InvS(x): LE bytes [Es, 9s, Ds, Bs]
     g = golden._gmul
@@ -192,6 +196,26 @@ def _program(a: Assembler, blocks: Dict[str, bytes],
         a.label(label)
         a.data(blob)
     return KernelProgram(a.build(), out_addr, out_len, expected)
+
+
+@functools.lru_cache(maxsize=None)
+def _assembled(emit: Callable, args: tuple, layout: tuple) -> KernelProgram:
+    a = Assembler()
+    emit(a, *args)
+    return _program(a, {label: bytes(size) for label, size in layout})
+
+
+def _build(emit: Callable, args: tuple, blocks: Dict[str, bytes]) -> KernelProgram:
+    """`emit(a, *args)` with `blocks` placed after the code by `_program`.
+
+    The code reads its data only through labels, whose addresses depend on
+    the block sizes alone, so it is assembled once per emitter, arguments
+    and layout. A build splices its blocks in after that code, each padded
+    to a word as `Assembler.data` pads it."""
+    kp = _assembled(emit, args, tuple((k, len(v)) for k, v in blocks.items()))
+    data = b"".join(blob + bytes(-len(blob) % 4) for blob in blocks.values())
+    code = kp.image.data[:len(kp.image.data) - len(data)]
+    return kp._replace(image=kp.image._replace(data=code + data))
 
 
 _ENC_COLSRC = [[(c + r) % 4 for r in range(4)] for c in range(4)]
@@ -293,15 +317,13 @@ def build_aes128(variant: str, decrypt: bool = False,
         block = FIPS_CT if decrypt else FIPS_PT
     assert len(block) == 16
     rk = _dec_round_key_bytes(key) if decrypt else _enc_round_key_bytes(key)
-    a = Assembler()
-    _emit_aes(a, decrypt, variant == "zkn")
     blocks = {"data": rk + block, "out": bytes(16)}
     if variant != "zkn":
         blocks["ttable"] = _td0_table() if decrypt else _te0_table()
         if decrypt:
             blocks["inv_sbox"] = AES_SBOX_INV
     # expected output is filled by the registry for default inputs
-    return _program(a, blocks)
+    return _build(_emit_aes, (decrypt, variant == "zkn"), blocks)
 
 
 # --- SHA-256 single-block compression ---------------------------------------
@@ -405,9 +427,7 @@ def build_sha256(variant: str, block: Optional[bytes] = None) -> KernelProgram:
     # the block is big-endian words in SHA-2; store pre-swapped so plain lw
     # reads produce the schedule words
     data += b"".join(block[4 * i:4 * i + 4][::-1] for i in range(16))
-    a = Assembler()
-    _emit_sha256(a, variant == "zkn")
-    return _program(a, {"data": data, "out": bytes(32)})
+    return _build(_emit_sha256, (variant == "zkn",), {"data": data, "out": bytes(32)})
 
 
 def sha256_digest_from_out(out: bytes) -> bytes:
@@ -458,16 +478,15 @@ def _emit_prince_rv32i(a: Assembler) -> None:
 def build_prince_sbox(variant: str,
                       words: Sequence[int] = PRINCE_INPUT) -> KernelProgram:
     assert len(words) == 2
-    a = Assembler()
     emit = _emit_prince_zkn if variant == "zkn" else _emit_prince_rv32i
-    emit(a)
-    return _program(a, {"data": b"".join(w.to_bytes(4, "little") for w in words),
-                        "out": bytes(8),
-                        "sbox": bytes(PRINCE_SBOX)})  # read by rv32i only
+    return _build(emit, (), {"data": b"".join(w.to_bytes(4, "little") for w in words),
+                              "out": bytes(8),
+                              "sbox": bytes(PRINCE_SBOX)})  # read by rv32i only
 
 
 # --- synthetic kernels --------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)  # no inputs, so one build per variant
 def build_alumix(variant: str) -> KernelProgram:
     a = Assembler()
     _emit_la(a, 6, "out")
@@ -502,6 +521,7 @@ def build_alumix(variant: str) -> KernelProgram:
                     b"".join(v.to_bytes(4, "little") for v in mirror))
 
 
+@functools.lru_cache(maxsize=None)
 def build_shiftstorm(variant: str) -> KernelProgram:
     acc, src = 0xDEADBEEF, 0x0BADF00D
     a = Assembler()

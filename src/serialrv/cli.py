@@ -23,13 +23,18 @@ class _UsageError(Exception):
     """Reported by main() as one `error:` line and EXIT_USAGE."""
 
 
+@contextlib.contextmanager
 def _open_output(path: Optional[str]):
     """Open an output file for writing before any work is done, so that a
-    path that cannot be written fails at once. No path gives a null context."""
+    path that cannot be written fails at once. A failure to open, write or
+    close it ends as a usage error naming it, so any other file the body
+    writes goes through its own, inner `_open_output`. No path gives None."""
     if path is None:
-        return contextlib.nullcontext()
+        yield None
+        return
     try:
-        return open(path, "w")
+        with open(path, "w") as fh:
+            yield fh
     except OSError as e:
         raise _UsageError(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -110,10 +115,10 @@ def _cmd_run(args) -> int:
         print(f"error: cannot load image: {e}", file=sys.stderr)
         return EXIT_LOAD
     config = CoreConfig(serial_width=args.width, extensions=args.ext)
-    with _open_output(args.trace) as trace_fh, \
-            _open_output(args.stats_json) as stats_fh:
-        stats = system.run(image, config, max_cycles=args.max_cycles,
-                           trace=trace_fh)
+    with _open_output(args.stats_json) as stats_fh:
+        with _open_output(args.trace) as trace_fh:
+            stats = system.run(image, config, max_cycles=args.max_cycles,
+                               trace=trace_fh)
         if stats_fh:
             stats_fh.write(system.stats_to_json(stats) + "\n")
     print(f"halt: {stats.halt}   cycles: {stats.cycles}   "

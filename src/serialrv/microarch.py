@@ -32,10 +32,10 @@ of it changes a simulated cycle):
 - per config, in `__init__`: one binding shared by every core under an
   equal config and by `latency_table`. It holds the latency table, the
   shift plans, the shift unit's step sequence for every move amount and
-  the bit position of each chunk. Each chunk loop walks the positions
-  tuple. A shift or rotate looks up its plan by amount, and
-  `_serial_move` walks the loop the plan names one chunk or single-bit
-  step at a time.
+  one lane per chunk (see `_binding`): a chunk loop combines each chunk
+  where it sits, never moving it down to bit 0. A shift or rotate looks
+  up its plan by amount, and `_serial_move` walks the loop the plan names
+  one chunk or single-bit step at a time.
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
   cycles (per shift amount for a shift or rotate) and its access size.
@@ -233,8 +233,9 @@ def _plan(loop: str, amount: int, mask: int) -> Tuple[str, int, int]:
 @functools.lru_cache(maxsize=256)
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
-    {shift/rotate mnemonic: its 32 plans by amount}, move steps, chunk
-    bit positions)."""
+    {shift/rotate mnemonic: its 32 plans by amount}, move steps, lanes).
+    A lane is (mask << p, 1 << (p + w)) for the w-bit chunk at bit p, LSB
+    first: the chunk's bits, and the bit where its carry-out lands."""
     steps = _move_steps(config.shift_chunk_width)
     chunks = config.chunks
     mem_op = chunks + config.mem_latency + 1  # address add, access, commit
@@ -254,8 +255,9 @@ def _binding(config: CoreConfig) -> tuple:
         costs = [len(steps[amount]) + (chunks if mask else 0) + 1
                  for _, amount, mask in plans[m]]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
+    w = config.serial_width
     return (MappingProxyType(table), plans, steps,
-            tuple(range(0, 32, config.serial_width)))
+            tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w)))
 
 
 def latency_table(config: CoreConfig) -> MappingProxyType:
@@ -333,7 +335,7 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        self.latency, self._plans, self._steps, self._positions = _binding(config)
+        self.latency, self._plans, self._steps, self._lanes = _binding(config)
         self.arch = state
         self.serializer1 = 0
         self.serializer2 = 0
@@ -343,10 +345,7 @@ class MicroCore:
         self.carry = 0  # the carry latch between chunks, left by the last add
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
-        w = config.serial_width
-        self._width = w
-        self._full = w == 32  # the ALU takes the whole word; Serializer2 is unused
-        self._mask = (1 << w) - 1
+        self._full = config.serial_width == 32  # a full-width ALU; no Serializer2
         self._mem_latency = config.mem_latency
         self._transfer_penalty = config.taken_branch_penalty + config.mem_latency - 1
         self._bound: dict = {}  # mnemonic -> its record, see _bind
@@ -362,28 +361,25 @@ class MicroCore:
             s = a + b + carry_in
             self.carry = s >> 32
             return s & MASK32
-        w = self._width
-        mask = self._mask
         res = 0
         carry = carry_in
-        for pos in self._positions:
-            s = ((a >> pos) & mask) + ((b >> pos) & mask) + carry
-            res |= (s & mask) << pos
-            carry = s >> w
-        self.carry = carry
+        for mask, out in self._lanes:
+            s = (a & mask) + (b & mask) + carry
+            res |= s & mask
+            carry = s & out
+        self.carry = carry >> 32
         self.serializer1 = 0
         self.serializer2 = res
         return res
 
-    # One loop per bitwise op, chunk by chunk, LSB first. andn, orn and xnor
+    # One loop per bitwise op, lane by lane, LSB first. andn, orn and xnor
     # feed ~b to the and, or and xor loops.
     def _chunk_xor(self, a: int, b: int) -> int:
         if self._full:
             return (a ^ b) & MASK32
-        mask = self._mask
         res = 0
-        for pos in self._positions:
-            res |= (((a >> pos) ^ (b >> pos)) & mask) << pos
+        for mask, _ in self._lanes:
+            res |= (a ^ b) & mask
         self.serializer1 = 0
         self.serializer2 = res
         return res
@@ -391,10 +387,9 @@ class MicroCore:
     def _chunk_and(self, a: int, b: int) -> int:
         if self._full:
             return a & b & MASK32
-        mask = self._mask
         res = 0
-        for pos in self._positions:
-            res |= ((a >> pos) & (b >> pos) & mask) << pos
+        for mask, _ in self._lanes:
+            res |= a & b & mask
         self.serializer1 = 0
         self.serializer2 = res
         return res
@@ -402,10 +397,9 @@ class MicroCore:
     def _chunk_or(self, a: int, b: int) -> int:
         if self._full:
             return (a | b) & MASK32
-        mask = self._mask
         res = 0
-        for pos in self._positions:
-            res |= (((a >> pos) | (b >> pos)) & mask) << pos
+        for mask, _ in self._lanes:
+            res |= (a | b) & mask
         self.serializer1 = 0
         self.serializer2 = res
         return res

@@ -117,6 +117,53 @@ def test_kernel_images_are_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_IMAGES_SHA256
 
 
+def _drawn_builds(rng):
+    """(builder, args, kwargs) of every kernel variant, over inputs drawn
+    from `rng` the way perfbench's kernel-suite draws them."""
+    key, block = rng.randbytes(16), rng.randbytes(16)
+    sha_block = sha256_pad(rng.randbytes(rng.randrange(56)))
+    words = (rng.getrandbits(32), rng.getrandbits(32))
+    calls = []
+    for v in bench.VARIANTS:
+        calls += [(build_aes128, (v, False), {"key": key, "block": block}),
+                  (build_aes128, (v, True), {"key": key, "block": block}),
+                  (build_sha256, (v,), {"block": sha_block}),
+                  (build_prince_sbox, (v, words), {}),
+                  (build_alumix, (v,), {}),
+                  (build_shiftstorm, (v,), {})]
+    return calls
+
+
+def _fresh_build(emit, args, blocks):
+    a = isa.Assembler()
+    emit(a, *args)
+    return bench._program(a, blocks)
+
+
+def test_cached_kernel_builds_equal_a_fresh_assembly(monkeypatch):
+    # each draw is built right after the builds of the draw before it, so
+    # a cached build must not keep anything of other inputs
+    draws = [_drawn_builds(random.Random(seed)) for seed in range(5)]
+    cached = [[fn(*args, **kw) for fn, args, kw in calls] for calls in draws]
+    monkeypatch.setattr(bench, "_build", _fresh_build)
+    for calls, built in zip(draws, cached):
+        for (fn, args, kw), kp in zip(calls, built):
+            # alumix and shiftstorm are cached whole; __wrapped__ builds anew
+            fresh = getattr(fn, "__wrapped__", fn)(*args, **kw)
+            assert kp == fresh, (fn.__name__, args)
+
+
+def test_build_pads_each_block_to_a_word():
+    # the registry's blocks are all whole words; these are not
+    def emit(a):
+        bench._emit_la(a, 6, "tail")
+        a.emit(M.EBREAK)
+
+    for blocks in ({"head": b"\x01" * 3, "out": b"\x02" * 5, "tail": b"\x03"},
+                   {"head": b"\x04" * 6, "out": b"\x05" * 2, "tail": b"\x06" * 7}):
+        assert bench._build(emit, (), blocks) == _fresh_build(emit, (), blocks)
+
+
 def test_checksum_invariant_across_variant_and_width():
     for name, kernel in KERNELS.items():
         sums = set()

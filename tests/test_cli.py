@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -251,12 +252,15 @@ def test_disasm_hex_words(tmp_path, capsys):
     assert "ebreak" in out and ".word 0xffffffff" in out
 
 
-@pytest.mark.parametrize("argv", [
+each_output_option = pytest.mark.parametrize("argv", [
     ["run", "{image}", "--trace", "{out}"],
     ["run", "{image}", "--stats-json", "{out}"],
     ["cosim", "--programs", "1", "--json", "{out}"],
     ["bench", "--suite", "aes128", "--json", "{out}"],
 ], ids=["run-trace", "run-stats-json", "cosim-json", "bench-json"])
+
+
+@each_output_option
 def test_unwritable_output_usage_error(argv, ebreak_image, tmp_path, capsys):
     out = tmp_path / "missing" / "out.txt"
     argv = [a.format(image=ebreak_image, out=out) for a in argv]
@@ -265,3 +269,33 @@ def test_unwritable_output_usage_error(argv, ebreak_image, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
     assert str(out) in captured.err
     assert captured.out == ""  # the output was opened before any work
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@each_output_option
+def test_output_write_failure_usage_error(argv, ebreak_image, capsys):
+    # /dev/full opens, but every write to it fails with ENOSPC
+    argv = [a.format(image=ebreak_image, out="/dev/full") for a in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: cannot write /dev/full: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("failing", ["--trace", "--stats-json"])
+def test_write_failure_names_the_failing_output(failing, tmp_path, capsys):
+    # a trace longer than the file buffer fails while the program runs,
+    # not only when the file is closed
+    a = Assembler(base=0x1000)
+    a.li(1, 2000)
+    a.label("loop")
+    a.emit(M.ADDI, rd=1, rs1=1, imm=-1)
+    a.emit(M.BNE, rs1=1, rs2=0, target="loop")
+    a.emit(M.EBREAK)
+    image = tmp_path / "loop.bin"
+    image.write_bytes(a.build().data)
+    good = "--stats-json" if failing == "--trace" else "--trace"
+    argv = ["run", str(image), failing, "/dev/full", good, str(tmp_path / "ok")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")

@@ -417,6 +417,19 @@ def test_serialized_alu_updates_serializer2():
     assert core.serializer2 == 42
 
 
+@pytest.mark.parametrize("width", WIDTHS[:-1])
+def test_carry_crosses_every_lane_boundary(width):
+    core = make_core(width)
+    for k in range(width, 32, width):
+        core.carry = 1
+        assert core._chunk_add((1 << k) - 1, 1) == 1 << k, k
+        assert core.carry == 0, k
+    assert core._chunk_add(0xFFFFFFFF, 1) == 0
+    assert core.carry == 1
+    assert core._chunk_sub(0, 1) == 0xFFFFFFFF
+    assert core.carry == 0
+
+
 def test_clmul_uses_serializer1_even_at_width32():
     core = make_core(32)
     exec_one(core, instr(M.CLMUL, rd=3, rs1=1, rs2=2), {1: 5, 2: 3})
