@@ -502,11 +502,13 @@ def decode(word: int) -> Instr:
     return Instr(m, 0, 0, 0, 0, None, word)  # ecall/ebreak: the sub-key fixed every bit
 
 
-_DECODE_CACHE: dict = {}
+_DECODE_CACHE: dict = {}  # word -> Instr, filled by decode_cached
 
 
 def decode_cached(word: int) -> Instr:
-    """decode() with memoization; used on simulator fetch paths."""
+    """decode() with memoization in `_DECODE_CACHE`; used on simulator fetch
+    paths. `MicroCore.step` probes the dict itself and calls this on a miss
+    only, so past 2^17 entries the dict is cleared in place, never rebound."""
     i = _DECODE_CACHE.get(word)
     if i is None:
         if len(_DECODE_CACHE) > (1 << 17):

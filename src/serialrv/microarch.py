@@ -22,20 +22,25 @@ One instruction is one call of `MicroCore.step`, and one frame carries it
 from fetch to commit: fetch (the first step also fills the fetch buffer),
 decode, bind, execute, the frontend charge, the cycle-budget check, the
 per-mnemonic count and the commit, which also prefetches the next
-sequential word straight from the dense memory window. `run_instruction`
-enters the same frame at the execute stage, so the retire code exists
-once.
+sequential word straight from the dense memory window. A fetch that hits
+isa's decode cache makes no call: the frame probes the dict itself and
+unpacks the instruction's fields once. `run_instruction` enters the same
+frame at the execute stage, so the retire code exists once.
 
 What a core binds once, so that a step need not look it up again (none
 of it changes a simulated cycle):
 
 - per config, in `__init__`: one binding shared by every core under an
   equal config and by `latency_table`. It holds the latency table, the
-  shift plans, the shift unit's step sequence for every move amount and
-  one lane per chunk (see `_binding`): a chunk loop combines each chunk
-  where it sits, never moving it down to bit 0. A shift or rotate looks
-  up its plan by amount, and `_serial_move` walks the loop the plan names
-  one chunk or single-bit step at a time.
+  shift plans, the shift unit's step sequence for every move amount, one
+  lane per chunk and the lane masks (see `_binding`): a chunk loop
+  combines each chunk where it sits, never moving it down to bit 0, and
+  a bitwise loop walks the masks alone. A shift or rotate looks up its
+  plan by amount, and `_serial_move` walks the loop the plan names one
+  chunk or single-bit step at a time.
+- per core, in `__init__`: the dense memory window the sequential
+  prefetch reads: `_window` (the buffer, never replaced or resized),
+  `_window_base` and `_window_last` (the offset of its last word).
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
   cycles (per shift amount for a shift or rotate) and its access size.
@@ -66,7 +71,7 @@ from . import golden, isa
 from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
                      ECALL, ILLEGAL, MAX_STEPS, MISALIGNED_FETCH, MISALIGNED_ACCESS,
                      _unpack_word)
-from .isa import Ext, Instr, Mnemonic as M
+from .isa import _DECODE_CACHE, Ext, Instr, Mnemonic as M
 
 VALID_WIDTHS = (1, 2, 4, 8, 16, 32)
 
@@ -233,9 +238,10 @@ def _plan(loop: str, amount: int, mask: int) -> Tuple[str, int, int]:
 @functools.lru_cache(maxsize=256)
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
-    {shift/rotate mnemonic: its 32 plans by amount}, move steps, lanes).
-    A lane is (mask << p, 1 << (p + w)) for the w-bit chunk at bit p, LSB
-    first: the chunk's bits, and the bit where its carry-out lands."""
+    {shift/rotate mnemonic: its 32 plans by amount}, move steps, lanes,
+    lane masks). A lane is (mask << p, 1 << (p + w)) for the w-bit chunk
+    at bit p, LSB first: the chunk's bits, and the bit where its carry-out
+    lands. The lane masks are the first of each lane, in the same order."""
     steps = _move_steps(config.shift_chunk_width)
     chunks = config.chunks
     mem_op = chunks + config.mem_latency + 1  # address add, access, commit
@@ -256,8 +262,9 @@ def _binding(config: CoreConfig) -> tuple:
                  for _, amount, mask in plans[m]]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
     w = config.serial_width
-    return (MappingProxyType(table), plans, steps,
-            tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w)))
+    lanes = tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w))
+    return (MappingProxyType(table), plans, steps, lanes,
+            tuple(mask for mask, _ in lanes))
 
 
 def latency_table(config: CoreConfig) -> MappingProxyType:
@@ -335,8 +342,12 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        self.latency, self._plans, self._steps, self._lanes = _binding(config)
+        (self.latency, self._plans, self._steps, self._lanes,
+         self._lane_masks) = _binding(config)
         self.arch = state
+        self._window = state.mem.buf  # the dense window, for the prefetch
+        self._window_base = state.mem.base
+        self._window_last = len(state.mem.buf) - 4  # the last word's offset
         self.serializer1 = 0
         self.serializer2 = 0
         self.fetch_buffer: Optional[Tuple[int, int]] = None
@@ -372,14 +383,15 @@ class MicroCore:
         self.serializer2 = res
         return res
 
-    # One loop per bitwise op, lane by lane, LSB first. andn, orn and xnor
-    # feed ~b to the and, or and xor loops.
+    # One loop per bitwise op, lane by lane, LSB first, over the operands
+    # combined once. andn, orn and xnor feed ~b to the and, or and xor loops.
     def _chunk_xor(self, a: int, b: int) -> int:
         if self._full:
             return (a ^ b) & MASK32
+        v = a ^ b
         res = 0
-        for mask, _ in self._lanes:
-            res |= (a ^ b) & mask
+        for mask in self._lane_masks:
+            res |= v & mask
         self.serializer1 = 0
         self.serializer2 = res
         return res
@@ -387,9 +399,10 @@ class MicroCore:
     def _chunk_and(self, a: int, b: int) -> int:
         if self._full:
             return a & b & MASK32
+        v = a & b
         res = 0
-        for mask, _ in self._lanes:
-            res |= a & b & mask
+        for mask in self._lane_masks:
+            res |= v & mask
         self.serializer1 = 0
         self.serializer2 = res
         return res
@@ -397,9 +410,10 @@ class MicroCore:
     def _chunk_or(self, a: int, b: int) -> int:
         if self._full:
             return (a | b) & MASK32
+        v = a | b
         res = 0
-        for mask, _ in self._lanes:
-            res |= (a | b) & mask
+        for mask in self._lane_masks:
+            res |= v & mask
         self.serializer1 = 0
         self.serializer2 = res
         return res
@@ -570,21 +584,26 @@ class MicroCore:
                 return 0, _MISALIGNED_FETCH, None
             buf = self.fetch_buffer
             word = buf[1] if buf is not None and buf[0] == pc else arch.mem.load(pc, 4)
+            # a word decoded before is one probe of the decode cache
             try:
-                ins = isa.decode_cached(word)
-            except isa.IllegalInstruction:
-                return 0, _ILLEGAL, None
+                ins = _DECODE_CACHE[word]
+            except KeyError:
+                try:
+                    ins = isa.decode_cached(word)
+                except isa.IllegalInstruction:
+                    return 0, _ILLEGAL, None
 
         # bind, then execute on the record
-        rec = self._bound.get(ins.mnemonic)
+        m, rd, rs1, rs2, imm, _, _ = ins
+        rec = self._bound.get(m)
         if rec is None:
-            rec = self._bind(ins.mnemonic)
+            rec = self._bind(m)
         unit, handler, imm_op2, cycles, size, counts = rec
         regs = arch.regs
-        op2 = ins.imm & MASK32 if imm_op2 else regs[ins.rs2]
+        op2 = imm & MASK32 if imm_op2 else regs[rs2]
         outcome = RETIRED
         if unit is not None:
-            val = unit(self, regs[ins.rs1], op2)
+            val = unit(self, regs[rs1], op2)
             target = None
         elif handler is None:
             return 0, _ILLEGAL, ins
@@ -592,7 +611,7 @@ class MicroCore:
             if type(cycles) is tuple:  # a shift or rotate, costed by its amount
                 cycles = cycles[op2 & 31]
             try:
-                val, target = handler(self, ins, regs[ins.rs1], op2)
+                val, target = handler(self, ins, regs[rs1], op2)
             except _Halt as halt:
                 # ebreak and ecall retire, with no next fetch to overlap
                 charged = cycles if halt.retires else 0
@@ -623,22 +642,20 @@ class MicroCore:
         if self.store_addr is not None:
             arch.mem.store(self.store_addr, size, self.lsu_buffer)
             self.store_addr = None
-        if val is not None and ins.rd:
-            regs[ins.rd] = val & MASK32
+        if val is not None and rd:
+            regs[rd] = val & MASK32
         if target is None:
             pc = (arch.pc + 4) & MASK32
             arch.pc = pc
             if pc & 3:
                 return charged, _MISALIGNED_FETCH, ins
             # the sequential prefetch: a dense-window word straight from the
-            # buffer, anything else through the memory port
-            mem = arch.mem
-            window = mem.buf
-            off = pc - mem.base
-            if 0 <= off <= len(window) - 4:
-                self.fetch_buffer = (pc, _unpack_word(window, off)[0])
+            # bound buffer, anything else through the memory port
+            off = pc - self._window_base
+            if 0 <= off <= self._window_last:
+                self.fetch_buffer = (pc, _unpack_word(self._window, off)[0])
             else:
-                self.fetch_buffer = (pc, mem.load(pc, 4))
+                self.fetch_buffer = (pc, arch.mem.load(pc, 4))
         else:
             pc = target & MASK32
             arch.pc = pc

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 import weakref
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from serialrv import cosim, golden, isa, microarch
 from serialrv.golden import ArchState, Memory
+from serialrv.image import load_image
 from serialrv.isa import Ext, Mnemonic as M, instr
 from serialrv.microarch import (CLASS_OF, CoreConfig, MicroCore,
                                 parse_extensions, shift_latency)
@@ -371,6 +373,44 @@ def test_fetch_stall_when_execution_shorter_than_memory():
     core = make_core(32, mem_latency=3)
     cycles, _ = exec_one(core, instr(M.ADD, rd=1, rs1=1, rs2=2))
     assert cycles == 3  # 1 execute cycle hidden under the 3-cycle fetch
+
+
+def _calls_of_second_step(i):
+    """(Python functions, builtins) called by the second of two steps over
+    the instruction `i`, whose word the first step has decoded and whose
+    second copy it has prefetched."""
+    state = ArchState.from_image(load_image(isa.encode(i).to_bytes(4, "little") * 2,
+                                            base=0x1000))
+    core = MicroCore(CoreConfig(serial_width=32), state)
+    core.step()
+    calls, builtins = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+        elif event == "c_call":
+            builtins.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        core.step()
+    finally:
+        sys.setprofile(None)
+    assert calls[0] == "step" and builtins[-1] == "setprofile"
+    return calls[1:], builtins[:-1]
+
+
+@pytest.mark.parametrize("i,want", [
+    (instr(M.ADD, rd=1, rs1=2, rs2=3), ["_chunk_add"]),
+    (instr(M.SLLI, rd=1, rs1=2, imm=3), ["_shift", "_serial_move"])],
+    ids=["add", "slli"])
+def test_decoded_sequential_step_calls_only_its_unit(i, want):
+    """A step over a word decoded before makes no Python call for fetch,
+    decode or operand reads: it calls only what executes the instruction,
+    and never decode_cached, Memory.load or len."""
+    calls, builtins = _calls_of_second_step(i)
+    assert calls == want
+    assert "len" not in builtins
 
 
 # --- clmul and xperm results ----------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from serialrv import bench, golden, system
+from serialrv import bench, golden, isa, system
 from serialrv.image import EmptyImage, MalformedHex, load_image
 from serialrv.isa import Assembler, Mnemonic as M, instr
 from serialrv.microarch import CLASS_OF, CoreConfig, MicroCore
@@ -302,6 +302,85 @@ def test_first_step_edge_cases(latency):
     _, out, ins = core.step()
     assert out.reason == golden.ILLEGAL and ins is None
     assert (core.cycle, core.startup_cycles) == (8 + L, L)
+
+
+# --- fetched words that change under the core -------------------------------------
+
+def _patching_program(ahead, patch):
+    """`sw` the word `patch` over the instruction `ahead` words after the
+    store, which would otherwise set x1 to 7, then halt."""
+    a = Assembler(base=0x1000)
+    a.emit(M.LUI, rd=3, target="patch")
+    a.emit(M.ADDI, rd=3, rs1=3, target="patch")
+    a.li(2, patch)
+    a.emit(M.SW, rs1=3, rs2=2)
+    for _ in range(ahead - 1):
+        a.nop()
+    a.label("patch")
+    a.emit(M.ADDI, rd=1, imm=7)
+    a.emit(M.EBREAK)
+    return a.build()
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8, 16, 32))
+@pytest.mark.parametrize("ahead", (1, 2))
+def test_self_modifying_code_runs_the_stored_word(ahead, width):
+    """A store over code is seen by the next fetch of that word: the word
+    right after the store is prefetched at the store's commit, after the
+    store has written it. Registers, instret and the halt match golden,
+    and the stats match a run of an image that held the new word from
+    the start."""
+    patch = isa.encode(instr(M.ADDI, rd=1, imm=42))
+    img = _patching_program(ahead, patch)
+    gold = golden.ArchState.from_image(img)
+    instret = 1  # the halting ebreak retires
+    while not (outcome := golden.step(gold)).halted:
+        instret += 1
+    config = CoreConfig(serial_width=width)
+    state = golden.ArchState.from_image(img)
+    stats = system.run(img, config, state=state)
+    assert state.regs[1] == gold.regs[1] == 42
+    assert state.regs == gold.regs and state.mem.buf == gold.mem.buf
+    assert (stats.instret, stats.halt) == (instret, outcome.reason)
+    patched = bytearray(img.data)
+    patched[-8:-4] = patch.to_bytes(4, "little")
+    assert stats == system.run(load_image(bytes(patched), base=0x1000), config)
+
+
+@pytest.mark.parametrize("width", (1, 32))
+@pytest.mark.parametrize("variant", bench.VARIANTS)
+def test_decode_cache_cleared_between_steps(monkeypatch, variant, width):
+    """Clearing isa's decode cache between steps, as decode_cached does
+    past its size limit, changes no result, and every fetch after a clear
+    misses: the core reads the live cache, never a copy of it."""
+    kernel = bench.KERNELS["aes128-enc"]
+    kp = kernel.build(variant)
+    exts = kernel.zkn_exts if variant == "zkn" else kernel.rv32i_exts
+    config = CoreConfig(serial_width=width, extensions=exts)
+    want_state = golden.ArchState.from_image(kp.image)
+    want = system.run(kp.image, config, state=want_state)
+
+    misses = []
+    decode_cached, step = isa.decode_cached, MicroCore.step
+
+    def counted_decode(word):
+        misses.append(word)
+        return decode_cached(word)
+
+    def step_after_clear(core, *args, **kwargs):
+        isa._DECODE_CACHE.clear()
+        return step(core, *args, **kwargs)
+
+    monkeypatch.setattr(isa, "decode_cached", counted_decode)
+    monkeypatch.setattr(MicroCore, "step", step_after_clear)
+    state = golden.ArchState.from_image(kp.image)
+    stats = system.run(kp.image, config, state=state)
+    assert stats == want and stats.halt == golden.EBREAK
+    assert (state.pc, state.regs) == (want_state.pc, want_state.regs)
+    out = state.mem.read_bytes(kp.out_addr, kp.out_len)
+    assert out == want_state.mem.read_bytes(kp.out_addr, kp.out_len) \
+        == (kp.expected or kernel.expected)
+    assert len(misses) == stats.instret
 
 
 # --- the core's counts against the trace ----------------------------------------
