@@ -87,6 +87,21 @@ def test_generator_output_pinned():
     assert h.hexdigest() == "657d1d0f056c49269a9ebea972facd698a5ed22c6fb54a94b4fe17d5c0f0541f"
 
 
+def test_generator_output_pinned_across_lengths_and_extensions():
+    # the same pin over short, mid and long programs and over pools with no
+    # extension, one extension and all of Zkn, so a change to how draws are
+    # taken must keep every stream, not only the default one
+    h = hashlib.sha256()
+    for length in (1, 37, 500):
+        for exts in (frozenset(), frozenset({Ext.ZBKB}), isa.ZKN):
+            for s in range(8):
+                img = generate(TortureConfig(seed=s, length=length, extensions=exts))
+                tag = ",".join(sorted(e.value for e in exts))
+                h.update(f"{length} {tag} {s} {img.entry} {len(img.data)}\n".encode())
+                h.update(img.data)
+    assert h.hexdigest() == "2e8e21cd5c4016a91596a3bf6d0e8d6f6036e9f2198e99f6a3ec2e55c06ade40"
+
+
 def test_overlong_program_rejected():
     with pytest.raises(cosim.ProgramTooLong, match="scratch window at 0x2000"):
         generate(TortureConfig(seed=0, length=2000))
