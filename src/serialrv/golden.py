@@ -11,7 +11,7 @@ import struct
 from typing import NamedTuple, Optional
 
 from . import isa
-from .isa import Ext, Instr, Mnemonic as M
+from .isa import _DECODE_CACHE, Ext, Instr, Mnemonic as M
 from .image import ProgramImage
 
 MASK32 = 0xFFFFFFFF
@@ -445,25 +445,37 @@ def step(state: ArchState, extensions: Optional[frozenset] = None) -> StepOutcom
     pc = state.pc
     if pc & 3:
         return StepOutcome(True, MISALIGNED_FETCH)
-    word = state.mem.load(pc, 4)
-    try:
-        ins = isa.decode_cached(word)
-    except isa.IllegalInstruction:
-        return StepOutcome(True, ILLEGAL)
-    m = ins.mnemonic
+    # A fetch wholly in the dense window reads the buffer as Memory.load
+    # would; any other goes through mem.load. decode_cached runs on a cache
+    # miss only. Golden meets most words first (cosim runs it before any
+    # core), so it probes with .get(), where a miss raises no KeyError.
+    mem = state.mem
+    buf = mem.buf
+    off = pc - mem.base
+    if 0 <= off <= len(buf) - 4:
+        word = _unpack_word(buf, off)[0]
+    else:
+        word = mem.load(pc, 4)
+    ins = _DECODE_CACHE.get(word)
+    if ins is None:
+        try:
+            ins = isa.decode_cached(word)
+        except isa.IllegalInstruction:
+            return StepOutcome(True, ILLEGAL)
+    m, rd, rs1, rs2, imm, _, _ = ins
     if extensions is not None:
         ext = isa.EXT_OF[m]
         if ext is not Ext.RV32I and ext not in extensions:
             return StepOutcome(True, ILLEGAL)
 
     regs = state.regs
-    op2 = ins.imm & MASK32 if m in isa.IMM_FORMS else regs[ins.rs2]
+    op2 = imm & MASK32 if m in isa.IMM_FORMS else regs[rs2]
     try:
-        val, target = _EXECUTE[m](state, ins, regs[ins.rs1], op2)
+        val, target = _EXECUTE[m](state, ins, regs[rs1], op2)
     except _Halt as halt:
         return halt.outcome
-    if val is not None and ins.rd:
-        regs[ins.rd] = val
+    if val is not None and rd:
+        regs[rd] = val
     next_pc = (pc + 4 if target is None else target) & MASK32
     state.pc = next_pc
     if next_pc & 3:

@@ -507,8 +507,9 @@ _DECODE_CACHE: dict = {}  # word -> Instr, filled by decode_cached
 
 def decode_cached(word: int) -> Instr:
     """decode() with memoization in `_DECODE_CACHE`; used on simulator fetch
-    paths. `MicroCore.step` probes the dict itself and calls this on a miss
-    only, so past 2^17 entries the dict is cleared in place, never rebound."""
+    paths. Both models, `MicroCore.step` and `golden.step`, probe the dict
+    themselves and call this on a miss only, so past 2^17 entries the dict
+    is cleared in place, never rebound."""
     i = _DECODE_CACHE.get(word)
     if i is None:
         if len(_DECODE_CACHE) > (1 << 17):

@@ -58,6 +58,8 @@ of it changes a simulated cycle):
 
 Each record also carries the retired count and charged cycles of its
 mnemonic, added where the cycles are charged; `retired` reads them out.
+The reorder unit's wiring (`_REORDER_WIRING`) is applied through four
+byte tables per mnemonic, built from it lazily by `_wiring_tables`.
 """
 
 from __future__ import annotations
@@ -300,11 +302,26 @@ _REORDER_WIRING = {
 }
 
 
-def _apply_wiring(table: tuple, v: int) -> int:
-    out = 0
-    for i, src in enumerate(table):
-        out |= ((v >> src) & 1) << i
-    return out
+_WIRING_TABLES: dict = {}  # mnemonic -> its byte tables, built on first use
+
+
+def _wiring_tables(m: M) -> memoryview:
+    """Four 256-entry tables of 32-bit words, one per source byte: entry
+    256 * k + b holds the output bits source byte k drives when it is b."""
+    t = memoryview(bytearray(4 * 1024)).cast("I")
+    for i, src in enumerate(_REORDER_WIRING[m]):
+        k, bit = divmod(src, 8)
+        for b in range(256):
+            if b >> bit & 1:
+                t[256 * k + b] |= 1 << i
+    _WIRING_TABLES[m] = t
+    return t
+
+
+def _apply_wiring(m: M, v: int) -> int:
+    t = _WIRING_TABLES.get(m) or _wiring_tables(m)
+    return (t[v & 0xFF] | t[256 + (v >> 8 & 0xFF)]
+            | t[512 + (v >> 16 & 0xFF)] | t[768 + (v >> 24 & 0xFF)])
 
 
 # --- SHA unit wiring (fixed shifts into an XOR tree) ------------------------
@@ -777,8 +794,7 @@ _BY_CLASS = {
     SHA: lambda core, i, a, b: (core._sha_unit(i.mnemonic, a, b), None),
     CLMUL: lambda core, i, a, b: (core._clmul_unit(i.mnemonic, a, b), None),
     XPERM: lambda core, i, a, b: (core._xperm_unit(i.mnemonic, a, b), None),
-    REORDER: lambda core, i, a, b: (
-        _apply_wiring(_REORDER_WIRING[i.mnemonic], a), None),
+    REORDER: lambda core, i, a, b: (_apply_wiring(i.mnemonic, a), None),
 }
 _EXECUTE.update((m, _BY_CLASS[c]) for m, c in CLASS_OF.items() if c in _BY_CLASS)
 for _m, _r in isa.R_FORM_OF.items():

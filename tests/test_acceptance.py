@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines;
-the full matrix in criterion 1 dominates the runtime (about a minute).
+the full matrix in criteria 1 and 2 and the fuzz in criterion 10 dominate
+the runtime. They are marked `slow`, so `pytest -m "not slow"` skips them;
+the plain command runs them.
 """
 
 import random
@@ -38,6 +40,7 @@ def full_matrix():
     return reports, time.time() - t0
 
 
+@pytest.mark.slow
 def test_criterion_01_cosim_equivalence(full_matrix):
     reports, elapsed = full_matrix
     matches = sum(1 for r in reports if r.passed)
@@ -48,6 +51,7 @@ def test_criterion_01_cosim_equivalence(full_matrix):
              f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_02_cross_width_invariance(full_matrix):
     reports, _ = full_matrix
     by_seed = {}
@@ -167,6 +171,7 @@ def test_criterion_09_zkt_overhead_direction():
              f"zkt-on/zkt-off cycle ratios {spreads}")
 
 
+@pytest.mark.slow
 def test_criterion_10_decoder_totality_fuzz():
     rng = random.Random(0xFA22)
     t0 = time.time()

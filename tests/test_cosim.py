@@ -269,19 +269,46 @@ def test_replay_matches_lockstep_oracle():
             assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
 
 
-def test_replay_matches_oracle_on_divergence(monkeypatch):
+def _break_adder(mp):
+    """A core adder that flips bit 1 of every chunk sum: a register diverges."""
     original = microarch.MicroCore._chunk_add
 
     def broken(self, a, b, carry_in=0):
         return original(self, a, b, carry_in) ^ 2
 
-    monkeypatch.setattr(microarch.MicroCore, "_chunk_add", broken)
+    mp.setattr(microarch.MicroCore, "_chunk_add", broken)
+
+
+def _flip_x31_dump(mp):
+    """A core sw that flips bit 0 of the word it writes to the register
+    dump's x31 slot, which no later instruction reads: the run ends with no
+    divergence and equal registers, and only the window differs."""
+    base, size = MEMORY_WINDOW
+    x31_slot = base + size - 4
+    store = microarch._EXECUTE[M.SW]
+
+    def faulty(core, i, a, b):
+        result = store(core, i, a, b)
+        if core.store_addr == x31_slot:
+            core.lsu_buffer ^= 1
+        return result
+
+    mp.setitem(microarch._EXECUTE, M.SW, faulty)
+
+
+def test_replay_matches_oracle_on_divergence(monkeypatch):
     tc = TortureConfig(seed=1)
-    for w in (1, 4, 32):
-        rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
-        assert not rep.passed and rep.divergence_field is not None
-        # sig_golden describes the golden state at the divergence, not at halt
-        assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
+    for fault, field_is_none in ((_break_adder, False), (_flip_x31_dump, True)):
+        with monkeypatch.context() as mp:
+            fault(mp)
+            for w in (1, 4, 32):
+                rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+                assert not rep.passed and rep.sig_micro != rep.sig_golden
+                assert (rep.divergence_field is None) is field_is_none
+                # sig_golden describes the golden state at the divergence,
+                # not at halt; sig_micro hashes the core's own final state
+                # whenever its window differs from the golden one
+                assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
 
 
 def test_replay_matches_oracle_without_halt():

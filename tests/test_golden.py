@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from serialrv import golden, isa
+from serialrv import cosim, golden, isa
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Assembler, Ext, Mnemonic as M, instr
 
@@ -386,3 +387,96 @@ def test_step_determinism():
             pass
         return list(s.regs)
     assert run() == run()
+
+
+# --- fetch ---------------------------------------------------------------------------
+
+def _run_to_halt(state, exts):
+    outcomes = []
+    while not outcomes or not outcomes[-1].halted:
+        outcomes.append(golden.step(state, exts))
+    return outcomes
+
+
+def test_decode_cache_cleared_between_steps(monkeypatch):
+    """Clearing isa's decode cache between golden steps, as decode_cached
+    does past its size limit, changes no result, and every fetch after a
+    clear misses: golden reads the live cache, never a copy of it."""
+    img = cosim.generate(cosim.TortureConfig(seed=3))
+    want = ArchState.from_image(img)
+    want_out = _run_to_halt(want, isa.ZKN)
+
+    misses = []
+    decode_cached, step = isa.decode_cached, golden.step
+
+    def counted_decode(word):
+        misses.append(word)
+        return decode_cached(word)
+
+    def step_after_clear(state, exts):
+        isa._DECODE_CACHE.clear()
+        return step(state, exts)
+
+    monkeypatch.setattr(isa, "decode_cached", counted_decode)
+    monkeypatch.setattr(golden, "step", step_after_clear)
+    state = ArchState.from_image(img)
+    assert _run_to_halt(state, isa.ZKN) == want_out
+    assert (state.pc, state.regs) == (want.pc, want.regs)
+    assert state.mem.buf == want.mem.buf
+    assert len(misses) == len(want_out)
+
+
+def test_fetch_outside_and_across_the_window_end_goes_through_load(monkeypatch):
+    """Code past the dense window, and a word with two bytes on each side of
+    its end, are fetched through Memory.load and run as written; a word
+    wholly inside the window is read without it."""
+    mem = Memory(size=0x102, base=0x1000)  # the window ends at 0x1102
+    a = Assembler(base=0x10FC)
+    a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0x10fc: in the window
+    a.emit(M.ADDI, rd=2, rs1=1, imm=7)   # 0x1100: straddles its end
+    a.emit(M.ADDI, rd=3, rs1=2, imm=1)   # 0x1104: sparse
+    a.emit(M.EBREAK)                     # 0x1108: sparse
+    mem.load_program(a.build())
+    state = ArchState(pc=0x10FC, mem=mem)
+
+    fetches = []
+    load = Memory.load
+
+    def counted_load(self, addr, size):
+        if size == 4:  # not the byte loads a straddling word splits into
+            fetches.append(addr)
+        return load(self, addr, size)
+
+    monkeypatch.setattr(Memory, "load", counted_load)
+    outcomes = _run_to_halt(state, None)
+    assert outcomes[-1] == golden.StepOutcome(True, golden.EBREAK)
+    assert len(outcomes) == 4
+    assert state.regs[1:4] == [5, 12, 13]
+    assert fetches == [0x1100, 0x1104, 0x1108]
+
+
+def test_decoded_in_window_step_calls_only_its_handler():
+    """A golden step over a word decoded before, in the dense window, makes
+    no Python call for fetch or decode: it calls only the mnemonic's
+    _EXECUTE handler, never Memory.load or decode_cached."""
+    word = instr(M.ADD, rd=1, rs1=2, rs2=3).raw
+    state = fresh_state()
+    state.mem.store(0x1000, 4, word)
+    state.mem.store(0x1004, 4, word)
+    golden.step(state)
+    codes, builtins = [], []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+        elif event == "c_call":
+            builtins.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        golden.step(state)
+    finally:
+        sys.setprofile(None)
+    assert codes[0] is golden.step.__code__ and builtins[-1] == "setprofile"
+    assert codes[1:] == [golden._EXECUTE[M.ADD].__code__]
+    assert state.pc == 0x1008

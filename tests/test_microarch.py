@@ -439,6 +439,27 @@ def test_clmul_xperm_results_match_golden(m, rs1, rs2, want):
         assert core.arch.regs[5] == want
 
 
+# --- reorder unit ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [M.REV8, M.BREV8, M.ZIP, M.UNZIP])
+def test_reorder_byte_tables_match_the_wiring(m):
+    """Every entry of the byte tables equals the wiring applied bit by bit,
+    and a full word through the core equals golden."""
+    wiring = microarch._REORDER_WIRING[m]
+
+    def bit_by_bit(v):
+        return sum(((v >> src) & 1) << i for i, src in enumerate(wiring))
+
+    for k in range(4):
+        for b in range(256):
+            assert microarch._apply_wiring(m, b << 8 * k) == bit_by_bit(b << 8 * k)
+    rng = random.Random(7)
+    for v in [0, 0xFFFFFFFF] + [rng.getrandbits(32) for _ in range(50)]:
+        core = make_core(4)
+        exec_one(core, instr(m, rd=5, rs1=1), {1: v})
+        assert core.arch.regs[5] == bit_by_bit(v) == golden.zbkb_semantics(m, v, 0)
+
+
 # --- serializer bookkeeping -----------------------------------------------------------
 
 def test_width32_alu_leaves_serializer2_untouched():
