@@ -302,24 +302,22 @@ _REORDER_WIRING = {
 }
 
 
-_WIRING_TABLES: dict = {}  # mnemonic -> its byte tables, built on first use
-
-
+@functools.lru_cache(maxsize=None)
 def _wiring_tables(m: M) -> memoryview:
-    """Four 256-entry tables of 32-bit words, one per source byte: entry
-    256 * k + b holds the output bits source byte k drives when it is b."""
+    """Four 256-entry tables of 32-bit words, one per source byte, built on
+    first use: entry 256 * k + b holds the output bits source byte k drives
+    when it is b."""
     t = memoryview(bytearray(4 * 1024)).cast("I")
     for i, src in enumerate(_REORDER_WIRING[m]):
         k, bit = divmod(src, 8)
         for b in range(256):
             if b >> bit & 1:
                 t[256 * k + b] |= 1 << i
-    _WIRING_TABLES[m] = t
     return t
 
 
 def _apply_wiring(m: M, v: int) -> int:
-    t = _WIRING_TABLES.get(m) or _wiring_tables(m)
+    t = _wiring_tables(m)
     return (t[v & 0xFF] | t[256 + (v >> 8 & 0xFF)]
             | t[512 + (v >> 16 & 0xFF)] | t[768 + (v >> 24 & 0xFF)])
 
