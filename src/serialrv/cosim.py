@@ -6,9 +6,11 @@ shadow execute only when it falls through. Memory traffic is confined to a
 scratch window addressed off a reserved base register.
 
 The golden model's run of a program does not depend on the core's width:
-it is recorded once and the cycle-accurate core is checked against the
-recording at each width. A core that ends the run with the recording's
-final registers and window bytes reuses its signature instead of hashing.
+it is recorded once, as the register each step writes and its new value,
+and the cycle-accurate core is checked against the recording at each
+width, all 32 registers after every step. A core that ends the run with
+the recording's final registers and window bytes reuses its signature
+instead of hashing.
 """
 
 from __future__ import annotations
@@ -136,9 +138,13 @@ class ProgramTooLong(ValueError):
     """The generated code would overlap the scratch window."""
 
 
-def generate(config: TortureConfig) -> ProgramImage:
+def generate(config: TortureConfig,
+             instrs: Optional[dict] = None) -> ProgramImage:
     """Emit a legal, self-terminating random program ending in a register
     dump to the scratch window followed by ebreak.
+
+    Given an `instrs` dict, every instruction word of the program is also
+    recorded there as {word: Instr}, equal to `isa.decode(word)`.
 
     Raises ValueError if `config.length` is below 1, and ProgramTooLong
     if it leaves no room for the code below the scratch window.
@@ -158,7 +164,7 @@ def generate(config: TortureConfig) -> ProgramImage:
     # and lo + below(hi - lo): the same stream, without their frames
     below = rng._randbelow
     pool = _build_pool(config.extensions)
-    a = Assembler(base=system.DEFAULT_BASE)
+    a = Assembler(base=system.DEFAULT_BASE, instrs=instrs)
 
     # prologue: scratch base plus pseudo-random values in every register
     a.li(SCRATCH_REG, wbase)
@@ -203,30 +209,59 @@ def generate(config: TortureConfig) -> ProgramImage:
 
 class _GoldenTrace(NamedTuple):
     image: ProgramImage
-    steps: tuple        # (pc after, regs after, outcome) per golden step
+    steps: tuple        # (pc after, rd, rd's value after, outcome) per step
     signature: str      # golden signature after the last step
     window: bytes       # the scratch window's bytes after the last step
+
+
+def _rd_of(word: int) -> int:
+    """The destination register of `word` as golden decodes it, 0 if the
+    word is illegal: golden halts on it and writes nothing."""
+    try:
+        return isa.decode_cached(word).rd
+    except isa.IllegalInstruction:
+        return 0
 
 
 @functools.lru_cache(maxsize=1)
 def _golden_trace(torture: TortureConfig, exts: frozenset,
                   max_steps: int) -> _GoldenTrace:
     """Generate `torture`'s program and step the golden model on it until it
-    halts or `max_steps` steps have run, recording the state after each step.
+    halts or `max_steps` steps have run, recording each step as a delta.
 
-    Neither depends on the core's width, so cosim_run records them once and
-    replays them at every width; one entry suffices because callers run all
-    widths of a program back to back. The cache is keyed by data, not by
-    code: a test that changes the golden model or the generator must call
-    `_golden_trace.cache_clear()` first, or it gets the unchanged trace.
-    Every caller gets the same register lists, so they are read-only.
+    A step writes no register but the rd of the word it fetches, so it is
+    recorded as (pc after, rd, value of rd after, outcome), with rd decoded
+    from the word at pc before the step: a store over that word cannot
+    change which register the delta names. Stores, branches and ebreak
+    decode with rd = 0, and an illegal word, which halts golden, records
+    rd = 0. Applying the deltas in order to the reset registers gives
+    golden's registers after each step.
+
+    The generator's Instrs go into the decode cache first, so neither
+    model decodes a generated word.
+
+    Neither the program nor the trace depends on the core's width, so
+    cosim_run records them once and replays them at every width; one entry
+    suffices because callers run all widths of a program back to back. The
+    cache is keyed by data, not by code: a test that changes the golden
+    model or the generator must call `_golden_trace.cache_clear()` first,
+    or it gets the unchanged trace.
     """
-    img = generate(torture)
+    instrs: dict = {}
+    img = generate(torture, instrs)
+    cache = isa._DECODE_CACHE
+    if len(cache) + len(instrs) > isa._DECODE_CACHE_MAX:
+        cache.clear()
+    cache.update(instrs)
     gold = ArchState.from_image(img)
+    mem, regs = gold.mem, gold.regs
     steps = []
     for _ in range(max_steps):
+        word = mem.load(gold.pc, 4)
+        ins = cache.get(word)
+        rd = ins[1] if ins is not None else _rd_of(word)
         out = golden.step(gold, exts)
-        steps.append((gold.pc, gold.regs[:], out))
+        steps.append((gold.pc, rd, regs[rd], out))
         if out.halted:
             break
     return _GoldenTrace(img, tuple(steps), signature(gold, MEMORY_WINDOW),
@@ -247,7 +282,10 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
 
     Architectural state is compared after every retired instruction;
     final-state signatures are compared at the end. The golden side is a
-    recorded trace shared by all widths (see _golden_trace). A run that
+    recorded trace shared by all widths (see _golden_trace): `expect`
+    starts as the reset registers and takes each step's delta, and then
+    all 32 of the core's registers are compared with it, so a write to a
+    register other than the step's rd is caught at that step. A run that
     ends with no divergence, at the trace's last step, with the core's
     registers and window bytes equal to that step's golden ones, takes the
     trace's signature, since those are all that `signature` hashes.
@@ -258,21 +296,26 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     march = micro.arch
     step = micro.step
     regs = march.regs
+    expect = regs[:]  # golden's registers; both models reset them to zero
 
     divergence: Optional[Tuple[int, str]] = None
     instret = 0
     pc = trace.image.entry
-    for gold_pc, gold_regs, g_out in trace.steps:
+    for gold_pc, rd, value, g_out in trace.steps:
         _, m_out, _ = step()
         if march.pc != gold_pc:
             divergence = (pc, "pc")
             break
-        if regs != gold_regs:
+        expect[rd] = value
+        if regs != expect:
             for i in range(32):
-                if regs[i] != gold_regs[i]:
+                if regs[i] != expect[i]:
                     divergence = (pc, f"x{i}")
                     break
             break
+        # an equal int, but the core's own object: the next compare then
+        # finds every register identical without comparing values
+        expect[rd] = regs[rd]
         if g_out.halted or m_out.halted:
             if g_out != m_out:
                 divergence = (pc, "halt-reason")

@@ -44,7 +44,7 @@ class ProgramImage(NamedTuple):
             if self.entry != self.base:
                 raise ValueError("empty image must have entry == base")
         elif not self.base <= self.entry < self.base + len(self.data):
-            raise ValueError(f"entry 0x{self.entry:x} outside image")
+            raise ValueError(f"entry {self.entry:#x} outside image")
         return self
 
 

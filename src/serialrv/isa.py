@@ -503,16 +503,18 @@ def decode(word: int) -> Instr:
 
 
 _DECODE_CACHE: dict = {}  # word -> Instr, filled by decode_cached
+_DECODE_CACHE_MAX = 1 << 17  # past this many entries the cache is cleared
 
 
 def decode_cached(word: int) -> Instr:
     """decode() with memoization in `_DECODE_CACHE`; used on simulator fetch
     paths. Both models, `MicroCore.step` and `golden.step`, probe the dict
-    themselves and call this on a miss only, so past 2^17 entries the dict
-    is cleared in place, never rebound."""
+    themselves and call this on a miss only, so past `_DECODE_CACHE_MAX`
+    entries the dict is cleared in place, never rebound. Cosim also fills
+    it with the generator's own Instrs, under the same rule."""
     i = _DECODE_CACHE.get(word)
     if i is None:
-        if len(_DECODE_CACHE) > (1 << 17):
+        if len(_DECODE_CACHE) > _DECODE_CACHE_MAX:
             _DECODE_CACHE.clear()
         i = _DECODE_CACHE[word] = decode(word)
     return i
@@ -578,12 +580,18 @@ class Assembler:
     absolute address, so the pair `lui rd, target=L` then
     `addi rd, rd, target=L` loads the address of L. emit() rejects a
     target on any other mnemonic.
+
+    Given an `instrs` dict, each emit() without a target also records its
+    instruction there as {word: Instr(..., raw=word)}. The record is the
+    Instr as given, so it equals decode(word) only if the fields its
+    format does not encode are left at their defaults.
     """
 
-    def __init__(self, base: int = DEFAULT_BASE):
+    def __init__(self, base: int = DEFAULT_BASE, instrs: Optional[dict] = None):
         if base % 4 != 0:
             raise FieldRange(f"base 0x{base:x} not word-aligned")
         self.base = base
+        self.instrs = instrs
         self._words: list = []  # int words; None placeholders for fixups
         self._labels: dict = {}
         self._fixups: list = []
@@ -605,7 +613,10 @@ class Assembler:
             self._fixups.append(_Fixup(len(self._words), m, rd, rs1, rs2, target))
             self._words.append(None)
         else:
-            self._words.append(encode(Instr(m, rd, rs1, rs2, imm, bs)))
+            w = encode(Instr(m, rd, rs1, rs2, imm, bs))
+            self._words.append(w)
+            if self.instrs is not None:
+                self.instrs[w] = Instr(m, rd, rs1, rs2, imm, bs, w)
 
     def put(self, i: Instr) -> None:
         self._words.append(encode(i))

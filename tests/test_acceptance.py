@@ -1,4 +1,5 @@
-"""Acceptance suite: one test per criterion, one printed verdict line each.
+"""Acceptance suite: one test per criterion, one printed verdict line each,
+plus the cosim digest pins, which reuse the criteria's full matrix.
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines;
 the full matrix in criteria 1 and 2 and the fuzz in criterion 10 dominate
@@ -6,6 +7,8 @@ the runtime. They are marked `slow`, so `pytest -m "not slow"` skips them;
 the plain command runs them.
 """
 
+import hashlib
+import json
 import random
 import time
 
@@ -60,6 +63,24 @@ def test_criterion_02_cross_width_invariance(full_matrix):
     bad = [s for s, sigs in by_seed.items() if len(sigs) != 1]
     _verdict(2, "cross-width signature invariance", not bad,
              f"{len(by_seed)} seeds, {len(bad)} mismatching")
+
+
+@pytest.mark.slow
+def test_full_matrix_pinned(full_matrix):
+    """The matrix's first 600 reports are `serialrv cosim --seed 0
+    --programs 100 --json`, whose digest every change keeps; the second
+    pin covers all 6000 signatures and instrets."""
+    reports, _ = full_matrix
+    jsonl = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
+                    for r in reports[:600])
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == (
+        "a1261cd50f1de4289bbe0a6d55d7afdafd249c906882c0315fb6c70a9248a746")
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(f"{r.seed} {r.width} {int(r.passed)} {r.sig_micro} "
+                 f"{r.sig_golden} {r.instret}\n".encode())
+    assert h.hexdigest() == (
+        "9827dcbdd981cce0b1018b1e870c39eca379dab38332f20feca4cdf5406500c1")
 
 
 def test_criterion_03_crypto_functional_pinning():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -165,6 +166,16 @@ def test_cosim_deterministic_json(tmp_path):
     cli.main(["cosim", "--seed", "9", "--programs", "2", "--widths", "4",
               "--json", str(p2)])
     assert p1.read_text() == p2.read_text()
+
+
+def test_cosim_json_pinned(tmp_path):
+    """The first 10 programs of the cosim digest that the full matrix
+    pins (tests/test_acceptance.py), at the CLI's defaults."""
+    out = tmp_path / "rep.jsonl"
+    assert cli.main(["cosim", "--seed", "0", "--programs", "10",
+                     "--json", str(out)]) == cli.EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "0c5cf995845aebbaec48f082e2da2f0ec7a569aa231bfac881413e6d6af6abc8")
 
 
 def test_cosim_signature_only_failure_line(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import struct
 
 import pytest
 
@@ -100,6 +101,29 @@ def test_generator_output_pinned_across_lengths_and_extensions():
                 h.update(f"{length} {tag} {s} {img.entry} {len(img.data)}\n".encode())
                 h.update(img.data)
     assert h.hexdigest() == "2e8e21cd5c4016a91596a3bf6d0e8d6f6036e9f2198e99f6a3ec2e55c06ade40"
+
+
+def test_generated_instrs_equal_their_decode():
+    """cosim puts the generator's Instrs in the decode cache in place of
+    decoding its words, so each must be what decode gives for its word,
+    and every instruction word of the program must have one."""
+    ebreak = isa.encode(isa.Instr(M.EBREAK))
+    for length in (1, 37, 500):
+        for exts in (frozenset(), frozenset({Ext.ZBKB}), isa.ZKN):
+            for s in range(8):
+                cached = {}
+                img = generate(TortureConfig(seed=s, length=length,
+                                             extensions=exts), cached)
+                assert img == generate(TortureConfig(seed=s, length=length,
+                                                     extensions=exts))
+                code = set()
+                for (word,) in struct.iter_unpack("<I", img.data):
+                    code.add(word)
+                    if word == ebreak:
+                        break
+                assert set(cached) == code
+                for word, ins in cached.items():
+                    assert isa.decode(word) == ins
 
 
 def test_overlong_program_rejected():
@@ -317,6 +341,88 @@ def test_replay_matches_oracle_without_halt():
         rep = cosim_run(tc, CoreConfig.zkn_zkt(w), max_steps=50)
         assert rep.divergence_field == "no-halt" and rep.instret == 50
         assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w), max_steps=50)
+
+
+def _flip_register(mp, m, victim):
+    """A core handler for `m` that also flips bit 7 of register `victim`,
+    a stray write wherever the instruction's rd is another register."""
+    handler = microarch._EXECUTE[m]
+
+    def faulty(core, i, a, b):
+        core.arch.regs[victim] ^= 1 << 7
+        return handler(core, i, a, b)
+
+    mp.setitem(microarch._EXECUTE, m, faulty)
+
+
+def _first_executed(img, m, exts):
+    """The pc and rd of the first `m` that golden executes in `img`."""
+    gold = ArchState.from_image(img)
+    while True:
+        ins = isa.decode(gold.mem.load(gold.pc, 4))
+        if ins.mnemonic is m:
+            return gold.pc, ins.rd
+        assert not golden.step(gold, exts).halted
+
+
+def test_stray_register_write_fails_at_its_instruction(monkeypatch):
+    """Each step compares all 32 registers, not only the step's rd."""
+    tc = TortureConfig(seed=1)
+    pc, rd = _first_executed(generate(tc), M.PACK, tc.extensions)
+    victim = 1 if rd != 1 else 2
+    _flip_register(monkeypatch, M.PACK, victim)
+    for w in WIDTHS:
+        rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+        assert not rep.passed
+        assert (rep.divergence_pc, rep.divergence_field) == (pc, f"x{victim}")
+
+
+def test_stray_write_caught_though_both_models_overwrite_it(
+        monkeypatch, fresh_golden_trace):
+    """The stray write is gone by the end, and the instruction's own rd is
+    right at every step, so only a compare of every register sees it."""
+    a = isa.Assembler()
+    a.li(5, 7)
+    pack_pc = a.here
+    a.emit(M.PACK, rd=1, rs1=2, rs2=3)
+    a.emit(M.ADDI, rd=5, rs1=0, imm=9)  # both models overwrite x5
+    a.emit(M.EBREAK)
+    img = a.build()
+    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
+    _flip_register(monkeypatch, M.PACK, 5)
+    tc, core = TortureConfig(seed=0), CoreConfig.zkn_zkt(4)
+
+    rep = cosim_run(tc, core)
+    assert not rep.passed
+    assert (rep.divergence_pc, rep.divergence_field) == (pack_pc, "x5")
+
+    # what a compare of rd alone, or of the final state, would have seen
+    trace = cosim._golden_trace(tc, frozenset(core.extensions) - {Ext.ZKT},
+                                200_000)
+    micro = microarch.MicroCore(core, ArchState.from_image(img))
+    for _, rd, value, g_out in trace.steps:
+        micro.step()
+        assert micro.arch.regs[rd] == value
+    assert g_out.halted
+    assert signature(micro.arch, MEMORY_WINDOW) == trace.signature
+
+
+def test_delta_names_the_register_of_the_word_before_the_step(
+        monkeypatch, fresh_golden_trace):
+    """A store that overwrites its own word with an addi still records
+    rd = 0: the delta's rd comes from the word that golden executed."""
+    a = isa.Assembler()
+    store_pc = a.base + 16
+    a.li(6, store_pc)  # two words
+    a.li(5, isa.encode(isa.Instr(M.ADDI, rd=7, rs1=0, imm=1)))  # two words
+    a.emit(M.SW, rs1=6, rs2=5, imm=0)
+    a.emit(M.EBREAK)
+    img = a.build()
+    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
+    tc = TortureConfig(seed=0)
+    trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
+    assert [rd for _, rd, _, _ in trace.steps] == [6, 6, 5, 5, 0, 0]
+    assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
 
 
 def test_reports_independent_of_loop_order():

@@ -61,6 +61,12 @@ def test_image_outside_address_space_rejected(base, size):
         load_image(bytes(size), base=base)
 
 
+@pytest.mark.parametrize("entry,shown", [(-4, "-0x4"), (0x1008, "0x1008")])
+def test_entry_outside_image_is_shown_as_given(entry, shown):
+    with pytest.raises(ValueError, match=f"^entry {shown} outside image$"):
+        load_image(bytes(8), base=0x1000, entry=entry)
+
+
 def test_image_ending_at_top_of_address_space_accepted():
     img = load_image(bytes(8), base=(1 << 32) - 8)
     assert img.base + len(img.data) == 1 << 32
