@@ -1,4 +1,4 @@
-"""Built-in cryptographic kernels, benchmark metrics and the constant-time audit.
+"""Built-in cryptographic kernels and benchmark metrics.
 
 Every kernel comes in an rv32i variant (base ISA only) and a zkn variant.
 For the crypto kernels the zkn variant uses the dedicated instructions and
@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import golden, isa, system
 from .cosim import fnv1a64
 from .golden import AES_SBOX, AES_SBOX_INV, ArchState, MASK32
-from .image import DEFAULT_BASE, ProgramImage
-from .isa import Assembler, Ext, Mnemonic as M
-from .microarch import CLASS_OF, SHIFT_MNEMONICS, CoreConfig, MicroCore
+from .image import ProgramImage
+from .isa import Assembler, Mnemonic as M
+from .microarch import CoreConfig
 
 VARIANTS = ("rv32i", "zkn")
 
@@ -666,78 +665,3 @@ def derive_metrics(results: Sequence[BenchResult]) -> dict:
         if cw:
             metrics["cross_width"][k] = cw
     return metrics
-
-
-# --- constant-time audit --------------------------------------------------------
-
-class AuditRow(NamedTuple):
-    mnemonic: str
-    latency_class: str
-    min_cycles: int
-    max_cycles: int
-
-    @property
-    def spread(self) -> int:
-        return self.max_cycles - self.min_cycles
-
-    def to_json_dict(self) -> dict:
-        return {"mnemonic": self.mnemonic, "class": self.latency_class,
-                "min": self.min_cycles, "max": self.max_cycles,
-                "spread": self.spread}
-
-
-class AuditReport(NamedTuple):
-    width: int
-    zkt: bool
-    trials: int
-    rows: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.spread == 0 for r in self.rows)
-
-
-def _measure_once(config: CoreConfig, ins: isa.Instr, rs1: int, rs2: int) -> int:
-    state = ArchState(pc=DEFAULT_BASE,
-                      mem=golden.Memory(size=4096, base=DEFAULT_BASE))
-    state.regs[1] = rs1 & MASK32
-    state.regs[2] = rs2 & MASK32
-    core = MicroCore(config, state)
-    cycles, outcome = core.run_instruction(ins)
-    assert not outcome.halted or outcome.reason is None
-    return cycles
-
-
-_AUDIT_PATTERNS = (0, MASK32) + tuple(1 << k for k in range(32))
-
-
-def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
-    """Measure per-mnemonic latency spread over `trials` operand samples.
-
-    Sample i runs `isa.instr(m, rd=4, rs1=1, rs2=2, imm=i % 32, bs=i % 4)`,
-    so immediate shifts sweep every shift amount and the AES forms every
-    byte select. rs1 takes 0, all-ones and each single-bit pattern first,
-    then random words; rs2 is i % 32 for shifts and rotates, else random.
-    Each mnemonic draws from its own seeded stream, so its operands do not
-    depend on which other mnemonics are audited. Under Zkt every covered
-    mnemonic must report a spread of exactly zero.
-    """
-    if trials < 32:
-        raise ValueError("trials must be >= 32 to cover every shift amount")
-    rows = []
-    for m in sorted(isa.ZKT_COVERED, key=lambda x: x.value):
-        ext = isa.EXT_OF[m]
-        if ext is not Ext.RV32I and ext not in config.extensions:
-            continue
-        rng = random.Random(m.value)
-        forms = [isa.instr(m, rd=4, rs1=1, rs2=2, imm=k, bs=k % 4)
-                 for k in range(32)]
-        lats = []
-        for i in range(trials):
-            rs1 = (_AUDIT_PATTERNS[i] if i < len(_AUDIT_PATTERNS)
-                   else rng.getrandbits(32))
-            rs2 = i % 32 if m in SHIFT_MNEMONICS else rng.getrandbits(32)
-            lats.append(_measure_once(config, forms[i % 32], rs1, rs2))
-        rows.append(AuditRow(m.value, CLASS_OF[m], min(lats), max(lats)))
-    return AuditReport(width=config.serial_width, zkt=config.zkt,
-                       trials=trials, rows=tuple(rows))

@@ -8,7 +8,7 @@ import json
 import sys
 from typing import Optional
 
-from . import bench, cosim, golden, isa, system
+from . import audit, bench, cosim, golden, isa, system
 from .image import EmptyImage, MalformedHex, load_image
 from .microarch import VALID_WIDTHS, CoreConfig, parse_extensions
 
@@ -207,7 +207,7 @@ def _cmd_audit(args) -> int:
     if args.trials < 32:
         raise _UsageError("--trials must be >= 32")
     config = CoreConfig(serial_width=args.width, extensions=args.ext)
-    report = bench.audit_constant_time(config, trials=args.trials)
+    report = audit.audit_constant_time(config, trials=args.trials)
     print(f"constant-time audit: width={report.width} zkt={report.zkt} "
           f"trials={report.trials}")
     print(f"{'mnemonic':14} {'class':14} {'min':>4} {'max':>4} {'spread':>6}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import golden, isa, system
@@ -202,7 +203,7 @@ def generate(config: TortureConfig,
             f"a torture program of length {config.length} runs to "
             f"0x{a.here:x}, past the scratch window at 0x{wbase:x}")
     a.data(bytes(gap & ~3))  # whole words of zeros
-    seed_bytes = bytes(rng.getrandbits(8) for _ in range(wsize))
+    seed_bytes = bytes(map(rng.getrandbits, repeat(8, wsize)))
     a.data(seed_bytes)
     return a.build()
 

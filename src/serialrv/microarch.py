@@ -24,8 +24,8 @@ decode, bind, execute, the frontend charge, the cycle-budget check, the
 per-mnemonic count and the commit, which also prefetches the next
 sequential word straight from the dense memory window. A fetch that hits
 isa's decode cache makes no call: the frame probes the dict itself and
-unpacks the instruction's fields once. `run_instruction` enters the same
-frame at the execute stage, so the retire code exists once.
+unpacks the instruction's fields once. `step` is the core's only way in:
+every instruction, a program's or the audit's, passes through these lines.
 
 What a core binds once, so that a step need not look it up again (none
 of it changes a simulated cycle):
@@ -561,17 +561,7 @@ class MicroCore:
         every mnemonic that retired on this core."""
         return {m: tuple(rec[5]) for m, rec in self._bound.items() if rec[5][0]}
 
-    def run_instruction(self, ins: Instr,
-                        max_cycles: Optional[int] = None) -> Tuple[int, StepOutcome]:
-        """Execute `ins` at the current pc; returns (charged cycles, outcome).
-
-        This is `step` entered at its execute stage: no fetch, no decode and
-        no fill of the fetch buffer, so the first `step` after it still pays
-        the fill.
-        """
-        return self.step(max_cycles, ins=ins)[:2]
-
-    def step(self, max_cycles: Optional[int] = None, *, ins: Optional[Instr] = None
+    def step(self, max_cycles: Optional[int] = None
              ) -> Tuple[int, StepOutcome, Optional[Instr]]:
         """Fetch, decode and execute one instruction, in one frame.
 
@@ -582,31 +572,30 @@ class MicroCore:
         stall if execution is shorter than mem_latency) and the flush
         penalty of taken control transfers. If a step's cycles would take
         `cycle` past `max_cycles`, it writes nothing and halts with
-        max-steps. `run_instruction` passes `ins` to skip the fetch.
+        max-steps.
         """
         arch = self.arch
         fill = 0
-        if ins is None:
-            if not self.startup_cycles:
-                fill = self._mem_latency
-            if max_cycles is not None and self.cycle + fill > max_cycles:
-                return 0, _OVER_BUDGET, None
-            if fill:  # taken back below if the instruction overruns the budget
-                self.startup_cycles = fill
-                self.cycle += fill
-            pc = arch.pc
-            if pc & 3:
-                return 0, _MISALIGNED_FETCH, None
-            buf = self.fetch_buffer
-            word = buf[1] if buf is not None and buf[0] == pc else arch.mem.load(pc, 4)
-            # a word decoded before is one probe of the decode cache
+        if not self.startup_cycles:
+            fill = self._mem_latency
+        if max_cycles is not None and self.cycle + fill > max_cycles:
+            return 0, _OVER_BUDGET, None
+        if fill:  # taken back below if the instruction overruns the budget
+            self.startup_cycles = fill
+            self.cycle += fill
+        pc = arch.pc
+        if pc & 3:
+            return 0, _MISALIGNED_FETCH, None
+        buf = self.fetch_buffer
+        word = buf[1] if buf is not None and buf[0] == pc else arch.mem.load(pc, 4)
+        # a word decoded before is one probe of the decode cache
+        try:
+            ins = _DECODE_CACHE[word]
+        except KeyError:
             try:
-                ins = _DECODE_CACHE[word]
-            except KeyError:
-                try:
-                    ins = isa.decode_cached(word)
-                except isa.IllegalInstruction:
-                    return 0, _ILLEGAL, None
+                ins = isa.decode_cached(word)
+            except isa.IllegalInstruction:
+                return 0, _ILLEGAL, None
 
         # bind, then execute on the record
         m, rd, rs1, rs2, imm, _, _ = ins

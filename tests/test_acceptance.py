@@ -17,9 +17,9 @@ import pytest
 import oracles
 from serialrv import bench, cosim, isa
 from serialrv.isa import Mnemonic as M
-from serialrv.bench import (audit_constant_time, build_aes128, build_sha256,
-                            run_kernel, run_suite, sha256_digest_from_out,
-                            sha256_pad)
+from serialrv.audit import audit_constant_time
+from serialrv.bench import (build_aes128, build_sha256, run_kernel, run_suite,
+                            sha256_digest_from_out, sha256_pad)
 from serialrv.microarch import CoreConfig, shift_latency
 
 WIDTHS = (1, 2, 4, 8, 16, 32)

@@ -5,12 +5,12 @@ import random
 import pytest
 
 import oracles
-from serialrv import bench, isa
-from serialrv.bench import (ChecksumMismatch, KERNELS,
-                            audit_constant_time, build_aes128, build_alumix,
-                            build_prince_sbox, build_sha256, build_shiftstorm,
-                            run_kernel, run_suite, sha256_digest_from_out,
-                            sha256_pad)
+from serialrv import audit, bench, isa
+from serialrv.audit import audit_constant_time
+from serialrv.bench import (ChecksumMismatch, KERNELS, build_aes128,
+                            build_alumix, build_prince_sbox, build_sha256,
+                            build_shiftstorm, run_kernel, run_suite,
+                            sha256_digest_from_out, sha256_pad)
 from serialrv.isa import Ext, Mnemonic as M
 from serialrv.microarch import SHIFT_MNEMONICS, CoreConfig
 
@@ -338,7 +338,7 @@ def _audited_operands(monkeypatch, covered):
         seen.setdefault(ins.mnemonic, []).append((ins, rs1, rs2))
         return 1
 
-    monkeypatch.setattr(bench, "_measure_once", spy)
+    monkeypatch.setattr(audit, "_measure_once", spy)
     monkeypatch.setattr(isa, "ZKT_COVERED", covered)
     audit_constant_time(CoreConfig.zkn_zkt(4), trials=64)
     return seen
@@ -366,18 +366,18 @@ def test_zkt_never_faster():
         if m in SHIFT_MNEMONICS & isa.IMM_FORMS:
             for s in (0, 1, 17, 31):
                 i = isa.instr(m, rd=4, rs1=1, imm=s)
-                assert bench._measure_once(zkt_on, i, 0xDEAD, 0) >= \
-                    bench._measure_once(zkt_off, i, 0xDEAD, 0)
+                assert audit._measure_once(zkt_on, i, 0xDEAD, 0) >= \
+                    audit._measure_once(zkt_off, i, 0xDEAD, 0)
         elif isa.ENCODINGS[m].fmt == isa.FMT_UNARY:
             i = isa.instr(m, rd=4, rs1=1)
-            assert bench._measure_once(zkt_on, i, 5, 0) >= \
-                bench._measure_once(zkt_off, i, 5, 0)
+            assert audit._measure_once(zkt_on, i, 5, 0) >= \
+                audit._measure_once(zkt_off, i, 5, 0)
         elif m in isa.AES_MNEMONICS:
             i = isa.instr(m, rd=4, rs1=1, rs2=2, bs=1)
-            assert bench._measure_once(zkt_on, i, 5, 9) >= \
-                bench._measure_once(zkt_off, i, 5, 9)
+            assert audit._measure_once(zkt_on, i, 5, 9) >= \
+                audit._measure_once(zkt_off, i, 5, 9)
         else:
             i = isa.instr(m, rd=4, rs1=1, rs2=2)
             for rs2 in (0, 13, 31):
-                assert bench._measure_once(zkt_on, i, 0xBEEF, rs2) >= \
-                    bench._measure_once(zkt_off, i, 0xBEEF, rs2)
+                assert audit._measure_once(zkt_on, i, 0xBEEF, rs2) >= \
+                    audit._measure_once(zkt_off, i, 0xBEEF, rs2)

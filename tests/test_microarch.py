@@ -25,10 +25,15 @@ def make_core(width=4, exts=isa.ZKN_ZKT, pc=0x1000, **knobs):
 
 
 def exec_one(core, i, regs=None):
+    """Step `i` at pc from the fetch buffer, leaving memory untouched;
+    returns (charged cycles, outcome)."""
     if regs:
         for r, v in regs.items():
             core.arch.regs[r] = v & 0xFFFFFFFF
-    return core.run_instruction(i)
+    core.fetch_buffer = (core.arch.pc, i.raw)
+    cycles, outcome, ran = core.step()
+    assert ran == i
+    return cycles, outcome
 
 
 # --- config -----------------------------------------------------------------
@@ -604,13 +609,13 @@ def test_one_record_per_mnemonic_over_a_torture_program():
 def test_same_mnemonic_reads_each_instructions_own_fields():
     core = make_core(1, exts=isa.ZKN)
     core.arch.regs[1], core.arch.regs[2] = 100, 0x80000001
-    core.run_instruction(instr(M.ADDI, rd=5, rs1=1, imm=7))
-    core.run_instruction(instr(M.ADDI, rd=6, rs1=2, imm=-3))
+    exec_one(core, instr(M.ADDI, rd=5, rs1=1, imm=7))
+    exec_one(core, instr(M.ADDI, rd=6, rs1=2, imm=-3))
     assert core.arch.regs[5] == 107 and core.arch.regs[6] == 0x7FFFFFFE
     assert core.arch.pc == 0x1008
     for shamt in (1, 31, 4):
         core.arch.pc = 0x1000
-        cycles, _ = core.run_instruction(instr(M.SLLI, rd=7, rs1=2, imm=shamt))
+        cycles, _ = exec_one(core, instr(M.SLLI, rd=7, rs1=2, imm=shamt))
         assert core.arch.regs[7] == (0x80000001 << shamt) & 0xFFFFFFFF
         assert cycles == shift_latency(core.config, M.SLLI, shamt)
     assert len(core._bound) == 2
@@ -722,8 +727,8 @@ def _sweep_operands():
 
 
 def _sweep_digest(width):
-    """sha256 over every run_instruction call at `width`: charged cycles,
-    outcome, rd value, pc and the micro state the call leaves."""
+    """sha256 over a step of every instruction at `width`: charged cycles,
+    outcome, rd value, pc and the micro state the step leaves."""
     h = hashlib.sha256()
     pairs = _sweep_operands()
     fill = random.Random(9).randbytes(0x2000)
@@ -740,10 +745,12 @@ def _sweep_digest(width):
                     i = instr(m, rd=5, rs1=1, rs2=2, imm=imm, bs=b & 3)
                     core.arch.pc = 0x1000
                     core.arch.regs[1], core.arch.regs[2] = a, b
-                    # stale micro state, so that what a call leaves shows
+                    # stale micro state, so that what a step leaves shows
                     core.serializer1, core.serializer2 = b ^ 0x5A5A5A5A, a ^ b
                     core.lsu_buffer = a ^ 0xA5A5A5A5
-                    cycles, out = core.run_instruction(i)
+                    core.fetch_buffer = (0x1000, i.raw)
+                    cycles, out, ran = core.step()
+                    assert ran == i
                     h.update(repr((m.value, a, b, cycles, out.halted, out.reason,
                                    core.arch.regs[5], core.arch.pc,
                                    core.serializer1, core.serializer2,
@@ -752,7 +759,7 @@ def _sweep_digest(width):
 
 
 # Taken on the chunked data path before its per-width rewrite; any change
-# to a result, a charged cycle or the micro state a call leaves moves it.
+# to a result, a charged cycle or the micro state a step leaves moves it.
 SWEEP_DIGESTS = {
     1: "de64ba230935f423bf27723ac4fc110f97336d0ea0f9296f43b182e27c921c3f",
     2: "707922d0b482fd444a942ea227a34bc4a4d4de1c301f23ea357d8007078d55ed",
@@ -764,7 +771,7 @@ SWEEP_DIGESTS = {
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-def test_run_instruction_sweep_is_pinned(width):
+def test_sweep_is_pinned(width):
     assert _sweep_digest(width) == SWEEP_DIGESTS[width]
 
 

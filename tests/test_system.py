@@ -302,9 +302,14 @@ def test_first_step_edge_cases(latency):
     assert core.step() == (0, golden.StepOutcome(True, golden.MISALIGNED_FETCH), None)
     assert core.cycle == core.startup_cycles == L
 
-    # run_instruction fills nothing, so the step after it still pays the fill
-    core = MicroCore(config, golden.ArchState(pc=0x1000))
-    assert core.run_instruction(instr(M.ADDI, rd=1, imm=1)) == (8, golden.RETIRED)
+    # a first step that retires pays the fill outside its charged cycles,
+    # and the step after it pays no fill
+    addi = instr(M.ADDI, rd=1, imm=1)
+    state = golden.ArchState(pc=0x1000)
+    state.mem.store(0x1000, 4, addi.raw)
+    core = MicroCore(config, state)
+    assert core.step() == (8, golden.RETIRED, addi)
+    assert (core.cycle, core.startup_cycles) == (8 + L, L)
     _, out, ins = core.step()
     assert out.reason == golden.ILLEGAL and ins is None
     assert (core.cycle, core.startup_cycles) == (8 + L, L)
