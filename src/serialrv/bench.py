@@ -608,8 +608,8 @@ def run_suite(kernel_names: Optional[Sequence[str]] = None,
     Raises ChecksumMismatch for a cell whose output is not the expected
     one, and so for every cell of a kernel that expects nothing.
     """
-    names = list(kernel_names or KERNELS)
-    names = [SUITE_ALIASES.get(n, n) for n in names]
+    # an alias and its kernel, or a name given twice, run once
+    names = dict.fromkeys(SUITE_ALIASES.get(n, n) for n in kernel_names or KERNELS)
     results = []
     for name in names:
         kernel = KERNELS[name]

@@ -47,7 +47,8 @@ def _width(value: str) -> int:
 
 
 def _width_list(value: str) -> tuple:
-    return tuple(_width(v) for v in value.split(","))
+    # a repeated width would run its cells again
+    return tuple(dict.fromkeys(_width(v) for v in value.split(",")))
 
 
 def _ext_set(value: str):
@@ -165,7 +166,8 @@ def _cmd_cosim(args) -> int:
 
 def _cmd_bench(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
-    variants = tuple(v.strip() for v in args.ext_presets.split(",") if v.strip())
+    variants = tuple(dict.fromkeys(v.strip() for v in args.ext_presets.split(",")
+                                   if v.strip()))
     if not variants:
         raise _UsageError("--ext-presets names no preset")
     for v in variants:

@@ -27,17 +27,26 @@ isa's decode cache makes no call: the frame probes the dict itself and
 unpacks the instruction's fields once. `step` is the core's only way in:
 every instruction, a program's or the audit's, passes through these lines.
 
-What a core binds once, so that a step need not look it up again (none
-of it changes a simulated cycle):
+What is bound once, so that a step need not work it out again (none of
+it changes a simulated cycle):
 
+- per mnemonic, at import: the handler in `_EXECUTE` of every mnemonic
+  of a function-unit class (shift and rotate, load, store, AES, SHA,
+  clmul, xperm, reorder), built by its unit's factory with that
+  mnemonic's constants bound in: its access size and sign, its S-box and
+  mix as one word per input byte, its SHA wiring, its digit width, its
+  half of the product, or its four reorder byte tables, built from
+  `_REORDER_WIRING` by `_wiring_tables`. No handler reads the mnemonic
+  of the instruction it executes.
 - per config, in `__init__`: one binding shared by every core under an
   equal config and by `latency_table`. It holds the latency table, the
   shift plans, the shift unit's step sequence for every move amount, one
   lane per chunk and the lane masks (see `_binding`): a chunk loop
   combines each chunk where it sits, never moving it down to bit 0, and
-  a bitwise loop walks the masks alone. A shift or rotate looks up its
-  plan by amount, and `_serial_move` walks the loop the plan names one
-  chunk or single-bit step at a time.
+  a bitwise loop walks the masks alone. Each plan is bound to its loop:
+  (move function, steps, mask), so a shift or rotate looks up its plan
+  by amount and calls the move function on the steps, one chunk or
+  single-bit step at a time, with no test of which loop it is.
 - per core, in `__init__`: the dense memory window the sequential
   prefetch reads: `_window` (the buffer, never replaced or resized),
   `_window_base` and `_window_last` (the offset of its last word).
@@ -58,8 +67,6 @@ of it changes a simulated cycle):
 
 Each record also carries the retired count and charged cycles of its
 mnemonic, added where the cycles are charged; `retired` reads them out.
-The reorder unit's wiring (`_REORDER_WIRING`) is applied through four
-byte tables per mnemonic, built from it lazily by `_wiring_tables`.
 """
 
 from __future__ import annotations
@@ -222,28 +229,67 @@ def shift_plan(config: CoreConfig, m: M, shamt: int) -> Tuple[str, int, int]:
     """
     loop = _LOOP_OF[m]
     if loop != "sll" and loop != "rol":
-        return _plan(loop, shamt, 0)
+        return loop, shamt, 0
     if config.left_shift_support:
         steps = _move_steps(config.shift_chunk_width)
         emulated = len(steps[32 - shamt]) + config.chunks
         if loop == "rol" or len(steps[shamt]) <= emulated:
-            return _plan(loop, shamt, 0)
-    return _plan("ror", 32 - shamt, (MASK32 << shamt) & MASK32 if loop == "sll" else 0)
+            return loop, shamt, 0
+    return "ror", 32 - shamt, (MASK32 << shamt) & MASK32 if loop == "sll" else 0
 
 
-@functools.lru_cache(maxsize=None)
-def _plan(loop: str, amount: int, mask: int) -> Tuple[str, int, int]:
-    # one tuple per distinct plan, shared by every config's plans
-    return loop, amount, mask
+# The shift unit's loops, one per direction and fill: each moves a 32-bit
+# value by the steps it is given, one chunk or single-bit step at a time.
+
+def _move_sll(v: int, steps: tuple) -> int:
+    for k in steps:
+        v = (v << k) & MASK32
+    return v
+
+
+def _move_rol(v: int, steps: tuple) -> int:
+    for k in steps:
+        v = ((v << k) & MASK32) | (v >> (32 - k))
+    return v
+
+
+def _move_srl(v: int, steps: tuple) -> int:
+    for k in steps:
+        v >>= k
+    return v
+
+
+def _move_ror(v: int, steps: tuple) -> int:
+    for k in steps:
+        v = (v >> k) | ((v & ((1 << k) - 1)) << (32 - k))
+    return v
+
+
+def _move_sra(v: int, steps: tuple) -> int:
+    if v >> 31:  # a negative operand
+        # each step fills the k vacated bits with the sign, which stays set
+        for k in steps:
+            v = (v >> k) | ((MASK32 << (32 - k)) & MASK32)
+        return v
+    for k in steps:
+        v >>= k
+    return v
+
+
+_MOVE = {"sll": _move_sll, "rol": _move_rol, "srl": _move_srl,
+         "ror": _move_ror, "sra": _move_sra}
 
 
 @functools.lru_cache(maxsize=256)
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
     {shift/rotate mnemonic: its 32 plans by amount}, move steps, lanes,
-    lane masks). A lane is (mask << p, 1 << (p + w)) for the w-bit chunk
-    at bit p, LSB first: the chunk's bits, and the bit where its carry-out
-    lands. The lane masks are the first of each lane, in the same order."""
+    lane masks). A plan is bound as (move function, steps, mask): the loop
+    of `shift_plan` as its `_MOVE` function, the steps of its amount, and
+    its mask, MASK32 when it has no mask pass. A lane is
+    (mask << p, 1 << (p + w)) for the w-bit chunk at bit p, LSB first: the
+    chunk's bits, and the bit where its carry-out lands. The lane masks are
+    the first of each lane, in the same order."""
     steps = _move_steps(config.shift_chunk_width)
     chunks = config.chunks
     mem_op = chunks + config.mem_latency + 1  # address add, access, commit
@@ -259,10 +305,12 @@ def _binding(config: CoreConfig) -> tuple:
         if m not in SHIFT_MNEMONICS:
             table[m] = per_class[klass]
             continue
-        plans[m] = tuple(shift_plan(config, m, s) for s in range(32))
+        by_amount = [shift_plan(config, m, s) for s in range(32)]
         costs = [len(steps[amount]) + (chunks if mask else 0) + 1
-                 for _, amount, mask in plans[m]]
+                 for _, amount, mask in by_amount]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
+        plans[m] = tuple((_MOVE[loop], steps[amount], mask or MASK32)
+                         for loop, amount, mask in by_amount)
     w = config.serial_width
     lanes = tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w))
     return (MappingProxyType(table), plans, steps, lanes,
@@ -302,24 +350,19 @@ _REORDER_WIRING = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _wiring_tables(m: M) -> memoryview:
-    """Four 256-entry tables of 32-bit words, one per source byte, built on
-    first use: entry 256 * k + b holds the output bits source byte k drives
-    when it is b."""
-    t = memoryview(bytearray(4 * 1024)).cast("I")
+def _wiring_tables(m: M) -> tuple:
+    """Four 256-entry tables, one per source byte: entry b of table k holds
+    the output bits that source byte k drives when it is b."""
+    drives = [0] * 32  # the output bits each source bit drives
     for i, src in enumerate(_REORDER_WIRING[m]):
-        k, bit = divmod(src, 8)
-        for b in range(256):
-            if b >> bit & 1:
-                t[256 * k + b] |= 1 << i
-    return t
-
-
-def _apply_wiring(m: M, v: int) -> int:
-    t = _wiring_tables(m)
-    return (t[v & 0xFF] | t[256 + (v >> 8 & 0xFF)]
-            | t[512 + (v >> 16 & 0xFF)] | t[768 + (v >> 24 & 0xFF)])
+        drives[src] |= 1 << i
+    tables = []
+    for k in range(0, 32, 8):
+        t = [0]
+        for drive in drives[k:k + 8]:  # t covers the values of the bits below
+            t += [v | drive for v in t]
+        tables.append(tuple(t))
+    return tuple(tables)
 
 
 # --- SHA unit wiring (fixed shifts into an XOR tree) ------------------------
@@ -447,94 +490,6 @@ class MicroCore:
             return a_neg
         return diff >> 31
 
-    # -- serializer shift/rotate path ----------------------------------------
-
-    def _serial_move(self, v: int, amount: int, loop: str) -> int:
-        """Move `v` by `amount` bits along `loop` (sll, rol, srl, ror or
-        sra), one step of `_steps[amount]` at a time: chunk steps, then
-        single-bit steps."""
-        steps = self._steps[amount]
-        if loop == "srl":
-            for k in steps:
-                v >>= k
-        elif loop == "sll":
-            for k in steps:
-                v = (v << k) & MASK32
-        elif loop == "ror":
-            for k in steps:
-                v = (v >> k) | ((v & ((1 << k) - 1)) << (32 - k))
-        elif loop == "rol":
-            for k in steps:
-                v = ((v << k) & MASK32) | (v >> (32 - k))
-        elif v >> 31:  # sra of a negative operand
-            # each step fills the k vacated bits with the sign, which stays set
-            for k in steps:
-                v = (v >> k) | ((MASK32 << (32 - k)) & MASK32)
-        else:
-            for k in steps:
-                v >>= k
-        self.serializer1 = v
-        return v
-
-    # -- crypto function units ----------------------------------------------
-
-    def _aes_unit(self, m: M, rs1: int, rs2: int, bs: int) -> int:
-        # byte select via the operand mask, S-Box/xt2 through the LSU buffer,
-        # rotate and XOR merge via Serializer1
-        self.lsu_buffer = (rs2 >> (8 * bs)) & 0xFF
-        if m is M.AES32ESI or m is M.AES32ESMI:
-            s = golden.AES_SBOX[self.lsu_buffer]
-        else:
-            s = golden.AES_SBOX_INV[self.lsu_buffer]
-        if m is M.AES32ESMI:
-            d = golden.xt2(s)
-            word = d | (s << 8) | (s << 16) | ((d ^ s) << 24)
-        elif m is M.AES32DSMI:
-            s2 = golden.xt2(s)
-            s4 = golden.xt2(s2)
-            s8 = golden.xt2(s4)
-            word = ((s8 ^ s4 ^ s2) | ((s8 ^ s) << 8)
-                    | ((s8 ^ s4 ^ s) << 16) | ((s8 ^ s2 ^ s) << 24))
-        else:
-            word = s
-        rotated = self._serial_move(word, (8 * bs) & 31, "rol")
-        return (rs1 ^ rotated) & MASK32
-
-    def _sha_unit(self, m: M, rs1: int, rs2: int) -> int:
-        # fixed-shift multiplexer: the terms of each source meet in an XOR
-        # tree, and one chunked XOR pass merges the two trees
-        wiring1, wiring2 = _SHA_WIRING[m]
-        t1 = t2 = 0
-        for right, left in wiring1:
-            t1 ^= (rs1 >> right) | (rs1 << left)
-        for right, left in wiring2:
-            t2 ^= (rs2 >> right) | (rs2 << left)
-        return self._chunk_xor(t1 & MASK32, t2 & MASK32)
-
-    def _clmul_unit(self, m: M, rs1: int, rs2: int) -> int:
-        # bit-serial accumulation: the multiplier bit gates whether the
-        # shifted multiplicand is folded into the Serializer1 accumulator
-        acc = 0
-        for i in range(32):
-            if (rs2 >> i) & 1:
-                acc ^= rs1 << i
-        self.serializer1 = acc & MASK32
-        return (acc >> 32) & MASK32 if m is M.CLMULH else acc & MASK32
-
-    def _xperm_unit(self, m: M, rs1: int, rs2: int) -> int:
-        # each digit of rs2 selects a digit of rs1; an index past the last
-        # digit selects zero
-        digit = 8 if m is M.XPERM8 else 4
-        mask = (1 << digit) - 1
-        out = 0
-        for i in range(32 // digit):
-            src = (rs2 >> (digit * i)) & mask
-            if src < 32 // digit:
-                out |= ((rs1 >> (digit * src)) & mask) << (digit * i)
-        if self.config.serial_width < 32:
-            self.serializer2 = out
-        return out
-
     # -- instruction execution -------------------------------------------------
 
     def _bind(self, m: M) -> tuple:
@@ -576,13 +531,11 @@ class MicroCore:
         """
         arch = self.arch
         fill = 0
-        if not self.startup_cycles:
-            fill = self._mem_latency
-        if max_cycles is not None and self.cycle + fill > max_cycles:
-            return 0, _OVER_BUDGET, None
-        if fill:  # taken back below if the instruction overruns the budget
-            self.startup_cycles = fill
+        if not self.startup_cycles:  # the first step fills the fetch buffer
+            fill = self.startup_cycles = self._mem_latency
             self.cycle += fill
+        if max_cycles is not None and self.cycle > max_cycles:
+            return self._over_budget(fill, None)
         pc = arch.pc
         if pc & 3:
             return 0, _MISALIGNED_FETCH, None
@@ -597,7 +550,8 @@ class MicroCore:
             except isa.IllegalInstruction:
                 return 0, _ILLEGAL, None
 
-        # bind, then execute on the record
+        # bind, then execute on the record and charge it: overlap the
+        # sequential prefetch, or flush on a transfer
         m, rd, rs1, rs2, imm, _, _ = ins
         rec = self._bound.get(m)
         if rec is None:
@@ -605,42 +559,40 @@ class MicroCore:
         unit, handler, imm_op2, cycles, size, counts = rec
         regs = arch.regs
         op2 = imm & MASK32 if imm_op2 else regs[rs2]
-        outcome = RETIRED
         if unit is not None:
             val = unit(self, regs[rs1], op2)
             target = None
-        elif handler is None:
-            return 0, _ILLEGAL, ins
-        else:
+            charged = self._mem_latency
+            if cycles > charged:
+                charged = cycles
+        elif handler is not None:
             if type(cycles) is tuple:  # a shift or rotate, costed by its amount
                 cycles = cycles[op2 & 31]
             try:
                 val, target = handler(self, ins, regs[rs1], op2)
             except _Halt as halt:
+                if not halt.retires:
+                    return 0, halt.outcome, ins
                 # ebreak and ecall retire, with no next fetch to overlap
-                charged = cycles if halt.retires else 0
-                outcome = halt.outcome
-
-        # frontend: overlap the sequential prefetch, or flush on a transfer
-        if outcome is RETIRED:
+                if max_cycles is not None and self.cycle + cycles > max_cycles:
+                    return self._over_budget(fill, ins)
+                self.cycle += cycles
+                counts[0] += 1
+                counts[1] += cycles
+                return cycles, halt.outcome, ins
             if target is None:
                 charged = self._mem_latency
                 if cycles > charged:
                     charged = cycles
             else:
                 charged = cycles + self._transfer_penalty
+        else:
+            return 0, _ILLEGAL, ins
         if max_cycles is not None and self.cycle + charged > max_cycles:
-            self.store_addr = None
-            if fill:
-                self.cycle -= fill
-                self.startup_cycles = 0
-            return 0, _OVER_BUDGET, ins
+            return self._over_budget(fill, ins)
         self.cycle += charged
-        if charged:  # cycles are charged to a retired instruction only
-            counts[0] += 1
-            counts[1] += charged
-        if outcome is not RETIRED:
-            return charged, outcome, ins
+        counts[0] += 1
+        counts[1] += charged
 
         # commit
         if self.store_addr is not None:
@@ -649,10 +601,9 @@ class MicroCore:
         if val is not None and rd:
             regs[rd] = val & MASK32
         if target is None:
-            pc = (arch.pc + 4) & MASK32
+            # pc was aligned when fetched, so pc + 4 (mod 2^32) is too
+            pc = (pc + 4) & MASK32
             arch.pc = pc
-            if pc & 3:
-                return charged, _MISALIGNED_FETCH, ins
             # the sequential prefetch: a dense-window word straight from the
             # bound buffer, anything else through the memory port
             off = pc - self._window_base
@@ -667,6 +618,15 @@ class MicroCore:
             if pc & 3:
                 return charged, _MISALIGNED_FETCH, ins
         return charged, RETIRED, ins
+
+    def _over_budget(self, fill: int, ins: Optional[Instr]) -> tuple:
+        """Halt with max-steps having written nothing: drop the step's store
+        and take back the first step's fill."""
+        self.store_addr = None
+        if fill:
+            self.cycle -= fill
+            self.startup_cycles = 0
+        return 0, _OVER_BUDGET, ins
 
 
 _OVER_BUDGET = StepOutcome(True, MAX_STEPS)
@@ -694,39 +654,134 @@ def _branch(taken):
         None, core.arch.pc + i.imm if taken(core, a, b) else None)
 
 
-def _lsu_address(ins: Instr, rs1: int) -> int:
-    addr = (rs1 + ins.imm) & MASK32
-    if addr % isa.ACCESS_BYTES[ins.mnemonic]:
-        raise _Halt(MISALIGNED_ACCESS)
-    return addr
+def _load_unit(m: M, signed: bool):
+    size = isa.ACCESS_BYTES[m]
+    field = (1 << 8 * size) - 1
+    sign = 1 << (8 * size - 1) if signed else 0  # x ^ 0 - 0 is x
 
-
-def _load(signed: bool):
-    def handler(core, i, a, b):
+    def lsu_load(core, i, a, b):
         # a full-word read through the LSU buffer, then the addressed bytes
-        addr = _lsu_address(i, a)
-        core.lsu_buffer = core.arch.mem.load(addr & ~3, 4)
-        bits = 8 * isa.ACCESS_BYTES[i.mnemonic]
-        val = (core.lsu_buffer >> (8 * (addr & 3))) & ((1 << bits) - 1)
-        if signed:
-            sign = 1 << (bits - 1)
-            val = (val ^ sign) - sign
-        return val, None
-    return handler
+        addr = (a + i.imm) & MASK32
+        if addr & (size - 1):
+            raise _Halt(MISALIGNED_ACCESS)
+        word = core.lsu_buffer = core.arch.mem.load(addr & ~3, 4)
+        val = (word >> 8 * (addr & 3)) & field
+        return (val ^ sign) - sign, None
+    return lsu_load
 
 
-def _shift(core, i, a, b):
-    # the shift unit carries out the plan of this mnemonic and amount
-    loop, amount, mask = core._plans[i.mnemonic][b & 31]
-    v = core._serial_move(a, amount, loop)
-    return (v & mask if mask else v), None
+def _store_unit(m: M):
+    size = isa.ACCESS_BYTES[m]
+
+    def lsu_store(core, i, a, b):
+        # the value waits in the LSU buffer until the instruction commits
+        addr = (a + i.imm) & MASK32
+        if addr & (size - 1):
+            raise _Halt(MISALIGNED_ACCESS)
+        core.store_addr = addr
+        core.lsu_buffer = b
+        return None, None
+    return lsu_store
 
 
-def _store(core, i, a, b):
-    # the value waits in the LSU buffer until the instruction commits
-    core.store_addr = _lsu_address(i, a)
-    core.lsu_buffer = b
-    return None, None
+def _shift_unit(m: M):
+    def shift(core, i, a, b):
+        # the shift unit walks the plan of this mnemonic and amount
+        move, steps, mask = core._plans[m][b & 31]
+        v = core.serializer1 = move(a, steps)
+        return v & mask, None
+    return shift
+
+
+def _aes_words(m: M):
+    """The word that the S-box and mix of `m` drive, for each input byte."""
+    if m is M.AES32ESI:
+        return golden.AES_SBOX
+    if m is M.AES32DSI:
+        return golden.AES_SBOX_INV
+    x2 = [golden.xt2(b) for b in range(256)]
+    if m is M.AES32ESMI:
+        return tuple(x2[s] | (s << 8) | (s << 16) | ((x2[s] ^ s) << 24)
+                     for s in golden.AES_SBOX)
+    words = []
+    for s in golden.AES_SBOX_INV:
+        s2 = x2[s]
+        s4 = x2[s2]
+        s8 = x2[s4]
+        words.append((s8 ^ s4 ^ s2) | ((s8 ^ s) << 8)
+                     | ((s8 ^ s4 ^ s) << 16) | ((s8 ^ s2 ^ s) << 24))
+    return tuple(words)
+
+
+def _aes_unit(m: M):
+    words = _aes_words(m)
+
+    def aes(core, i, a, b):
+        # byte select via the operand mask, S-box and mix through the LSU
+        # buffer, rotate and XOR merge via Serializer1
+        shift = 8 * i.bs
+        core.lsu_buffer = byte = (b >> shift) & 0xFF
+        v = core.serializer1 = _move_rol(words[byte], core._steps[shift])
+        return (a ^ v) & MASK32, None
+    return aes
+
+
+def _sha_unit(m: M):
+    wiring1, wiring2 = _SHA_WIRING[m]
+
+    def sha(core, i, a, b):
+        # fixed-shift multiplexer: the terms of each source meet in an XOR
+        # tree, and one chunked XOR pass merges the two trees
+        t1 = t2 = 0
+        for right, left in wiring1:
+            t1 ^= (a >> right) | (a << left)
+        for right, left in wiring2:
+            t2 ^= (b >> right) | (b << left)
+        return core._chunk_xor(t1 & MASK32, t2 & MASK32), None
+    return sha
+
+
+def _clmul_unit(m: M):
+    half = 32 if m is M.CLMULH else 0  # the half of the product kept
+
+    def clmul(core, i, a, b):
+        # bit-serial accumulation: the multiplier bit gates whether the
+        # shifted multiplicand is folded into the Serializer1 accumulator
+        acc = 0
+        for k in range(32):
+            if (b >> k) & 1:
+                acc ^= a << k
+        core.serializer1 = acc & MASK32
+        return (acc >> half) & MASK32, None
+    return clmul
+
+
+def _xperm_unit(m: M):
+    digit = 8 if m is M.XPERM8 else 4
+    mask = (1 << digit) - 1
+    count = 32 // digit
+
+    def xperm(core, i, a, b):
+        # each digit of rs2 selects a digit of rs1; an index past the last
+        # digit selects zero
+        out = 0
+        for pos in range(0, 32, digit):
+            src = (b >> pos) & mask
+            if src < count:
+                out |= ((a >> (digit * src)) & mask) << pos
+        if not core._full:
+            core.serializer2 = out
+        return out, None
+    return xperm
+
+
+def _reorder_unit(m: M):
+    t0, t1, t2, t3 = _wiring_tables(m)
+
+    def reorder(core, i, a, b):
+        return (t0[a & 0xFF] | t1[a >> 8 & 0xFF]
+                | t2[a >> 16 & 0xFF] | t3[a >> 24 & 0xFF]), None
+    return reorder
 
 
 # What each mnemonic does on the chunked data path: the name of a MicroCore
@@ -761,28 +816,24 @@ _EXECUTE = {
         core.arch.pc + 4, core._chunk_add(core.arch.pc, i.imm & MASK32)),
     M.JALR: lambda core, i, a, b: (
         core.arch.pc + 4, core._chunk_add(a, i.imm & MASK32) & ~1),
-    M.LB: _load(True),
-    M.LH: _load(True),
-    M.LW: _load(False),
-    M.LBU: _load(False),
-    M.LHU: _load(False),
-    M.SB: _store,
-    M.SH: _store,
-    M.SW: _store,
+    M.LB: _load_unit(M.LB, True),
+    M.LH: _load_unit(M.LH, True),
+    M.LW: _load_unit(M.LW, False),
+    M.LBU: _load_unit(M.LBU, False),
+    M.LHU: _load_unit(M.LHU, False),
+    M.SB: _store_unit(M.SB),
+    M.SH: _store_unit(M.SH),
+    M.SW: _store_unit(M.SW),
     M.FENCE: lambda core, i, a, b: (None, None),
     M.EBREAK: _halt(EBREAK),
     M.ECALL: _halt(ECALL),
 }
-# each function unit serves its whole latency class
-_BY_CLASS = {
-    SHIFT: _shift,
-    ROTATE: _shift,
-    AES: lambda core, i, a, b: (core._aes_unit(i.mnemonic, a, b, i.bs), None),
-    SHA: lambda core, i, a, b: (core._sha_unit(i.mnemonic, a, b), None),
-    CLMUL: lambda core, i, a, b: (core._clmul_unit(i.mnemonic, a, b), None),
-    XPERM: lambda core, i, a, b: (core._xperm_unit(i.mnemonic, a, b), None),
-    REORDER: lambda core, i, a, b: (_apply_wiring(i.mnemonic, a), None),
-}
-_EXECUTE.update((m, _BY_CLASS[c]) for m, c in CLASS_OF.items() if c in _BY_CLASS)
+# each function unit serves its latency class, built once per mnemonic with
+# that mnemonic's constants bound in
+_UNIT_OF_CLASS = {SHIFT: _shift_unit, ROTATE: _shift_unit, AES: _aes_unit,
+                  SHA: _sha_unit, CLMUL: _clmul_unit, XPERM: _xperm_unit,
+                  REORDER: _reorder_unit}
+_EXECUTE.update((m, _UNIT_OF_CLASS[c](m)) for m, c in CLASS_OF.items()
+                if c in _UNIT_OF_CLASS)
 for _m, _r in isa.R_FORM_OF.items():
     _EXECUTE[_m] = _EXECUTE[_r]

@@ -209,6 +209,29 @@ def test_bench_cli_rows_and_json(tmp_path, capsys):
     assert "speedup" in text
 
 
+def test_bench_kernel_and_its_alias_run_once(tmp_path):
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--suite", "aes128,aes128-enc", "--widths", "1",
+                     "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [(r["kernel"], r["variant"]) for r in rows] == [
+        ("aes128-enc", "rv32i"), ("aes128-enc", "zkn")]
+
+
+def test_bench_repeated_width_and_preset_run_once(tmp_path):
+    out = tmp_path / "bench.json"
+    assert cli.main(["bench", "--suite", "prince-sbox", "--widths", "1,1",
+                     "--ext-presets", "zkn,zkn", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [(r["variant"], r["width"]) for r in rows] == [("zkn", 1)]
+
+
+def test_cosim_repeated_width_runs_once(capsys):
+    assert cli.main(["cosim", "--programs", "1", "--length", "20",
+                     "--widths", "4,4"]) == 0
+    assert "cosim: 1/1 cells passed (1 programs x widths 4)" in capsys.readouterr().out
+
+
 def test_bench_unknown_kernel(capsys):
     assert cli.main(["bench", "--suite", "nope"]) == cli.EXIT_USAGE
 
