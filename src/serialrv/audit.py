@@ -23,11 +23,6 @@ class AuditRow(NamedTuple):
     def spread(self) -> int:
         return self.max_cycles - self.min_cycles
 
-    def to_json_dict(self) -> dict:
-        return {"mnemonic": self.mnemonic, "class": self.latency_class,
-                "min": self.min_cycles, "max": self.max_cycles,
-                "spread": self.spread}
-
 
 class AuditReport(NamedTuple):
     width: int

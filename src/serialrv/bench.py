@@ -9,16 +9,16 @@ in both variants; their zkn variant simply runs on the Zkn-Zkt core, which
 is how a non-crypto workload experiences the constant-time contract.
 
 Kernels are assembled programmatically and verified functionally before
-any timing is reported: a cell whose output bytes differ from the kernel's
-expected output raises ChecksumMismatch. A kernel's code is assembled once
-per variant (see `_build`), and a build places only its data after it.
+any timing is reported: every builder returns the output its inputs must
+produce, when bench knows it, and a cell whose output bytes differ from it
+raises ChecksumMismatch. A kernel's code is assembled once per variant (see
+`_build`), and a build places only its data after it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from . import golden, isa, system
@@ -28,7 +28,9 @@ from .image import ProgramImage
 from .isa import Assembler, Mnemonic as M
 from .microarch import CoreConfig
 
-VARIANTS = ("rv32i", "zkn")
+# the extensions each variant's cells run on
+EXTS = {"rv32i": frozenset(), "zkn": isa.ZKN_ZKT}
+VARIANTS = tuple(EXTS)
 
 
 class ChecksumMismatch(Exception):
@@ -42,7 +44,7 @@ class KernelProgram(NamedTuple):
     image: ProgramImage
     out_addr: int
     out_len: int
-    expected: bytes
+    expected: bytes  # the output bytes; empty when bench does not know them
 
 
 class BenchResult(NamedTuple):
@@ -63,6 +65,8 @@ class BenchResult(NamedTuple):
 FIPS_KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 FIPS_PT = bytes.fromhex("00112233445566778899aabbccddeeff")
 FIPS_CT = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+# (decrypt, input block) -> output block, under FIPS_KEY
+_FIPS_OUT = {(False, FIPS_PT): FIPS_CT, (True, FIPS_CT): FIPS_PT}
 
 
 def _aes_key_schedule(key: bytes) -> list:
@@ -160,6 +164,17 @@ def sha256_pad(msg: bytes) -> bytes:
     return padded + bl.to_bytes(8, "big")
 
 
+def _swap_words(b: bytes) -> bytes:
+    """Reverse the bytes of each 32-bit word: SHA-2's big-endian words to
+    the little-endian registers the kernel loads and stores, and back."""
+    return b"".join(b[i:i + 4][::-1] for i in range(0, len(b), 4))
+
+
+SHA256_ABC_BLOCK = sha256_pad(b"abc")
+_ABC_OUT = _swap_words(bytes.fromhex(  # the NIST "abc" digest
+    "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"))
+
+
 # --- PRINCE S-box (reference table from the cipher specification) -----------
 
 PRINCE_SBOX = (0xB, 0xF, 0x3, 0x2, 0xA, 0xC, 0x9, 0x1,
@@ -167,14 +182,10 @@ PRINCE_SBOX = (0xB, 0xF, 0x3, 0x2, 0xA, 0xC, 0x9, 0x1,
 PRINCE_INPUT = (0x76543210, 0xFEDCBA98)
 
 
-def _prince_sbox_words(words: Sequence[int]) -> list:
-    out = []
-    for w in words:
-        r = 0
-        for i in range(8):
-            r |= PRINCE_SBOX[(w >> (4 * i)) & 0xF] << (4 * i)
-        out.append(r)
-    return out
+def _prince_sbox_words(words: Sequence[int]) -> bytes:
+    """The S-box layer over `words`, as the kernel stores it."""
+    return b"".join(sum(PRINCE_SBOX[(w >> s) & 0xF] << s for s in range(0, 32, 4))
+                    .to_bytes(4, "little") for w in words)
 
 
 # --- kernel builders ---------------------------------------------------------
@@ -204,7 +215,8 @@ def _assembled(emit: Callable, args: tuple, layout: tuple) -> KernelProgram:
     return _program(a, {label: bytes(size) for label, size in layout})
 
 
-def _build(emit: Callable, args: tuple, blocks: Dict[str, bytes]) -> KernelProgram:
+def _build(emit: Callable, args: tuple, blocks: Dict[str, bytes],
+           expected: bytes) -> KernelProgram:
     """`emit(a, *args)` with `blocks` placed after the code by `_program`.
 
     The code reads its data only through labels, whose addresses depend on
@@ -214,7 +226,8 @@ def _build(emit: Callable, args: tuple, blocks: Dict[str, bytes]) -> KernelProgr
     kp = _assembled(emit, args, tuple((k, len(v)) for k, v in blocks.items()))
     data = b"".join(blob + bytes(-len(blob) % 4) for blob in blocks.values())
     code = kp.image.data[:len(kp.image.data) - len(data)]
-    return kp._replace(image=kp.image._replace(data=code + data))
+    return kp._replace(image=kp.image._replace(data=code + data),
+                       expected=expected)
 
 
 _ENC_COLSRC = [[(c + r) % 4 for r in range(4)] for c in range(4)]
@@ -321,8 +334,8 @@ def build_aes128(variant: str, decrypt: bool = False,
         blocks["ttable"] = _td0_table() if decrypt else _te0_table()
         if decrypt:
             blocks["inv_sbox"] = AES_SBOX_INV
-    # expected output is filled by the registry for default inputs
-    return _build(_emit_aes, (decrypt, variant == "zkn"), blocks)
+    expected = _FIPS_OUT.get((decrypt, block), b"") if key == FIPS_KEY else b""
+    return _build(_emit_aes, (decrypt, variant == "zkn"), blocks, expected)
 
 
 # --- SHA-256 single-block compression ---------------------------------------
@@ -417,21 +430,16 @@ def _emit_sha256(a: Assembler, zkn: bool) -> None:
     a.emit(M.EBREAK)
 
 
-def build_sha256(variant: str, block: Optional[bytes] = None) -> KernelProgram:
-    if block is None:
-        block = sha256_pad(b"abc")
+def build_sha256(variant: str, block: bytes = SHA256_ABC_BLOCK) -> KernelProgram:
+    """Compress one block from the IV; the output is the digest words in
+    register byte order (`_swap_words` gives the digest)."""
     assert len(block) == 64
     data = b"".join(v.to_bytes(4, "little") for v in SHA256_IV)
     data += b"".join(v.to_bytes(4, "little") for v in SHA256_K)
-    # the block is big-endian words in SHA-2; store pre-swapped so plain lw
-    # reads produce the schedule words
-    data += b"".join(block[4 * i:4 * i + 4][::-1] for i in range(16))
-    return _build(_emit_sha256, (variant == "zkn",), {"data": data, "out": bytes(32)})
-
-
-def sha256_digest_from_out(out: bytes) -> bytes:
-    # out words are little-endian registers; the digest is big-endian words
-    return b"".join(out[4 * i:4 * i + 4][::-1] for i in range(8))
+    data += _swap_words(block)  # plain lw reads give the schedule words
+    expected = _ABC_OUT if block == SHA256_ABC_BLOCK else b""
+    return _build(_emit_sha256, (variant == "zkn",),
+                  {"data": data, "out": bytes(32)}, expected)
 
 
 # --- PRINCE S-box layer -------------------------------------------------------
@@ -480,7 +488,8 @@ def build_prince_sbox(variant: str,
     emit = _emit_prince_zkn if variant == "zkn" else _emit_prince_rv32i
     return _build(emit, (), {"data": b"".join(w.to_bytes(4, "little") for w in words),
                               "out": bytes(8),
-                              "sbox": bytes(PRINCE_SBOX)})  # read by rv32i only
+                              "sbox": bytes(PRINCE_SBOX)},  # read by rv32i only
+                  _prince_sbox_words(words))
 
 
 # --- synthetic kernels --------------------------------------------------------
@@ -558,36 +567,27 @@ def build_shiftstorm(variant: str) -> KernelProgram:
 
 # --- kernel registry ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Kernel:
+class Kernel(NamedTuple):
     name: str
-    build: Callable[[str], KernelProgram]   # variant -> program
-    expected: bytes                          # output bytes for default inputs
-    # the extensions each variant runs on: class constants, not fields
-    zkn_exts = isa.ZKN_ZKT
-    rv32i_exts = frozenset()
+    build: Callable[[str], KernelProgram]   # variant -> program, default inputs
+    # read by perfbench/workloads.py; bench itself reads EXTS and kp.expected
+    zkn_exts = EXTS["zkn"]
+    rv32i_exts = EXTS["rv32i"]
+
+    @property
+    def expected(self) -> bytes:
+        """The output bytes of the default build."""
+        return self.build(VARIANTS[0]).expected
 
 
-def _registry() -> Dict[str, Kernel]:
-    prince_out = b"".join(w.to_bytes(4, "little")
-                          for w in _prince_sbox_words(PRINCE_INPUT))
-    abc_digest = bytes.fromhex(
-        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
-    # output words hold the digest byte-swapped per word (register layout)
-    abc_out = b"".join(abc_digest[4 * i:4 * i + 4][::-1] for i in range(8))
-    return {
-        "aes128-enc": Kernel("aes128-enc", lambda v: build_aes128(v, False),
-                             FIPS_CT),
-        "aes128-dec": Kernel("aes128-dec", lambda v: build_aes128(v, True),
-                             FIPS_PT),
-        "sha256-compress": Kernel("sha256-compress", build_sha256, abc_out),
-        "prince-sbox": Kernel("prince-sbox", build_prince_sbox, prince_out),
-        "alumix": Kernel("alumix", build_alumix, b""),
-        "shiftstorm": Kernel("shiftstorm", build_shiftstorm, b""),
-    }
-
-
-KERNELS = _registry()
+KERNELS = {k.name: k for k in (
+    Kernel("aes128-enc", lambda v: build_aes128(v, False)),
+    Kernel("aes128-dec", lambda v: build_aes128(v, True)),
+    Kernel("sha256-compress", build_sha256),
+    Kernel("prince-sbox", build_prince_sbox),
+    Kernel("alumix", build_alumix),
+    Kernel("shiftstorm", build_shiftstorm),
+)}
 SUITE_ALIASES = {"aes128": "aes128-enc", "sha256": "sha256-compress",
                  "prince": "prince-sbox"}
 
@@ -605,8 +605,9 @@ def run_suite(kernel_names: Optional[Sequence[str]] = None,
               variants: Sequence[str] = VARIANTS) -> Tuple[list, dict]:
     """Run the benchmark matrix; returns (results, derived metrics).
 
-    Raises ChecksumMismatch for a cell whose output is not the expected
-    one, and so for every cell of a kernel that expects nothing.
+    Raises ChecksumMismatch for a cell whose output is not its program's
+    expected one, and so for every cell of a program that expects nothing,
+    and KeyError for a variant that EXTS does not name.
     """
     # an alias and its kernel, or a name given twice, run once
     names = dict.fromkeys(SUITE_ALIASES.get(n, n) for n in kernel_names or KERNELS)
@@ -614,14 +615,13 @@ def run_suite(kernel_names: Optional[Sequence[str]] = None,
     for name in names:
         kernel = KERNELS[name]
         for variant in variants:
+            exts = EXTS[variant]
             kp = kernel.build(variant)
-            expected = kp.expected or kernel.expected
-            exts = kernel.zkn_exts if variant == "zkn" else kernel.rv32i_exts
             for w in widths:
                 config = CoreConfig(serial_width=w, extensions=exts)
                 stats, out = run_kernel(kp, config)
-                if out != expected:
-                    raise ChecksumMismatch(name, variant, w, out, expected)
+                if out != kp.expected:
+                    raise ChecksumMismatch(name, variant, w, out, kp.expected)
                 results.append(BenchResult(
                     kernel=name, variant=variant, width=w,
                     cycles=stats.cycles, instret=stats.instret,
@@ -653,7 +653,7 @@ def derive_metrics(results: Sequence[BenchResult]) -> dict:
             metrics["code_size_reduction_pct"][k] = round(
                 100.0 * (1 - b.code_size / a.code_size), 2)
         cw = {}
-        for variant in ("rv32i", "zkn"):
+        for variant in VARIANTS:
             pairs = {}
             for w in widths_seen:
                 lo = by_cell.get((k, variant, w))

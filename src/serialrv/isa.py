@@ -390,7 +390,7 @@ _FIELDS_OF_FMT = {
     FMT_U: ("rd", "imm"),
     FMT_JAL: ("rd", "imm"),
     FMT_SYSTEM: (),
-    FMT_FENCE: ("imm",),
+    FMT_FENCE: ("rd", "rs1", "imm"),
 }
 
 

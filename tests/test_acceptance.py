@@ -18,8 +18,8 @@ import oracles
 from serialrv import bench, cosim, isa
 from serialrv.isa import Mnemonic as M
 from serialrv.audit import audit_constant_time
-from serialrv.bench import (build_aes128, build_sha256, run_kernel, run_suite,
-                            sha256_digest_from_out, sha256_pad)
+from serialrv.bench import (_swap_words, build_aes128, build_sha256, run_kernel,
+                            run_suite, sha256_pad)
 from serialrv.microarch import CoreConfig, shift_latency
 
 WIDTHS = (1, 2, 4, 8, 16, 32)
@@ -94,7 +94,7 @@ def test_criterion_03_crypto_functional_pinning():
     detail.append("fips-197 ok" if ok else "fips-197 MISMATCH")
     # NIST 'abc' digest
     _, out = run_kernel(build_sha256("zkn"), ZKN_CFG32)
-    sha_ok = sha256_digest_from_out(out) == oracles.sha256(b"abc")
+    sha_ok = _swap_words(out) == oracles.sha256(b"abc")
     ok &= sha_ok
     detail.append("sha-abc ok" if sha_ok else "sha-abc MISMATCH")
     # 100 random AES pairs against the library oracle
@@ -116,7 +116,7 @@ def test_criterion_03_crypto_functional_pinning():
         msg = bytes(rng.getrandbits(8) for _ in range(rng.randrange(56)))
         _, out = run_kernel(build_sha256("zkn", block=sha256_pad(msg)),
                             ZKN_CFG32)
-        sha_n += sha256_digest_from_out(out) == oracles.sha256(msg)
+        sha_n += _swap_words(out) == oracles.sha256(msg)
     ok &= sha_n == 100
     detail.append(f"sha random {sha_n}/100")
     _verdict(3, "crypto functional pinning", ok, ", ".join(detail))

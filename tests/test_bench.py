@@ -1,16 +1,19 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 import oracles
 from serialrv import audit, bench, isa
 from serialrv.audit import audit_constant_time
-from serialrv.bench import (ChecksumMismatch, KERNELS, build_aes128,
-                            build_alumix, build_prince_sbox, build_sha256,
-                            build_shiftstorm, run_kernel, run_suite,
-                            sha256_digest_from_out, sha256_pad)
+from serialrv.bench import (ChecksumMismatch, KERNELS, _swap_words,
+                            build_aes128, build_alumix, build_prince_sbox,
+                            build_sha256, build_shiftstorm, run_kernel,
+                            run_suite, sha256_pad)
 from serialrv.isa import Ext, Mnemonic as M
 from serialrv.microarch import SHIFT_MNEMONICS, CoreConfig
 
@@ -51,7 +54,7 @@ def test_sha256_abc_both_variants():
     want = oracles.sha256(b"abc")
     for variant, cfg in (("zkn", ZKN_CFG), ("rv32i", BASE_CFG)):
         _, out = run_kernel(build_sha256(variant), cfg)
-        assert sha256_digest_from_out(out) == want, variant
+        assert _swap_words(out) == want, variant
 
 
 def test_sha256_random_single_block_messages():
@@ -59,7 +62,7 @@ def test_sha256_random_single_block_messages():
     for _ in range(10):
         msg = bytes(rng.getrandbits(8) for _ in range(rng.randrange(56)))
         _, out = run_kernel(build_sha256("zkn", block=sha256_pad(msg)), ZKN_CFG)
-        assert sha256_digest_from_out(out) == oracles.sha256(msg)
+        assert _swap_words(out) == oracles.sha256(msg)
 
 
 def test_sha256_constants_derived_correctly():
@@ -87,11 +90,46 @@ def test_synthetic_kernels_self_check():
         assert out == kp.expected
 
 
+def test_builders_expect_the_outputs_bench_knows():
+    rng = random.Random(5)
+    key, block = rng.randbytes(16), rng.randbytes(16)
+    words = (rng.getrandbits(32), rng.getrandbits(32))
+    for variant, exts in bench.EXTS.items():
+        config = CoreConfig(serial_width=8, extensions=exts)
+        known = (build_aes128(variant, False, key=bench.FIPS_KEY, block=bench.FIPS_PT),
+                 build_aes128(variant, True, block=bench.FIPS_CT),
+                 build_sha256(variant, block=sha256_pad(b"abc")),
+                 build_prince_sbox(variant, words))
+        for kp in known:
+            assert kp.expected and run_kernel(kp, config)[1] == kp.expected
+        unknown = (build_aes128(variant, key=key),
+                   build_aes128(variant, True, key=key),
+                   build_aes128(variant, block=block),
+                   build_aes128(variant, True, block=bench.FIPS_PT),
+                   build_sha256(variant, block=sha256_pad(b"abd")))
+        assert all(kp.expected == b"" for kp in unknown)
+
+
+def test_import_builds_nothing():
+    """Importing bench assembles no kernel: a registry that built its
+    expected outputs at import would move that work into every caller's
+    setup."""
+    code = ("from serialrv import bench\n"
+            "print(*(f.cache_info().currsize for f in (\n"
+            "    bench._assembled, bench.build_alumix, bench.build_shiftstorm)))")
+    src = os.path.dirname(os.path.dirname(bench.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["0", "0", "0"]
+
+
 def test_every_kernel_cell_has_an_expected_output():
     for name, kernel in KERNELS.items():
         for variant in bench.VARIANTS:
-            assert kernel.build(variant).expected or kernel.expected, \
+            assert kernel.build(variant).expected == kernel.expected, \
                 (name, variant)
+        assert kernel.expected, name
 
 
 # sha256 over each registry kernel x variant's load address, entry, code
@@ -111,7 +149,7 @@ def test_kernel_images_are_pinned():
             lines.append(
                 f"{name} {variant} base={img.base:#x} entry={img.entry:#x} "
                 f"code_size={img.code_size} out={kp.out_addr:#x}+{kp.out_len} "
-                f"expected={(kp.expected or kernel.expected).hex()} "
+                f"expected={kp.expected.hex()} "
                 f"image={hashlib.sha256(img.data).hexdigest()}")
     text = "\n".join(lines) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == KERNEL_IMAGES_SHA256
@@ -134,10 +172,10 @@ def _drawn_builds(rng):
     return calls
 
 
-def _fresh_build(emit, args, blocks):
+def _fresh_build(emit, args, blocks, expected):
     a = isa.Assembler()
     emit(a, *args)
-    return bench._program(a, blocks)
+    return bench._program(a, blocks, expected)
 
 
 def test_cached_kernel_builds_equal_a_fresh_assembly(monkeypatch):
@@ -161,15 +199,15 @@ def test_build_pads_each_block_to_a_word():
 
     for blocks in ({"head": b"\x01" * 3, "out": b"\x02" * 5, "tail": b"\x03"},
                    {"head": b"\x04" * 6, "out": b"\x05" * 2, "tail": b"\x06" * 7}):
-        assert bench._build(emit, (), blocks) == _fresh_build(emit, (), blocks)
+        assert bench._build(emit, (), blocks, b"") == \
+            _fresh_build(emit, (), blocks, b"")
 
 
 def test_checksum_invariant_across_variant_and_width():
     for name, kernel in KERNELS.items():
         sums = set()
-        for variant in ("rv32i", "zkn"):
+        for variant, exts in bench.EXTS.items():
             kp = kernel.build(variant)
-            exts = kernel.zkn_exts if variant == "zkn" else kernel.rv32i_exts
             for w in (1, 8, 32):
                 _, out = run_kernel(kp, CoreConfig(serial_width=w,
                                                    extensions=exts))
@@ -246,20 +284,28 @@ def test_wider_never_slower_for_zkn_crypto():
             assert cells[2 * w] <= cells[w], (kernel, w)
 
 
+def _expecting(monkeypatch, name, expected):
+    """Make KERNELS[name]'s builds expect `expected`."""
+    kernel = KERNELS[name]
+    monkeypatch.setitem(bench.KERNELS, name, bench.Kernel(
+        name, lambda v: kernel.build(v)._replace(expected=expected)))
+
+
 def test_checksum_mismatch_raised(monkeypatch):
-    bad = KERNELS["prince-sbox"]
-    monkeypatch.setitem(bench.KERNELS, "prince-sbox",
-                        bench.Kernel(bad.name, bad.build, b"\x00" * 8))
+    _expecting(monkeypatch, "prince-sbox", b"\x00" * 8)
     with pytest.raises(ChecksumMismatch):
         run_suite(kernel_names=["prince-sbox"], widths=(32,))
 
 
 def test_cell_without_expected_output_is_a_mismatch(monkeypatch):
-    unchecked = KERNELS["prince-sbox"]
-    monkeypatch.setitem(bench.KERNELS, "prince-sbox",
-                        bench.Kernel(unchecked.name, unchecked.build, b""))
+    _expecting(monkeypatch, "prince-sbox", b"")
     with pytest.raises(ChecksumMismatch):
         run_suite(kernel_names=["prince-sbox"], widths=(32,))
+
+
+def test_unknown_variant_raises():
+    with pytest.raises(KeyError):
+        run_suite(kernel_names=["alumix"], widths=(32,), variants=("zkm",))
 
 
 def test_suite_alias():

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from serialrv import cli, cosim, golden, microarch
+from serialrv import bench, cli, cosim, golden, microarch
 from serialrv.isa import Assembler, Mnemonic as M
 
 
@@ -69,6 +69,16 @@ def test_run_bad_width_usage_error(ebreak_image):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", ebreak_image, "--width", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("cmd", ["run", "cosim", "audit-ct"])
+def test_unknown_extension_usage_error(cmd, ebreak_image, capsys):
+    argv = [cmd, ebreak_image] if cmd == "run" else [cmd]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--ext", "bogus"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith(
+        "error: argument --ext: unknown extension 'bogus'\n")
 
 
 def test_unknown_flag_is_error(ebreak_image):
@@ -141,6 +151,14 @@ def test_cosim_length_too_long_usage_error(capsys):
     assert err.count("\n") == 1 and "--length" in err
 
 
+def test_cosim_length_overrunning_once_assembled_usage_error(capsys):
+    assert cli.main(["cosim", "--length", "900", "--programs", "1"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert "runs to 0x22e0" in captured.err and "--length" in captured.err
+    assert captured.out == ""
+
+
 def test_cosim_huge_length_rejected_before_generating(monkeypatch, capsys):
     def no_slot(*args):
         raise AssertionError("generate emitted a slot")
@@ -197,6 +215,13 @@ def test_cosim_signature_only_failure_line(monkeypatch, capsys):
     assert "  FAIL seed=0 width=4 final signature only\n" in capsys.readouterr().out
 
 
+def test_cosim_divergence_failure_line(monkeypatch, capsys):
+    monkeypatch.setitem(microarch._EXECUTE, M.BEQ, microarch._EXECUTE[M.BNE])
+    rc = cli.main(["cosim", "--seed", "1", "--programs", "1", "--widths", "4"])
+    assert rc == cli.EXIT_FAIL
+    assert "  FAIL seed=1 width=4 field=pc pc=0x13ec\n" in capsys.readouterr().out
+
+
 def test_bench_cli_rows_and_json(tmp_path, capsys):
     out = tmp_path / "bench.json"
     rc = cli.main(["bench", "--suite", "aes128", "--widths", "1,32",
@@ -234,6 +259,17 @@ def test_cosim_repeated_width_runs_once(capsys):
 
 def test_bench_unknown_kernel(capsys):
     assert cli.main(["bench", "--suite", "nope"]) == cli.EXIT_USAGE
+
+
+def test_bench_checksum_mismatch_fails(monkeypatch, capsys):
+    kernel = bench.KERNELS["prince-sbox"]
+    monkeypatch.setitem(bench.KERNELS, "prince-sbox", bench.Kernel(
+        kernel.name, lambda v: kernel.build(v)._replace(expected=bytes(8))))
+    assert cli.main(["bench", "--suite", "prince", "--widths", "4"]) == cli.EXIT_FAIL
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: prince-sbox/rv32i@w4: output ")
+    assert captured.out == ""
 
 
 def test_bench_unknown_preset(capsys):

@@ -131,6 +131,16 @@ def test_overlong_program_rejected():
         generate(TortureConfig(seed=0, length=2000))
 
 
+def test_program_that_overruns_the_window_once_assembled_rejected():
+    """A length that passes the up-front bound but whose branches and
+    li forms push the code past the window is rejected after assembly."""
+    room = (MEMORY_WINDOW[0] - 0x1000) // 4
+    assert 900 <= room
+    with pytest.raises(cosim.ProgramTooLong, match=(
+            "length 900 runs to 0x22e0, past the scratch window at 0x2000")):
+        generate(TortureConfig(seed=0, length=900))
+
+
 def _no_slot(*args):
     raise AssertionError("generate emitted a slot")
 
@@ -227,6 +237,21 @@ def test_corrupted_micro_model_detected(monkeypatch):
     assert not rep.passed
     assert rep.divergence_pc is not None
     assert rep.divergence_field.startswith("x") or rep.divergence_field == "pc"
+
+
+@pytest.mark.parametrize("m,fault,field,pc", [
+    (M.BEQ, lambda: microarch._EXECUTE[M.BNE], "pc", 0x13EC),
+    # the program's final ebreak
+    (M.EBREAK, lambda: microarch._halt(golden.ECALL), "halt-reason", 0x1554),
+], ids=["beq-as-bne", "ebreak-as-ecall"])
+def test_core_control_fault_diverges(monkeypatch, m, fault, field, pc):
+    monkeypatch.setitem(microarch._EXECUTE, m, fault())
+    rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
+    assert not rep.passed
+    assert (rep.divergence_pc, rep.divergence_field) == (pc, field)
+    d = rep.to_json_dict()
+    assert d["pass"] is False
+    assert (d["divergence_pc"], d["divergence_field"]) == (f"0x{pc:08x}", field)
 
 
 def test_report_json_shape():

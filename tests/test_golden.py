@@ -58,6 +58,26 @@ def test_misaligned_load_halts():
     assert out.reason == golden.MISALIGNED_ACCESS
 
 
+@pytest.mark.parametrize("m,offset", [(M.SH, 1), (M.SW, 2)])
+def test_misaligned_store_halts_and_writes_nothing(m, offset):
+    s, out = run_one(instr(m, rs1=1, rs2=2, imm=offset),
+                     regs={1: 0x200, 2: 0xDEADBEEF})
+    assert out == golden.StepOutcome(True, golden.MISALIGNED_ACCESS)
+    assert s.mem.read_bytes(0x200, 8) == bytes(8) and s.pc == 0x1000
+
+
+@pytest.mark.parametrize("ins,target", [
+    (instr(M.JAL, rd=1, imm=6), 0x1006),
+    (instr(M.JALR, rd=1, rs1=2, imm=2), 0x2002),
+])
+def test_jump_to_a_half_word_target_links_then_halts(ins, target):
+    """The jump retires, writing rd and pc; fetching from the target is
+    what traps."""
+    s, out = run_one(ins, regs={2: 0x2000})
+    assert out == golden.StepOutcome(True, golden.MISALIGNED_FETCH)
+    assert (s.regs[1], s.pc) == (0x1004, target)
+
+
 def test_illegal_word_halts():
     s = fresh_state()
     s.mem.store(0x1000, 4, 0)

@@ -126,6 +126,20 @@ def test_decode_totality_and_reencode(word):
     assert encode(i) == word
 
 
+def test_instr_rebuilds_every_decoded_fence_word():
+    """instr() keeps a fence's rd and rs1 fields, which encode and decode
+    carry; fence bits of 0 alone are canonicalized, to iorw, iorw."""
+    fence = isa.ENCODINGS[M.FENCE].opcode
+    words = [fence | rd << 7 | rs1 << 15 | 0x5FE << 20
+             for rd in range(32) for rs1 in range(32)]
+    words += [fence | 19 << 7 | 25 << 15 | bits << 20 for bits in range(1, 4096)]
+    for word in words:
+        i = decode(word)
+        assert instr(M.FENCE, rd=i.rd, rs1=i.rs1, imm=i.imm) == i
+    assert instr(M.FENCE, rd=19, rs1=25, imm=0x5FE).raw == 0x5FEC898F
+    assert instr(M.FENCE).raw == 0x0FF0000F
+
+
 def _decode_record(word):
     try:
         i = decode(word)

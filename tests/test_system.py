@@ -4,7 +4,7 @@ import json
 import pytest
 
 from serialrv import bench, golden, isa, system
-from serialrv.image import EmptyImage, MalformedHex, load_image
+from serialrv.image import EmptyImage, MalformedHex, ProgramImage, load_image
 from serialrv.isa import Assembler, Mnemonic as M, instr
 from serialrv.microarch import CLASS_OF, CoreConfig, MicroCore
 
@@ -55,6 +55,17 @@ def test_unaligned_base_rejected():
         load_image(b"\x13\x00\x00\x00", base=0x1002)
 
 
+def test_unknown_image_format_rejected():
+    with pytest.raises(ValueError, match="unknown image format 'elf'"):
+        load_image(b"\x13\x00\x00\x00", fmt="elf")
+
+
+def test_empty_image_entry_must_be_its_base():
+    assert ProgramImage(0x1000, b"", 0x1000).validate().entry == 0x1000
+    with pytest.raises(ValueError, match="empty image must have entry == base"):
+        ProgramImage(0x1000, b"", 0x1004).validate()
+
+
 @pytest.mark.parametrize("base,size", [(-4, 4), (1 << 32, 4), ((1 << 32) - 4, 8)])
 def test_image_outside_address_space_rejected(base, size):
     with pytest.raises(ValueError, match="32-bit address space"):
@@ -90,6 +101,13 @@ def test_image_over_mmio_words_is_code_not_stores():
 def test_single_ebreak():
     stats = system.run(simple_image(instr(M.EBREAK)), CoreConfig(serial_width=8))
     assert stats.instret == 1 and stats.halt == golden.EBREAK
+
+
+@pytest.mark.parametrize("max_cycles", (0, -1))
+def test_cycle_budget_must_be_positive(max_cycles):
+    with pytest.raises(ValueError, match="max_cycles must be > 0"):
+        system.run(simple_image(instr(M.EBREAK)), CoreConfig(serial_width=8),
+                   max_cycles=max_cycles)
 
 
 def test_infinite_loop_max_cycles():
@@ -364,10 +382,8 @@ def test_decode_cache_cleared_between_steps(monkeypatch, variant, width):
     """Clearing isa's decode cache between steps, as decode_cached does
     past its size limit, changes no result, and every fetch after a clear
     misses: the core reads the live cache, never a copy of it."""
-    kernel = bench.KERNELS["aes128-enc"]
-    kp = kernel.build(variant)
-    exts = kernel.zkn_exts if variant == "zkn" else kernel.rv32i_exts
-    config = CoreConfig(serial_width=width, extensions=exts)
+    kp = bench.KERNELS["aes128-enc"].build(variant)
+    config = CoreConfig(serial_width=width, extensions=bench.EXTS[variant])
     want_state = golden.ArchState.from_image(kp.image)
     want = system.run(kp.image, config, state=want_state)
 
@@ -390,7 +406,7 @@ def test_decode_cache_cleared_between_steps(monkeypatch, variant, width):
     assert (state.pc, state.regs) == (want_state.pc, want_state.regs)
     out = state.mem.read_bytes(kp.out_addr, kp.out_len)
     assert out == want_state.mem.read_bytes(kp.out_addr, kp.out_len) \
-        == (kp.expected or kernel.expected)
+        == kp.expected
     assert len(misses) == stats.instret
 
 
@@ -420,17 +436,16 @@ def _run_and_recount(image, config, **kwargs):
 @pytest.mark.parametrize("variant", bench.VARIANTS)
 @pytest.mark.parametrize("name", sorted(bench.KERNELS))
 def test_counts_match_trace_for_every_kernel(name, variant, width):
-    kernel = bench.KERNELS[name]
-    exts = kernel.zkn_exts if variant == "zkn" else kernel.rv32i_exts
-    stats = _run_and_recount(kernel.build(variant).image,
-                             CoreConfig(serial_width=width, extensions=exts))
+    stats = _run_and_recount(bench.KERNELS[name].build(variant).image,
+                             CoreConfig(serial_width=width,
+                                        extensions=bench.EXTS[variant]))
     assert stats.halt == golden.EBREAK
 
 
 @pytest.mark.parametrize("width", (1, 32))
 def test_counts_match_trace_at_the_cycle_budget(width):
     image = bench.KERNELS["sha256-compress"].build("zkn").image
-    config = CoreConfig(serial_width=width, extensions=bench.Kernel.zkn_exts)
+    config = CoreConfig(serial_width=width, extensions=bench.EXTS["zkn"])
     full = system.run(image, config)
     stats = _run_and_recount(image, config, max_cycles=full.cycles // 2)
     assert stats.halt == golden.MAX_STEPS and 0 < stats.instret < full.instret
