@@ -33,6 +33,12 @@ EXTS = {"rv32i": frozenset(), "zkn": isa.ZKN_ZKT}
 VARIANTS = tuple(EXTS)
 
 
+def _is_zkn(variant: str) -> bool:
+    """Whether `variant` builds the Zkn code. A variant that EXTS does not
+    name raises KeyError, before a build does any work."""
+    return bool(EXTS[variant])
+
+
 class ChecksumMismatch(Exception):
     def __init__(self, kernel: str, variant: str, width: int,
                  got: bytes, want: bytes):
@@ -325,17 +331,18 @@ def _emit_aes(a: Assembler, decrypt: bool, zkn: bool) -> None:
 
 def build_aes128(variant: str, decrypt: bool = False,
                  key: bytes = FIPS_KEY, block: Optional[bytes] = None) -> KernelProgram:
+    zkn = _is_zkn(variant)
     if block is None:
         block = FIPS_CT if decrypt else FIPS_PT
     assert len(block) == 16
     rk = _dec_round_key_bytes(key) if decrypt else _enc_round_key_bytes(key)
     blocks = {"data": rk + block, "out": bytes(16)}
-    if variant != "zkn":
+    if not zkn:
         blocks["ttable"] = _td0_table() if decrypt else _te0_table()
         if decrypt:
             blocks["inv_sbox"] = AES_SBOX_INV
     expected = _FIPS_OUT.get((decrypt, block), b"") if key == FIPS_KEY else b""
-    return _build(_emit_aes, (decrypt, variant == "zkn"), blocks, expected)
+    return _build(_emit_aes, (decrypt, zkn), blocks, expected)
 
 
 # --- SHA-256 single-block compression ---------------------------------------
@@ -433,12 +440,13 @@ def _emit_sha256(a: Assembler, zkn: bool) -> None:
 def build_sha256(variant: str, block: bytes = SHA256_ABC_BLOCK) -> KernelProgram:
     """Compress one block from the IV; the output is the digest words in
     register byte order (`_swap_words` gives the digest)."""
+    zkn = _is_zkn(variant)
     assert len(block) == 64
     data = b"".join(v.to_bytes(4, "little") for v in SHA256_IV)
     data += b"".join(v.to_bytes(4, "little") for v in SHA256_K)
     data += _swap_words(block)  # plain lw reads give the schedule words
     expected = _ABC_OUT if block == SHA256_ABC_BLOCK else b""
-    return _build(_emit_sha256, (variant == "zkn",),
+    return _build(_emit_sha256, (zkn,),
                   {"data": data, "out": bytes(32)}, expected)
 
 
@@ -484,8 +492,8 @@ def _emit_prince_rv32i(a: Assembler) -> None:
 
 def build_prince_sbox(variant: str,
                       words: Sequence[int] = PRINCE_INPUT) -> KernelProgram:
+    emit = _emit_prince_zkn if _is_zkn(variant) else _emit_prince_rv32i
     assert len(words) == 2
-    emit = _emit_prince_zkn if variant == "zkn" else _emit_prince_rv32i
     return _build(emit, (), {"data": b"".join(w.to_bytes(4, "little") for w in words),
                               "out": bytes(8),
                               "sbox": bytes(PRINCE_SBOX)},  # read by rv32i only
@@ -496,6 +504,7 @@ def build_prince_sbox(variant: str,
 
 @functools.lru_cache(maxsize=None)  # no inputs, so one build per variant
 def build_alumix(variant: str) -> KernelProgram:
+    _is_zkn(variant)  # one program for both variants; an unknown one caches nothing
     a = Assembler()
     _emit_la(a, 6, "out")
     mirror = [0] * 8
@@ -531,6 +540,7 @@ def build_alumix(variant: str) -> KernelProgram:
 
 @functools.lru_cache(maxsize=None)
 def build_shiftstorm(variant: str) -> KernelProgram:
+    _is_zkn(variant)  # one program for both variants; an unknown one caches nothing
     acc, src = 0xDEADBEEF, 0x0BADF00D
     a = Assembler()
     _emit_la(a, 6, "out")

@@ -173,13 +173,14 @@ def _cmd_bench(args) -> int:
     for v in variants:
         if v not in bench.VARIANTS:
             raise _UsageError(f"unknown preset {v!r}")
+    for n in names or ():
+        if bench.SUITE_ALIASES.get(n, n) not in bench.KERNELS:
+            raise _UsageError(f"unknown kernel {n!r}")
     with _open_output(args.json) as json_fh:
         try:
             results, metrics = bench.run_suite(kernel_names=names,
                                                widths=args.widths,
                                                variants=variants)
-        except KeyError as e:
-            raise _UsageError(f"unknown kernel {e}") from None
         except bench.ChecksumMismatch as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_FAIL

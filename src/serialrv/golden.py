@@ -89,9 +89,13 @@ class Memory:
             if size == 4:
                 return _unpack_word(self.buf, off)[0]
             return int.from_bytes(self.buf[off:off + size], "little")
-        if size != 1:  # not all in the window: byte by byte
-            return sum(self.load(addr + i, 1) << 8 * i for i in range(size))
-        return self.sparse.get(addr & MASK32, 0)
+        value = 0  # not all in the window: byte by byte
+        for i in range(size):
+            a = (addr + i) & MASK32
+            off = a - self.base
+            byte = self.buf[off] if 0 <= off < len(self.buf) else self.sparse.get(a, 0)
+            value |= byte << 8 * i
+        return value
 
     def store(self, addr: int, size: int, value: int) -> None:
         """Store the low `size` bytes of `value` at `addr`, little-endian.

@@ -72,9 +72,8 @@ mnemonic, added where the cycles are charged; `retired` reads them out.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from . import golden, isa
 from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
@@ -138,10 +137,7 @@ _KNOB_MIN = {"mem_latency": 1, "taken_branch_penalty": 0, "aes_latency": 1,
              "clmul_latency": 1, "reorder_latency": 1, "sha_select_latency": 0}
 
 
-@dataclass(frozen=True)
-class CoreConfig:
-    """Serialization width, enabled extensions and timing-model knobs."""
-
+class _Knobs(NamedTuple):
     serial_width: int = 32
     extensions: frozenset = frozenset()
     left_shift_support: bool = True
@@ -152,7 +148,17 @@ class CoreConfig:
     reorder_latency: int = 1
     sha_select_latency: int = 1
 
-    def __post_init__(self):
+
+class CoreConfig(_Knobs):
+    """Serialization width, enabled extensions and timing-model knobs.
+
+    An immutable tuple of the nine knobs. Every way to build one, `_replace`
+    and unpickling included, passes the checks of `__new__`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **knobs):
+        self = super().__new__(cls, *args, **knobs)
         if type(self.serial_width) is not int or self.serial_width not in VALID_WIDTHS:
             raise ValueError(f"serial_width must be one of {VALID_WIDTHS}, "
                              f"not {self.serial_width!r}")
@@ -163,10 +169,15 @@ class CoreConfig:
         if type(self.left_shift_support) is not bool:
             raise ValueError("left_shift_support must be a bool, "
                              f"not {self.left_shift_support!r}")
-        object.__setattr__(self, "extensions", frozenset(self.extensions))
-        for ext in self.extensions:
+        extensions = frozenset(self.extensions)
+        for ext in extensions:
             if not isinstance(ext, Ext):
                 raise ValueError(f"extensions must hold Ext members, not {ext!r}")
+        return tuple.__new__(cls, (self[0], extensions) + self[2:])
+
+    @classmethod
+    def _make(cls, iterable) -> "CoreConfig":
+        return cls(*iterable)
 
     @classmethod
     def zkn_zkt(cls, serial_width: int = 32, **knobs) -> "CoreConfig":

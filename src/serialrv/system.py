@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Optional, TextIO
+from typing import NamedTuple, Optional, TextIO
 
 from . import golden
 from .golden import ArchState
@@ -14,18 +12,19 @@ from .microarch import CLASS_OF, CoreConfig, MicroCore
 DEFAULT_MAX_CYCLES = 10_000_000
 
 
-@dataclass
-class ExecStats:
-    cycles: int = 0
-    instret: int = 0
-    halt: Optional[str] = None
-    exit_code: Optional[int] = None
-    code_size: int = 0
-    startup_cycles: int = 0
-    width: int = 32
-    extensions: tuple = ()
-    classes: dict = field(default_factory=dict)  # class -> [count, cycles]
-    console: bytes = b""
+class ExecStats(NamedTuple):
+    """What one `run` measured, built once when the run has ended."""
+
+    cycles: int
+    instret: int
+    halt: str
+    exit_code: Optional[int]
+    code_size: int
+    startup_cycles: int
+    width: int
+    extensions: tuple
+    classes: dict  # class -> [count, cycles]
+    console: bytes
 
     @property
     def cpi(self) -> float:
@@ -67,8 +66,7 @@ def run(image: ProgramImage, config: CoreConfig,
         state = ArchState.from_image(image)
     core = MicroCore(config, state)
     mem = state.mem
-    stats = ExecStats(code_size=image.code_size, width=config.serial_width,
-                      extensions=tuple(e.value for e in config.extensions))
+    exit_code = None
 
     step = core.step
     while True:
@@ -78,25 +76,29 @@ def run(image: ProgramImage, config: CoreConfig,
             trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
                         f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
         if outcome.halted:
-            stats.halt = outcome.reason
+            halt = outcome.reason
             break
         if mem.exit_code is not None:
-            stats.halt = golden.ECALL
-            stats.exit_code = mem.exit_code
+            halt, exit_code = golden.ECALL, mem.exit_code
             break
 
+    instret, classes = 0, {}
     for m, (count, cycles) in core.retired().items():
-        stats.instret += count
-        entry = stats.classes.setdefault(CLASS_OF[m], [0, 0])
+        instret += count
+        entry = classes.setdefault(CLASS_OF[m], [0, 0])
         entry[0] += count
         entry[1] += cycles
-    stats.cycles = core.cycle
-    stats.startup_cycles = core.startup_cycles
-    stats.console = bytes(mem.console)
-    if stats.halt == golden.ECALL and stats.exit_code is None:
-        stats.exit_code = 0
-    return stats
+    if halt == golden.ECALL and exit_code is None:
+        exit_code = 0
+    return ExecStats(cycles=core.cycle, instret=instret, halt=halt,
+                     exit_code=exit_code, code_size=image.code_size,
+                     startup_cycles=core.startup_cycles,
+                     width=config.serial_width,
+                     extensions=tuple(e.value for e in config.extensions),
+                     classes=classes, console=bytes(mem.console))
 
 
 def stats_to_json(stats: ExecStats) -> str:
+    import json  # here, so that importing serialrv does not load json
+
     return json.dumps(stats.to_json_dict(), indent=2, sort_keys=True)

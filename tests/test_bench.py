@@ -114,14 +114,30 @@ def test_import_builds_nothing():
     """Importing bench assembles no kernel: a registry that built its
     expected outputs at import would move that work into every caller's
     setup."""
-    code = ("from serialrv import bench\n"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from serialrv import bench\n"
             "print(*(f.cache_info().currsize for f in (\n"
-            "    bench._assembled, bench.build_alumix, bench.build_shiftstorm)))")
+            "    bench._assembled, bench.build_alumix, bench.build_shiftstorm)))\n"
+            "print(sorted({'dataclasses', 'inspect', 'json'}\n"
+            "             & (set(sys.modules) - before)))")
     src = os.path.dirname(os.path.dirname(bench.__file__))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["0", "0", "0"]
+    # nor does it load a module the package does not use (a site hook may
+    # have loaded one before the import)
+    assert out.splitlines() == ["0 0 0", "[]"]
+
+
+@pytest.mark.parametrize("build", [build_aes128, build_sha256, build_prince_sbox,
+                                   build_alumix, build_shiftstorm])
+def test_builders_reject_an_unknown_variant(build):
+    cached = getattr(build, "cache_info", None)
+    before = cached and cached().currsize
+    with pytest.raises(KeyError, match="zkm"):
+        build("zkm")
+    assert not cached or cached().currsize == before
 
 
 def test_every_kernel_cell_has_an_expected_output():

@@ -261,6 +261,26 @@ def test_bench_unknown_kernel(capsys):
     assert cli.main(["bench", "--suite", "nope"]) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("suite", ["nosuch", "alumix,nosuch"])
+def test_bench_unknown_kernel_rejected_before_any_cell(suite, monkeypatch, capsys):
+    cells = []
+    monkeypatch.setattr(bench, "run_kernel", lambda *a: cells.append(a))
+    assert cli.main(["bench", "--suite", suite, "--widths", "4"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown kernel 'nosuch'\n"
+    assert captured.out == "" and cells == []
+
+
+def test_bench_key_error_inside_a_run_is_not_a_kernel_name(monkeypatch, capsys):
+    def raise_key_error(kp, config):
+        raise KeyError("x5")
+
+    monkeypatch.setattr(bench, "run_kernel", raise_key_error)
+    with pytest.raises(KeyError, match="x5"):
+        cli.main(["bench", "--suite", "alumix", "--widths", "4"])
+    assert "unknown kernel" not in capsys.readouterr().err
+
+
 def test_bench_checksum_mismatch_fails(monkeypatch, capsys):
     kernel = bench.KERNELS["prince-sbox"]
     monkeypatch.setitem(bench.KERNELS, "prince-sbox", bench.Kernel(

@@ -211,6 +211,20 @@ def test_word_across_the_wrap():
     assert mem.read_bytes(0xFFFFFFFE, 4) == bytes.fromhex("11223344")
 
 
+def test_word_outside_the_window_is_read_in_one_load_call():
+    """Two sparse bytes below the wrap, then two window bytes at 0: the
+    word a byte dict gives, read without a call per byte."""
+    mem, model = Memory(), {0xFFFFFFFE: 0x11, 0xFFFFFFFF: 0x22, 0: 0x33, 1: 0x44}
+    for a, b in model.items():
+        mem.store(a, 1, b)
+    calls = []
+    port = mem.load
+    mem.load = lambda addr, size: calls.append((addr, size)) or port(addr, size)
+    want = sum(model.get((0xFFFFFFFE + i) & 0xFFFFFFFF, 0) << 8 * i for i in range(4))
+    assert mem.load(0xFFFFFFFE, 4) == want == 0x44332211
+    assert calls == [(0xFFFFFFFE, 4)]
+
+
 def test_dense_window_must_fit_below_the_wrap():
     with pytest.raises(ValueError):
         Memory(size=4096, base=0xFFFFF004)

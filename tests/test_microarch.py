@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import pickle
 import random
 import sys
 import weakref
@@ -64,6 +65,21 @@ def test_config_validation():
                       ("extensions", frozenset({Ext.ZKNE, "zkt"}))):
         with pytest.raises(ValueError, match=knob):
             CoreConfig(**{knob: bad})
+
+
+def test_config_is_immutable_and_checked_on_every_build():
+    cfg = CoreConfig.zkn_zkt(8, mem_latency=3)
+    with pytest.raises(ValueError, match="serial_width"):
+        cfg._replace(serial_width=5)
+    assert cfg._replace(serial_width=4).chunks == 8
+    copy = pickle.loads(pickle.dumps(cfg))
+    assert copy == cfg and hash(copy) == hash(cfg) and type(copy) is CoreConfig
+    with pytest.raises(AttributeError):
+        cfg.serial_width = 4
+    assert cfg.serial_width == 8
+    same = CoreConfig(serial_width=8, extensions=set(isa.ZKN_ZKT), mem_latency=3)
+    assert same == cfg and same is not cfg
+    assert microarch.latency_table(same) is microarch.latency_table(cfg)
 
 
 def test_zkn_zkt_preset():
