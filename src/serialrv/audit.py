@@ -46,6 +46,7 @@ def _measure_once(config: CoreConfig, ins: isa.Instr, rs1: int, rs2: int) -> int
 
 
 _AUDIT_PATTERNS = (0, MASK32) + tuple(1 << k for k in range(32))
+MIN_TRIALS = 32  # so that immediate shifts sweep every shift amount
 
 
 def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
@@ -59,8 +60,8 @@ def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
     depend on which other mnemonics are audited. Under Zkt every covered
     mnemonic must report a spread of exactly zero.
     """
-    if trials < 32:
-        raise ValueError("trials must be >= 32 to cover every shift amount")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS} to cover every shift amount")
     rows = []
     for m in sorted(isa.ZKT_COVERED, key=lambda x: x.value):
         ext = isa.EXT_OF[m]

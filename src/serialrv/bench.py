@@ -610,25 +610,39 @@ def run_kernel(kp: KernelProgram,
     return stats, state.mem.read_bytes(kp.out_addr, kp.out_len)
 
 
+def resolve_suite(kernel_names: Optional[Sequence[str]] = None,
+                  variants: Sequence[str] = VARIANTS) -> Tuple[dict, dict]:
+    """The kernels and variants a suite run covers, each once, as
+    ({kernel name: Kernel}, {variant: extensions}). An alias and its kernel,
+    or a name given twice, count once. Raises KeyError, its one argument
+    the message, for the first unknown variant (an ext preset, as the CLI
+    calls it), then for the first unknown kernel."""
+    for v in variants:
+        if v not in EXTS:
+            raise KeyError(f"unknown preset {v!r}")
+    names = dict.fromkeys(SUITE_ALIASES.get(n, n) for n in kernel_names or KERNELS)
+    for n in names:
+        if n not in KERNELS:
+            raise KeyError(f"unknown kernel {n!r}")
+    return {n: KERNELS[n] for n in names}, {v: EXTS[v] for v in variants}
+
+
 def run_suite(kernel_names: Optional[Sequence[str]] = None,
               widths: Sequence[int] = (1, 2, 4, 8, 16, 32),
               variants: Sequence[str] = VARIANTS) -> Tuple[list, dict]:
     """Run the benchmark matrix; returns (results, derived metrics).
 
+    Every name is looked up before any cell runs (`resolve_suite`).
     Raises ChecksumMismatch for a cell whose output is not its program's
-    expected one, and so for every cell of a program that expects nothing,
-    and KeyError for a variant that EXTS does not name.
+    expected one, and so for every cell of a program that expects nothing.
     """
-    # an alias and its kernel, or a name given twice, run once
-    names = dict.fromkeys(SUITE_ALIASES.get(n, n) for n in kernel_names or KERNELS)
+    kernels, exts = resolve_suite(kernel_names, variants)
     results = []
-    for name in names:
-        kernel = KERNELS[name]
-        for variant in variants:
-            exts = EXTS[variant]
+    for name, kernel in kernels.items():
+        for variant, ext_set in exts.items():
             kp = kernel.build(variant)
             for w in widths:
-                config = CoreConfig(serial_width=w, extensions=exts)
+                config = CoreConfig(serial_width=w, extensions=ext_set)
                 stats, out = run_kernel(kp, config)
                 if out != kp.expected:
                     raise ChecksumMismatch(name, variant, w, out, kp.expected)

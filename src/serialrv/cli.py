@@ -9,7 +9,7 @@ import sys
 from typing import Optional
 
 from . import audit, bench, cosim, golden, isa, system
-from .image import EmptyImage, MalformedHex, load_image
+from .image import DEFAULT_BASE, EmptyImage, MalformedHex, load_image
 from .microarch import VALID_WIDTHS, CoreConfig, parse_extensions
 
 EXIT_OK = 0
@@ -19,8 +19,18 @@ EXIT_LOAD = 3
 EXIT_TRAP = 4
 
 
-class _UsageError(Exception):
-    """Reported by main() as one `error:` line and EXIT_USAGE."""
+class CliError(Exception):
+    """Every failure: main() prints it as one `error:` line, returns `code`."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are of this class too; --help still exits the argparse way
+    def error(self, message: str):
+        raise CliError(message)
 
 
 @contextlib.contextmanager
@@ -36,19 +46,34 @@ def _open_output(path: Optional[str]):
         with open(path, "w") as fh:
             yield fh
     except OSError as e:
-        raise _UsageError(f"cannot write {path}: {e.strerror or e}") from None
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _width(value: str) -> int:
-    w = int(value)
-    if w not in VALID_WIDTHS:
-        raise argparse.ArgumentTypeError(f"width must be one of {VALID_WIDTHS}")
-    return w
+def _load_image(args, entry: Optional[int] = None):
+    try:
+        return load_image(args.image, fmt=args.format, base=args.base, entry=entry)
+    except (OSError, MalformedHex, EmptyImage, ValueError) as e:
+        raise CliError(f"cannot load image: {e}", EXIT_LOAD) from None
+
+
+def _int_from(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return n
+    parse.__name__ = "int"  # a non-number reads "invalid int value"
+    return parse
 
 
 def _width_list(value: str) -> tuple:
-    # a repeated width would run its cells again
-    return tuple(dict.fromkeys(_width(v) for v in value.split(",")))
+    with contextlib.suppress(ValueError):
+        widths = tuple(dict.fromkeys(int(v) for v in value.split(",")))
+        if set(widths) <= set(VALID_WIDTHS):
+            return widths  # a repeated width would run its cells again
+    raise argparse.ArgumentTypeError(
+        f"not a comma list over {', '.join(map(str, VALID_WIDTHS))}: {value!r}")
 
 
 def _ext_set(value: str):
@@ -63,58 +88,52 @@ def _hex_int(value: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="serialrv",
-                                description="width-serialized RV32 crypto-core simulator")
+    p = _Parser(prog="serialrv",
+                description="width-serialized RV32 crypto-core simulator")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    r = sub.add_parser("run", help="execute an image on the cycle-accurate core")
-    r.add_argument("image")
-    r.add_argument("--width", type=_width, default=32)
+    image = _Parser(add_help=False)  # run and disasm
+    image.add_argument("image")
+    image.add_argument("--base", type=_hex_int, default=DEFAULT_BASE)
+    image.add_argument("--format", choices=("flat-bin", "hex-words"), default="flat-bin")
+    matrix = _Parser(add_help=False)  # cosim and bench
+    matrix.add_argument("--widths", type=_width_list, default=VALID_WIDTHS)
+    matrix.add_argument("--json", metavar="PATH")
+
+    r = sub.add_parser("run", parents=[image],
+                       help="execute an image on the cycle-accurate core")
+    r.add_argument("--width", type=int, choices=VALID_WIDTHS, default=32)
     r.add_argument("--ext", type=_ext_set, default=frozenset())
-    r.add_argument("--max-cycles", type=int, default=system.DEFAULT_MAX_CYCLES)
+    r.add_argument("--max-cycles", type=_int_from(1), default=system.DEFAULT_MAX_CYCLES)
     r.add_argument("--trace", metavar="PATH")
     r.add_argument("--stats-json", metavar="PATH")
-    r.add_argument("--base", type=_hex_int, default=system.DEFAULT_BASE)
     r.add_argument("--entry", type=_hex_int, default=None)
-    r.add_argument("--format", choices=("flat-bin", "hex-words"), default="flat-bin")
 
-    c = sub.add_parser("cosim", help="torture-test the core against the golden model")
+    c = sub.add_parser("cosim", parents=[matrix],
+                       help="torture-test the core against the golden model")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--programs", type=int, default=10)
-    c.add_argument("--widths", type=_width_list, default=VALID_WIDTHS)
+    c.add_argument("--programs", type=_int_from(1), default=10)
     c.add_argument("--ext", type=_ext_set, default=isa.ZKN_ZKT)
-    c.add_argument("--length", type=int, default=200)
-    c.add_argument("--json", metavar="PATH")
+    c.add_argument("--length", type=_int_from(1), default=200)
 
-    b = sub.add_parser("bench", help="run the cryptographic benchmark suite")
+    b = sub.add_parser("bench", parents=[matrix],
+                       help="run the cryptographic benchmark suite")
     b.add_argument("--suite", default="all",
                    help="comma list of kernels, or 'all'")
-    b.add_argument("--widths", type=_width_list, default=VALID_WIDTHS)
     b.add_argument("--ext-presets", default=",".join(bench.VARIANTS),
                    help=f"comma list over {', '.join(bench.VARIANTS)}")
-    b.add_argument("--json", metavar="PATH")
 
     a = sub.add_parser("audit-ct", help="constant-time latency audit")
-    a.add_argument("--width", type=_width, default=32)
+    a.add_argument("--width", type=int, choices=VALID_WIDTHS, default=32)
     a.add_argument("--ext", type=_ext_set, default=isa.ZKN_ZKT)
-    a.add_argument("--trials", type=int, default=256)
+    a.add_argument("--trials", type=_int_from(audit.MIN_TRIALS), default=256)
 
-    d = sub.add_parser("disasm", help="disassemble an image")
-    d.add_argument("image")
-    d.add_argument("--base", type=_hex_int, default=system.DEFAULT_BASE)
-    d.add_argument("--format", choices=("flat-bin", "hex-words"), default="flat-bin")
+    sub.add_parser("disasm", parents=[image], help="disassemble an image")
     return p
 
 
 def _cmd_run(args) -> int:
-    if args.max_cycles < 1:
-        raise _UsageError("--max-cycles must be >= 1")
-    try:
-        image = load_image(args.image, fmt=args.format, base=args.base,
-                           entry=args.entry)
-    except (OSError, MalformedHex, EmptyImage, ValueError) as e:
-        print(f"error: cannot load image: {e}", file=sys.stderr)
-        return EXIT_LOAD
+    image = _load_image(args, entry=args.entry)
     config = CoreConfig(serial_width=args.width, extensions=args.ext)
     with _open_output(args.stats_json) as stats_fh:
         with _open_output(args.trace) as trace_fh:
@@ -131,22 +150,18 @@ def _cmd_run(args) -> int:
     if stats.halt == golden.EBREAK:
         return EXIT_OK
     if stats.halt == golden.ECALL:
-        return (stats.exit_code or 0) & 0xFF
+        return stats.exit_code & 0xFF
     return EXIT_TRAP
 
 
 def _cmd_cosim(args) -> int:
-    if args.programs < 1:
-        raise _UsageError("--programs must be >= 1")
-    if args.length < 1:
-        raise _UsageError("--length must be >= 1")
     with _open_output(args.json) as json_fh:
         try:
             reports = cosim.run_matrix(range(args.seed, args.seed + args.programs),
                                        args.widths, extensions=args.ext,
                                        length=args.length)
         except cosim.ProgramTooLong as e:
-            raise _UsageError(f"{e}; use a shorter --length") from None
+            raise CliError(f"{e}; use a shorter --length") from None
         if json_fh:
             for r in reports:
                 json_fh.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
@@ -166,24 +181,20 @@ def _cmd_cosim(args) -> int:
 
 def _cmd_bench(args) -> int:
     names = None if args.suite == "all" else args.suite.split(",")
-    variants = tuple(dict.fromkeys(v.strip() for v in args.ext_presets.split(",")
-                                   if v.strip()))
+    variants = [v.strip() for v in args.ext_presets.split(",") if v.strip()]
     if not variants:
-        raise _UsageError("--ext-presets names no preset")
-    for v in variants:
-        if v not in bench.VARIANTS:
-            raise _UsageError(f"unknown preset {v!r}")
-    for n in names or ():
-        if bench.SUITE_ALIASES.get(n, n) not in bench.KERNELS:
-            raise _UsageError(f"unknown kernel {n!r}")
+        raise CliError("--ext-presets names no preset")
+    try:
+        bench.resolve_suite(names, variants)  # before --json opens or a cell runs
+    except KeyError as e:
+        raise CliError(e.args[0]) from None
     with _open_output(args.json) as json_fh:
         try:
             results, metrics = bench.run_suite(kernel_names=names,
                                                widths=args.widths,
                                                variants=variants)
         except bench.ChecksumMismatch as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_FAIL
+            raise CliError(str(e), EXIT_FAIL) from None
         if json_fh:
             json.dump([r.to_json_dict() for r in results], json_fh, indent=2,
                       sort_keys=True)
@@ -207,8 +218,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.trials < 32:
-        raise _UsageError("--trials must be >= 32")
     config = CoreConfig(serial_width=args.width, extensions=args.ext)
     report = audit.audit_constant_time(config, trials=args.trials)
     print(f"constant-time audit: width={report.width} zkt={report.zkt} "
@@ -222,11 +231,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_disasm(args) -> int:
-    try:
-        image = load_image(args.image, fmt=args.format, base=args.base)
-    except (OSError, MalformedHex, EmptyImage, ValueError) as e:
-        print(f"error: cannot load image: {e}", file=sys.stderr)
-        return EXIT_LOAD
+    image = _load_image(args)
     for off in range(0, len(image.data) & ~3, 4):
         word = int.from_bytes(image.data[off:off + 4], "little")
         try:
@@ -238,15 +243,10 @@ def _cmd_disasm(args) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {"run": _cmd_run, "cosim": _cmd_cosim, "bench": _cmd_bench,
-               "audit-ct": _cmd_audit, "disasm": _cmd_disasm}[args.cmd]
     try:
-        return handler(args)
-    except _UsageError as e:
+        args = build_parser().parse_args(argv)
+        return {"run": _cmd_run, "cosim": _cmd_cosim, "bench": _cmd_bench,
+                "audit-ct": _cmd_audit, "disasm": _cmd_disasm}[args.cmd](args)
+    except CliError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return e.code

@@ -20,9 +20,9 @@ import random
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from . import golden, isa, system
+from . import golden, isa
 from .golden import ArchState
-from .image import ProgramImage
+from .image import DEFAULT_BASE, ProgramImage
 from .isa import Assembler, Ext, Mnemonic as M
 from .microarch import CoreConfig, MicroCore
 
@@ -155,7 +155,7 @@ def generate(config: TortureConfig,
                          f"not {config.length}")
     wbase, wsize = MEMORY_WINDOW
     # every slot emits at least one word, so this bound needs no program
-    room = (wbase - system.DEFAULT_BASE) // 4
+    room = (wbase - DEFAULT_BASE) // 4
     if config.length > room:
         raise ProgramTooLong(
             f"a torture program of length {config.length} needs more than "
@@ -165,7 +165,7 @@ def generate(config: TortureConfig,
     # and lo + below(hi - lo): the same stream, without their frames
     below = rng._randbelow
     pool = _build_pool(config.extensions)
-    a = Assembler(base=system.DEFAULT_BASE, instrs=instrs)
+    a = Assembler(base=DEFAULT_BASE, instrs=instrs)
 
     # prologue: scratch base plus pseudo-random values in every register
     a.li(SCRATCH_REG, wbase)

@@ -6,7 +6,7 @@ from typing import NamedTuple, Optional, TextIO
 
 from . import golden
 from .golden import ArchState
-from .image import DEFAULT_BASE, ProgramImage  # DEFAULT_BASE: the CLI's --base
+from .image import ProgramImage
 from .microarch import CLASS_OF, CoreConfig, MicroCore
 
 DEFAULT_MAX_CYCLES = 10_000_000

@@ -1,0 +1,61 @@
+"""Injected faults for the self-tests, each defined once: a context manager
+that puts one fault into the simulator and restores the code on exit."""
+
+import contextlib
+
+import pytest
+
+from serialrv import cosim, golden, microarch
+from serialrv.isa import Mnemonic as M
+
+
+@contextlib.contextmanager
+def _patched(target, name, value):
+    with pytest.MonkeyPatch.context() as mp:
+        (mp.setitem if isinstance(target, dict) else mp.setattr)(target, name, value)
+        yield
+
+
+def broken_adder():
+    """A core adder that flips bit 1 of every chunk sum: a register diverges."""
+    add = microarch.MicroCore._chunk_add
+    return _patched(microarch.MicroCore, "_chunk_add",
+                    lambda self, a, b, carry_in=0: add(self, a, b, carry_in) ^ 2)
+
+
+def flipped_store(addr=None):
+    """A core sw that flips bit 0 of the word it writes, at `addr` only if given."""
+    store = microarch._EXECUTE[M.SW]
+
+    def faulty(core, i, a, b):
+        result = store(core, i, a, b)
+        core.lsu_buffer ^= addr is None or core.store_addr == addr
+        return result
+
+    return _patched(microarch._EXECUTE, M.SW, faulty)
+
+
+def flipped_x31_dump():
+    """A store flipped in the register dump's x31 slot, which nothing reads back."""
+    return flipped_store(sum(cosim.MEMORY_WINDOW) - 4)
+
+
+def stray_register_write(m, victim):
+    """A core `m` that also flips bit 7 of register `victim`: a stray write."""
+    handler = microarch._EXECUTE[m]
+
+    def faulty(core, i, a, b):
+        core.arch.regs[victim] ^= 1 << 7
+        return handler(core, i, a, b)
+
+    return _patched(microarch._EXECUTE, m, faulty)
+
+
+def beq_as_bne():
+    """The core's beq branches when its operands differ."""
+    return _patched(microarch._EXECUTE, M.BEQ, microarch._EXECUTE[M.BNE])
+
+
+def ebreak_as_ecall():
+    """The core halts on ebreak as if on a plain ecall."""
+    return _patched(microarch._EXECUTE, M.EBREAK, microarch._halt(golden.ECALL))

@@ -324,6 +324,18 @@ def test_unknown_variant_raises():
         run_suite(kernel_names=["alumix"], widths=(32,), variants=("zkm",))
 
 
+@pytest.mark.parametrize("names,variants", [
+    (["alumix", "nosuch"], ("rv32i", "zkn")),
+    (["alumix"], ("rv32i", "zkm")),
+], ids=["kernel", "variant"])
+def test_unknown_name_raises_before_any_cell(names, variants, monkeypatch):
+    cells = []
+    monkeypatch.setattr(bench, "run_kernel", lambda *a: cells.append(a))
+    with pytest.raises(KeyError):
+        run_suite(kernel_names=names, widths=(4,), variants=variants)
+    assert cells == []
+
+
 def test_suite_alias():
     results, _ = run_suite(kernel_names=["aes128"], widths=(1, 32))
     assert {r.kernel for r in results} == {"aes128-enc"}

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from serialrv import bench, cli, cosim, golden, microarch
+import mutants
+from serialrv import bench, cli, cosim, golden
 from serialrv.isa import Assembler, Mnemonic as M
 
 
@@ -65,26 +69,62 @@ def test_image_outside_address_space_load_error(cmd, base, ebreak_image, capsys)
     assert "32-bit address space" in captured.err and captured.out == ""
 
 
-def test_run_bad_width_usage_error(ebreak_image):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", ebreak_image, "--width", "3"])
-    assert exc.value.code == 2
+def test_run_bad_width_usage_error(ebreak_image, capsys):
+    assert cli.main(["run", ebreak_image, "--width", "3"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --width: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cmd", ["run", "cosim", "audit-ct"])
 def test_unknown_extension_usage_error(cmd, ebreak_image, capsys):
     argv = [cmd, ebreak_image] if cmd == "run" else [cmd]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv + ["--ext", "bogus"])
-    assert exc.value.code == cli.EXIT_USAGE
-    assert capsys.readouterr().err.endswith(
+    assert cli.main(argv + ["--ext", "bogus"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
         "error: argument --ext: unknown extension 'bogus'\n")
 
 
-def test_unknown_flag_is_error(ebreak_image):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", ebreak_image, "--frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_flag_is_error(ebreak_image, capsys):
+    assert cli.main(["run", ebreak_image, "--frobnicate"]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--frobnicate" in err
+
+
+MISUSES = {
+    "unknown-flag": ["run", "{image}", "--frobnicate"],
+    "missing-image": ["run"],
+    "missing-subcommand": [],
+    "width-3": ["run", "{image}", "--width", "3"],
+    "max-cycles-abc": ["run", "{image}", "--max-cycles", "abc"],
+    "max-cycles-0": ["run", "{image}", "--max-cycles", "0"],
+    "widths-empty": ["cosim", "--widths", ""],
+    "widths-1,3": ["bench", "--widths", "1,3"],
+    "base-zz": ["disasm", "{image}", "--base", "zz"],
+    "ext-bogus": ["audit-ct", "--ext", "bogus"],
+    "format-nope": ["disasm", "{image}", "--format", "nope"],
+    "programs-0": ["cosim", "--programs", "0"],
+    "length-negative": ["cosim", "--length", "-5"],
+    "trials-31": ["audit-ct", "--trials", "31"],
+}
+
+
+@pytest.mark.parametrize("argv", MISUSES.values(), ids=MISUSES)
+def test_misuse_is_one_error_line(argv, ebreak_image, capsys):
+    assert cli.main([a.format(image=ebreak_image) for a in argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_python_m_serialrv_reports_misuse_without_traceback(ebreak_image):
+    """Only a separate interpreter shows what reaches the terminal."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "serialrv", "run", ebreak_image, "--width", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 def test_run_max_cycles_zero_usage_error(ebreak_image, capsys):
@@ -196,28 +236,18 @@ def test_cosim_json_pinned(tmp_path):
         "0c5cf995845aebbaec48f082e2da2f0ec7a569aa231bfac881413e6d6af6abc8")
 
 
-def test_cosim_signature_only_failure_line(monkeypatch, capsys):
+def test_cosim_signature_only_failure_line(capsys):
     """A core store fault that no later instruction reads back is caught
     only by the final signature, and the failure line says so."""
-    base, size = cosim.MEMORY_WINDOW
-    x31_slot = base + size - 4  # written once, by the final register dump
-    store = microarch._EXECUTE[M.SW]
-
-    def faulty(core, i, a, b):
-        result = store(core, i, a, b)
-        if core.store_addr == x31_slot:
-            core.lsu_buffer ^= 1
-        return result
-
-    monkeypatch.setitem(microarch._EXECUTE, M.SW, faulty)
-    rc = cli.main(["cosim", "--seed", "0", "--programs", "1", "--widths", "4"])
+    with mutants.flipped_x31_dump():
+        rc = cli.main(["cosim", "--seed", "0", "--programs", "1", "--widths", "4"])
     assert rc == cli.EXIT_FAIL
     assert "  FAIL seed=0 width=4 final signature only\n" in capsys.readouterr().out
 
 
-def test_cosim_divergence_failure_line(monkeypatch, capsys):
-    monkeypatch.setitem(microarch._EXECUTE, M.BEQ, microarch._EXECUTE[M.BNE])
-    rc = cli.main(["cosim", "--seed", "1", "--programs", "1", "--widths", "4"])
+def test_cosim_divergence_failure_line(capsys):
+    with mutants.beq_as_bne():
+        rc = cli.main(["cosim", "--seed", "1", "--programs", "1", "--widths", "4"])
     assert rc == cli.EXIT_FAIL
     assert "  FAIL seed=1 width=4 field=pc pc=0x13ec\n" in capsys.readouterr().out
 

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+import mutants
 import oracles
 from serialrv import cosim, golden, isa, microarch
 from serialrv.cosim import (MEMORY_WINDOW, TortureConfig, cosim_run, generate,
@@ -225,28 +226,22 @@ def test_cross_width_signatures_identical():
     assert len(sigs) == 1
 
 
-def test_corrupted_micro_model_detected(monkeypatch):
+def test_corrupted_micro_model_detected():
     """Harness self-test: break the micro adder, expect a divergence."""
-    original = microarch.MicroCore._chunk_add
-
-    def broken(self, a, b, carry_in=0):
-        return original(self, a, b, carry_in) ^ 2
-
-    monkeypatch.setattr(microarch.MicroCore, "_chunk_add", broken)
-    rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
+    with mutants.broken_adder():
+        rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
     assert not rep.passed
     assert rep.divergence_pc is not None
     assert rep.divergence_field.startswith("x") or rep.divergence_field == "pc"
 
 
-@pytest.mark.parametrize("m,fault,field,pc", [
-    (M.BEQ, lambda: microarch._EXECUTE[M.BNE], "pc", 0x13EC),
-    # the program's final ebreak
-    (M.EBREAK, lambda: microarch._halt(golden.ECALL), "halt-reason", 0x1554),
+@pytest.mark.parametrize("fault,field,pc", [
+    (mutants.beq_as_bne, "pc", 0x13EC),
+    (mutants.ebreak_as_ecall, "halt-reason", 0x1554),  # the final ebreak
 ], ids=["beq-as-bne", "ebreak-as-ecall"])
-def test_core_control_fault_diverges(monkeypatch, m, fault, field, pc):
-    monkeypatch.setitem(microarch._EXECUTE, m, fault())
-    rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
+def test_core_control_fault_diverges(fault, field, pc):
+    with fault():
+        rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
     assert not rep.passed
     assert (rep.divergence_pc, rep.divergence_field) == (pc, field)
     d = rep.to_json_dict()
@@ -318,38 +313,11 @@ def test_replay_matches_lockstep_oracle():
             assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
 
 
-def _break_adder(mp):
-    """A core adder that flips bit 1 of every chunk sum: a register diverges."""
-    original = microarch.MicroCore._chunk_add
-
-    def broken(self, a, b, carry_in=0):
-        return original(self, a, b, carry_in) ^ 2
-
-    mp.setattr(microarch.MicroCore, "_chunk_add", broken)
-
-
-def _flip_x31_dump(mp):
-    """A core sw that flips bit 0 of the word it writes to the register
-    dump's x31 slot, which no later instruction reads: the run ends with no
-    divergence and equal registers, and only the window differs."""
-    base, size = MEMORY_WINDOW
-    x31_slot = base + size - 4
-    store = microarch._EXECUTE[M.SW]
-
-    def faulty(core, i, a, b):
-        result = store(core, i, a, b)
-        if core.store_addr == x31_slot:
-            core.lsu_buffer ^= 1
-        return result
-
-    mp.setitem(microarch._EXECUTE, M.SW, faulty)
-
-
-def test_replay_matches_oracle_on_divergence(monkeypatch):
+def test_replay_matches_oracle_on_divergence():
     tc = TortureConfig(seed=1)
-    for fault, field_is_none in ((_break_adder, False), (_flip_x31_dump, True)):
-        with monkeypatch.context() as mp:
-            fault(mp)
+    for fault, field_is_none in ((mutants.broken_adder, False),
+                                 (mutants.flipped_x31_dump, True)):
+        with fault():
             for w in (1, 4, 32):
                 rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
                 assert not rep.passed and rep.sig_micro != rep.sig_golden
@@ -368,18 +336,6 @@ def test_replay_matches_oracle_without_halt():
         assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w), max_steps=50)
 
 
-def _flip_register(mp, m, victim):
-    """A core handler for `m` that also flips bit 7 of register `victim`,
-    a stray write wherever the instruction's rd is another register."""
-    handler = microarch._EXECUTE[m]
-
-    def faulty(core, i, a, b):
-        core.arch.regs[victim] ^= 1 << 7
-        return handler(core, i, a, b)
-
-    mp.setitem(microarch._EXECUTE, m, faulty)
-
-
 def _first_executed(img, m, exts):
     """The pc and rd of the first `m` that golden executes in `img`."""
     gold = ArchState.from_image(img)
@@ -390,14 +346,14 @@ def _first_executed(img, m, exts):
         assert not golden.step(gold, exts).halted
 
 
-def test_stray_register_write_fails_at_its_instruction(monkeypatch):
+def test_stray_register_write_fails_at_its_instruction():
     """Each step compares all 32 registers, not only the step's rd."""
     tc = TortureConfig(seed=1)
     pc, rd = _first_executed(generate(tc), M.PACK, tc.extensions)
     victim = 1 if rd != 1 else 2
-    _flip_register(monkeypatch, M.PACK, victim)
-    for w in WIDTHS:
-        rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+    with mutants.stray_register_write(M.PACK, victim):
+        reports = [cosim_run(tc, CoreConfig.zkn_zkt(w)) for w in WIDTHS]
+    for rep in reports:
         assert not rep.passed
         assert (rep.divergence_pc, rep.divergence_field) == (pc, f"x{victim}")
 
@@ -414,20 +370,19 @@ def test_stray_write_caught_though_both_models_overwrite_it(
     a.emit(M.EBREAK)
     img = a.build()
     monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
-    _flip_register(monkeypatch, M.PACK, 5)
     tc, core = TortureConfig(seed=0), CoreConfig.zkn_zkt(4)
+    with mutants.stray_register_write(M.PACK, 5):
+        rep = cosim_run(tc, core)
+        assert not rep.passed
+        assert (rep.divergence_pc, rep.divergence_field) == (pack_pc, "x5")
 
-    rep = cosim_run(tc, core)
-    assert not rep.passed
-    assert (rep.divergence_pc, rep.divergence_field) == (pack_pc, "x5")
-
-    # what a compare of rd alone, or of the final state, would have seen
-    trace = cosim._golden_trace(tc, frozenset(core.extensions) - {Ext.ZKT},
-                                200_000)
-    micro = microarch.MicroCore(core, ArchState.from_image(img))
-    for _, rd, value, g_out in trace.steps:
-        micro.step()
-        assert micro.arch.regs[rd] == value
+        # what a compare of rd alone, or of the final state, would have seen
+        trace = cosim._golden_trace(tc, frozenset(core.extensions) - {Ext.ZKT},
+                                    200_000)
+        micro = microarch.MicroCore(core, ArchState.from_image(img))
+        for _, rd, value, g_out in trace.steps:
+            micro.step()
+            assert micro.arch.regs[rd] == value
     assert g_out.halted
     assert signature(micro.arch, MEMORY_WINDOW) == trace.signature
 
