@@ -84,7 +84,11 @@ def _ext_set(value: str):
 
 
 def _hex_int(value: str) -> int:
-    return int(value, 0)
+    try:
+        return int(value, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an address such as 0x1000 or 4096: {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--trials", type=_int_from(audit.MIN_TRIALS), default=256)
 
     sub.add_parser("disasm", parents=[image], help="disassemble an image")
+    # names the commands, not the dest, when none is given
+    sub.metavar = "{" + ",".join(sub.choices) + "}"
     return p
 
 

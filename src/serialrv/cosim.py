@@ -238,8 +238,11 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
     rd = 0. Applying the deltas in order to the reset registers gives
     golden's registers after each step.
 
-    The generator's Instrs go into the decode cache first, so neither
-    model decodes a generated word.
+    The decode cache is cleared and then filled with the generator's own
+    Instrs, so neither model decodes a generated word and the cache holds
+    one program's words, not those of every program run before it. Every
+    other fetch path fills it on demand (see `isa.decode_cached`); a
+    kernel whose entries this drops decodes each word once more.
 
     Neither the program nor the trace depends on the core's width, so
     cosim_run records them once and replays them at every width; one entry
@@ -248,12 +251,9 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
     model or the generator must call `_golden_trace.cache_clear()` first,
     or it gets the unchanged trace.
     """
-    instrs: dict = {}
-    img = generate(torture, instrs)
     cache = isa._DECODE_CACHE
-    if len(cache) + len(instrs) > isa._DECODE_CACHE_MAX:
-        cache.clear()
-    cache.update(instrs)
+    cache.clear()
+    img = generate(torture, cache)
     gold = ArchState.from_image(img)
     mem, regs = gold.mem, gold.regs
     steps = []

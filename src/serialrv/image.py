@@ -48,16 +48,39 @@ class ProgramImage(NamedTuple):
         return self
 
 
+def _read_flat(path, base: int) -> bytes:
+    """The bytes of the flat binary at `path`, to be loaded at `base`, read
+    a chunk at a time: a source longer than the room left above `base` in
+    the address space, such as /dev/zero, is rejected one byte past that
+    room, never read to its end nor given a buffer of that size up front."""
+    if not 0 <= base <= 1 << 32:
+        raise ValueError(f"base {base:#x} is outside the 32-bit address space")
+    room = (1 << 32) - base
+    buf = bytearray()
+    with open(path, "rb") as fh:
+        while len(buf) <= room:
+            chunk = fh.read(min(room + 1 - len(buf), 1 << 20))
+            if not chunk:
+                return bytes(buf)
+            buf += chunk
+    raise ValueError(f"a flat binary at base {base:#x} fits in {room} bytes "
+                     "of the 32-bit address space; this source is longer")
+
+
 def load_image(source: Union[str, os.PathLike, bytes], fmt: str = "flat-bin",
                base: int = DEFAULT_BASE, entry: Optional[int] = None) -> ProgramImage:
     """Build a ProgramImage from a file path or raw bytes.
 
-    flat-bin: the bytes are the image.
+    flat-bin: the bytes are the image. A file is read up to one byte past
+    the end of the 32-bit address space, so an endless source such as
+    /dev/zero is a load error, not a read that never ends.
     hex-words: one 8-hex-digit word per line, stored little-endian;
     blank lines and `#` comments allowed.
     """
     if isinstance(source, bytes):
         raw = source
+    elif fmt == "flat-bin":
+        raw = _read_flat(source, base)
     else:
         with open(source, "rb") as fh:
             raw = fh.read()

@@ -502,16 +502,18 @@ def decode(word: int) -> Instr:
     return Instr(m, 0, 0, 0, 0, None, word)  # ecall/ebreak: the sub-key fixed every bit
 
 
-_DECODE_CACHE: dict = {}  # word -> Instr, filled by decode_cached
-_DECODE_CACHE_MAX = 1 << 17  # past this many entries the cache is cleared
+_DECODE_CACHE: dict = {}  # word -> Instr; see decode_cached
+_DECODE_CACHE_MAX = 1 << 17  # past this many entries decode_cached clears it
 
 
 def decode_cached(word: int) -> Instr:
     """decode() with memoization in `_DECODE_CACHE`; used on simulator fetch
     paths. Both models, `MicroCore.step` and `golden.step`, probe the dict
-    themselves and call this on a miss only, so past `_DECODE_CACHE_MAX`
-    entries the dict is cleared in place, never rebound. Cosim also fills
-    it with the generator's own Instrs, under the same rule."""
+    themselves and call this on a miss only, so the dict is cleared in
+    place, never rebound. Kernels, the audit and `serialrv run` fill it
+    here on demand, and past `_DECODE_CACHE_MAX` entries it is cleared.
+    Cosim seeds it with exactly one program's words: `_golden_trace`
+    clears it and fills it with the generator's own Instrs."""
     i = _DECODE_CACHE.get(word)
     if i is None:
         if len(_DECODE_CACHE) > _DECODE_CACHE_MAX:

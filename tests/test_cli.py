@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mutants
-from serialrv import bench, cli, cosim, golden
+from serialrv import bench, cli, cosim, golden, image
 from serialrv.isa import Assembler, Mnemonic as M
 
 
@@ -127,6 +127,24 @@ def test_python_m_serialrv_reports_misuse_without_traceback(ebreak_image):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [["disasm", "{image}", "--base", "zz"],
+                                  ["run", "{image}", "--base", "zz"],
+                                  ["run", "{image}", "--entry", "zz"]],
+                         ids=["disasm-base", "run-base", "run-entry"])
+def test_address_not_a_number_usage_error(argv, ebreak_image, capsys):
+    assert cli.main([a.format(image=ebreak_image) for a in argv]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: argument {argv[2]}: not an address such as 0x1000 or 4096: "
+        "'zz'\n")
+
+
+def test_missing_subcommand_names_the_commands(capsys):
+    assert cli.main([]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: the following arguments are required: "
+        "{run,cosim,bench,audit-ct,disasm}\n")
+
+
 def test_run_max_cycles_zero_usage_error(ebreak_image, capsys):
     assert cli.main(["run", ebreak_image, "--max-cycles", "0"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
@@ -136,6 +154,60 @@ def test_run_max_cycles_zero_usage_error(ebreak_image, capsys):
 def test_run_missing_image_load_error(capsys):
     rc = cli.main(["run", "/nonexistent/prog.bin"])
     assert rc == cli.EXIT_LOAD
+
+
+class _Source:
+    """An open file of `size` zero bytes, endless if None, like /dev/zero;
+    it records each read's size and fails an unbounded read."""
+
+    def __init__(self, size=None):
+        self.left = size
+        self.asked = []
+
+    def read(self, n=-1):
+        assert n >= 0, "an unbounded read"
+        self.asked.append(n)
+        if self.left is not None:
+            n = min(n, self.left)
+            self.left -= n
+        return bytes(n)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+@pytest.mark.parametrize("cmd", ["run", "disasm"])
+def test_endless_flat_bin_load_error(cmd, monkeypatch, capsys):
+    """A source that never ends is read one byte past the address space,
+    then rejected: here 17 bytes, with 16 left above the base."""
+    source = _Source()
+    monkeypatch.setattr(image, "open", lambda path, mode: source, raising=False)
+    assert cli.main([cmd, "endless.bin", "--base", "0xfffffff0"]) == cli.EXIT_LOAD
+    assert capsys.readouterr().err == (
+        "error: cannot load image: a flat binary at base 0xfffffff0 fits in "
+        "16 bytes of the 32-bit address space; this source is longer\n")
+    assert source.asked == [17]
+
+
+def test_flat_bin_read_in_bounded_chunks(monkeypatch):
+    """The bound is read a chunk at a time, and a source that fits exactly
+    up to the end of the address space loads whole."""
+    room = 3 << 20
+    base = (1 << 32) - room
+    endless = _Source()
+    monkeypatch.setattr(image, "open", lambda path, mode: endless, raising=False)
+    with pytest.raises(ValueError, match="this source is longer"):
+        image.load_image("endless.bin", base=base)
+    assert sum(endless.asked) == room + 1 and max(endless.asked) == 1 << 20
+
+    exact = _Source(room)
+    monkeypatch.setattr(image, "open", lambda path, mode: exact, raising=False)
+    img = image.load_image("exact.bin", base=base)
+    assert len(img.data) == room and img.entry == base
+    assert sum(exact.asked) == room + 1
 
 
 def test_run_trap_exit_code(tmp_path):

@@ -7,7 +7,8 @@ import pytest
 
 import mutants
 import oracles
-from serialrv import cosim, golden, isa, microarch
+from test_bench import FULL_SUITE_JSON_SHA256, full_suite_json_sha256
+from serialrv import bench, cosim, golden, isa, microarch
 from serialrv.cosim import (MEMORY_WINDOW, TortureConfig, cosim_run, generate,
                             signature)
 from serialrv.golden import ArchState, Memory
@@ -412,6 +413,38 @@ def test_reports_independent_of_loop_order():
     widths_outer = {(s, w): cosim_run(TortureConfig(seed=s), CoreConfig.zkn_zkt(w))
                     for w in WIDTHS for s in seeds}
     assert seeds_outer == widths_outer
+
+
+def test_matrix_leaves_one_program_in_the_decode_cache(monkeypatch):
+    """Cosim seeds the decode cache with one program's words: a matrix
+    leaves only its last program's words there, whether the cache started
+    empty or full of every kernel's words, and no report moves, even with
+    the cache emptied before every cell. The kernels then refill it on
+    demand and still give the pinned bench JSON."""
+    seeds, widths = range(300, 320), (1, 8, 32)
+    cache = isa._DECODE_CACHE
+    last_program: dict = {}
+    generate(TortureConfig(seed=seeds[-1]), last_program)
+
+    cache.clear()
+    want = cosim.run_matrix(seeds, widths)
+    assert cache.keys() == last_program.keys()
+
+    bench.run_suite()
+    assert not cache.keys() <= last_program.keys()
+    assert cosim.run_matrix(seeds, widths) == want
+    assert cache.keys() == last_program.keys()
+
+    run = cosim.cosim_run
+
+    def run_on_empty_cache(*args):
+        cache.clear()
+        return run(*args)
+
+    monkeypatch.setattr(cosim, "cosim_run", run_on_empty_cache)
+    assert cosim.run_matrix(seeds, widths) == want
+
+    assert full_suite_json_sha256() == FULL_SUITE_JSON_SHA256
 
 
 def test_corrupted_golden_model_detected(monkeypatch, fresh_golden_trace):
