@@ -26,7 +26,7 @@ from .cosim import fnv1a64
 from .golden import AES_SBOX, AES_SBOX_INV, ArchState, MASK32
 from .image import ProgramImage
 from .isa import Assembler, Mnemonic as M
-from .microarch import CoreConfig
+from .microarch import VALID_WIDTHS, CoreConfig
 
 # the extensions each variant's cells run on
 EXTS = {"rv32i": frozenset(), "zkn": isa.ZKN_ZKT}
@@ -628,7 +628,7 @@ def resolve_suite(kernel_names: Optional[Sequence[str]] = None,
 
 
 def run_suite(kernel_names: Optional[Sequence[str]] = None,
-              widths: Sequence[int] = (1, 2, 4, 8, 16, 32),
+              widths: Sequence[int] = VALID_WIDTHS,
               variants: Sequence[str] = VARIANTS) -> Tuple[list, dict]:
     """Run the benchmark matrix; returns (results, derived metrics).
 

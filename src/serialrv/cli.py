@@ -238,13 +238,17 @@ def _cmd_audit(args) -> int:
 
 def _cmd_disasm(args) -> int:
     image = _load_image(args)
-    for off in range(0, len(image.data) & ~3, 4):
+    whole = len(image.data) & ~3
+    for off in range(0, whole, 4):
         word = int.from_bytes(image.data[off:off + 4], "little")
         try:
             text = isa.disassemble(isa.decode(word))
         except isa.IllegalInstruction:
             text = f".word 0x{word:08x}"
         print(f"{image.base + off:08x}: {text}")
+    if whole < len(image.data):  # the 1-3 bytes after the last whole word
+        tail = ", ".join(f"0x{b:02x}" for b in image.data[whole:])
+        print(f"{image.base + whole:08x}: .byte {tail}")
     return EXIT_OK
 
 

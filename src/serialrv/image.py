@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import NamedTuple, Optional, Union
 
@@ -15,7 +16,8 @@ class MalformedHex(Exception):
         self.text = text
 
     def __str__(self) -> str:
-        return f"line {self.line_no}: not an 8-digit hex word: {self.text!r}"
+        text = self.text if len(self.text) <= 16 else self.text[:16] + "..."
+        return f"line {self.line_no}: not an 8-digit hex word: {text!r}"
 
 
 class EmptyImage(Exception):
@@ -48,23 +50,70 @@ class ProgramImage(NamedTuple):
         return self
 
 
+_CHUNK = 1 << 20  # the most that one read of an image file asks for
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
+def _room_above(base: int) -> int:
+    """The bytes of the 32-bit address space from `base` to its end."""
+    if not 0 <= base <= 1 << 32:
+        raise ValueError(f"base {base:#x} is outside the 32-bit address space")
+    return (1 << 32) - base
+
+
 def _read_flat(path, base: int) -> bytes:
     """The bytes of the flat binary at `path`, to be loaded at `base`, read
     a chunk at a time: a source longer than the room left above `base` in
     the address space, such as /dev/zero, is rejected one byte past that
     room, never read to its end nor given a buffer of that size up front."""
-    if not 0 <= base <= 1 << 32:
-        raise ValueError(f"base {base:#x} is outside the 32-bit address space")
-    room = (1 << 32) - base
+    room = _room_above(base)
     buf = bytearray()
     with open(path, "rb") as fh:
         while len(buf) <= room:
-            chunk = fh.read(min(room + 1 - len(buf), 1 << 20))
+            chunk = fh.read(min(room + 1 - len(buf), _CHUNK))
             if not chunk:
                 return bytes(buf)
             buf += chunk
     raise ValueError(f"a flat binary at base {base:#x} fits in {room} bytes "
                      "of the 32-bit address space; this source is longer")
+
+
+def _file_chunks(path):
+    with open(path, "rb") as fh:
+        yield from iter(lambda: fh.read(_CHUNK), b"")
+
+
+def _read_hex_words(chunks, base: int) -> bytes:
+    """The words of a hex-words listing given as byte chunks, stored
+    little-endian for loading at `base`. A chunk's last line is held until
+    the next chunk shows where it ends, but a line is rejected as soon as
+    its text before any `#` holds a non-hex character or more than 8
+    digits, and a word as soon as it passes the room above `base`: an
+    endless source such as /dev/zero is rejected after one chunk."""
+    room = _room_above(base)
+    data = bytearray()
+    line_no, held = 0, ""
+    for chunk in itertools.chain(chunks, (b"",)):  # b"": the source has ended
+        pending = held + chunk.decode("ascii", "replace")
+        *lines, held = pending.splitlines(keepends=True) or [""]
+        if not chunk:
+            lines.append(held)
+        for line in lines:
+            line_no += 1
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if len(text) != 8 or not _HEX_DIGITS.issuperset(text):
+                raise MalformedHex(line_no, text)
+            if len(data) + 4 > room:
+                raise ValueError(f"a hex-words image at base {base:#x} fits in "
+                                 f"{room // 4} words of the 32-bit address "
+                                 "space; this source is longer")
+            data += int(text, 16).to_bytes(4, "little")
+        head = held.split("#", 1)[0].strip()  # what the held line holds so far
+        if len(head) > 8 or not _HEX_DIGITS.issuperset(head):
+            raise MalformedHex(line_no + 1, head)
+    return bytes(data)
 
 
 def load_image(source: Union[str, os.PathLike, bytes], fmt: str = "flat-bin",
@@ -75,28 +124,15 @@ def load_image(source: Union[str, os.PathLike, bytes], fmt: str = "flat-bin",
     the end of the 32-bit address space, so an endless source such as
     /dev/zero is a load error, not a read that never ends.
     hex-words: one 8-hex-digit word per line, stored little-endian;
-    blank lines and `#` comments allowed.
+    blank lines and `#` comments allowed. A file is read a chunk at a
+    time, and a line that cannot be a word line, or a word past the end of
+    the address space, is a load error as soon as it is read.
     """
-    if isinstance(source, bytes):
-        raw = source
+    if fmt == "hex-words":
+        chunks = (source,) if isinstance(source, bytes) else _file_chunks(source)
+        data = _read_hex_words(chunks, base)
     elif fmt == "flat-bin":
-        raw = _read_flat(source, base)
-    else:
-        with open(source, "rb") as fh:
-            raw = fh.read()
-
-    if fmt == "flat-bin":
-        data = raw
-    elif fmt == "hex-words":
-        words = []
-        for line_no, line in enumerate(raw.decode("ascii", "replace").splitlines(), 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if len(text) != 8 or any(c not in "0123456789abcdefABCDEF" for c in text):
-                raise MalformedHex(line_no, text)
-            words.append(int(text, 16))
-        data = b"".join(w.to_bytes(4, "little") for w in words)
+        data = source if isinstance(source, bytes) else _read_flat(source, base)
     else:
         raise ValueError(f"unknown image format {fmt!r}")
 

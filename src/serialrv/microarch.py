@@ -15,17 +15,19 @@ steps, and clmul keeps using Serializer1 for accumulation.
 mnemonic under one CoreConfig. It is built in one pass with the config's
 shift plans (see `shift_plan`), and each shift is costed from the same
 plan the shift unit carries out. The frontend rule (fetch overlap,
-taken-transfer penalty) is added on top of it when an instruction
-retires.
+taken-transfer flush) is bound beside it, in the same pass, as each
+mnemonic's two charges (see `_binding`).
 
-One instruction is one call of `MicroCore.step`, and one frame carries it
-from fetch to commit: fetch (the first step also fills the fetch buffer),
-decode, bind, execute, the frontend charge, the cycle-budget check, the
-per-mnemonic count and the commit, which also prefetches the next
-sequential word straight from the dense memory window. A fetch that hits
-isa's decode cache makes no call: the frame probes the dict itself and
-unpacks the instruction's fields once. `step` is the core's only way in:
-every instruction, a program's or the audit's, passes through these lines.
+One instruction is one call of `MicroCore.step`, and one frame carries
+it from fetch to commit: fetch (the first step also fills the fetch
+buffer), decode, bind, execute, the pick of one of the record's charges,
+the cycle-budget check, the per-mnemonic count and the commit, which
+also prefetches the next sequential word straight from the dense memory
+window; every instruction that retires, ebreak and ecall too, takes the
+same lines. A fetch that hits isa's decode cache makes no call: the
+frame probes the dict itself and unpacks the instruction's fields once.
+`step` is the core's only way in: every instruction, a program's or the
+audit's, passes through these lines.
 
 What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
@@ -39,26 +41,28 @@ it changes a simulated cycle):
   `_REORDER_WIRING` by `_wiring_tables`. No handler reads the mnemonic
   of the instruction it executes.
 - per config, in `__init__`: one binding shared by every core under an
-  equal config and by `latency_table`. It holds the latency table, the
-  shift plans, the shift unit's step sequence for every move amount, one
-  lane per chunk and the lane masks (see `_binding`): a chunk loop
-  combines each chunk where it sits, never moving it down to bit 0, and
-  a bitwise loop walks the masks alone. Each plan is bound to its loop:
-  (move function, steps, mask), so a shift or rotate looks up its plan
-  by amount and calls the move function on the steps, one chunk or
-  single-bit step at a time, with no test of which loop it is.
+  equal config and by `latency_table`. It holds the latency table, each
+  mnemonic's sequential and taken charge, the shift plans, the shift
+  unit's step sequence for every move amount, one lane per chunk and the
+  lane masks (see `_binding`): a chunk loop combines each chunk where it
+  sits, never moving it down to bit 0, and a bitwise loop walks the
+  masks alone. Each plan is bound to its loop: (move function, steps,
+  mask), so a shift or rotate looks up its plan by amount and calls the
+  move function on the steps, one chunk or single-bit step at a time,
+  with no test of which loop it is.
 - per core, in `__init__`: the dense memory window the sequential
   prefetch reads: `_window` (the buffer, never replaced or resized),
   `_window_base` and `_window_last` (the offset of its last word).
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
-  cycles (per shift amount for a shift or rotate) and its access size.
-  What executes it is either a value unit or a handler (see `_EXECUTE`),
-  or neither when its extension is not enabled. A value unit is a chunk
-  function of the class (add, sub, and, or, xor and their I-forms),
-  which the frame calls as `unit(core, rs1, operand 2)` for the rd value.
-  The record holds the function, never a method bound to the core, so a
-  finished core is freed as soon as nothing refers to it.
+  sequential charge (per shift amount for a shift or rotate), its taken
+  charge and its access size. What executes it is either a value unit or
+  a handler (see `_EXECUTE`), or neither when its extension is not
+  enabled. A value unit is a chunk function of the class (add, sub, and,
+  or, xor and their I-forms), which the frame calls as `unit(core, rs1,
+  operand 2)` for the rd value. The record holds the function, never a
+  method bound to the core, so a finished core is freed as soon as
+  nothing refers to it.
 - A record holds no field of an instruction word: rd, rs1, rs2 and the
   immediate are read from the decoded instruction when it retires. The
   records live on the core, keyed by mnemonic, so storing over code
@@ -82,6 +86,7 @@ from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
 from .isa import _DECODE_CACHE, Ext, Instr, Mnemonic as M
 
 VALID_WIDTHS = (1, 2, 4, 8, 16, 32)
+_NO_BUDGET = 1 << 64  # a cycle budget that no run reaches
 
 # Latency classes.
 ALU_CHUNKED = "alu_chunked"
@@ -294,16 +299,26 @@ _MOVE = {"sll": _move_sll, "rol": _move_rol, "srl": _move_srl,
 @functools.lru_cache(maxsize=256)
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
-    {shift/rotate mnemonic: its 32 plans by amount}, move steps, lanes,
-    lane masks). A plan is bound as (move function, steps, mask): the loop
-    of `shift_plan` as its `_MOVE` function, the steps of its amount, and
-    its mask, MASK32 when it has no mask pass. A lane is
+    {mnemonic: (sequential charge, taken charge)}, {shift/rotate mnemonic:
+    its 32 plans by amount}, move steps, lanes, lane masks).
+
+    The charges are the frontend rule. Going on to pc + 4 overlaps the next
+    fetch with execution: max(execute, mem_latency), by amount for a shift
+    or rotate (never taken: None). A taken branch or jump flushes the fetch
+    buffer: execute + taken_branch_penalty + mem_latency - 1. ebreak and
+    ecall, which fetch nothing after them, take their execute cycles.
+
+    A plan is bound as (move function, steps, mask): the loop of
+    `shift_plan` as its `_MOVE` function, the steps of its amount, and its
+    mask, MASK32 when it has no mask pass. A lane is
     (mask << p, 1 << (p + w)) for the w-bit chunk at bit p, LSB first: the
     chunk's bits, and the bit where its carry-out lands. The lane masks are
     the first of each lane, in the same order."""
     steps = _move_steps(config.shift_chunk_width)
     chunks = config.chunks
-    mem_op = chunks + config.mem_latency + 1  # address add, access, commit
+    fetch = config.mem_latency
+    flush = config.taken_branch_penalty + fetch - 1
+    mem_op = chunks + fetch + 1  # address add, access, commit
     per_class = {
         ALU_CHUNKED: chunks, BRANCH: chunks, JUMP: chunks, XPERM: chunks,
         LOAD: mem_op, STORE: mem_op,
@@ -311,20 +326,23 @@ def _binding(config: CoreConfig) -> tuple:
         SHA: config.sha_select_latency + chunks,
         REORDER: config.reorder_latency, FENCE_NOP: 1,
     }
-    table, plans = {}, {}
+    table, charges, plans = {}, {}, {}
     for m, klass in CLASS_OF.items():
         if m not in SHIFT_MNEMONICS:
-            table[m] = per_class[klass]
+            execute = table[m] = per_class[klass]
+            halts = m is M.EBREAK or m is M.ECALL
+            charges[m] = (max(execute, fetch), execute + (0 if halts else flush))
             continue
         by_amount = [shift_plan(config, m, s) for s in range(32)]
         costs = [len(steps[amount]) + (chunks if mask else 0) + 1
                  for _, amount, mask in by_amount]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
+        charges[m] = (tuple(max(c, fetch) for c in table[m]), None)
         plans[m] = tuple((_MOVE[loop], steps[amount], mask or MASK32)
                          for loop, amount, mask in by_amount)
     w = config.serial_width
     lanes = tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w))
-    return (MappingProxyType(table), plans, steps, lanes,
+    return (MappingProxyType(table), charges, plans, steps, lanes,
             tuple(mask for mask, _ in lanes))
 
 
@@ -411,7 +429,7 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        (self.latency, self._plans, self._steps, self._lanes,
+        (_, self._charges, self._plans, self._steps, self._lanes,
          self._lane_masks) = _binding(config)
         self.arch = state
         self._window = state.mem.buf  # the dense window, for the prefetch
@@ -426,8 +444,6 @@ class MicroCore:
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         self._full = config.serial_width == 32  # a full-width ALU; no Serializer2
-        self._mem_latency = config.mem_latency
-        self._transfer_penalty = config.taken_branch_penalty + config.mem_latency - 1
         self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
@@ -505,9 +521,9 @@ class MicroCore:
 
     def _bind(self, m: M) -> tuple:
         """Bind the record of mnemonic `m` under this core's config and keep
-        it: (value unit, handler, operand 2 is the immediate, cycles, access
-        size, [retired, charged cycles]). An illegal mnemonic has neither a
-        unit nor a handler."""
+        it: (value unit, handler, operand 2 is the immediate, sequential
+        charge, taken charge, access size, [retired, charged cycles]). An
+        illegal mnemonic has neither a unit nor a handler."""
         ext = isa.EXT_OF[m]
         execute = _EXECUTE[m]
         unit = handler = None
@@ -519,34 +535,33 @@ class MicroCore:
             else:
                 handler = execute
         rec = self._bound[m] = (unit, handler, m in isa.IMM_FORMS,
-                                self.latency[m], isa.ACCESS_BYTES.get(m), [0, 0])
+                                *self._charges[m], isa.ACCESS_BYTES.get(m), [0, 0])
         return rec
 
     def retired(self) -> dict:
         """{mnemonic: (instructions retired, cycles charged to them)} over
         every mnemonic that retired on this core."""
-        return {m: tuple(rec[5]) for m, rec in self._bound.items() if rec[5][0]}
+        return {m: tuple(rec[6]) for m, rec in self._bound.items() if rec[6][0]}
 
-    def step(self, max_cycles: Optional[int] = None
+    def step(self, max_cycles: int = _NO_BUDGET
              ) -> Tuple[int, StepOutcome, Optional[Instr]]:
         """Fetch, decode and execute one instruction, in one frame.
 
         Returns (charged cycles, outcome, instruction or None when the
         fetch/decode itself trapped). The first step also fills the fetch
-        buffer, which costs `startup_cycles` more. Charged cycles include
-        the frontend effects: overlap of the next fetch with execution (a
-        stall if execution is shorter than mem_latency) and the flush
-        penalty of taken control transfers. If a step's cycles would take
-        `cycle` past `max_cycles`, it writes nothing and halts with
-        max-steps.
+        buffer, which costs `startup_cycles` more. A step is charged one of
+        its record's two charges (see `_binding`): the taken one when it
+        transfers control or halts with ebreak or ecall, else the
+        sequential one. If a step's cycles would take `cycle` past
+        `max_cycles`, it writes nothing and halts with max-steps.
         """
         arch = self.arch
         fill = 0
         if not self.startup_cycles:  # the first step fills the fetch buffer
-            fill = self.startup_cycles = self._mem_latency
+            fill = self.startup_cycles = self.config.mem_latency
             self.cycle += fill
-        if max_cycles is not None and self.cycle > max_cycles:
-            return self._over_budget(fill, None)
+            if self.cycle > max_cycles:
+                return self._over_budget(fill, None)
         pc = arch.pc
         if pc & 3:
             return 0, _MISALIGNED_FETCH, None
@@ -561,45 +576,29 @@ class MicroCore:
             except isa.IllegalInstruction:
                 return 0, _ILLEGAL, None
 
-        # bind, then execute on the record and charge it: overlap the
-        # sequential prefetch, or flush on a transfer
+        # bind, then execute on the record and pick its charge
         m, rd, rs1, rs2, imm, _, _ = ins
         rec = self._bound.get(m)
         if rec is None:
             rec = self._bind(m)
-        unit, handler, imm_op2, cycles, size, counts = rec
+        unit, handler, imm_op2, charged, taken, size, counts = rec
         regs = arch.regs
         op2 = imm & MASK32 if imm_op2 else regs[rs2]
         if unit is not None:
             val = unit(self, regs[rs1], op2)
             target = None
-            charged = self._mem_latency
-            if cycles > charged:
-                charged = cycles
         elif handler is not None:
-            if type(cycles) is tuple:  # a shift or rotate, costed by its amount
-                cycles = cycles[op2 & 31]
             try:
                 val, target = handler(self, ins, regs[rs1], op2)
             except _Halt as halt:
-                if not halt.retires:
-                    return 0, halt.outcome, ins
-                # ebreak and ecall retire, with no next fetch to overlap
-                if max_cycles is not None and self.cycle + cycles > max_cycles:
-                    return self._over_budget(fill, ins)
-                self.cycle += cycles
-                counts[0] += 1
-                counts[1] += cycles
-                return cycles, halt.outcome, ins
-            if target is None:
-                charged = self._mem_latency
-                if cycles > charged:
-                    charged = cycles
-            else:
-                charged = cycles + self._transfer_penalty
+                return 0, halt.args[0], ins
+            if target is not None:
+                charged = taken
+            elif type(charged) is tuple:  # a shift or rotate, costed by its amount
+                charged = charged[op2 & 31]
         else:
             return 0, _ILLEGAL, ins
-        if max_cycles is not None and self.cycle + charged > max_cycles:
+        if self.cycle + charged > max_cycles:
             return self._over_budget(fill, ins)
         self.cycle += charged
         counts[0] += 1
@@ -622,6 +621,8 @@ class MicroCore:
                 self.fetch_buffer = (pc, _unpack_word(self._window, off)[0])
             else:
                 self.fetch_buffer = (pc, arch.mem.load(pc, 4))
+        elif type(target) is StepOutcome:  # ebreak or ecall: pc stays
+            return charged, target, ins
         else:
             pc = target & MASK32
             arch.pc = pc
@@ -643,21 +644,18 @@ class MicroCore:
 _OVER_BUDGET = StepOutcome(True, MAX_STEPS)
 _ILLEGAL = StepOutcome(True, ILLEGAL)
 _MISALIGNED_FETCH = StepOutcome(True, MISALIGNED_FETCH)
+_MISALIGNED_ACCESS = StepOutcome(True, MISALIGNED_ACCESS)
 
 
 class _Halt(Exception):
-    """Raised by a handler that halts the core; it has written nothing."""
-
-    def __init__(self, reason: str, retires: bool = False):
-        super().__init__(reason)
-        self.outcome = StepOutcome(True, reason)
-        self.retires = retires
+    """Raised, with its outcome, by a handler whose instruction traps: it
+    has written nothing and does not retire."""
 
 
 def _halt(reason: str):
-    def handler(core, i, a, b):
-        raise _Halt(reason, retires=True)
-    return handler
+    # ebreak and ecall retire and halt: the outcome goes where a target would
+    outcome = StepOutcome(True, reason)
+    return lambda core, i, a, b: (None, outcome)
 
 
 def _branch(taken):
@@ -674,7 +672,7 @@ def _load_unit(m: M, signed: bool):
         # a full-word read through the LSU buffer, then the addressed bytes
         addr = (a + i.imm) & MASK32
         if addr & (size - 1):
-            raise _Halt(MISALIGNED_ACCESS)
+            raise _Halt(_MISALIGNED_ACCESS)
         word = core.lsu_buffer = core.arch.mem.load(addr & ~3, 4)
         val = (word >> 8 * (addr & 3)) & field
         return (val ^ sign) - sign, None
@@ -688,7 +686,7 @@ def _store_unit(m: M):
         # the value waits in the LSU buffer until the instruction commits
         addr = (a + i.imm) & MASK32
         if addr & (size - 1):
-            raise _Halt(MISALIGNED_ACCESS)
+            raise _Halt(_MISALIGNED_ACCESS)
         core.store_addr = addr
         core.lsu_buffer = b
         return None, None
@@ -798,7 +796,8 @@ def _reorder_unit(m: M):
 # What each mnemonic does on the chunked data path: the name of a MicroCore
 # value unit, or a handler. A handler takes (core, instruction, rs1 value,
 # operand 2) and returns (value for rd or None, jump target or None for the
-# next instruction); it writes no architectural state. Operand 2 is the
+# next instruction, or the halt outcome of ebreak and ecall); it writes no
+# architectural state, and raises _Halt on a trap. Operand 2 is the
 # immediate for the isa.IMM_FORMS, so each I-form shares the entry of its
 # R-form.
 _EXECUTE = {

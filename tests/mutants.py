@@ -59,3 +59,30 @@ def beq_as_bne():
 def ebreak_as_ecall():
     """The core halts on ebreak as if on a plain ecall."""
     return _patched(microarch._EXECUTE, M.EBREAK, microarch._halt(golden.ECALL))
+
+
+def _charged_through(fault):
+    """Cores built inside bind each mnemonic's (sequential, taken) charges
+    as `fault(mnemonic, execute cycles, sequential, taken)` returns them."""
+    binding = microarch._binding
+
+    def faulty(config):
+        table, charges, *rest = binding(config)
+        return (table, {m: fault(m, table[m], *c) for m, c in charges.items()},
+                *rest)
+
+    return _patched(microarch, "_binding", faulty)
+
+
+def short_transfer_penalty():
+    """A taken branch or jump is charged one cycle less than its penalty."""
+    transfers = {m for m, c in microarch.CLASS_OF.items()
+                 if c in (microarch.BRANCH, microarch.JUMP)}
+    return _charged_through(lambda m, execute, seq, taken:
+                            (seq, taken - 1 if m in transfers else taken))
+
+
+def fetch_stall_dropped():
+    """A sequential step is charged its execute cycles alone, however much
+    longer the fetch of the next word takes."""
+    return _charged_through(lambda m, execute, seq, taken: (execute, taken))

@@ -210,6 +210,30 @@ def test_flat_bin_read_in_bounded_chunks(monkeypatch):
     assert sum(exact.asked) == room + 1
 
 
+def test_endless_hex_words_load_error(monkeypatch, capsys):
+    """A hex-words source that never ends is read one chunk at a time and
+    rejected at its first line, which cannot be a word line."""
+    source = _Source()
+    monkeypatch.setattr(image, "open", lambda path, mode: source, raising=False)
+    assert cli.main(["run", "endless.hex", "--format", "hex-words"]) == cli.EXIT_LOAD
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load image: line 1: not an 8-digit hex word")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert source.asked == [image._CHUNK]
+
+
+def test_hex_words_past_the_address_space_load_error(tmp_path, capsys):
+    """Words past the room above the base are rejected as a flat binary's
+    bytes are: here the third word, with 8 bytes left."""
+    p = tmp_path / "words.hex"
+    p.write_text("00000013\n" * 3)
+    argv = ["run", str(p), "--format", "hex-words", "--base", "0xfffffff8"]
+    assert cli.main(argv) == cli.EXIT_LOAD
+    assert capsys.readouterr().err == (
+        "error: cannot load image: a hex-words image at base 0xfffffff8 fits "
+        "in 2 words of the 32-bit address space; this source is longer\n")
+
+
 def test_run_trap_exit_code(tmp_path):
     a = Assembler(base=0x1000)
     a.word(0)  # illegal
@@ -442,6 +466,17 @@ def test_disasm_hex_words(tmp_path, capsys):
     rc = cli.main(["disasm", str(p), "--format", "hex-words"])
     out = capsys.readouterr().out
     assert "ebreak" in out and ".word 0xffffffff" in out
+
+
+def test_disasm_prints_trailing_bytes(tmp_path, capsys):
+    """An image that ends in 1-3 bytes past its last whole word, which `run`
+    loads too, lists them as one .byte line at their address."""
+    p = tmp_path / "tail.bin"
+    a = Assembler(base=0x1000)
+    a.emit(M.EBREAK)
+    p.write_bytes(a.build().data + b"\xab\xcd")
+    assert cli.main(["disasm", str(p)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "00001000: ebreak\n00001004: .byte 0xab, 0xcd\n"
 
 
 each_output_option = pytest.mark.parametrize("argv", [

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mutants
-from serialrv import cosim, golden, isa, microarch
+import oracles
+from serialrv import bench, cosim, golden, isa, microarch
 from serialrv.golden import ArchState, Memory
 from serialrv.image import load_image
 from serialrv.isa import Ext, Mnemonic as M, instr
@@ -177,36 +178,6 @@ KNOB_SETS = {
 }
 
 
-def _readme_shift(cfg, m, shamt):
-    # chunk steps + single-bit steps + 1 writeback; a left shift without
-    # (or slower on) the left path is a right rotate by 32 - shamt, plus a
-    # 32/w mask pass for the logical form
-    cw = 8 if cfg.serial_width == 32 else cfg.serial_width
-    steps = lambda k: k // cw + k % cw
-    if m in (M.SLL, M.SLLI):
-        emulated = steps(32 - shamt) + 32 // cfg.serial_width + 1
-        if cfg.left_shift_support:
-            return min(steps(shamt) + 1, emulated)
-        return emulated
-    if m is M.ROL and not cfg.left_shift_support:
-        return steps(32 - shamt) + 1
-    return steps(shamt) + 1
-
-
-def _readme_cycles(cfg, m, shamt):
-    n = 32 // cfg.serial_width
-    klass = CLASS_OF[m]
-    if klass in ("shift", "rotate"):
-        if cfg.zkt:
-            return max(_readme_shift(cfg, m, s) for s in range(32))
-        return _readme_shift(cfg, m, shamt)
-    return {"alu_chunked": n, "branch": n, "jump": n, "xperm": n,
-            "load": n + cfg.mem_latency + 1, "store": n + cfg.mem_latency + 1,
-            "clmul": cfg.clmul_latency, "aes": cfg.aes_latency,
-            "sha": cfg.sha_select_latency + n,
-            "reorder_1cycle": cfg.reorder_latency, "fence_nop": 1}[klass]
-
-
 def _cases(m):
     """(instruction, register values, taken) triples that exercise `m`."""
     fmt = isa.ENCODINGS[m].fmt
@@ -241,17 +212,84 @@ def test_charged_cycles_follow_readme_table(m, knobs):
             cycles, out = exec_one(core, ins, regs)
             shamt = ins.imm if isa.ENCODINGS[m].fmt == isa.FMT_I_SHAMT \
                 else regs.get(2, 0)
-            execute = _readme_cycles(cfg, m, shamt)
-            # frontend: a taken transfer flushes the fetch buffer and pays
-            # the penalty; otherwise the next fetch overlaps execution
-            if m in (M.EBREAK, M.ECALL):
-                want = execute
-            elif taken:
-                want = execute + cfg.taken_branch_penalty + cfg.mem_latency - 1
-            else:
-                want = max(execute, cfg.mem_latency)
+            want = oracles.step_cycles(cfg, m.value, shamt, taken, False)
             assert cycles == want, (m.value, width, knobs, regs)
             assert (core.arch.pc != 0x1004) == taken or out.halted
+
+
+# --- every step of whole programs against the cycle oracle --------------------------
+
+_CYCLE_SEEDS = range(12)
+
+
+def _cycle_mismatch(image, cfg, label):
+    """Step `image` on a core under `cfg` until it halts, checking each
+    step's charged cycles and then `core.cycle` against
+    `oracles.step_cycles`. Returns None, or what the first mismatch was,
+    named by `label`, the pc and the mnemonic."""
+    core = MicroCore(cfg, ArchState.from_image(image))
+    arch, step = core.arch, core.step
+    total, first = 0, True
+    while True:
+        pc, before = arch.pc, arch.regs[:]
+        cycles, out, ins = step()
+        if out.halted and out.reason not in (golden.EBREAK, golden.ECALL):
+            return f"{label}: pc 0x{pc:08x} halted with {out.reason}"
+        m = ins.mnemonic.value
+        imm_shamt = isa.ENCODINGS[ins.mnemonic].fmt == isa.FMT_I_SHAMT
+        shamt = (ins.imm if imm_shamt else before[ins.rs2]) & 31
+        # no branch in these programs targets pc + 4
+        taken = arch.pc != (pc + 4) & 0xFFFFFFFF
+        want = oracles.step_cycles(cfg, m, shamt, taken, False)
+        if cycles != want:
+            return (f"{label}: pc 0x{pc:08x} {m}: wanted {want} cycles, "
+                    f"charged {cycles}")
+        total += oracles.step_cycles(cfg, m, shamt, taken, first)
+        first = False
+        if out.halted:
+            break
+    if core.cycle != total:
+        return f"{label}: wanted {total} cycles in all, core.cycle is {core.cycle}"
+    return None
+
+
+def _cosim_cells(seeds, knob_sets):
+    for seed in seeds:
+        image = cosim.generate(cosim.TortureConfig(seed=seed))
+        for knobs in knob_sets:
+            for width in WIDTHS:
+                cfg = CoreConfig(serial_width=width, **KNOB_SETS[knobs])
+                yield image, cfg, f"seed {seed}, width {width}, knobs {knobs}"
+
+
+def _bench_cells():
+    for name, kernel in bench.KERNELS.items():
+        for variant, exts in bench.EXTS.items():
+            image = kernel.build(variant).image
+            for width in WIDTHS:
+                cfg = CoreConfig(serial_width=width, extensions=exts)
+                yield image, cfg, f"kernel {name}/{variant}, width {width}, knobs default"
+
+
+def test_every_step_charges_the_oracle_cycles():
+    """Cosim programs at every width under each knob set, and every bench
+    cell, charge each step what the README cycle model says."""
+    cells = [*_cosim_cells(_CYCLE_SEEDS, sorted(KNOB_SETS)), *_bench_cells()]
+    assert len(cells) == len(_CYCLE_SEEDS) * 6 * 3 + 72
+    for cell in cells:
+        mismatch = _cycle_mismatch(*cell)
+        assert mismatch is None, mismatch
+
+
+@pytest.mark.parametrize("mutant", [mutants.short_transfer_penalty,
+                                    mutants.fetch_stall_dropped],
+                         ids=lambda f: f.__name__)
+def test_cycle_oracle_kills_frontend_mutants(mutant):
+    """Each frontend fault moves a charged cycle of seed 0's program at
+    width 32 under the knob set whose mem_latency exceeds 1."""
+    cell = next(c for c in _cosim_cells([0], ["knobs"]) if c[1].serial_width == 32)
+    with mutant():
+        assert _cycle_mismatch(*cell) is not None
 
 
 # --- shift latency model --------------------------------------------------------
