@@ -50,6 +50,7 @@ class CosimReport(NamedTuple):
     divergence_pc: Optional[int] = None
     divergence_field: Optional[str] = None
     instret: int = 0
+    cycles: int = 0  # the core's cycle count at the end; not in the JSON
 
     def to_json_dict(self) -> dict:
         d = {
@@ -347,7 +348,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
         passed=passed, sig_micro=sig_m, sig_golden=sig_g,
         divergence_pc=divergence[0] if divergence else None,
         divergence_field=divergence[1] if divergence else None,
-        instret=instret)
+        instret=instret, cycles=micro.cycle)
 
 
 def run_matrix(seeds, widths, extensions: frozenset = isa.ZKN_ZKT,

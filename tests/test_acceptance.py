@@ -69,7 +69,8 @@ def test_criterion_02_cross_width_invariance(full_matrix):
 def test_full_matrix_pinned(full_matrix):
     """The matrix's first 600 reports are `serialrv cosim --seed 0
     --programs 100 --json`, whose digest every change keeps; the second
-    pin covers all 6000 signatures and instrets."""
+    pin covers all 6000 signatures and instrets, the third every core's
+    cycle count at the end of its run."""
     reports, _ = full_matrix
     jsonl = "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n"
                     for r in reports[:600])
@@ -81,6 +82,11 @@ def test_full_matrix_pinned(full_matrix):
                  f"{r.sig_golden} {r.instret}\n".encode())
     assert h.hexdigest() == (
         "9827dcbdd981cce0b1018b1e870c39eca379dab38332f20feca4cdf5406500c1")
+    h = hashlib.sha256()
+    for r in reports:
+        h.update(f"{r.seed} {r.width} {r.cycles}\n".encode())
+    assert h.hexdigest() == (
+        "41c210a522036fd6f1b750a26ebe82ef32b791c017ff5cad558a1ccea6a8b1e3")
 
 
 def test_criterion_03_crypto_functional_pinning():

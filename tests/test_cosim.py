@@ -302,7 +302,7 @@ def _lockstep_oracle(torture, core, max_steps=200_000):
         sig_micro=sig_m, sig_golden=sig_g,
         divergence_pc=divergence[0] if divergence else None,
         divergence_field=divergence[1] if divergence else None,
-        instret=instret)
+        instret=instret, cycles=micro.cycle)
 
 
 def test_replay_matches_lockstep_oracle():
