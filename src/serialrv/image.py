@@ -52,6 +52,7 @@ class ProgramImage(NamedTuple):
 
 _CHUNK = 1 << 20  # the most that one read of an image file asks for
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII ones of str.splitlines
 
 
 def _room_above(base: int) -> int:
@@ -83,13 +84,28 @@ def _file_chunks(path):
         yield from iter(lambda: fh.read(_CHUNK), b"")
 
 
+def _compact_held(held: str) -> str:
+    """A held line without the text that cannot change its verdict: what
+    follows its `#`, or all of it if it is only whitespace. Its line break,
+    if it has one, stays, and so does every line number."""
+    body = held.rstrip(_LINE_BREAKS)
+    cut = body.find("#")
+    if cut >= 0:
+        return body[:cut].strip() + "#" + held[len(body):]
+    if body.isspace():
+        return held[len(body):]
+    return held
+
+
 def _read_hex_words(chunks, base: int) -> bytes:
     """The words of a hex-words listing given as byte chunks, stored
     little-endian for loading at `base`. A chunk's last line is held until
     the next chunk shows where it ends, but a line is rejected as soon as
     its text before any `#` holds a non-hex character or more than 8
     digits, and a word as soon as it passes the room above `base`: an
-    endless source such as /dev/zero is rejected after one chunk."""
+    endless source such as /dev/zero is rejected after one chunk. A held
+    line keeps no comment text and no line of blanks (`_compact_held`), so
+    an endless comment line is read in bounded memory."""
     room = _room_above(base)
     data = bytearray()
     line_no, held = 0, ""
@@ -110,6 +126,7 @@ def _read_hex_words(chunks, base: int) -> bytes:
                                  f"{room // 4} words of the 32-bit address "
                                  "space; this source is longer")
             data += int(text, 16).to_bytes(4, "little")
+        held = _compact_held(held)
         head = held.split("#", 1)[0].strip()  # what the held line holds so far
         if len(head) > 8 or not _HEX_DIGITS.issuperset(head):
             raise MalformedHex(line_no + 1, head)

@@ -19,15 +19,17 @@ taken-transfer flush) is bound beside it, in the same pass, as each
 mnemonic's two charges (see `_binding`).
 
 One instruction is one call of `MicroCore.step`, and one frame carries
-it from fetch to commit: fetch (the first step also fills the fetch
-buffer), decode, bind, execute, the pick of one of the record's charges,
-the cycle-budget check, the per-mnemonic count and the commit, which
-also prefetches the next sequential word straight from the dense memory
-window; every instruction that retires, ebreak and ecall too, takes the
-same lines. A fetch that hits isa's decode cache makes no call: the
-frame probes the dict itself and unpacks the instruction's fields once.
-`step` is the core's only way in: every instruction, a program's or the
-audit's, passes through these lines.
+it from fetch to commit: fetch, decode, bind, execute, the pick of one of
+the record's charges, the cycle-budget check, the per-mnemonic count and
+the commit, which also prefetches the next sequential word straight from
+the dense memory window; every instruction that retires, ebreak and
+ecall too, takes the same lines. A fetch that hits the fetch buffer goes
+straight to decode: only a miss, which reads the word through the memory
+port, checks the pc's alignment (a buffered pc is aligned) and pays the
+fill of the core's first fetch. A fetch that hits isa's decode cache
+makes no call: the frame probes the dict itself and unpacks the
+instruction's fields once. `step` is the core's only way in: every
+instruction, a program's or the audit's, passes through these lines.
 
 What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
@@ -50,19 +52,26 @@ it changes a simulated cycle):
   mask), so a shift or rotate looks up its plan by amount and calls the
   move function on the steps, one chunk or single-bit step at a time,
   with no test of which loop it is.
+- per mnemonic, at import: its shape in `_SHAPE`, (operand 2 is the
+  immediate, store size), the size None for every mnemonic but sb, sh
+  and sw.
+- per extension set, the first time a core is built with it: the map
+  {mnemonic: its extension is enabled} (`_enabled_map`), shared by every
+  core with that set.
 - per core, in `__init__`: the dense memory window the sequential
   prefetch reads: `_window` (the buffer, never replaced or resized),
   `_window_base` and `_window_last` (the offset of its last word).
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
   sequential charge (per shift amount for a shift or rotate), its taken
-  charge and its access size. What executes it is either a value unit or
-  a handler (see `_EXECUTE`), or neither when its extension is not
-  enabled. A value unit is a chunk function of the class (add, sub, and,
-  or, xor and their I-forms), which the frame calls as `unit(core, rs1,
-  operand 2)` for the rd value. The record holds the function, never a
-  method bound to the core, so a finished core is freed as soon as
-  nothing refers to it.
+  charge and its store size, which the commit tests to write the store
+  waiting in the LSU buffer. What executes it is either a value unit or
+  a handler, read from `_EXECUTE` when the record is bound, or neither
+  when its extension is not enabled. A value unit is a chunk function of
+  the class (add, sub, and, or, xor and their I-forms), which the frame
+  calls as `unit(core, rs1, operand 2)` for the rd value. The record
+  holds the function, never a method bound to the core, so a finished
+  core is freed as soon as nothing refers to it.
 - A record holds no field of an instruction word: rd, rs1, rs2 and the
   immediate are read from the decoded instruction when it retires. The
   records live on the core, keyed by mnemonic, so storing over code
@@ -364,6 +373,18 @@ def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
     return latency_table(config)[mnemonic][shamt]
 
 
+# What a record takes from its mnemonic alone: {mnemonic: (operand 2 is the
+# immediate, store size or None)}, and per extension set, {mnemonic: its
+# extension is enabled}.
+_SHAPE = {m: (m in isa.IMM_FORMS, isa.ACCESS_BYTES[m] if c == STORE else None)
+          for m, c in CLASS_OF.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _enabled_map(extensions: frozenset) -> dict:
+    return {m: e is Ext.RV32I or e in extensions for m, e in isa.EXT_OF.items()}
+
+
 # --- reorder unit wiring (fixed bit permutations) --------------------------
 
 def _perm_table(fn) -> tuple:
@@ -444,6 +465,7 @@ class MicroCore:
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         self._full = config.serial_width == 32  # a full-width ALU; no Serializer2
+        self._enabled = _enabled_map(config.extensions)
         self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
@@ -522,20 +544,21 @@ class MicroCore:
     def _bind(self, m: M) -> tuple:
         """Bind the record of mnemonic `m` under this core's config and keep
         it: (value unit, handler, operand 2 is the immediate, sequential
-        charge, taken charge, access size, [retired, charged cycles]). An
+        charge, taken charge, store size, [retired, charged cycles]). An
         illegal mnemonic has neither a unit nor a handler."""
-        ext = isa.EXT_OF[m]
         execute = _EXECUTE[m]
         unit = handler = None
-        if ext is Ext.RV32I or ext in self.config.extensions:
+        if self._enabled[m]:
             if type(execute) is str:
                 # the class's function, never a bound method: a record that
                 # held the core would keep every finished core for the gc
                 unit = getattr(type(self), execute)
             else:
                 handler = execute
-        rec = self._bound[m] = (unit, handler, m in isa.IMM_FORMS,
-                                *self._charges[m], isa.ACCESS_BYTES.get(m), [0, 0])
+        imm_op2, store_size = _SHAPE[m]
+        sequential, taken = self._charges[m]
+        rec = self._bound[m] = (unit, handler, imm_op2, sequential, taken,
+                                store_size, [0, 0])
         return rec
 
     def retired(self) -> dict:
@@ -548,25 +571,33 @@ class MicroCore:
         """Fetch, decode and execute one instruction, in one frame.
 
         Returns (charged cycles, outcome, instruction or None when the
-        fetch/decode itself trapped). The first step also fills the fetch
-        buffer, which costs `startup_cycles` more. A step is charged one of
-        its record's two charges (see `_binding`): the taken one when it
-        transfers control or halts with ebreak or ecall, else the
-        sequential one. If a step's cycles would take `cycle` past
-        `max_cycles`, it writes nothing and halts with max-steps.
+        fetch/decode itself trapped). A fetch that hits the fetch buffer
+        takes the buffered word; a miss reads the word through the memory
+        port after checking the pc's alignment. The first miss also fills
+        the fetch buffer, which costs `startup_cycles` more: in a run that
+        is the first step, as nothing fills the buffer before it. A step
+        is charged one of its record's two charges (see `_binding`): the
+        taken one when it transfers control or halts with ebreak or ecall,
+        else the sequential one. If a step's cycles would take `cycle` past
+        `max_cycles`, it writes nothing and halts with max-steps. Only a
+        store's record has a size, so only a store commits through the
+        memory port.
         """
         arch = self.arch
-        fill = 0
-        if not self.startup_cycles:  # the first step fills the fetch buffer
-            fill = self.startup_cycles = self.config.mem_latency
-            self.cycle += fill
-            if self.cycle > max_cycles:
-                return self._over_budget(fill, None)
         pc = arch.pc
-        if pc & 3:
-            return 0, _MISALIGNED_FETCH, None
         buf = self.fetch_buffer
-        word = buf[1] if buf is not None and buf[0] == pc else arch.mem.load(pc, 4)
+        fill = 0
+        if buf is not None and buf[0] == pc:  # a buffered pc is aligned
+            word = buf[1]
+        else:
+            if not self.startup_cycles:  # the first fetch fills the buffer
+                fill = self.startup_cycles = self.config.mem_latency
+                self.cycle += fill
+                if self.cycle > max_cycles:
+                    return self._over_budget(fill, None)
+            if pc & 3:
+                return 0, _MISALIGNED_FETCH, None
+            word = arch.mem.load(pc, 4)
         # a word decoded before is one probe of the decode cache
         try:
             ins = _DECODE_CACHE[word]
@@ -598,14 +629,15 @@ class MicroCore:
                 charged = charged[op2 & 31]
         else:
             return 0, _ILLEGAL, ins
-        if self.cycle + charged > max_cycles:
+        cycle = self.cycle + charged
+        if cycle > max_cycles:
             return self._over_budget(fill, ins)
-        self.cycle += charged
+        self.cycle = cycle
         counts[0] += 1
         counts[1] += charged
 
-        # commit
-        if self.store_addr is not None:
+        # commit: only a store's record has a size
+        if size is not None:
             arch.mem.store(self.store_addr, size, self.lsu_buffer)
             self.store_addr = None
         if val is not None and rd:

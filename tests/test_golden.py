@@ -230,6 +230,22 @@ def test_dense_window_must_fit_below_the_wrap():
         Memory(size=4096, base=0xFFFFF004)
 
 
+@pytest.mark.parametrize("size", (1, 2, 4))
+def test_mmio_is_matched_before_a_window_that_covers_it(size):
+    """With the dense window moved over both MMIO words, a store to either
+    reaches the console or the exit code and never the window's bytes; the
+    word after them is plain window memory."""
+    mem = Memory(size=4096, base=golden.CONSOLE_ADDR - 2048)
+    mem.store(golden.CONSOLE_ADDR, size, 0x41)
+    mem.store(golden.EXIT_ADDR, size, 7)
+    assert bytes(mem.console) == b"A" and mem.exit_code == 7
+    assert not any(mem.buf) and mem.sparse == {}
+    assert mem.load(golden.CONSOLE_ADDR, 4) == mem.load(golden.EXIT_ADDR, 4) == 0
+    mem.store(golden.EXIT_ADDR + 4, size, 0x5A)
+    assert mem.buf[2048 + 8] == 0x5A and mem.load(golden.EXIT_ADDR + 4, size) == 0x5A
+    assert bytes(mem.console) == b"A" and mem.exit_code == 7
+
+
 # --- AES primitives ------------------------------------------------------------
 
 def test_sbox_known_values():

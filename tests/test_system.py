@@ -1,10 +1,12 @@
 import io
 import json
+import tracemalloc
 
 import pytest
 
 from serialrv import bench, golden, isa, system
-from serialrv.image import EmptyImage, MalformedHex, ProgramImage, load_image
+from serialrv.image import (EmptyImage, MalformedHex, ProgramImage, _read_hex_words,
+                            load_image)
 from serialrv.isa import Assembler, Mnemonic as M, instr
 from serialrv.microarch import CLASS_OF, CoreConfig, MicroCore
 
@@ -41,6 +43,57 @@ def test_hex_words_malformed():
     with pytest.raises(MalformedHex) as exc:
         load_image(b"00000013\nxyz\n", fmt="hex-words")
     assert exc.value.line_no == 2
+
+
+def test_endless_comment_line_is_read_in_bounded_memory():
+    """A comment line many chunks long is held as its `#` alone: the peak
+    of traced allocations stays a few MiB over 64 MiB of comment, and the
+    words on either side of it load."""
+    chunk = b"x" * (1 << 20)
+
+    def chunks():
+        yield b"00000013\n  # "
+        for _ in range(64):
+            yield chunk
+        yield b"\n00100073\n"
+
+    tracemalloc.start()
+    try:
+        data = _read_hex_words(chunks(), 0x1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == bytes.fromhex("1300000073001000")
+    assert peak < 8 << 20
+
+
+# listings whose lines are cut at every byte: comments, blank lines,
+# whitespace runs, both line breaks, and words split by whitespace
+_HEX_LISTINGS = (
+    b"00000013\n   \n# one\r\n  00100073  # two\n\n",
+    b"  \t \r\n\x0c00000013\n#\n   # x\n00100073",
+    b"00000013\n   \n1234  5678\n",
+    b"# a\n\n  \nfffff0130 # long\n",
+    b"00000013 # ok\n  ab#cd\n",
+)
+
+
+@pytest.mark.parametrize("listing", _HEX_LISTINGS)
+def test_hex_words_verdict_does_not_depend_on_the_chunks(listing):
+    """Cut into two chunks at any byte, or one byte a chunk, a listing
+    loads the same words, or fails on the same line, as when it comes
+    whole. (A line is rejected as soon as a chunk shows it bad, so the
+    text that the error quotes may stop at the cut.)"""
+    def load(chunks):
+        try:
+            return _read_hex_words(chunks, 0x1000)
+        except MalformedHex as exc:
+            return exc.line_no
+
+    whole = load([listing])
+    for cut in range(1, len(listing)):
+        assert load([listing[:cut], listing[cut:]]) == whole, cut
+    assert load([listing[k:k + 1] for k in range(len(listing))]) == whole
 
 
 def test_empty_image_error():
