@@ -109,10 +109,10 @@ def _read_hex_words(chunks, base: int) -> bytes:
     room = _room_above(base)
     data = bytearray()
     line_no, held = 0, ""
-    for chunk in itertools.chain(chunks, (b"",)):  # b"": the source has ended
-        pending = held + chunk.decode("ascii", "replace")
+    for chunk in itertools.chain(chunks, (None,)):  # None: the source has ended
+        pending = held + (chunk or b"").decode("ascii", "replace")
         *lines, held = pending.splitlines(keepends=True) or [""]
-        if not chunk:
+        if chunk is None:
             lines.append(held)
         for line in lines:
             line_no += 1

@@ -42,6 +42,9 @@ it changes a simulated cycle):
   half of the product, or its four reorder byte tables, built from
   `_REORDER_WIRING` by `_wiring_tables`. No handler reads the mnemonic
   of the instruction it executes.
+- per mnemonic, at import: its shape in `_SHAPE`: (operand 2 is the
+  immediate, store size), the size None for every mnemonic but sb, sh
+  and sw.
 - per config, in `__init__`: one binding shared by every core under an
   equal config and by `latency_table`. It holds the latency table, each
   mnemonic's sequential and taken charge, the shift plans, the shift
@@ -52,9 +55,6 @@ it changes a simulated cycle):
   mask), so a shift or rotate looks up its plan by amount and calls the
   move function on the steps, one chunk or single-bit step at a time,
   with no test of which loop it is.
-- per mnemonic, at import: its shape in `_SHAPE`, (operand 2 is the
-  immediate, store size), the size None for every mnemonic but sb, sh
-  and sw.
 - per extension set, the first time a core is built with it: the map
   {mnemonic: its extension is enabled} (`_enabled_map`), shared by every
   core with that set.

@@ -68,9 +68,13 @@ def run(image: ProgramImage, config: CoreConfig,
     mem = state.mem
     exit_code = None
 
-    step = core.step if trace is None else _tracing(core, trace)
+    step = core.step
     while True:
-        outcome = step(max_cycles)[1]
+        pc_before = state.pc
+        cycles, outcome, ins = step(max_cycles)
+        if trace is not None and cycles:  # cycles go to a retired instruction only
+            trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
+                        f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
         if outcome.halted:
             halt = outcome.reason
             break
@@ -92,21 +96,6 @@ def run(image: ProgramImage, config: CoreConfig,
                      width=config.serial_width,
                      extensions=tuple(e.value for e in config.extensions),
                      classes=classes, console=bytes(mem.console))
-
-
-def _tracing(core: MicroCore, trace: TextIO):
-    """`core.step`, writing one trace row for each instruction it retires."""
-    step = core.step
-
-    def traced(max_cycles: int) -> tuple:
-        pc_before = core.arch.pc
-        result = step(max_cycles)
-        cycles, _, ins = result
-        if cycles:  # cycles go to a retired instruction only
-            trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
-                        f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
-        return result
-    return traced
 
 
 def stats_to_json(stats: ExecStats) -> str:

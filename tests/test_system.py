@@ -80,10 +80,11 @@ _HEX_LISTINGS = (
 
 @pytest.mark.parametrize("listing", _HEX_LISTINGS)
 def test_hex_words_verdict_does_not_depend_on_the_chunks(listing):
-    """Cut into two chunks at any byte, or one byte a chunk, a listing
-    loads the same words, or fails on the same line, as when it comes
-    whole. (A line is rejected as soon as a chunk shows it bad, so the
-    text that the error quotes may stop at the cut.)"""
+    """Cut into two chunks at any byte, one of them possibly empty, or one
+    byte a chunk, a listing loads the same words, or fails on the same
+    line, as when it comes whole. (A line is rejected as soon as a chunk
+    shows it bad, so the text that the error quotes may stop at the
+    cut.)"""
     def load(chunks):
         try:
             return _read_hex_words(chunks, 0x1000)
@@ -91,7 +92,7 @@ def test_hex_words_verdict_does_not_depend_on_the_chunks(listing):
             return exc.line_no
 
     whole = load([listing])
-    for cut in range(1, len(listing)):
+    for cut in range(len(listing) + 1):
         assert load([listing[:cut], listing[cut:]]) == whole, cut
     assert load([listing[k:k + 1] for k in range(len(listing))]) == whole
 
