@@ -21,7 +21,7 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import golden, isa
-from .golden import RETIRED, ArchState, _unpack_word
+from .golden import ArchState
 from .image import DEFAULT_BASE, ProgramImage
 from .isa import Assembler, Ext, Mnemonic as M
 from .microarch import CoreConfig, MicroCore
@@ -257,13 +257,9 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
     img = generate(torture, cache)
     gold = ArchState.from_image(img)
     mem, regs = gold.mem, gold.regs
-    buf, base, last = mem.buf, mem.base, len(mem.buf) - 4
     steps = []
     for _ in range(max_steps):
-        # the word at pc, read from the dense window as golden.step reads it
-        pc = gold.pc
-        off = pc - base
-        word = _unpack_word(buf, off)[0] if 0 <= off <= last else mem.load(pc, 4)
+        word = mem.load(gold.pc, 4)
         ins = cache.get(word)
         rd = ins[1] if ins is not None else _rd_of(word)
         out = golden.step(gold, exts)
@@ -322,9 +318,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
         # an equal int, but the core's own object: the next compare then
         # finds every register identical without comparing values
         expect[rd] = regs[rd]
-        # both models return RETIRED itself for a step that retires and
-        # does not halt
-        if g_out is not RETIRED or m_out is not RETIRED:
+        if g_out.halted or m_out.halted:
             if g_out != m_out:
                 divergence = (pc, "halt-reason")
             break

@@ -101,9 +101,7 @@ class Memory:
         """Store the low `size` bytes of `value` at `addr`, little-endian.
 
         A store to an MMIO word reaches the device instead of memory, even
-        where the dense window covers that word: MMIO is matched first. A
-        store wholly in the window is written here, in one call; any other
-        goes through `_write`.
+        where the dense window covers that word: MMIO is matched first.
         """
         addr &= MASK32
         value &= (1 << 8 * size) - 1
@@ -112,15 +110,7 @@ class Memory:
         elif addr == EXIT_ADDR:
             self.exit_code = value
         else:
-            buf = self.buf
-            off = addr - self.base  # _offset, inlined on the store path
-            if 0 <= off <= len(buf) - size:
-                if size == 4:
-                    _pack_word(buf, off, value)
-                else:
-                    buf[off:off + size] = value.to_bytes(size, "little")
-            else:
-                self._write(addr, size, value)
+            self._write(addr, size, value)
 
     def _write(self, addr: int, size: int, value: int) -> None:
         off = self._offset(addr, size)

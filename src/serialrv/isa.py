@@ -615,12 +615,10 @@ class Assembler:
             self._fixups.append(_Fixup(len(self._words), m, rd, rs1, rs2, target))
             self._words.append(None)
         else:
-            # tuple.__new__ builds the Instr without the namedtuple's
-            # Python-level __new__; every field is given
-            w = encode(tuple.__new__(Instr, (m, rd, rs1, rs2, imm, bs, 0)))
+            w = encode(Instr(m, rd, rs1, rs2, imm, bs))
             self._words.append(w)
             if self.instrs is not None:
-                self.instrs[w] = tuple.__new__(Instr, (m, rd, rs1, rs2, imm, bs, w))
+                self.instrs[w] = Instr(m, rd, rs1, rs2, imm, bs, w)
 
     def put(self, i: Instr) -> None:
         self._words.append(encode(i))

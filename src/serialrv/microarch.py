@@ -48,16 +48,14 @@ it changes a simulated cycle):
 - per config, in `__init__`: one binding shared by every core under an
   equal config and by `latency_table`. It holds the latency table, each
   mnemonic's sequential and taken charge, the shift plans, the shift
-  unit's step sequence for every move amount, one lane per chunk and the
-  lane masks (see `_binding`): a chunk loop combines each chunk where it
-  sits, never moving it down to bit 0, and a bitwise loop walks the
-  masks alone. Each plan is bound to its loop: (move function, steps,
-  mask), so a shift or rotate looks up its plan by amount and calls the
-  move function on the steps, one chunk or single-bit step at a time,
-  with no test of which loop it is.
-- per extension set, the first time a core is built with it: the map
-  {mnemonic: its extension is enabled} (`_enabled_map`), shared by every
-  core with that set.
+  unit's step sequence for every move amount, one lane per chunk, the
+  lane masks and the map {mnemonic: its extension is enabled} (see
+  `_binding`): a chunk loop combines each chunk where it sits, never
+  moving it down to bit 0, and a bitwise loop walks the masks alone.
+  Each plan is bound to its loop: (move function, steps, mask), so a
+  shift or rotate looks up its plan by amount and calls the move
+  function on the steps, one chunk or single-bit step at a time, with no
+  test of which loop it is.
 - per core, in `__init__`: the dense memory window the sequential
   prefetch reads: `_window` (the buffer, never replaced or resized),
   `_window_base` and `_window_last` (the offset of its last word).
@@ -309,7 +307,8 @@ _MOVE = {"sll": _move_sll, "rol": _move_rol, "srl": _move_srl,
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
     {mnemonic: (sequential charge, taken charge)}, {shift/rotate mnemonic:
-    its 32 plans by amount}, move steps, lanes, lane masks).
+    its 32 plans by amount}, move steps, lanes, lane masks, {mnemonic: its
+    extension is enabled}).
 
     The charges are the frontend rule. Going on to pc + 4 overlaps the next
     fetch with execution: max(execute, mem_latency), by amount for a shift
@@ -351,8 +350,10 @@ def _binding(config: CoreConfig) -> tuple:
                          for loop, amount, mask in by_amount)
     w = config.serial_width
     lanes = tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w))
+    enabled = {m: e is Ext.RV32I or e in config.extensions
+               for m, e in isa.EXT_OF.items()}
     return (MappingProxyType(table), charges, plans, steps, lanes,
-            tuple(mask for mask, _ in lanes))
+            tuple(mask for mask, _ in lanes), enabled)
 
 
 def latency_table(config: CoreConfig) -> MappingProxyType:
@@ -374,15 +375,9 @@ def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
 
 
 # What a record takes from its mnemonic alone: {mnemonic: (operand 2 is the
-# immediate, store size or None)}, and per extension set, {mnemonic: its
-# extension is enabled}.
+# immediate, store size or None)}.
 _SHAPE = {m: (m in isa.IMM_FORMS, isa.ACCESS_BYTES[m] if c == STORE else None)
           for m, c in CLASS_OF.items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _enabled_map(extensions: frozenset) -> dict:
-    return {m: e is Ext.RV32I or e in extensions for m, e in isa.EXT_OF.items()}
 
 
 # --- reorder unit wiring (fixed bit permutations) --------------------------
@@ -451,7 +446,7 @@ class MicroCore:
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
         (_, self._charges, self._plans, self._steps, self._lanes,
-         self._lane_masks) = _binding(config)
+         self._lane_masks, self._enabled) = _binding(config)
         self.arch = state
         self._window = state.mem.buf  # the dense window, for the prefetch
         self._window_base = state.mem.base
@@ -465,7 +460,6 @@ class MicroCore:
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         self._full = config.serial_width == 32  # a full-width ALU; no Serializer2
-        self._enabled = _enabled_map(config.extensions)
         self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
@@ -573,9 +567,13 @@ class MicroCore:
         Returns (charged cycles, outcome, instruction or None when the
         fetch/decode itself trapped). A fetch that hits the fetch buffer
         takes the buffered word; a miss reads the word through the memory
-        port after checking the pc's alignment. The first miss also fills
-        the fetch buffer, which costs `startup_cycles` more: in a run that
-        is the first step, as nothing fills the buffer before it. A step
+        port after checking the pc's alignment. The core's first miss also
+        fills the fetch buffer, which adds `startup_cycles` to `cycle` but
+        not to the returned charge. In a run that miss is the first step,
+        as nothing fills the buffer before it; a `fetch_buffer` set on a
+        fresh core before its first step puts the fill off until the
+        core's first miss, which may come after a taken transfer and may
+        then take that step over `max_cycles`. A step
         is charged one of its record's two charges (see `_binding`): the
         taken one when it transfers control or halts with ebreak or ecall,
         else the sequential one. If a step's cycles would take `cycle` past

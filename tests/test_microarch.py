@@ -499,7 +499,7 @@ def _calls_of_second_step(i):
     (instr(M.LW, rd=1, rs1=2, imm=8), ["lsu_load", "load"]),
     (instr(M.SHA256SIG0, rd=1, rs1=2), ["sha", "_chunk_xor"]),
     (instr(M.AES32ESMI, rd=1, rs1=2, rs2=3, bs=1), ["aes", "_move_rol"]),
-    (instr(M.SW, rs1=2, rs2=3, imm=8), ["lsu_store", "store"])],
+    (instr(M.SW, rs1=2, rs2=3, imm=8), ["lsu_store", "store", "_write", "_offset"])],
     ids=["add", "slli", "lw", "sha256sig0", "aes32esmi", "sw"])
 def test_decoded_sequential_step_calls_only_its_unit(i, want):
     """A step over a word decoded before makes no Python call for fetch,
@@ -507,11 +507,10 @@ def test_decoded_sequential_step_calls_only_its_unit(i, want):
     one handler bound to its mnemonic that makes no second dispatch on it,
     and never decode_cached. A shift calls the move function of its plan.
     Memory.load runs only for a load's own data access, Memory.store only
-    for a store's commit, which writes a dense-window word itself, and
-    `len` only inside them."""
+    for a store's commit, and `len` only where they find the window."""
     calls, builtins = _calls_of_second_step(i)
     assert calls == want
-    assert builtins.count("len") == want.count("load") + want.count("store")
+    assert builtins.count("len") == want.count("load") + want.count("_offset")
 
 
 # --- clmul and xperm results ----------------------------------------------------------
