@@ -25,8 +25,8 @@ the commit, which also prefetches the next sequential word straight from
 the dense memory window; every instruction that retires, ebreak and
 ecall too, takes the same lines. A fetch that hits the fetch buffer goes
 straight to decode: only a miss, which reads the word through the memory
-port, checks the pc's alignment (a buffered pc is aligned) and pays the
-fill of the core's first fetch. A fetch that hits isa's decode cache
+port, checks the pc's alignment (a buffered pc is aligned), and the
+core's first miss also pays the fill (see `MicroCore.step`). A fetch that hits isa's decode cache
 makes no call: the frame probes the dict itself and unpacks the
 instruction's fields once. `step` is the core's only way in: every
 instruction, a program's or the audit's, passes through these lines.
