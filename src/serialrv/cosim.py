@@ -56,7 +56,7 @@ class CosimReport(NamedTuple):
         d = {
             "seed": self.seed,
             "width": self.width,
-            "extensions": sorted(self.extensions),
+            "extensions": list(self.extensions),
             "pass": self.passed,
             "sig_micro": self.sig_micro,
             "sig_golden": self.sig_golden,
@@ -259,9 +259,7 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
     mem, regs = gold.mem, gold.regs
     steps = []
     for _ in range(max_steps):
-        word = mem.load(gold.pc, 4)
-        ins = cache.get(word)
-        rd = ins[1] if ins is not None else _rd_of(word)
+        rd = _rd_of(mem.load(gold.pc, 4))
         out = golden.step(gold, exts)
         steps.append((gold.pc, rd, regs[rd], out))
         if out.halted:
@@ -344,7 +342,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     passed = divergence is None and sig_g == sig_m
     return CosimReport(
         seed=torture.seed, width=core.serial_width,
-        extensions=tuple(e.value for e in core.extensions),
+        extensions=tuple(sorted(e.value for e in core.extensions)),
         passed=passed, sig_micro=sig_m, sig_golden=sig_g,
         divergence_pc=divergence[0] if divergence else None,
         divergence_field=divergence[1] if divergence else None,

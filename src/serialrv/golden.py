@@ -11,7 +11,7 @@ import struct
 from typing import NamedTuple, Optional
 
 from . import isa
-from .isa import _DECODE_CACHE, Ext, Instr, Mnemonic as M
+from .isa import Ext, Mnemonic as M
 from .image import ProgramImage
 
 MASK32 = 0xFFFFFFFF
@@ -441,37 +441,26 @@ for _m, _r in isa.R_FORM_OF.items():
     _EXECUTE[_m] = _EXECUTE[_r]
 
 
-def step(state: ArchState, extensions: Optional[frozenset] = None) -> StepOutcome:
+def step(state: ArchState, extensions: frozenset = isa.ZKN) -> StepOutcome:
     """Execute exactly one instruction; mutates state.
 
     Instructions whose extension subset is not in `extensions` halt with
-    an illegal-instruction reason (RV32I itself is always enabled).
+    an illegal-instruction reason (RV32I itself is always enabled). The
+    fetch goes through `Memory.load` and the decode through
+    `isa.decode_cached`, the ports both models share; only `MicroCore.step`
+    reads the dense window and probes the decode cache itself.
     """
     pc = state.pc
     if pc & 3:
         return StepOutcome(True, MISALIGNED_FETCH)
-    # A fetch wholly in the dense window reads the buffer as Memory.load
-    # would; any other goes through mem.load. decode_cached runs on a cache
-    # miss only. Golden meets most words first (cosim runs it before any
-    # core), so it probes with .get(), where a miss raises no KeyError.
-    mem = state.mem
-    buf = mem.buf
-    off = pc - mem.base
-    if 0 <= off <= len(buf) - 4:
-        word = _unpack_word(buf, off)[0]
-    else:
-        word = mem.load(pc, 4)
-    ins = _DECODE_CACHE.get(word)
-    if ins is None:
-        try:
-            ins = isa.decode_cached(word)
-        except isa.IllegalInstruction:
-            return StepOutcome(True, ILLEGAL)
+    try:
+        ins = isa.decode_cached(state.mem.load(pc, 4))
+    except isa.IllegalInstruction:
+        return StepOutcome(True, ILLEGAL)
     m, rd, rs1, rs2, imm, _, _ = ins
-    if extensions is not None:
-        ext = isa.EXT_OF[m]
-        if ext is not Ext.RV32I and ext not in extensions:
-            return StepOutcome(True, ILLEGAL)
+    ext = isa.EXT_OF[m]
+    if ext is not Ext.RV32I and ext not in extensions:
+        return StepOutcome(True, ILLEGAL)
 
     regs = state.regs
     op2 = imm & MASK32 if m in isa.IMM_FORMS else regs[rs2]

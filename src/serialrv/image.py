@@ -8,6 +8,7 @@ from typing import NamedTuple, Optional, Union
 
 
 DEFAULT_BASE = 0x1000  # load address of images, assembled programs and kernels
+_QUOTED = 16  # the characters of a bad line that MalformedHex prints
 
 
 class MalformedHex(Exception):
@@ -16,7 +17,7 @@ class MalformedHex(Exception):
         self.text = text
 
     def __str__(self) -> str:
-        text = self.text if len(self.text) <= 16 else self.text[:16] + "..."
+        text = self.text if len(self.text) <= _QUOTED else self.text[:_QUOTED] + "..."
         return f"line {self.line_no}: not an 8-digit hex word: {text!r}"
 
 
@@ -86,14 +87,20 @@ def _file_chunks(path):
 
 def _compact_held(held: str) -> str:
     """A held line without the text that cannot change its verdict: what
-    follows its `#`, or all of it if it is only whitespace. Its line break,
-    if it has one, stays, and so does every line number."""
+    follows its `#`, all of it if it is only whitespace, or its trailing
+    whitespace past the first `_QUOTED` characters of that run (a line
+    with digits before the run holds at most 8 of them, so the quoted
+    text does not change). Its line break, if it has one, stays, and so
+    does every line number."""
     body = held.rstrip(_LINE_BREAKS)
     cut = body.find("#")
     if cut >= 0:
         return body[:cut].strip() + "#" + held[len(body):]
     if body.isspace():
         return held[len(body):]
+    keep = len(body.rstrip()) + _QUOTED
+    if keep < len(body):
+        return body[:keep] + held[len(body):]
     return held
 
 
@@ -104,8 +111,9 @@ def _read_hex_words(chunks, base: int) -> bytes:
     its text before any `#` holds a non-hex character or more than 8
     digits, and a word as soon as it passes the room above `base`: an
     endless source such as /dev/zero is rejected after one chunk. A held
-    line keeps no comment text and no line of blanks (`_compact_held`), so
-    an endless comment line is read in bounded memory."""
+    line keeps no comment text, no line of blanks and no more than
+    `_QUOTED` trailing blanks (`_compact_held`), so an endless comment or
+    blank run is read in bounded memory."""
     room = _room_above(base)
     data = bytearray()
     line_no, held = 0, ""

@@ -38,7 +38,7 @@ class ExecStats(NamedTuple):
             "halt": self.halt,
             "code_size": self.code_size,
             "width": self.width,
-            "extensions": sorted(self.extensions),
+            "extensions": list(self.extensions),
             "classes": {k: {"count": v[0], "cycles": v[1]}
                         for k, v in sorted(self.classes.items())},
         }
@@ -94,7 +94,7 @@ def run(image: ProgramImage, config: CoreConfig,
                      exit_code=exit_code, code_size=image.code_size,
                      startup_cycles=core.startup_cycles,
                      width=config.serial_width,
-                     extensions=tuple(e.value for e in config.extensions),
+                     extensions=tuple(sorted(e.value for e in config.extensions)),
                      classes=classes, console=bytes(mem.console))
 
 

@@ -255,6 +255,7 @@ def test_report_json_shape():
     d = rep.to_json_dict()
     assert set(d) == {"seed", "width", "extensions", "pass",
                       "sig_micro", "sig_golden"}
+    assert list(rep.extensions) == sorted(rep.extensions) == d["extensions"]
     json.dumps(d)
 
 
@@ -297,7 +298,7 @@ def _lockstep_oracle(torture, core, max_steps=200_000):
     sig_m = signature(micro.arch, MEMORY_WINDOW)
     return cosim.CosimReport(
         seed=torture.seed, width=core.serial_width,
-        extensions=tuple(e.value for e in core.extensions),
+        extensions=tuple(sorted(e.value for e in core.extensions)),
         passed=divergence is None and sig_g == sig_m,
         sig_micro=sig_m, sig_golden=sig_g,
         divergence_pc=divergence[0] if divergence else None,
@@ -403,6 +404,21 @@ def test_delta_names_the_register_of_the_word_before_the_step(
     tc = TortureConfig(seed=0)
     trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
     assert [rd for _, rd, _, _ in trace.steps] == [6, 6, 5, 5, 0, 0]
+    assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
+
+
+def test_illegal_word_records_rd_zero(monkeypatch, fresh_golden_trace):
+    """A program that ends on an illegal word halts both models on it: the
+    trace records rd 0 for that step, and the cell passes at every width."""
+    a = isa.Assembler()
+    a.emit(M.ADDI, rd=1, rs1=0, imm=5)
+    a.word(0)  # no RV32 instruction is all zeros
+    img = a.build()
+    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
+    tc = TortureConfig(seed=0)
+    trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
+    assert [(rd, out) for _, rd, _, out in trace.steps] == [
+        (1, golden.RETIRED), (0, golden.StepOutcome(True, golden.ILLEGAL))]
     assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
 
 

@@ -16,7 +16,7 @@ def fresh_state(pc=0x1000):
     return ArchState(pc=pc, mem=Memory())
 
 
-def run_one(i, regs=None, pc=0x1000, exts=None):
+def run_one(i, regs=None, pc=0x1000, exts=isa.ZKN):
     st_ = fresh_state(pc)
     if regs:
         for r, v in regs.items():
@@ -295,6 +295,11 @@ def test_aes32_rotation_consistency(rs1, rs2, bs):
 
 # --- SHA-2 primitives -----------------------------------------------------------
 
+def test_sha2_semantics_rejects_other_mnemonics():
+    with pytest.raises(ValueError, match="not a Zknh mnemonic"):
+        golden.sha2_semantics(M.ADD, 1, 2)
+
+
 def test_sha256_fixed_points():
     assert golden.sha2_semantics(M.SHA256SIG0, 0) == 0
     assert golden.sha2_semantics(M.SHA256SUM0, 0xFFFFFFFF) == 0xFFFFFFFF
@@ -380,6 +385,11 @@ def test_xperm8_bruteforce(rs1, rs2):
 
 
 # --- Zbkb --------------------------------------------------------------------------
+
+def test_zbkb_semantics_rejects_other_mnemonics():
+    with pytest.raises(ValueError, match="not a Zbkb mnemonic"):
+        golden.zbkb_semantics(M.CLMUL, 1, 2)
+
 
 def test_rev8():
     assert golden.zbkb_semantics(M.REV8, 0x11223344, 0) == 0x44332211
@@ -478,8 +488,8 @@ def test_decode_cache_cleared_between_steps(monkeypatch):
 
 def test_fetch_outside_and_across_the_window_end_goes_through_load(monkeypatch):
     """Code past the dense window, and a word with two bytes on each side of
-    its end, are fetched through Memory.load and run as written; a word
-    wholly inside the window is read without it."""
+    its end, run as written; every fetch, the in-window word's included,
+    goes through Memory.load."""
     mem = Memory(size=0x102, base=0x1000)  # the window ends at 0x1102
     a = Assembler(base=0x10FC)
     a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0x10fc: in the window
@@ -498,17 +508,17 @@ def test_fetch_outside_and_across_the_window_end_goes_through_load(monkeypatch):
         return load(self, addr, size)
 
     monkeypatch.setattr(Memory, "load", counted_load)
-    outcomes = _run_to_halt(state, None)
+    outcomes = _run_to_halt(state, isa.ZKN)
     assert outcomes[-1] == golden.StepOutcome(True, golden.EBREAK)
     assert len(outcomes) == 4
     assert state.regs[1:4] == [5, 12, 13]
-    assert fetches == [0x1100, 0x1104, 0x1108]
+    assert fetches == [0x10FC, 0x1100, 0x1104, 0x1108]
 
 
-def test_decoded_in_window_step_calls_only_its_handler():
-    """A golden step over a word decoded before, in the dense window, makes
-    no Python call for fetch or decode: it calls only the mnemonic's
-    _EXECUTE handler, never Memory.load or decode_cached."""
+def test_decoded_in_window_step_calls_only_the_ports_and_its_handler():
+    """A golden step over a word decoded before, in the dense window, goes
+    through the shared ports and nothing else: it calls Memory.load, then
+    decode_cached, then the mnemonic's _EXECUTE handler."""
     word = instr(M.ADD, rd=1, rs1=2, rs2=3).raw
     state = fresh_state()
     state.mem.store(0x1000, 4, word)
@@ -528,5 +538,6 @@ def test_decoded_in_window_step_calls_only_its_handler():
     finally:
         sys.setprofile(None)
     assert codes[0] is golden.step.__code__ and builtins[-1] == "setprofile"
-    assert codes[1:] == [golden._EXECUTE[M.ADD].__code__]
+    assert codes[1:] == [Memory.load.__code__, isa.decode_cached.__code__,
+                         golden._EXECUTE[M.ADD].__code__]
     assert state.pc == 0x1008

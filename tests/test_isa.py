@@ -279,6 +279,22 @@ def test_illegal_instruction_surface():
     assert (back.word, back.args, str(back)) == (e.word, e.args, str(e))
 
 
+def test_decode_cache_is_cleared_past_its_limit(monkeypatch):
+    """Past `_DECODE_CACHE_MAX` entries decode_cached clears the cache in
+    place, and every word still decodes as decode() does."""
+    monkeypatch.setattr(isa, "_DECODE_CACHE_MAX", 4)
+    cache = isa._DECODE_CACHE
+    cache.clear()
+    words = [encode(instr(M.ADDI, rd=1, rs1=0, imm=k)) for k in range(12)]
+    sizes = []
+    for word in words:
+        assert isa.decode_cached(word) == decode(word)
+        sizes.append(len(cache))
+    assert isa._DECODE_CACHE is cache
+    assert max(sizes) == 5 and sizes[5] == 1  # full past 4, then cleared
+    assert all(isa.decode_cached(w) == decode(w) for w in words)
+
+
 def test_aes_bs_field_position():
     i = instr(M.AES32ESMI, rd=1, rs1=1, rs2=2, bs=3)
     assert encode(i) >> 30 == 0b11
@@ -291,6 +307,11 @@ def test_assemble_empty_sequence():
     img = Assembler().build()
     assert isinstance(img, ProgramImage)
     assert len(img.data) == 0 and img.code_size == 0
+
+
+def test_assembler_rejects_unaligned_base():
+    with pytest.raises(FieldRange, match="^base 0x1002 not word-aligned$"):
+        Assembler(base=0x1002)
 
 
 def test_assemble_single_ebreak():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import mutants
 import oracles
 from serialrv import bench, cosim, golden, isa, microarch
+from serialrv.audit import audit_constant_time
 from serialrv.golden import ArchState, Memory
 from serialrv.image import load_image
 from serialrv.isa import Ext, Mnemonic as M, instr
@@ -92,6 +93,7 @@ def test_zkn_zkt_preset():
 
 def test_parse_extensions():
     assert parse_extensions("zkn,zkt") == isa.ZKN_ZKT
+    assert parse_extensions("zkn,,zkt") == isa.ZKN_ZKT  # empty items are skipped
     assert parse_extensions("zbkb") == frozenset({Ext.ZBKB})
     assert parse_extensions("rv32i") == frozenset()
     with pytest.raises(ValueError):
@@ -199,6 +201,17 @@ def _cases(m):
         return [(instr(m), {}, False)]
     return [(instr(m, rd=3, rs1=1, rs2=2, imm=5, bs=1),
              {1: 0x12345678, 2: 0x9ABCDEF0}, False)]
+
+
+@pytest.mark.parametrize("knobs", sorted(KNOB_SETS))
+def test_zkt_audit_passes_under_every_knob_set(knobs):
+    """Zkt's constant-time contract holds under each knob set's timing
+    knobs, at every width, not under the default knobs only."""
+    timing = {k: v for k, v in KNOB_SETS[knobs].items() if k != "extensions"}
+    for width in WIDTHS:
+        report = audit_constant_time(CoreConfig.zkn_zkt(width, **timing), trials=32)
+        assert report.zkt and report.rows
+        assert report.passed, (width, [r for r in report.rows if r.spread])
 
 
 @pytest.mark.parametrize("knobs", sorted(KNOB_SETS))
@@ -466,6 +479,34 @@ def test_sequential_step_wraps_to_pc_zero(width):
     assert not outcome.halted and ran == second
     assert [load for load in loads if load[1] == 4] == [(4, 4)]  # the next prefetch
     assert arch.pc == ref.pc == 4 and arch.regs == ref.regs and arch.regs[2] == 12
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_steps_across_the_window_end_match_golden(width):
+    """The core's prefetch holds its own copy of where the dense window
+    ends: stepped beside golden over a word inside the window, one
+    straddling its end and two past it, the core keeps golden's pc and
+    registers after every step and halts on the same ebreak."""
+    def state():
+        mem = Memory(size=0x102, base=0x1000)  # the window ends at 0x1102
+        a = isa.Assembler(base=0x10FC)
+        a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0x10fc: in the window
+        a.emit(M.ADDI, rd=2, rs1=1, imm=7)   # 0x1100: straddles its end
+        a.emit(M.ADDI, rd=3, rs1=2, imm=1)   # 0x1104: sparse
+        a.emit(M.EBREAK)                     # 0x1108: sparse
+        mem.load_program(a.build())
+        return ArchState(pc=0x10FC, mem=mem)
+
+    ref, arch = state(), state()
+    core = MicroCore(CoreConfig.zkn_zkt(width), arch)
+    while True:
+        g_out = golden.step(ref)
+        _, m_out, _ = core.step()
+        assert (arch.pc, arch.regs) == (ref.pc, ref.regs)
+        if g_out.halted or m_out.halted:
+            break
+    assert g_out == m_out == golden.StepOutcome(True, golden.EBREAK)
+    assert arch.regs[1:4] == [5, 12, 13]
 
 
 def _calls_of_second_step(i):

@@ -67,6 +67,28 @@ def test_endless_comment_line_is_read_in_bounded_memory():
     assert peak < 8 << 20
 
 
+def test_digits_then_endless_blanks_are_read_in_bounded_memory():
+    """A word followed by a blank run many chunks long is held with at most
+    16 of those blanks: the peak of traced allocations stays a few MiB over
+    64 MiB of blanks, and the words on either side of them load."""
+    chunk = b" " * (1 << 20)
+
+    def chunks():
+        yield b"12345678"
+        for _ in range(64):
+            yield chunk
+        yield b"\n00100073\n"
+
+    tracemalloc.start()
+    try:
+        data = _read_hex_words(chunks(), 0x1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == bytes.fromhex("7856341273001000")
+    assert peak < 8 << 20
+
+
 # listings whose lines are cut at every byte: comments, blank lines,
 # whitespace runs, both line breaks, and words split by whitespace
 _HEX_LISTINGS = (
@@ -75,6 +97,7 @@ _HEX_LISTINGS = (
     b"00000013\n   \n1234  5678\n",
     b"# a\n\n  \nfffff0130 # long\n",
     b"00000013 # ok\n  ab#cd\n",
+    b"00000013\n1234" + b" " * 40 + b"5678\n",
 )
 
 
@@ -282,6 +305,14 @@ def test_stats_json_keys():
                          "halt", "instret", "width"]
     assert d["width"] == 4
     assert d["classes"]["fence_nop"] == {"count": 1, "cycles": 1}
+
+
+def test_stats_extensions_are_sorted():
+    """The tuple is built sorted, so it does not follow the hash order of
+    the config's extension set."""
+    stats = system.run(simple_image(instr(M.EBREAK)), CoreConfig.zkn_zkt(4))
+    assert stats.extensions == tuple(sorted(e.value for e in isa.ZKN_ZKT))
+    assert list(stats.extensions) == json.loads(system.stats_to_json(stats))["extensions"]
 
 
 def test_trace_format():
