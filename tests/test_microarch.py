@@ -876,27 +876,27 @@ def _sweep_digest(width):
                     core.arch.pc = 0x1000
                     core.arch.regs[1], core.arch.regs[2] = a, b
                     # stale micro state, so that what a step leaves shows
-                    core.serializer1, core.serializer2 = b ^ 0x5A5A5A5A, a ^ b
                     core.lsu_buffer = a ^ 0xA5A5A5A5
                     core.fetch_buffer = (0x1000, i.raw)
                     cycles, out, ran = core.step()
                     assert ran == i
                     h.update(repr((m.value, a, b, cycles, out.halted, out.reason,
                                    core.arch.regs[5], core.arch.pc,
-                                   core.serializer1, core.serializer2,
                                    core.lsu_buffer, core.store_addr)).encode())
     return h.hexdigest()
 
 
-# Taken on the chunked data path before its per-width rewrite; any change
-# to a result, a charged cycle or the micro state a step leaves moves it.
+# Taken on the chunked data path before its per-width rewrite, and re-taken
+# over only the micro state that the core reads back (the LSU buffer and
+# the waiting store) before two write-only registers were dropped; any
+# change to a result, a charged cycle or that micro state moves it.
 SWEEP_DIGESTS = {
-    1: "de64ba230935f423bf27723ac4fc110f97336d0ea0f9296f43b182e27c921c3f",
-    2: "707922d0b482fd444a942ea227a34bc4a4d4de1c301f23ea357d8007078d55ed",
-    4: "4e711343b17ab9a7e3cd69f1c942658ec1152983ff394b3182c7a4cb6c5652fc",
-    8: "32196e4afb855d696f0fc9c104aacd61228323c69c90284df569c415df9bc3a2",
-    16: "37aa352ea8c1b6d0832d2033bd1719cca6fc7ea43803c3344846fdaca3ffb326",
-    32: "faa755074bbb8b5c3e3bbb6e3b84319128af3be0c7ee55b3c0254b3828b97854",
+    1: "1e6fe47a2b8946a0d2782429b3d06910760e6448a071c47a4f7788f82299de43",
+    2: "1abcdf32262c768906fb033aa1b68f9ea785dce8fbe57d5e057df3190211cbd7",
+    4: "bdc461298e9f12fe779ce651f2e20a97c0d50894c9bcb5a4723993fb7ab71d40",
+    8: "a957ab2e55a06a8fd88a7b590c0ec445958fa1c97f5de2a1c5ec2840bf6874be",
+    16: "d7473830b27957584c5278d37a8f35cdc2d0aa69a94712faefdaa0cbd89cecad",
+    32: "5f0adc6eaf99fa290194cb792fa4ca16d72ecc2bd795c547459aeffdf03a07b8",
 }
 
 
@@ -922,7 +922,6 @@ def _step_digests():
                 h.update(repr((cycles, out.halted, out.reason,
                                ins.raw if ins is not None else None,
                                core.arch.pc, core.cycle, core.startup_cycles,
-                               core.serializer1, core.serializer2,
                                core.lsu_buffer, core.store_addr,
                                core.fetch_buffer, core.arch.regs)).encode())
                 if out.halted:
@@ -931,16 +930,17 @@ def _step_digests():
     return digests
 
 
-# Taken before the step path was fused into one frame; any change to a
-# charged cycle, the fill, the fetch buffer or the micro state a step
-# leaves moves it.
+# Taken before the step path was fused into one frame, and re-taken over
+# only the micro state that the core reads back before two write-only
+# registers were dropped; any change to a charged cycle, the fill, the
+# fetch buffer or that micro state moves it.
 STEP_DIGESTS = {
-    1: "f5f73b8184079d93bed83f5977aa30c8fcc701bd86c7073a4057b94438fd43ec",
-    2: "5f5748b87b36613e255805ae93153188d5a3cbad1985e3e8ff60e8d20327ec82",
-    4: "3ea74c4b7ac078e0234d2c68f6e2eb9e3e162010bd7698b7e044d1c11795d882",
-    8: "26bbb0a50e59cca0f30cceb987b3f3522e0f07ca4e958e63081d2e2fc1a7c81e",
-    16: "547df08d8b0b8644cafec540679ce9824883240120afc68e99397e9c62ff510c",
-    32: "4eec0e038120bd9d2eb2ec02135b0276e8bdeeda457ef2f4c6df865f449f65a5",
+    1: "014679ba4a6acf07dd9ef48730297ad4b6bf267cbbe33058b4c9f9bb487ced5d",
+    2: "31ae84f5ba9d6099e9590630b19259912dcbf4a1c286dc60df328a70f1d29fac",
+    4: "b7e7631fa5870b48df02799f414307cdf0c54a75484229d42e91c477972ca3e7",
+    8: "b6186503e175e71b0f77898aca1114cfda61f1788937f6ad177c06bf514809d5",
+    16: "bfa73708a4718f655f8a58b659f2bd2f58475965f9b4130aebace664172a9b22",
+    32: "37533152f91a0dd6bc2462d444ad33cbe1b6625b5b8f5affbe8e5dcc6003f777",
 }
 
 
