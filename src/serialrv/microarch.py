@@ -1,15 +1,14 @@
 """Cycle-accurate model of the serialized core.
 
-Execution walks the operands through Serializer1/Serializer2 in
-serial_width-bit chunks, LSB first, with a carry latch between chunks:
-`_chunk_add` returns the sum and leaves its carry-out in `carry`, where
-`_less_than` reads it. The fetch buffer overlaps instruction fetch with
-multi-cycle execution; taken control transfers flush it and pay a fixed
-penalty.
+Execution walks the operands in serial_width-bit chunks, LSB first,
+with a carry latch between chunks: `_chunk_add` returns the sum and
+leaves its carry-out in `carry`, where `_less_than` reads it. The fetch
+buffer overlaps instruction fetch with multi-cycle execution; taken
+control transfers flush it and pay a fixed penalty.
 
-At width 32 the ALU is full-width (Serializer2 is absent from the data
-path) but the shift unit still serializes in 8-bit chunks plus single-bit
-steps, and clmul keeps using Serializer1 for accumulation.
+At width 32 the ALU is full-width (one lane, so no chunk loop), but the
+shift unit still serializes in 8-bit chunks plus single-bit steps, and
+clmul still accumulates bit by bit.
 
 `latency_table` is the cycle model: the execution cycles of every
 mnemonic under one CoreConfig. It is built in one pass with the config's
@@ -451,15 +450,13 @@ class MicroCore:
         self._window = state.mem.buf  # the dense window, for the prefetch
         self._window_base = state.mem.base
         self._window_last = len(state.mem.buf) - 4  # the last word's offset
-        self.serializer1 = 0
-        self.serializer2 = 0
         self.fetch_buffer: Optional[Tuple[int, int]] = None
         self.lsu_buffer = 0
         self.store_addr: Optional[int] = None  # a store waiting in the LSU buffer
         self.carry = 0  # the carry latch between chunks, left by the last add
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
-        self._full = config.serial_width == 32  # a full-width ALU; no Serializer2
+        self._full = config.serial_width == 32  # a full-width ALU: one lane, no loop
         self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
@@ -480,8 +477,6 @@ class MicroCore:
             res |= s & mask
             carry = s & out
         self.carry = carry >> 32
-        self.serializer1 = 0
-        self.serializer2 = res
         return res
 
     # One loop per bitwise op, lane by lane, LSB first, over the operands
@@ -493,8 +488,6 @@ class MicroCore:
         res = 0
         for mask in self._lane_masks:
             res |= v & mask
-        self.serializer1 = 0
-        self.serializer2 = res
         return res
 
     def _chunk_and(self, a: int, b: int) -> int:
@@ -504,8 +497,6 @@ class MicroCore:
         res = 0
         for mask in self._lane_masks:
             res |= v & mask
-        self.serializer1 = 0
-        self.serializer2 = res
         return res
 
     def _chunk_or(self, a: int, b: int) -> int:
@@ -515,8 +506,6 @@ class MicroCore:
         res = 0
         for mask in self._lane_masks:
             res |= v & mask
-        self.serializer1 = 0
-        self.serializer2 = res
         return res
 
     def _chunk_sub(self, a: int, b: int) -> int:
@@ -727,8 +716,7 @@ def _shift_unit(m: M):
     def shift(core, i, a, b):
         # the shift unit walks the plan of this mnemonic and amount
         move, steps, mask = core._plans[m][b & 31]
-        v = core.serializer1 = move(a, steps)
-        return v & mask, None
+        return move(a, steps) & mask, None
     return shift
 
 
@@ -757,11 +745,10 @@ def _aes_unit(m: M):
 
     def aes(core, i, a, b):
         # byte select via the operand mask, S-box and mix through the LSU
-        # buffer, rotate and XOR merge via Serializer1
+        # buffer, then rotate and XOR merge
         shift = 8 * i.bs
         core.lsu_buffer = byte = (b >> shift) & 0xFF
-        v = core.serializer1 = _move_rol(words[byte], core._steps[shift])
-        return (a ^ v) & MASK32, None
+        return (a ^ _move_rol(words[byte], core._steps[shift])) & MASK32, None
     return aes
 
 
@@ -785,12 +772,11 @@ def _clmul_unit(m: M):
 
     def clmul(core, i, a, b):
         # bit-serial accumulation: the multiplier bit gates whether the
-        # shifted multiplicand is folded into the Serializer1 accumulator
+        # shifted multiplicand is folded into the accumulator
         acc = 0
         for k in range(32):
             if (b >> k) & 1:
                 acc ^= a << k
-        core.serializer1 = acc & MASK32
         return (acc >> half) & MASK32, None
     return clmul
 
@@ -808,8 +794,6 @@ def _xperm_unit(m: M):
             src = (b >> pos) & mask
             if src < count:
                 out |= ((a >> (digit * src)) & mask) << pos
-        if not core._full:
-            core.serializer2 = out
         return out, None
     return xperm
 

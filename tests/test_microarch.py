@@ -602,23 +602,7 @@ def test_reorder_byte_tables_match_the_wiring(m):
         assert core.arch.regs[5] == bit_by_bit(v) == golden.zbkb_semantics(m, v, 0)
 
 
-# --- serializer bookkeeping -----------------------------------------------------------
-
-def test_width32_alu_leaves_serializer2_untouched():
-    core = make_core(32)
-    sentinel = 0x5A5A5A5A
-    core.serializer2 = sentinel
-    exec_one(core, instr(M.ADD, rd=1, rs1=1, rs2=2), {1: 1, 2: 2})
-    exec_one(core, instr(M.XOR, rd=1, rs1=1, rs2=2))
-    exec_one(core, instr(M.XPERM8, rd=1, rs1=1, rs2=2))
-    assert core.serializer2 == sentinel
-
-
-def test_serialized_alu_updates_serializer2():
-    core = make_core(4)
-    exec_one(core, instr(M.ADD, rd=3, rs1=1, rs2=2), {1: 40, 2: 2})
-    assert core.serializer2 == 42
-
+# --- the chunk walk and its carry latch ------------------------------------------------
 
 @pytest.mark.parametrize("width", WIDTHS[:-1])
 def test_carry_crosses_every_lane_boundary(width):
@@ -631,12 +615,6 @@ def test_carry_crosses_every_lane_boundary(width):
     assert core.carry == 1
     assert core._chunk_sub(0, 1) == 0xFFFFFFFF
     assert core.carry == 0
-
-
-def test_clmul_uses_serializer1_even_at_width32():
-    core = make_core(32)
-    exec_one(core, instr(M.CLMUL, rd=3, rs1=1, rs2=2), {1: 5, 2: 3})
-    assert core.serializer1 != 0
 
 
 def test_aes_uses_lsu_buffer():
