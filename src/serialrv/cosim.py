@@ -290,7 +290,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     registers and window bytes equal to that step's golden ones, takes the
     trace's signature, since those are all that `signature` hashes.
     """
-    exts = frozenset(core.extensions) - {Ext.ZKT}
+    exts = core.extensions
     trace = _golden_trace(torture, exts, max_steps)
     micro = MicroCore(core, ArchState.from_image(trace.image))
     march = micro.arch
@@ -355,7 +355,7 @@ def run_matrix(seeds, widths, extensions: frozenset = isa.ZKN_ZKT,
     reports = []
     for seed in seeds:
         tc = TortureConfig(seed=seed, length=length,
-                           extensions=frozenset(extensions) - {Ext.ZKT})
+                           extensions=frozenset(extensions))
         for w in widths:
             cc = CoreConfig(serial_width=w, extensions=extensions)
             reports.append(cosim_run(tc, cc))

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 import sys
 
@@ -244,6 +246,23 @@ def test_mmio_is_matched_before_a_window_that_covers_it(size):
     mem.store(golden.EXIT_ADDR + 4, size, 0x5A)
     assert mem.buf[2048 + 8] == 0x5A and mem.load(golden.EXIT_ADDR + 4, size) == 0x5A
     assert bytes(mem.console) == b"A" and mem.exit_code == 7
+
+
+# --- the oracles' independence -------------------------------------------------
+
+def test_oracles_import_nothing_from_the_simulator():
+    """oracles.py checks the simulator, so it may not import any of it."""
+    path = pathlib.Path(oracles.__file__)
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            assert name.split(".")[0] != "serialrv", \
+                f"{path.name}:{node.lineno} imports {name}"
 
 
 # --- AES primitives ------------------------------------------------------------
