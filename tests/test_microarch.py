@@ -952,24 +952,25 @@ def _sweep_digest(width):
                     core.arch.regs[1], core.arch.regs[2] = a, b
                     # stale micro state, so that what a step leaves shows
                     core.lsu_buffer = a ^ 0xA5A5A5A5
-                    core.fetch_buffer = (0x1000, i.raw)
+                    core.arch.mem.store(0x1000, 4, i.raw)
                     cycles, out, ran = core.step()
                     assert ran == i
                     h.update(repr((m.value, a, b, cycles, out.halted, out.reason,
                                    core.arch.regs[5], core.arch.pc,
-                                   core.lsu_buffer, core.store_addr)).encode())
+                                   core.lsu_buffer if fmt is isa.FMT_STORE else None,
+                                   core.store_addr)).encode())
     return h.hexdigest()
 
 
 # Any change to a result, a charged cycle or the micro state that the core
-# reads back (the LSU buffer and the waiting store) moves it.
+# reads back (a store's LSU buffer and the waiting store) moves it.
 SWEEP_DIGESTS = {
-    1: "1e6fe47a2b8946a0d2782429b3d06910760e6448a071c47a4f7788f82299de43",
-    2: "1abcdf32262c768906fb033aa1b68f9ea785dce8fbe57d5e057df3190211cbd7",
-    4: "bdc461298e9f12fe779ce651f2e20a97c0d50894c9bcb5a4723993fb7ab71d40",
-    8: "a957ab2e55a06a8fd88a7b590c0ec445958fa1c97f5de2a1c5ec2840bf6874be",
-    16: "d7473830b27957584c5278d37a8f35cdc2d0aa69a94712faefdaa0cbd89cecad",
-    32: "5f0adc6eaf99fa290194cb792fa4ca16d72ecc2bd795c547459aeffdf03a07b8",
+    1: "6c2c4b503b7216055da70e65cf1d9195475e69698ef4b6089aac722b9a3d6e67",
+    2: "b24bea944a7ecdb995e7cb8e97811dbbd4e71b60518ff398b85db89c924f2823",
+    4: "708fed6241a4f6686cb5dac91b34b3064decf4b24df9dbe052ec80a154806a99",
+    8: "fd233dc12725d3a7e712b2a6fbd0de48f75da8aff8a6be2dd91a9b07382e472e",
+    16: "7d5e00151ef544c7049caf5554c7e824f3b399998818077ddce48c15ea415d58",
+    32: "2268d2cf3c0cc9ff54b31868be7a48ec6d19c370184de3d6ccb5bbda3a2f9cf7",
 }
 
 
@@ -992,27 +993,28 @@ def _step_digests():
             core = MicroCore(CoreConfig.zkn_zkt(width), ArchState.from_image(image))
             while True:
                 cycles, out, ins = core.step()
+                stored = ins is not None and \
+                    isa.ENCODINGS[ins.mnemonic].fmt is isa.FMT_STORE
                 h.update(repr((cycles, out.halted, out.reason,
                                ins.raw if ins is not None else None,
                                core.arch.pc, core.cycle, core.startup_cycles,
-                               core.lsu_buffer, core.store_addr,
-                               core.fetch_buffer, core.arch.regs)).encode())
+                               core.lsu_buffer if stored else None,
+                               core.store_addr, core.arch.regs)).encode())
                 if out.halted:
                     break
         digests[width] = h.hexdigest()
     return digests
 
 
-# Taken before the step path was fused into one frame; any change to a
-# charged cycle, the fill, the fetch buffer or the micro state that the
-# core reads back moves it.
+# Any change to a charged cycle, the fill or the micro state that the core
+# reads back (a store's LSU buffer and the waiting store) moves it.
 STEP_DIGESTS = {
-    1: "014679ba4a6acf07dd9ef48730297ad4b6bf267cbbe33058b4c9f9bb487ced5d",
-    2: "31ae84f5ba9d6099e9590630b19259912dcbf4a1c286dc60df328a70f1d29fac",
-    4: "b7e7631fa5870b48df02799f414307cdf0c54a75484229d42e91c477972ca3e7",
-    8: "b6186503e175e71b0f77898aca1114cfda61f1788937f6ad177c06bf514809d5",
-    16: "bfa73708a4718f655f8a58b659f2bd2f58475965f9b4130aebace664172a9b22",
-    32: "37533152f91a0dd6bc2462d444ad33cbe1b6625b5b8f5affbe8e5dcc6003f777",
+    1: "27782e90478d3a01ffdd907ce71b44f8f85f78f67855544b19bcf1f08f717f61",
+    2: "1933205af36e6616a5e50559ea30b1c0d17d62a6177b3924496fbb57699aa3fa",
+    4: "0e12043d1ccdfe0f27397e46ff460abd0f929f824687dbc2736da8f025edf1f4",
+    8: "4750efc9f19b521edbbf9d005d4671f869623ad9df7cfbdd896f6e27eed162c0",
+    16: "26a769ee2503880762f3f2494a44e22039b3440022949f3b9407a2c90d88a38a",
+    32: "7039dfa610df5c4eb8e60f2a57e8cbbe1ac2030263373c94aef792a3c205f133",
 }
 
 
