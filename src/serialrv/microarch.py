@@ -4,7 +4,8 @@ Execution walks the operands in serial_width-bit chunks, LSB first,
 with a carry latch between chunks: `_chunk_add` returns the sum and
 leaves its carry-out in `carry`, where `_less_than` reads it. The fetch
 buffer overlaps instruction fetch with multi-cycle execution; taken
-control transfers flush it and pay a fixed penalty.
+control transfers flush it and pay a fixed penalty. The buffer is timing
+alone: the core holds no copy of a fetched word.
 
 At width 32 the ALU is full-width (one lane, so no chunk loop), but the
 shift unit still serializes in 8-bit chunks plus single-bit steps, and
@@ -20,15 +21,14 @@ mnemonic's two charges (see `_binding`).
 One instruction is one call of `MicroCore.step`, and one frame carries
 it from fetch to commit: fetch, decode, bind, execute, the pick of one of
 the record's charges, the cycle-budget check, the per-mnemonic count and
-the commit, which also prefetches the next sequential word straight from
-the dense memory window; every instruction that retires, ebreak and
-ecall too, takes the same lines. A fetch that hits the fetch buffer goes
-straight to decode: only a miss, which reads the word through the memory
-port, checks the pc's alignment (a buffered pc is aligned), and the
-core's first miss also pays the fill (see `MicroCore.step`). A fetch that hits isa's decode cache
-makes no call: the frame probes the dict itself and unpacks the
-instruction's fields once. `step` is the core's only way in: every
-instruction, a program's or the audit's, passes through these lines.
+the commit; every instruction that retires, ebreak and ecall too, takes
+the same lines. The fetch has one path: the core's first step pays the
+fill, then the pc's alignment is checked and the word is read, straight
+from the dense memory window or else through the memory port. A fetch
+that hits isa's decode cache makes no call: the frame probes the dict
+itself and unpacks the instruction's fields once. `step` is the core's
+only way in: every instruction, a program's or the audit's, passes
+through these lines.
 
 What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
@@ -55,9 +55,9 @@ it changes a simulated cycle):
   shift or rotate looks up its plan by amount and calls the move
   function on the steps, one chunk or single-bit step at a time, with no
   test of which loop it is.
-- per core, in `__init__`: the dense memory window the sequential
-  prefetch reads: `_window` (the buffer, never replaced or resized),
-  `_window_base` and `_window_last` (the offset of its last word).
+- per core, in `__init__`: the dense memory window the fetch reads:
+  `_window` (the buffer, never replaced or resized), `_window_base` and
+  `_window_last` (the offset of its last word).
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
   sequential charge (per shift amount for a shift or rotate), its taken
@@ -447,11 +447,10 @@ class MicroCore:
         (_, self._charges, self._plans, self._steps, self._lanes,
          self._lane_masks, self._enabled) = _binding(config)
         self.arch = state
-        self._window = state.mem.buf  # the dense window, for the prefetch
+        self._window = state.mem.buf  # the dense window, for the fetch
         self._window_base = state.mem.base
         self._window_last = len(state.mem.buf) - 4  # the last word's offset
-        self.fetch_buffer: Optional[Tuple[int, int]] = None
-        self.lsu_buffer = 0
+        self.lsu_buffer = 0  # the value of the store waiting to commit
         self.store_addr: Optional[int] = None  # a store waiting in the LSU buffer
         self.carry = 0  # the carry latch between chunks, left by the last add
         self.cycle = 0
@@ -554,15 +553,11 @@ class MicroCore:
         """Fetch, decode and execute one instruction, in one frame.
 
         Returns (charged cycles, outcome, instruction or None when the
-        fetch/decode itself trapped). A fetch that hits the fetch buffer
-        takes the buffered word; a miss reads the word through the memory
-        port after checking the pc's alignment. The core's first miss also
-        fills the fetch buffer, which adds `startup_cycles` to `cycle` but
-        not to the returned charge. In a run that miss is the first step,
-        as nothing fills the buffer before it; a `fetch_buffer` set on a
-        fresh core before its first step puts the fill off until the
-        core's first miss, which may come after a taken transfer and may
-        then take that step over `max_cycles`. A step
+        fetch/decode itself trapped). The core's first step fills the
+        fetch buffer, which adds `startup_cycles` to `cycle` but not to the
+        returned charge. Every step then checks the pc's alignment and
+        reads its word from memory as it is now: a dense-window word
+        straight from the window, any other through the memory port. A step
         is charged one of its record's two charges (see `_binding`): the
         taken one when it transfers control or halts with ebreak or ecall,
         else the sequential one. If a step's cycles would take `cycle` past
@@ -572,18 +567,20 @@ class MicroCore:
         """
         arch = self.arch
         pc = arch.pc
-        buf = self.fetch_buffer
         fill = 0
-        if buf is not None and buf[0] == pc:  # a buffered pc is aligned
-            word = buf[1]
+        if not self.startup_cycles:  # the first fetch fills the fetch buffer
+            fill = self.startup_cycles = self.config.mem_latency
+            self.cycle += fill
+            if self.cycle > max_cycles:
+                return self._over_budget(fill, None)
+        if pc & 3:
+            return 0, _MISALIGNED_FETCH, None
+        # a dense-window word straight from the bound buffer, any other
+        # through the memory port
+        off = pc - self._window_base
+        if 0 <= off <= self._window_last:
+            word = _unpack_word(self._window, off)[0]
         else:
-            if not self.startup_cycles:  # the first fetch fills the buffer
-                fill = self.startup_cycles = self.config.mem_latency
-                self.cycle += fill
-                if self.cycle > max_cycles:
-                    return self._over_budget(fill, None)
-            if pc & 3:
-                return 0, _MISALIGNED_FETCH, None
             word = arch.mem.load(pc, 4)
         # a word decoded before is one probe of the decode cache
         try:
@@ -630,22 +627,11 @@ class MicroCore:
         if val is not None and rd:
             regs[rd] = val & MASK32
         if target is None:
-            # pc was aligned when fetched, so pc + 4 (mod 2^32) is too
-            pc = (pc + 4) & MASK32
-            arch.pc = pc
-            # the sequential prefetch: a dense-window word straight from the
-            # bound buffer, anything else through the memory port
-            off = pc - self._window_base
-            if 0 <= off <= self._window_last:
-                self.fetch_buffer = (pc, _unpack_word(self._window, off)[0])
-            else:
-                self.fetch_buffer = (pc, arch.mem.load(pc, 4))
+            arch.pc = (pc + 4) & MASK32
         elif type(target) is StepOutcome:  # ebreak or ecall: pc stays
             return charged, target, ins
         else:
-            pc = target & MASK32
-            arch.pc = pc
-            self.fetch_buffer = None
+            arch.pc = pc = target & MASK32
             if pc & 3:
                 return charged, _MISALIGNED_FETCH, ins
         return charged, RETIRED, ins
@@ -688,11 +674,11 @@ def _load_unit(m: M, signed: bool):
     sign = 1 << (8 * size - 1) if signed else 0  # x ^ 0 - 0 is x
 
     def lsu_load(core, i, a, b):
-        # a full-word read through the LSU buffer, then the addressed bytes
+        # a full-word read, then the addressed bytes
         addr = (a + i.imm) & MASK32
         if addr & (size - 1):
             raise _Halt(_MISALIGNED_ACCESS)
-        word = core.lsu_buffer = core.arch.mem.load(addr & ~3, 4)
+        word = core.arch.mem.load(addr & ~3, 4)
         val = (word >> 8 * (addr & 3)) & field
         return (val ^ sign) - sign, None
     return lsu_load
@@ -744,10 +730,10 @@ def _aes_unit(m: M):
     words = _aes_words(m)
 
     def aes(core, i, a, b):
-        # byte select via the operand mask, S-box and mix through the LSU
-        # buffer, then rotate and XOR merge
+        # byte select via the operand mask, S-box and mix as one table
+        # word, then rotate and XOR merge
         shift = 8 * i.bs
-        core.lsu_buffer = byte = (b >> shift) & 0xFF
+        byte = (b >> shift) & 0xFF
         return (a ^ _move_rol(words[byte], core._steps[shift])) & MASK32, None
     return aes
 

@@ -61,6 +61,25 @@ def ebreak_as_ecall():
     return _patched(microarch._EXECUTE, M.EBREAK, microarch._halt(golden.ECALL))
 
 
+@contextlib.contextmanager
+def sll_by_3_masked_as_by_4():
+    """With left shifts emulated, an sll or slli by 3 is masked as if by 4,
+    which clears result bit 3 and leaves its cycles as they were. Cores
+    built inside bind uncached plans, so no binding cached before the
+    fault is used inside it, and none made inside outlives it."""
+    plan = microarch.shift_plan
+
+    def faulty(config, m, shamt):
+        loop, amount, mask = plan(config, m, shamt)
+        if mask and shamt == 3:  # only an emulated sll has a mask pass
+            mask = (mask << 1) & microarch.MASK32
+        return loop, amount, mask
+
+    with _patched(microarch, "shift_plan", faulty), \
+            _patched(microarch, "_binding", microarch._binding.__wrapped__):
+        yield
+
+
 def _charged_through(fault):
     """Cores built inside bind each mnemonic's (sequential, taken) charges
     as `fault(mnemonic, execute cycles, sequential, taken)` returns them."""

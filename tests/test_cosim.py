@@ -8,6 +8,7 @@ import pytest
 import mutants
 import oracles
 from test_bench import FULL_SUITE_JSON_SHA256, full_suite_json_sha256
+from test_microarch import KNOB_SETS
 from serialrv import bench, cosim, golden, isa, microarch
 from serialrv.cosim import (MEMORY_WINDOW, TortureConfig, cosim_run, generate,
                             signature)
@@ -248,6 +249,33 @@ def test_core_control_fault_diverges(fault, field, pc):
     d = rep.to_json_dict()
     assert d["pass"] is False
     assert (d["divergence_pc"], d["divergence_field"]) == (f"0x{pc:08x}", field)
+
+
+def _knob_set_failures():
+    """(seed, width, knob set) of every failing cosim cell over 40 seeds,
+    six widths and the three knob sets."""
+    return [(seed, width, knobs)
+            for seed in range(40) for knobs in sorted(KNOB_SETS)
+            for width in WIDTHS
+            if not cosim_run(TortureConfig(seed=seed),
+                             CoreConfig(serial_width=width, **KNOB_SETS[knobs])).passed]
+
+
+def test_cosim_passes_under_every_knob_set():
+    """Both models agree at every width under each knob set, not only
+    under the default knobs."""
+    assert _knob_set_failures() == []
+
+
+def test_knob_set_cosim_kills_the_emulated_shift_mutant():
+    """A result fault on the emulated left shift, which no default-knob
+    cell reaches, fails cells of the knob set that emulates left shifts,
+    and the fault leaves the shared bindings as it found them."""
+    cached = microarch._binding.cache_info()
+    with mutants.sll_by_3_masked_as_by_4():
+        failures = _knob_set_failures()
+    assert failures and {knobs for _, _, knobs in failures} == {"knobs"}
+    assert microarch._binding.cache_info() == cached
 
 
 def test_report_json_shape():

@@ -29,12 +29,12 @@ def make_core(width=4, exts=isa.ZKN_ZKT, pc=0x1000, **knobs):
 
 
 def exec_one(core, i, regs=None):
-    """Step `i` at pc from the fetch buffer, leaving memory untouched;
-    returns (charged cycles, outcome)."""
+    """Store the word of `i` at pc and step it; returns (charged cycles,
+    outcome)."""
     if regs:
         for r, v in regs.items():
             core.arch.regs[r] = v & 0xFFFFFFFF
-    core.fetch_buffer = (core.arch.pc, i.raw)
+    core.arch.mem.store(core.arch.pc, 4, i.raw)
     cycles, outcome, ran = core.step()
     assert ran == i
     return cycles, outcome
@@ -411,7 +411,6 @@ def test_taken_branch_penalty():
                          {1: 3, 2: 3})
     assert cycles == 8 + 2
     assert core.arch.pc == 0x1010
-    assert core.fetch_buffer is None
 
 
 def test_not_taken_branch_no_penalty():
@@ -420,7 +419,6 @@ def test_not_taken_branch_no_penalty():
                          {1: 3, 2: 4})
     assert cycles == 8
     assert core.arch.pc == 0x1004
-    assert core.fetch_buffer is not None and core.fetch_buffer[0] == 0x1004
 
 
 def test_jal_always_pays_penalty():
@@ -451,9 +449,8 @@ def test_fetch_stall_when_execution_shorter_than_memory():
 @pytest.mark.parametrize("width", WIDTHS)
 def test_sequential_step_wraps_to_pc_zero(width):
     """A step from the last word of the address space goes on at pc 0 in
-    both models. Both words lie outside the dense window, so the core
-    prefetches the word at 0 through the memory port and runs it from the
-    fetch buffer, reading no word but the next prefetch."""
+    both models. Both words lie outside the dense window, so each step
+    reads its own word through the memory port, and no other word."""
     first = instr(M.ADDI, rd=1, rs1=0, imm=5)
     second = instr(M.ADDI, rd=2, rs1=1, imm=7)
 
@@ -471,19 +468,18 @@ def test_sequential_step_wraps_to_pc_zero(width):
     assert not golden.step(ref, isa.ZKN_ZKT).halted
     assert not core.step()[1].halted
     assert arch.pc == ref.pc == 0 and arch.regs == ref.regs
-    assert loads[0] == (0xFFFFFFFC, 4) and (0, 4) in loads
-    assert core.fetch_buffer == (0, second.raw)
+    assert [load for load in loads if load[1] == 4] == [(0xFFFFFFFC, 4)]
     loads.clear()
     assert not golden.step(ref, isa.ZKN_ZKT).halted
     _, outcome, ran = core.step()
     assert not outcome.halted and ran == second
-    assert [load for load in loads if load[1] == 4] == [(4, 4)]  # the next prefetch
+    assert [load for load in loads if load[1] == 4] == [(0, 4)]
     assert arch.pc == ref.pc == 4 and arch.regs == ref.regs and arch.regs[2] == 12
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_steps_across_the_window_end_match_golden(width):
-    """The core's prefetch holds its own copy of where the dense window
+    """The core's fetch holds its own copy of where the dense window
     ends: stepped beside golden over a word inside the window, one
     straddling its end and two past it, the core keeps golden's pc and
     registers after every step and halts on the same ebreak."""
@@ -509,10 +505,37 @@ def test_steps_across_the_window_end_match_golden(width):
     assert arch.regs[1:4] == [5, 12, 13]
 
 
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("pc", [0x1000, 0x10FC], ids=["window", "sparse"])
+def test_core_keeps_no_copy_of_memory(pc, width):
+    """A word stored at pc + 4 from outside the core, after the step at
+    pc, is the word the next step runs, whether pc + 4 lies in the dense
+    window or past its end; both models end with the same registers."""
+    old = instr(M.ADDI, rd=2, rs1=1, imm=7)
+    new = instr(M.ADDI, rd=2, rs1=1, imm=42)
+
+    def state():
+        mem = Memory(size=0x100, base=0x1000)  # the window ends at 0x1100
+        mem.store(pc, 4, instr(M.ADDI, rd=1, rs1=0, imm=5).raw)
+        mem.store(pc + 4, 4, old.raw)
+        return ArchState(pc=pc, mem=mem)
+
+    ref, arch = state(), state()
+    core = MicroCore(CoreConfig.zkn_zkt(width), arch)
+    assert not golden.step(ref).halted and not core.step()[1].halted
+    ref.mem.store(pc + 4, 4, new.raw)
+    arch.mem.store(pc + 4, 4, new.raw)
+    assert not golden.step(ref).halted
+    _, outcome, ran = core.step()
+    assert not outcome.halted and ran == new
+    assert arch.pc == ref.pc == pc + 8
+    assert arch.regs == ref.regs and arch.regs[2] == 47
+
+
 def _calls_of_second_step(i):
     """(Python functions, builtins) called by the second of two steps over
-    the instruction `i`, whose word the first step has decoded and whose
-    second copy it has prefetched."""
+    the instruction `i`, whose word the first step has decoded; both
+    copies lie in the dense window."""
     state = ArchState.from_image(load_image(isa.encode(i).to_bytes(4, "little") * 2,
                                             base=0x1000))
     core = MicroCore(CoreConfig.zkn_zkt(32), state)
@@ -646,13 +669,6 @@ def test_width32_bypass_matches_the_lane_loop(name):
                 full.carry = walk.carry = stale
                 assert (call(full, a, b), full.carry) == \
                     (call(walk, a, b), walk.carry), (hex(a), hex(b), stale)
-
-
-def test_aes_uses_lsu_buffer():
-    core = make_core(4)
-    exec_one(core, instr(M.AES32ESI, rd=1, rs1=1, rs2=2, bs=1),
-             {2: 0x00AB00})
-    assert core.lsu_buffer == 0xAB
 
 
 # --- architectural equivalence (the core invariant) -------------------------------------

@@ -439,11 +439,11 @@ def _patching_program(ahead, patch):
 @pytest.mark.parametrize("width", (1, 2, 4, 8, 16, 32))
 @pytest.mark.parametrize("ahead", (1, 2))
 def test_self_modifying_code_runs_the_stored_word(ahead, width):
-    """A store over code is seen by the next fetch of that word: the word
-    right after the store is prefetched at the store's commit, after the
-    store has written it. Registers, instret and the halt match golden,
-    and the stats match a run of an image that held the new word from
-    the start."""
+    """A store over code is seen by the next fetch of that word: each word
+    is read from memory at its own fetch, after the store has written it,
+    whether it follows the store or comes later. Registers, instret and
+    the halt match golden, and the stats match a run of an image that
+    held the new word from the start."""
     patch = isa.encode(instr(M.ADDI, rd=1, imm=42))
     img = _patching_program(ahead, patch)
     gold = golden.ArchState.from_image(img)
