@@ -575,8 +575,8 @@ class MicroCore:
                 return self._over_budget(fill, None)
         if pc & 3:
             return 0, _MISALIGNED_FETCH, None
-        # a dense-window word straight from the bound buffer, any other
-        # through the memory port
+        # a dense-window word straight from the window bound in __init__,
+        # any other through the memory port
         off = pc - self._window_base
         if 0 <= off <= self._window_last:
             word = _unpack_word(self._window, off)[0]
