@@ -67,6 +67,15 @@ def _int_from(low: int):
     return parse
 
 
+def _output_path(value: str) -> str:
+    """An argparse type: a file to write, never `-`, which is no name for
+    stdout here: stdout carries the command's summary."""
+    if value == "-":
+        raise argparse.ArgumentTypeError(
+            "'-' is not a file; stdout carries the summary")
+    return value
+
+
 def _width_list(value: str) -> tuple:
     with contextlib.suppress(ValueError):
         widths = tuple(dict.fromkeys(int(v) for v in value.split(",")))
@@ -102,20 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     image.add_argument("--format", choices=("flat-bin", "hex-words"), default="flat-bin")
     matrix = _Parser(add_help=False)  # cosim and bench
     matrix.add_argument("--widths", type=_width_list, default=VALID_WIDTHS)
-    matrix.add_argument("--json", metavar="PATH")
+    matrix.add_argument("--json", metavar="PATH", type=_output_path)
 
     r = sub.add_parser("run", parents=[image],
                        help="execute an image on the cycle-accurate core")
     r.add_argument("--width", type=int, choices=VALID_WIDTHS, default=32)
     r.add_argument("--ext", type=_ext_set, default=frozenset())
     r.add_argument("--max-cycles", type=_int_from(1), default=system.DEFAULT_MAX_CYCLES)
-    r.add_argument("--trace", metavar="PATH")
-    r.add_argument("--stats-json", metavar="PATH")
+    r.add_argument("--trace", metavar="PATH", type=_output_path)
+    r.add_argument("--stats-json", metavar="PATH", type=_output_path)
     r.add_argument("--entry", type=_hex_int, default=None)
 
     c = sub.add_parser("cosim", parents=[matrix],
                        help="torture-test the core against the golden model")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=_int_from(0), default=0)
     c.add_argument("--programs", type=_int_from(1), default=10)
     c.add_argument("--ext", type=_ext_set, default=isa.ZKN_ZKT)
     c.add_argument("--length", type=_int_from(1), default=200)

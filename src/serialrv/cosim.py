@@ -86,6 +86,25 @@ def _rv32i_of_fmt(fmt: str) -> tuple:
                  if e is Ext.RV32I and isa.ENCODINGS[m].fmt == fmt)
 
 
+# the one draw rule: a draw below n takes k = n.bit_length() random bits
+# and draws again while they read n or more. CPython 3.11's choice() and
+# randrange() draw by this rule, so the programs are the ones those calls
+# drew. k is one bit more than a power of two needs (6 for n = 32, 13 for
+# n = 4096); another k draws another stream, and every pin moves.
+def _below(bits: Callable[[int], int], n: int) -> int:
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+# (mnemonic, format, mask that aligns a window offset to the access size)
+# per mnemonic, the format naming its operand shape; the mask is -1 for a
+# mnemonic that is no access
+_SLOT_OF = {m: (m, enc.fmt, -isa.ACCESS_BYTES.get(m, 1))
+            for m, enc in isa.ENCODINGS.items()}
+
 # mnemonic pools the generator draws from, in enum order (as in EXT_OF)
 _BRANCHES = _rv32i_of_fmt(isa.FMT_BRANCH)
 _BASE_POOL = tuple(m for fmt in (isa.FMT_R, isa.FMT_I, isa.FMT_I_SHAMT,
@@ -96,44 +115,59 @@ _POOL_BY_EXT = {e: tuple(m for m, x in isa.EXT_OF.items() if x is e)
                 for e in Ext if e in isa.ZKN}
 # destination registers: any but the scratch base
 _RD_CHOICES = tuple(r for r in range(32) if r != SCRATCH_REG)
-_FMT_OF = {m: enc.fmt for m, enc in isa.ENCODINGS.items()}
+_N_RD = len(_RD_CHOICES)
+_K_RD = _N_RD.bit_length()  # the draw rule's k for an rd
+_K_REG = (32).bit_length()  # and for a source register
 
 
 def _build_pool(extensions: frozenset) -> tuple:
+    """The `_SLOT_OF` entries of the mnemonics a program draws from."""
     pool = list(_BASE_POOL)
     for ext, mnems in _POOL_BY_EXT.items():
         if ext in extensions:
             pool.extend(mnems)
-    return tuple(pool)
+    return tuple(_SLOT_OF[m] for m in pool)
 
 
-def _random_non_branch(a: Assembler, below: Callable[[int], int],
-                       pool: tuple, wbase: int, wsize: int) -> None:
-    m = pool[below(len(pool))]
-    rd = _RD_CHOICES[below(len(_RD_CHOICES))]
-    rs1 = below(32)
-    rs2 = below(32)
-    fmt = _FMT_OF[m]
-    if fmt == isa.FMT_I:
-        a.emit(m, rd=rd, rs1=rs1, imm=below(4096) - 2048)
-    elif fmt == isa.FMT_I_SHAMT:
-        a.emit(m, rd=rd, rs1=rs1, imm=below(32))
-    elif fmt == isa.FMT_LOAD:
-        off = below(wsize - 4) & ~(isa.ACCESS_BYTES[m] - 1)
-        a.emit(m, rd=rd, rs1=SCRATCH_REG, imm=off)
-    elif fmt == isa.FMT_STORE:
-        off = below(wsize - 4) & ~(isa.ACCESS_BYTES[m] - 1)
-        a.emit(m, rs1=SCRATCH_REG, rs2=rs2, imm=off)
-    elif fmt == isa.FMT_U:
-        a.emit(m, rd=rd, imm=below(1 << 20))
-    elif fmt == isa.FMT_FENCE:
-        a.emit(m)
-    elif fmt == isa.FMT_R_AES:
-        a.emit(m, rd=rd, rs1=rs1, rs2=rs2, bs=below(4))
-    elif fmt == isa.FMT_UNARY:
-        a.emit(m, rd=rd, rs1=rs1)
+def _random_non_branch(emit: Callable, bits: Callable[[int], int],
+                       pool: tuple, k_pool: int, wsize: int) -> None:
+    # every slot draws a mnemonic, rd, rs1 and rs2, in that order and
+    # whether or not its format uses them: the draw rule, inlined
+    n = len(pool)
+    r = bits(k_pool)
+    while r >= n:
+        r = bits(k_pool)
+    m, fmt, align = pool[r]
+    r = bits(_K_RD)
+    while r >= _N_RD:
+        r = bits(_K_RD)
+    rd = _RD_CHOICES[r]
+    rs1 = bits(_K_REG)
+    while rs1 >= 32:
+        rs1 = bits(_K_REG)
+    rs2 = bits(_K_REG)
+    while rs2 >= 32:
+        rs2 = bits(_K_REG)
+    # formats in the order of their share of the Zkn pool, compared by
+    # identity as in encode
+    if fmt is isa.FMT_R:
+        emit(m, rd=rd, rs1=rs1, rs2=rs2)
+    elif fmt is isa.FMT_UNARY:
+        emit(m, rd=rd, rs1=rs1)
+    elif fmt is isa.FMT_I:
+        emit(m, rd=rd, rs1=rs1, imm=_below(bits, 4096) - 2048)
+    elif fmt is isa.FMT_LOAD:
+        emit(m, rd=rd, rs1=SCRATCH_REG, imm=_below(bits, wsize - 4) & align)
+    elif fmt is isa.FMT_I_SHAMT:
+        emit(m, rd=rd, rs1=rs1, imm=_below(bits, 32))
+    elif fmt is isa.FMT_R_AES:
+        emit(m, rd=rd, rs1=rs1, rs2=rs2, bs=_below(bits, 4))
+    elif fmt is isa.FMT_STORE:
+        emit(m, rs1=SCRATCH_REG, rs2=rs2, imm=_below(bits, wsize - 4) & align)
+    elif fmt is isa.FMT_U:
+        emit(m, rd=rd, imm=_below(bits, 1 << 20))
     else:
-        a.emit(m, rd=rd, rs1=rs1, rs2=rs2)
+        emit(m)  # fence
 
 
 class ProgramTooLong(ValueError):
@@ -145,12 +179,21 @@ def generate(config: TortureConfig,
     """Emit a legal, self-terminating random program ending in a register
     dump to the scratch window followed by ebreak.
 
+    The program is a function of the config alone. Every draw below some
+    n, a choice among n items included, takes k = n.bit_length() bits from
+    `random.Random(seed).getrandbits` and draws again while they read n or
+    more, as CPython 3.11's `choice` and `randrange` do.
+
     Given an `instrs` dict, every instruction word of the program is also
     recorded there as {word: Instr}, equal to `isa.decode(word)`.
 
-    Raises ValueError if `config.length` is below 1, and ProgramTooLong
-    if it leaves no room for the code below the scratch window.
+    Raises ValueError if `config.seed` is below 0 (Random would seed with
+    its absolute value) or `config.length` below 1, and ProgramTooLong if
+    the length leaves no room for the code below the scratch window.
     """
+    if config.seed < 0:
+        raise ValueError(f"a torture program needs seed >= 0, "
+                         f"not {config.seed}")
     if config.length < 1:
         raise ValueError(f"a torture program needs length >= 1, "
                          f"not {config.length}")
@@ -162,39 +205,41 @@ def generate(config: TortureConfig,
             f"a torture program of length {config.length} needs more than "
             f"the {room} words below the scratch window at 0x{wbase:x}")
     rng = random.Random(config.seed)
-    # CPython's choice(seq) and randrange(lo, hi) are seq[below(len(seq))]
-    # and lo + below(hi - lo): the same stream, without their frames
-    below = rng._randbelow
+    # every draw below n takes these bits by the draw rule (see _below)
+    bits = rng.getrandbits
     pool = _build_pool(config.extensions)
+    k_pool = len(pool).bit_length()
     a = Assembler(base=DEFAULT_BASE, instrs=instrs)
+    emit = a.emit
 
     # prologue: scratch base plus pseudo-random values in every register
     a.li(SCRATCH_REG, wbase)
     for r in range(1, 32):
         if r != SCRATCH_REG:
-            a.li(r, rng.getrandbits(32) | 0x800)  # avoid the 1-word li form
+            a.li(r, bits(32) | 0x800)  # avoid the 1-word li form
 
     executed = 0
     while executed < config.length:
         if rng.random() < BRANCH_DENSITY:
-            shadow = 1 + below(3)
+            shadow = 1 + _below(bits, 3)
             if rng.random() < 0.15:
-                a.emit(M.JAL, rd=_RD_CHOICES[below(len(_RD_CHOICES))],
-                       imm=4 * (shadow + 1))
+                emit(M.JAL, rd=_RD_CHOICES[_below(bits, _N_RD)],
+                     imm=4 * (shadow + 1))
             else:
-                a.emit(_BRANCHES[below(len(_BRANCHES))], rs1=below(32),
-                       rs2=below(32), imm=4 * (shadow + 1))
+                emit(_BRANCHES[_below(bits, len(_BRANCHES))],
+                     rs1=_below(bits, 32), rs2=_below(bits, 32),
+                     imm=4 * (shadow + 1))
             for _ in range(shadow):
-                _random_non_branch(a, below, pool, wbase, wsize)
+                _random_non_branch(emit, bits, pool, k_pool, wsize)
         else:
-            _random_non_branch(a, below, pool, wbase, wsize)
+            _random_non_branch(emit, bits, pool, k_pool, wsize)
         executed += 1
 
     # epilogue: dump x1..x31 into the window tail, then halt
     dump_base = wsize - 31 * 4
     for r in range(1, 32):
-        a.emit(M.SW, rs1=SCRATCH_REG, rs2=r, imm=dump_base + 4 * (r - 1))
-    a.emit(M.EBREAK)
+        emit(M.SW, rs1=SCRATCH_REG, rs2=r, imm=dump_base + 4 * (r - 1))
+    emit(M.EBREAK)
 
     # pad up to the scratch window and pre-seed it so loads see a
     # deterministic pattern even before the first store
@@ -204,7 +249,7 @@ def generate(config: TortureConfig,
             f"a torture program of length {config.length} runs to "
             f"0x{a.here:x}, past the scratch window at 0x{wbase:x}")
     a.data(bytes(gap & ~3))  # whole words of zeros
-    seed_bytes = bytes(map(rng.getrandbits, repeat(8, wsize)))
+    seed_bytes = bytes(map(bits, repeat(8, wsize)))
     a.data(seed_bytes)
     return a.build()
 

@@ -304,7 +304,8 @@ def _sext(value: int, bits: int) -> int:
 
 
 def encode(i: Instr) -> int:
-    """Produce the canonical 32-bit encoding of `i`.
+    """Produce the canonical 32-bit encoding of `i`, an Instr or any
+    7-tuple in its field order (`raw` is not read).
 
     Raises FieldRange if any operand does not fit its field. The register
     fields are checked first (rd, rs1, rs2), then the byte select, then the
@@ -616,7 +617,9 @@ class Assembler:
             self._fixups.append(_Fixup(len(self._words), m, rd, rs1, rs2, target))
             self._words.append(None)
         else:
-            w = encode(Instr(m, rd, rs1, rs2, imm, bs))
+            # a plain tuple in Instr's field order: encode reads no names,
+            # and the one Instr built is the record, which needs the word
+            w = encode((m, rd, rs1, rs2, imm, bs, 0))
             self._words.append(w)
             if self.instrs is not None:
                 self.instrs[w] = Instr(m, rd, rs1, rs2, imm, bs, w)

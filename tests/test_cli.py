@@ -104,6 +104,7 @@ MISUSES = {
     "format-nope": ["disasm", "{image}", "--format", "nope"],
     "programs-0": ["cosim", "--programs", "0"],
     "length-negative": ["cosim", "--length", "-5"],
+    "seed-negative": ["cosim", "--seed", "-3"],
     "trials-31": ["audit-ct", "--trials", "31"],
 }
 
@@ -496,6 +497,21 @@ def test_unwritable_output_usage_error(argv, ebreak_image, tmp_path, capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
     assert str(out) in captured.err
     assert captured.out == ""  # the output was opened before any work
+
+
+@each_output_option
+def test_dash_output_usage_error(argv, ebreak_image, tmp_path, monkeypatch,
+                                 capsys):
+    """`-` is not stdout, which carries the summary, and not a file named
+    `-` either: it is refused before any work."""
+    monkeypatch.chdir(tmp_path)
+    argv = [a.format(image=ebreak_image, out="-") for a in argv]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+    assert f"argument {argv[-2]}: '-'" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "-").exists()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

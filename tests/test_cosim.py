@@ -106,6 +106,19 @@ def test_generator_output_pinned_across_lengths_and_extensions():
     assert h.hexdigest() == "2e8e21cd5c4016a91596a3bf6d0e8d6f6036e9f2198e99f6a3ec2e55c06ade40"
 
 
+def test_generator_pins_come_from_the_draw_rule(monkeypatch):
+    """Both generator pins again, with Random's own below-n draw raising:
+    the pinned streams are the ones cosim's draw rule takes from
+    getrandbits, and no draw goes through choice or randrange."""
+    def no_randbelow(self, n):
+        raise AssertionError(f"generate drew below {n} through Random")
+    monkeypatch.setattr(random.Random, "_randbelow", no_randbelow)
+    with pytest.raises(AssertionError, match="below 5 through Random"):
+        random.Random(0).randrange(5)
+    test_generator_output_pinned()
+    test_generator_output_pinned_across_lengths_and_extensions()
+
+
 def test_generated_instrs_equal_their_decode():
     """cosim puts the generator's Instrs in the decode cache in place of
     decoding its words, so each must be what decode gives for its word,
@@ -158,13 +171,19 @@ def test_overlong_program_rejected_before_generating(monkeypatch):
             generate(TortureConfig(seed=0, length=length))
 
 
-@pytest.mark.parametrize("length", (0, -5))
-def test_nonpositive_length_rejected(length):
-    tc = TortureConfig(seed=0, length=length)
+@pytest.mark.parametrize("seed,length,needs", [
+    pytest.param(0, 0, "length >= 1", id="0"),
+    pytest.param(0, -5, "length >= 1", id="-5"),
+    # Random seeds with the absolute value, so -3 would run seed 3's program
+    pytest.param(-3, 200, "seed >= 0", id="seed-3"),
+])
+def test_nonpositive_length_rejected(seed, length, needs):
+    tc = TortureConfig(seed=seed, length=length)
     for call in (lambda: generate(tc),
                  lambda: cosim_run(tc, CoreConfig.zkn_zkt(4)),
-                 lambda: cosim.run_matrix(range(1), (4,), length=length)):
-        with pytest.raises(ValueError, match="length >= 1") as exc:
+                 lambda: cosim.run_matrix(range(seed, seed + 1), (4,),
+                                          length=length)):
+        with pytest.raises(ValueError, match=needs) as exc:
             call()
         assert not isinstance(exc.value, cosim.ProgramTooLong)
 

@@ -116,6 +116,36 @@ def test_builder_round_trip_every_mnemonic(m):
     assert decode(encode(i)) == i
 
 
+# each format's immediate at both ends of its range; fence bits start at
+# 1, since instr() reads 0 as the canonical `iorw, iorw`
+_IMM_ENDS = {isa.FMT_I: (-2048, 2047), isa.FMT_LOAD: (-2048, 2047),
+             isa.FMT_JALR: (-2048, 2047), isa.FMT_STORE: (-2048, 2047),
+             isa.FMT_I_SHAMT: (0, 31), isa.FMT_BRANCH: (-4096, 4094),
+             isa.FMT_U: (0, 0xFFFFF), isa.FMT_JAL: (-(1 << 20), (1 << 20) - 2),
+             isa.FMT_FENCE: (1, 0xFFF)}
+
+
+@pytest.mark.parametrize("m", list(M))
+def test_emit_records_the_decode_of_every_mnemonic(m):
+    """Assembler(instrs=...) records each word it emits as decode(word), on
+    instr()'s canonical fields at their edges: registers 0 and 31, the
+    immediate's extremes and every AES byte select."""
+    fmt = isa.ENCODINGS[m].fmt
+    edges = {instr(m, rd=rd, rs1=rs1, rs2=rs2, imm=imm, bs=bs)
+             for rd in (0, 31) for rs1 in (0, 31) for rs2 in (0, 31)
+             for imm in _IMM_ENDS.get(fmt, (0,))
+             for bs in (range(4) if fmt == isa.FMT_R_AES else (None,))}
+    recorded = {}
+    a = Assembler(instrs=recorded)
+    for i in edges:
+        a.emit(m, rd=i.rd, rs1=i.rs1, rs2=i.rs2, imm=i.imm, bs=i.bs)
+    assert len(recorded) == len(edges)
+    for word, record in recorded.items():
+        assert type(record) is Instr
+        assert record == decode(word)
+    assert set(recorded.values()) == edges
+
+
 @given(st.integers(min_value=0, max_value=0xFFFFFFFF))
 @settings(max_examples=2000, deadline=None)
 def test_decode_totality_and_reencode(word):
