@@ -77,7 +77,6 @@ _FIPS_OUT = {(False, FIPS_PT): FIPS_CT, (True, FIPS_CT): FIPS_PT}
 
 def _aes_key_schedule(key: bytes) -> list:
     """AES-128 expansion: 44 words as 4-byte groups in FIPS byte order."""
-    assert len(key) == 16
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     rcon = 1
     for i in range(4, 44):
@@ -334,7 +333,9 @@ def build_aes128(variant: str, decrypt: bool = False,
     zkn = _is_zkn(variant)
     if block is None:
         block = FIPS_CT if decrypt else FIPS_PT
-    assert len(block) == 16
+    if len(key) != 16 or len(block) != 16:
+        raise ValueError("AES-128 takes a 16-byte key and a 16-byte block, "
+                         f"not {len(key)} and {len(block)} bytes")
     rk = _dec_round_key_bytes(key) if decrypt else _enc_round_key_bytes(key)
     blocks = {"data": rk + block, "out": bytes(16)}
     if not zkn:
@@ -441,7 +442,8 @@ def build_sha256(variant: str, block: bytes = SHA256_ABC_BLOCK) -> KernelProgram
     """Compress one block from the IV; the output is the digest words in
     register byte order (`_swap_words` gives the digest)."""
     zkn = _is_zkn(variant)
-    assert len(block) == 64
+    if len(block) != 64:
+        raise ValueError(f"SHA-256 compresses a 64-byte block, not {len(block)} bytes")
     data = b"".join(v.to_bytes(4, "little") for v in SHA256_IV)
     data += b"".join(v.to_bytes(4, "little") for v in SHA256_K)
     data += _swap_words(block)  # plain lw reads give the schedule words
@@ -493,7 +495,8 @@ def _emit_prince_rv32i(a: Assembler) -> None:
 def build_prince_sbox(variant: str,
                       words: Sequence[int] = PRINCE_INPUT) -> KernelProgram:
     emit = _emit_prince_zkn if _is_zkn(variant) else _emit_prince_rv32i
-    assert len(words) == 2
+    if len(words) != 2:
+        raise ValueError(f"the PRINCE S-box layer takes 2 words, not {len(words)}")
     return _build(emit, (), {"data": b"".join(w.to_bytes(4, "little") for w in words),
                               "out": bytes(8),
                               "sbox": bytes(PRINCE_SBOX)},  # read by rv32i only

@@ -6,8 +6,8 @@ shadow execute only when it falls through. Memory traffic is confined to a
 scratch window addressed off a reserved base register.
 
 The golden model's run of a program does not depend on the core's width:
-it is recorded once, as the register each step writes and its new value,
-and the cycle-accurate core is checked against the recording at each
+it is recorded once, as the register in each step's rd field and its value
+after the step, and the cycle-accurate core is checked against it at each
 width, all 32 registers after every step. A core that ends the run with
 the recording's final registers and window bytes reuses its signature
 instead of hashing.
@@ -261,34 +261,45 @@ class _GoldenTrace(NamedTuple):
     window: bytes       # the scratch window's bytes after the last step
 
 
-def _rd_of(word: int) -> int:
-    """The destination register of `word` as golden decodes it, 0 if the
-    word is illegal: golden halts on it and writes nothing."""
-    try:
-        return isa.decode_cached(word).rd
-    except isa.IllegalInstruction:
-        return 0
+def _golden_run(image: ProgramImage, exts: frozenset,
+                max_steps: int) -> _GoldenTrace:
+    """Step the golden model on `image` until it halts or `max_steps` steps
+    have run, recording each step as a delta.
+
+    A step writes no register but the rd of the word it fetches, so it is
+    recorded as (pc after, rd, value of rd after, outcome), with rd taken
+    from bits 7-11 of the word at pc before the step: a store over that
+    word cannot change which register the delta names. Every RV32 format
+    that writes a register keeps rd in those bits, so nothing is decoded
+    here. For any other word (a store, branch, fence, ecall, ebreak or an
+    illegal word) the bits name a register that the step leaves alone,
+    and the delta holds its unchanged value. Applying the deltas in order
+    to the reset registers gives golden's registers after each step.
+    """
+    gold = ArchState.from_image(image)
+    mem, regs = gold.mem, gold.regs
+    steps = []
+    for _ in range(max_steps):
+        rd = (mem.load(gold.pc, 4) >> 7) & 31
+        out = golden.step(gold, exts)
+        steps.append((gold.pc, rd, regs[rd], out))
+        if out.halted:
+            break
+    return _GoldenTrace(image, tuple(steps), signature(gold, MEMORY_WINDOW),
+                        mem.read_bytes(*MEMORY_WINDOW))
 
 
 @functools.lru_cache(maxsize=1)
 def _golden_trace(torture: TortureConfig, exts: frozenset,
                   max_steps: int) -> _GoldenTrace:
-    """Generate `torture`'s program and step the golden model on it until it
-    halts or `max_steps` steps have run, recording each step as a delta.
-
-    A step writes no register but the rd of the word it fetches, so it is
-    recorded as (pc after, rd, value of rd after, outcome), with rd decoded
-    from the word at pc before the step: a store over that word cannot
-    change which register the delta names. Stores, branches and ebreak
-    decode with rd = 0, and an illegal word, which halts golden, records
-    rd = 0. Applying the deltas in order to the reset registers gives
-    golden's registers after each step.
+    """Generate `torture`'s program and record golden's run of it
+    (`_golden_run`).
 
     The decode cache is cleared and then filled with the generator's own
     Instrs, so neither model decodes a generated word and the cache holds
     one program's words, not those of every program run before it. Every
-    other fetch path fills it on demand (see `isa.decode_cached`); a
-    kernel whose entries this drops decodes each word once more.
+    other fetch path fills it on demand; a kernel whose entries this
+    drops decodes each word once more.
 
     Neither the program nor the trace depends on the core's width, so
     cosim_run records them once and replays them at every width; one entry
@@ -299,26 +310,7 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
     """
     cache = isa._DECODE_CACHE
     cache.clear()
-    img = generate(torture, cache)
-    gold = ArchState.from_image(img)
-    mem, regs = gold.mem, gold.regs
-    steps = []
-    for _ in range(max_steps):
-        rd = _rd_of(mem.load(gold.pc, 4))
-        out = golden.step(gold, exts)
-        steps.append((gold.pc, rd, regs[rd], out))
-        if out.halted:
-            break
-    return _GoldenTrace(img, tuple(steps), signature(gold, MEMORY_WINDOW),
-                        gold.mem.read_bytes(*MEMORY_WINDOW))
-
-
-def _golden_signature(img: ProgramImage, exts: frozenset, n: int) -> str:
-    """The golden signature after `n` steps, for a run that diverged early."""
-    gold = ArchState.from_image(img)
-    for _ in range(n):
-        golden.step(gold, exts)
-    return signature(gold, MEMORY_WINDOW)
+    return _golden_run(generate(torture, cache), exts, max_steps)
 
 
 def cosim_run(torture: TortureConfig, core: CoreConfig,
@@ -376,7 +368,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     if instret + 1 >= len(trace.steps):
         sig_g = trace.signature
     else:
-        sig_g = _golden_signature(trace.image, exts, instret + 1)
+        sig_g = _golden_run(trace.image, exts, instret + 1).signature
     # no divergence: the loop ended at the trace's last step, where the
     # core's registers equalled golden's, so only the window is left
     if (divergence is None

@@ -140,6 +140,19 @@ def test_builders_reject_an_unknown_variant(build):
     assert not cached or cached().currsize == before
 
 
+@pytest.mark.parametrize("build,kwargs,size", [
+    (build_aes128, {"key": bytes(15)}, "16-byte key"),
+    (build_aes128, {"decrypt": True, "block": bytes(17)}, "16-byte block"),
+    (build_sha256, {"block": bytes(63)}, "64-byte block"),
+    (build_prince_sbox, {"words": (1,)}, "2 words"),
+], ids=["aes128-key", "aes128-block", "sha256-block", "prince-words"])
+def test_builders_reject_an_input_of_the_wrong_size(build, kwargs, size):
+    """A wrong-sized input is refused with the size expected, whether or
+    not Python runs with asserts."""
+    with pytest.raises(ValueError, match=size):
+        build("zkn", **kwargs)
+
+
 def test_every_kernel_cell_has_an_expected_output():
     for name, kernel in KERNELS.items():
         for variant in bench.VARIANTS:

@@ -314,10 +314,10 @@ def test_matrix_helper():
 
 # --- trace replay -------------------------------------------------------------------
 
-def _lockstep_oracle(torture, core, max_steps=200_000):
-    """cosim_run as a plain lockstep loop: both models are stepped side by
-    side, with nothing recorded or shared between widths."""
-    img = generate(torture)
+def _lockstep(img, core, max_steps=200_000):
+    """Step golden and the core side by side on `img`, comparing pc and all
+    32 registers after every step and the outcome of the halting step.
+    Returns (golden state, core, instret, divergence or None)."""
     gold = ArchState.from_image(img)
     micro = microarch.MicroCore(core, ArchState.from_image(img))
     exts = frozenset(core.extensions) - {Ext.ZKT}
@@ -341,6 +341,14 @@ def _lockstep_oracle(torture, core, max_steps=200_000):
         instret += 1
     else:
         divergence = (gold.pc, "no-halt")
+    return gold, micro, instret, divergence
+
+
+def _lockstep_oracle(torture, core, max_steps=200_000):
+    """cosim_run as a plain lockstep loop: both models are stepped side by
+    side, with nothing recorded or shared between widths."""
+    gold, micro, instret, divergence = _lockstep(generate(torture), core,
+                                                 max_steps)
     sig_g = signature(gold, MEMORY_WINDOW)
     sig_m = signature(micro.arch, MEMORY_WINDOW)
     return cosim.CosimReport(
@@ -351,6 +359,25 @@ def _lockstep_oracle(torture, core, max_steps=200_000):
         divergence_pc=divergence[0] if divergence else None,
         divergence_field=divergence[1] if divergence else None,
         instret=instret, cycles=micro.cycle)
+
+
+def test_every_bench_kernel_cell_runs_in_lockstep():
+    """Both models agree after every step of all 72 bench cells, and both
+    write the kernel's expected output. The kernels hold loops, backward
+    branches and table loads, which the generator never emits."""
+    cells = 0
+    for name, kernel in bench.KERNELS.items():
+        for variant, exts in bench.EXTS.items():
+            kp = kernel.build(variant)
+            for w in WIDTHS:
+                gold, micro, _, divergence = _lockstep(
+                    kp.image, CoreConfig(serial_width=w, extensions=exts))
+                assert divergence is None, (name, variant, w, divergence)
+                out = gold.mem.read_bytes(kp.out_addr, kp.out_len)
+                assert out == micro.arch.mem.read_bytes(kp.out_addr, kp.out_len)
+                assert out == kp.expected, (name, variant, w)
+                cells += 1
+    assert cells == 72
 
 
 def test_replay_matches_lockstep_oracle():
@@ -439,7 +466,9 @@ def test_stray_write_caught_though_both_models_overwrite_it(
 def test_delta_names_the_register_of_the_word_before_the_step(
         monkeypatch, fresh_golden_trace):
     """A store that overwrites its own word with an addi still records
-    rd = 0: the delta's rd comes from the word that golden executed."""
+    rd = 0: the delta's rd is bits 7-11 of the word that golden executed,
+    which in this sw hold its immediate's low bits, 0, and in the addi
+    would have held 7."""
     a = isa.Assembler()
     store_pc = a.base + 16
     a.li(6, store_pc)  # two words
@@ -456,7 +485,8 @@ def test_delta_names_the_register_of_the_word_before_the_step(
 
 def test_illegal_word_records_rd_zero(monkeypatch, fresh_golden_trace):
     """A program that ends on an illegal word halts both models on it: the
-    trace records rd 0 for that step, and the cell passes at every width."""
+    trace records the word's bits 7-11, here 0, as that step's rd, and the
+    cell passes at every width."""
     a = isa.Assembler()
     a.emit(M.ADDI, rd=1, rs1=0, imm=5)
     a.word(0)  # no RV32 instruction is all zeros
@@ -467,6 +497,57 @@ def test_illegal_word_records_rd_zero(monkeypatch, fresh_golden_trace):
     assert [(rd, out) for _, rd, _, out in trace.steps] == [
         (1, golden.RETIRED), (0, golden.StepOutcome(True, golden.ILLEGAL))]
     assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
+
+
+def test_delta_register_is_the_word_rd_field(monkeypatch, fresh_golden_trace):
+    """A word that writes no register records the register in its bits
+    7-11 and that register's unchanged value: a store's immediate bits, a
+    branch's offset bits, an illegal word's ones. The cell passes at every
+    width, and a stray write to the register a store's bits name is still
+    caught at the store."""
+    a = isa.Assembler()
+    a.li(6, 0x2000)                        # lui: rd 6
+    sb_pc = a.here
+    a.emit(M.SB, rs1=6, rs2=5, imm=13)     # imm[4:0] = 13
+    a.emit(M.ADDI, rd=13, rs1=13, imm=13)  # writes x13
+    a.emit(M.SB, rs1=6, rs2=13, imm=13)
+    a.emit(M.BEQ, rs1=0, rs2=1, imm=8)     # taken; imm[4:1|11] = 8
+    a.emit(M.ADDI, rd=8, rs1=0, imm=1)     # skipped
+    a.word(0xFFFFFFFF)                     # illegal: halts both models
+    img = a.build()
+    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
+    tc = TortureConfig(seed=0)
+    trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
+    assert [rd for _, rd, _, _ in trace.steps] == [6, 13, 13, 13, 8, 31]
+    assert trace.steps[-1][3] == golden.StepOutcome(True, golden.ILLEGAL)
+    assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
+    with mutants.stray_register_write(M.SB, 13):
+        for w in WIDTHS:
+            rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+            assert (rep.divergence_pc, rep.divergence_field) == (sb_pc, "x13")
+
+
+def _assert_deltas_replay_golden(img, exts):
+    trace = cosim._golden_run(img, exts, 200_000)
+    gold = ArchState.from_image(img)
+    regs = [0] * 32
+    for pc, rd, value, out in trace.steps:
+        assert golden.step(gold, exts) == out
+        regs[rd] = value
+        assert (gold.pc, regs) == (pc, gold.regs)
+    assert out.halted
+
+
+def test_deltas_replay_to_golden_registers_after_every_step():
+    """The deltas, applied in order to the reset registers, give a plain
+    golden run's registers after every step, over every kernel image and
+    50 torture programs."""
+    for kernel in bench.KERNELS.values():
+        for variant, exts in bench.EXTS.items():
+            _assert_deltas_replay_golden(kernel.build(variant).image, exts)
+    for seed in range(50):
+        tc = TortureConfig(seed=seed)
+        _assert_deltas_replay_golden(generate(tc), tc.extensions)
 
 
 def test_reports_independent_of_loop_order():
