@@ -8,9 +8,12 @@ scratch window addressed off a reserved base register.
 The golden model's run of a program does not depend on the core's width:
 it is recorded once, as the register in each step's rd field and its value
 after the step, and the cycle-accurate core is checked against it at each
-width, all 32 registers after every step. A core that ends the run with
-the recording's final registers and window bytes reuses its signature
-instead of hashing.
+width, all 32 registers after every step. Each width's replay runs in one
+core frame (`MicroCore.step` with `expect`), which stops at the first step
+that halts or differs from golden, or at the recording's end; cosim_run
+then classifies that last step once. A core that ends the run with the
+recording's final registers and window bytes reuses its signature instead
+of hashing.
 """
 
 from __future__ import annotations
@@ -319,57 +322,62 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
 
     Architectural state is compared after every retired instruction;
     final-state signatures are compared at the end. The golden side is a
-    recorded trace shared by all widths (see _golden_trace): `expect`
-    starts as the reset registers and takes each step's delta, and then
-    all 32 of the core's registers are compared with it, so a write to a
-    register other than the step's rd is caught at that step. A run that
-    ends with no divergence, at the trace's last step, with the core's
-    registers and window bytes equal to that step's golden ones, takes the
-    trace's signature, since those are all that `signature` hashes.
+    recorded trace shared by all widths (see _golden_trace), and the core
+    replays it in one frame: `MicroCore.step(expect=...)` applies each
+    step's delta to a copy of golden's reset registers and compares all 32
+    of the core's registers with it, so a write to a register other than
+    the step's rd is caught at that step. The replay stops at the first
+    step that halts, leaves the pc or a register unlike golden's, or takes
+    the trace's last delta, and that step alone is classified here: pc,
+    then xN, then the halt reason, or no-halt when neither model halted by
+    the trace's end. A run that ends with no divergence, at the trace's
+    last step, with the core's registers and window bytes equal to that
+    step's golden ones, takes the trace's signature, since those are all
+    that `signature` hashes.
+
+    Raises ValueError if `max_steps` is below 1: the replay compares at
+    least one step.
     """
+    if max_steps < 1:
+        raise ValueError(f"cosim needs max_steps >= 1, not {max_steps}")
     exts = core.extensions
     trace = _golden_trace(torture, exts, max_steps)
+    steps = trace.steps
     micro = MicroCore(core, ArchState.from_image(trace.image))
     march = micro.arch
-    step = micro.step
     regs = march.regs
-    expect = regs[:]  # golden's registers; both models reset them to zero
+    gold = regs[:]  # golden's registers; both models reset them to zero
+    charged, m_out, _ = micro.step(expect=(steps, gold))
 
+    # every step that ran took one delta. Each but the last retired, and a
+    # retired step is charged at least mem_latency >= 1 cycles, so only a
+    # last step that did not retire is missing from the retired counts
+    ran = sum(n for n, _ in micro.retired().values()) + (not charged)
+    gold_pc, rd, value, g_out = steps[ran - 1]
+    gold[rd] = value  # a halting step returns before it applies its delta
+    pc = steps[ran - 2][0] if ran > 1 else trace.image.entry
+    instret = ran - 1
     divergence: Optional[Tuple[int, str]] = None
-    instret = 0
-    pc = trace.image.entry
-    for gold_pc, rd, value, g_out in trace.steps:
-        _, m_out, _ = step()
-        if march.pc != gold_pc:
-            divergence = (pc, "pc")
-            break
-        expect[rd] = value
-        if regs != expect:
-            for i in range(32):
-                if regs[i] != expect[i]:
-                    divergence = (pc, f"x{i}")
-                    break
-            break
-        # an equal int, but the core's own object: the next compare then
-        # finds every register identical without comparing values
-        expect[rd] = regs[rd]
-        if g_out.halted or m_out.halted:
-            if g_out != m_out:
-                divergence = (pc, "halt-reason")
-            break
-        instret += 1
-        pc = gold_pc
+    if march.pc != gold_pc:
+        divergence = (pc, "pc")
+    elif regs != gold:
+        i = next(i for i in range(32) if regs[i] != gold[i])
+        divergence = (pc, f"x{i}")
+    elif g_out.halted or m_out.halted:
+        if g_out != m_out:
+            divergence = (pc, "halt-reason")
     else:
-        # only a golden run cut off by max_steps ends without a break
-        divergence = (pc, "no-halt")
+        # only a golden run cut off by max_steps ends with neither halted
+        instret = ran
+        divergence = (gold_pc, "no-halt")
 
     # the golden side of the report stops where the comparison did, after
-    # instret + 1 steps (or all of them)
-    if instret + 1 >= len(trace.steps):
+    # `ran` steps
+    if ran == len(steps):
         sig_g = trace.signature
     else:
-        sig_g = _golden_run(trace.image, exts, instret + 1).signature
-    # no divergence: the loop ended at the trace's last step, where the
+        sig_g = _golden_run(trace.image, exts, ran).signature
+    # no divergence: the replay ended at the trace's last step, where the
     # core's registers equalled golden's, so only the window is left
     if (divergence is None
             and march.mem.read_bytes(*MEMORY_WINDOW) == trace.window):

@@ -18,17 +18,22 @@ plan the shift unit carries out. The frontend rule (fetch overlap,
 taken-transfer flush) is bound beside it, in the same pass, as each
 mnemonic's two charges (see `_binding`).
 
-One instruction is one call of `MicroCore.step`, and one frame carries
-it from fetch to commit: fetch, decode, bind, execute, the pick of one of
-the record's charges, the cycle-budget check, the per-mnemonic count and
-the commit; every instruction that retires, ebreak and ecall too, takes
-the same lines. The fetch has one path: the core's first step pays the
+One frame of `MicroCore.step` carries an instruction from fetch to
+commit: fetch, decode, bind, execute, the pick of one of the record's
+charges, the cycle-budget check, the per-mnemonic count and the commit;
+every instruction that retires, ebreak and ecall too, takes the same
+lines. A plain call runs one instruction. A call with `expect` (golden's
+recorded deltas and a copy of golden's registers, see `cosim`) runs the
+same lines in a loop, one instruction per delta, and compares the core
+with golden after each: it stops at the first instruction that halts,
+leaves the pc or any of the 32 registers unlike golden's, or takes the
+last delta. The fetch has one path: the core's first step pays the
 fill, then the pc's alignment is checked and the word is read, straight
 from the dense memory window or else through the memory port. A fetch
 that hits isa's decode cache makes no call: the frame probes the dict
 itself and unpacks the instruction's fields once. `step` is the core's
-only way in: every instruction, a program's or the audit's, passes
-through these lines.
+only way in: every instruction, a program's, the audit's or cosim's,
+passes through these lines.
 
 What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
@@ -548,93 +553,129 @@ class MicroCore:
         every mnemonic that retired on this core."""
         return {m: tuple(rec[6]) for m, rec in self._bound.items() if rec[6][0]}
 
-    def step(self, max_cycles: int = _NO_BUDGET
+    def step(self, max_cycles: int = _NO_BUDGET, expect: Optional[tuple] = None
              ) -> Tuple[int, StepOutcome, Optional[Instr]]:
-        """Fetch, decode and execute one instruction, in one frame.
+        """Fetch, decode and execute one instruction, in one frame; with
+        `expect`, as many as golden's run lets through.
 
         Returns (charged cycles, outcome, instruction or None when the
-        fetch/decode itself trapped). The core's first step fills the
-        fetch buffer, which adds `startup_cycles` to `cycle` but not to the
-        returned charge. Every step then checks the pc's alignment and
-        reads its word from memory as it is now: a dense-window word
-        straight from the window, any other through the memory port. A step
-        is charged one of its record's two charges (see `_binding`): the
-        taken one when it transfers control or halts with ebreak or ecall,
-        else the sequential one. If a step's cycles would take `cycle` past
+        fetch/decode itself trapped) of the last instruction run. The
+        core's first step fills the fetch buffer, which adds
+        `startup_cycles` to `cycle` but not to the returned charge. Every
+        step then checks the pc's alignment and reads its word from memory
+        as it is now: a dense-window word straight from the window, any
+        other through the memory port. A step is charged one of its
+        record's two charges (see `_binding`): the taken one when it
+        transfers control or halts with ebreak or ecall, else the
+        sequential one. If a step's cycles would take `cycle` past
         `max_cycles`, it writes nothing and halts with max-steps. Only a
         store's record has a size, so only a store commits through the
         memory port.
+
+        `expect` is (deltas, gold): golden's recorded steps, at least
+        one, each (pc after, rd, rd's value after, outcome) as
+        `cosim._golden_run` records them, and a list of golden's 32
+        registers before the first. The core then runs one instruction
+        per delta. After each retired one, the delta's value goes into
+        `gold` and the core's pc and all 32 registers are compared with
+        golden's. The run stops at the first instruction that halts (its
+        delta is not applied), that leaves the pc or a register unlike
+        golden's, or that takes the last delta. Only golden's last step
+        can halt, so no delta's outcome is read here.
         """
         arch = self.arch
-        pc = arch.pc
+        regs = arch.regs
         fill = 0
         if not self.startup_cycles:  # the first fetch fills the fetch buffer
             fill = self.startup_cycles = self.config.mem_latency
             self.cycle += fill
             if self.cycle > max_cycles:
                 return self._over_budget(fill, None)
-        if pc & 3:
-            return 0, _MISALIGNED_FETCH, None
-        # a dense-window word straight from the window bound in __init__,
-        # any other through the memory port
-        off = pc - self._window_base
-        if 0 <= off <= self._window_last:
-            word = _unpack_word(self._window, off)[0]
-        else:
-            word = arch.mem.load(pc, 4)
-        # a word decoded before is one probe of the decode cache
-        try:
-            ins = _DECODE_CACHE[word]
-        except KeyError:
-            try:
-                ins = isa.decode_cached(word)
-            except isa.IllegalInstruction:
-                return 0, _ILLEGAL, None
-
-        # bind, then execute on the record and pick its charge
-        m, rd, rs1, rs2, imm, _, _ = ins
-        rec = self._bound.get(m)
-        if rec is None:
-            rec = self._bind(m)
-        unit, handler, imm_op2, charged, taken, size, counts = rec
-        regs = arch.regs
-        op2 = imm & MASK32 if imm_op2 else regs[rs2]
-        if unit is not None:
-            val = unit(self, regs[rs1], op2)
-            target = None
-        elif handler is not None:
-            try:
-                val, target = handler(self, ins, regs[rs1], op2)
-            except _Halt as halt:
-                return 0, halt.args[0], ins
-            if target is not None:
-                charged = taken
-            elif type(charged) is tuple:  # a shift or rotate, costed by its amount
-                charged = charged[op2 & 31]
-        else:
-            return 0, _ILLEGAL, ins
-        cycle = self.cycle + charged
-        if cycle > max_cycles:
-            return self._over_budget(fill, ins)
-        self.cycle = cycle
-        counts[0] += 1
-        counts[1] += charged
-
-        # commit: only a store's record has a size
-        if size is not None:
-            arch.mem.store(self.store_addr, size, self.lsu_buffer)
-            self.store_addr = None
-        if val is not None and rd:
-            regs[rd] = val & MASK32
-        if target is None:
-            arch.pc = (pc + 4) & MASK32
-        elif type(target) is StepOutcome:  # ebreak or ecall: pc stays
-            return charged, target, ins
-        else:
-            arch.pc = pc = target & MASK32
+        if expect is not None:
+            deltas, gold = expect
+            deltas = iter(deltas)
+            delta = next(deltas)
+        while True:
+            pc = arch.pc
             if pc & 3:
-                return charged, _MISALIGNED_FETCH, ins
-        return charged, RETIRED, ins
+                return 0, _MISALIGNED_FETCH, None
+            # a dense-window word straight from the window bound in __init__,
+            # any other through the memory port
+            off = pc - self._window_base
+            if 0 <= off <= self._window_last:
+                word = _unpack_word(self._window, off)[0]
+            else:
+                word = arch.mem.load(pc, 4)
+            # a word decoded before is one probe of the decode cache
+            try:
+                ins = _DECODE_CACHE[word]
+            except KeyError:
+                try:
+                    ins = isa.decode_cached(word)
+                except isa.IllegalInstruction:
+                    return 0, _ILLEGAL, None
+
+            # bind, then execute on the record and pick its charge
+            m, rd, rs1, rs2, imm, _, _ = ins
+            rec = self._bound.get(m)
+            if rec is None:
+                rec = self._bind(m)
+            unit, handler, imm_op2, charged, taken, size, counts = rec
+            op2 = imm & MASK32 if imm_op2 else regs[rs2]
+            if unit is not None:
+                val = unit(self, regs[rs1], op2)
+                target = None
+            elif handler is not None:
+                try:
+                    val, target = handler(self, ins, regs[rs1], op2)
+                except _Halt as halt:
+                    return 0, halt.args[0], ins
+                if target is not None:
+                    charged = taken
+                elif type(charged) is tuple:  # a shift or rotate, costed by its amount
+                    charged = charged[op2 & 31]
+            else:
+                return 0, _ILLEGAL, ins
+            cycle = self.cycle + charged
+            if cycle > max_cycles:
+                return self._over_budget(fill, ins)
+            self.cycle = cycle
+            counts[0] += 1
+            counts[1] += charged
+
+            # commit: only a store's record has a size
+            if size is not None:
+                arch.mem.store(self.store_addr, size, self.lsu_buffer)
+                self.store_addr = None
+            if val is not None and rd:
+                regs[rd] = val & MASK32
+            if target is None:
+                arch.pc = (pc + 4) & MASK32
+            elif type(target) is StepOutcome:  # ebreak or ecall: pc stays
+                return charged, target, ins
+            else:
+                arch.pc = pc = target & MASK32
+                if pc & 3:
+                    return charged, _MISALIGNED_FETCH, ins
+            if expect is None:
+                return charged, RETIRED, ins
+
+            # replay: every halting step has returned above; a retired one
+            # applies its delta and is compared with golden
+            gold_pc, gold_rd, value, _ = delta
+            gold[gold_rd] = value
+            if arch.pc != gold_pc or regs != gold:
+                return charged, RETIRED, ins
+            # an equal int, but the core's own object: the next compare
+            # then finds every register identical without comparing values
+            gold[gold_rd] = regs[gold_rd]
+            # the next step's delta: a `for` that breaks at once reads it
+            # without a call
+            for delta in deltas:
+                break
+            else:  # this step took the last delta
+                return charged, RETIRED, ins
+            fill = 0  # only the first step's budget halt takes back the fill
 
     def _over_budget(self, fill: int, ins: Optional[Instr]) -> tuple:
         """Halt with max-steps having written nothing: drop the step's store

@@ -389,27 +389,128 @@ def test_replay_matches_lockstep_oracle():
             assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
 
 
+# every fault of tests/mutants.py, each with the knob set under which it
+# shows: a result, store, control, halt or timing fault of the core
+REPLAY_FAULTS = {
+    "broken-adder": (mutants.broken_adder, "zkt"),
+    "flipped-store": (mutants.flipped_store, "zkt"),
+    "flipped-x31-dump": (mutants.flipped_x31_dump, "zkt"),
+    "stray-pack-write": (lambda: mutants.stray_register_write(M.PACK, 5), "zkt"),
+    "beq-as-bne": (mutants.beq_as_bne, "zkt"),
+    "ebreak-as-ecall": (mutants.ebreak_as_ecall, "zkt"),
+    "short-transfer-penalty": (mutants.short_transfer_penalty, "zkt"),
+    "fetch-stall-dropped": (mutants.fetch_stall_dropped, "zkt"),
+    "sll-by-3-masked-as-by-4": (mutants.sll_by_3_masked_as_by_4, "knobs"),
+}
+# faults that fail every cell of seeds 1 and 2: {name: only the signature
+# sees it}
+FIELD_IS_NONE = {"broken-adder": False, "flipped-x31-dump": True}
+
+
 def test_replay_matches_oracle_on_divergence():
-    tc = TortureConfig(seed=1)
-    for fault, field_is_none in ((mutants.broken_adder, False),
-                                 (mutants.flipped_x31_dump, True)):
+    """The replay's report equals the lockstep oracle's, field for field,
+    under each fault: divergence pc and field, instret, cycles and both
+    signatures. sig_golden describes the golden state at the divergence,
+    not at halt; sig_micro hashes the core's own final state whenever its
+    window differs from the golden one. Between them the faults end
+    cells on every field the replay classifies."""
+    fields = set()
+    for name, (fault, knobs) in REPLAY_FAULTS.items():
         with fault():
-            for w in (1, 4, 32):
-                rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
-                assert not rep.passed and rep.sig_micro != rep.sig_golden
-                assert (rep.divergence_field is None) is field_is_none
-                # sig_golden describes the golden state at the divergence,
-                # not at halt; sig_micro hashes the core's own final state
-                # whenever its window differs from the golden one
-                assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
+            for seed in (1, 2):
+                tc = TortureConfig(seed=seed)
+                for w in (1, 4, 32):
+                    core = CoreConfig(serial_width=w, **KNOB_SETS[knobs])
+                    rep = cosim_run(tc, core)
+                    assert rep == _lockstep_oracle(tc, core), (name, seed, w)
+                    fields.add(rep.divergence_field and
+                               rep.divergence_field.rstrip("0123456789"))
+                    if name in FIELD_IS_NONE:
+                        assert not rep.passed
+                        assert rep.sig_micro != rep.sig_golden
+                        assert ((rep.divergence_field is None)
+                                is FIELD_IS_NONE[name])
+    assert fields == {"pc", "x", "halt-reason", None}
 
 
 def test_replay_matches_oracle_without_halt():
+    """A run cut off by max_steps, down to a single step, reports no-halt
+    at the pc golden reached after its last step: the program's prologue
+    is straight-line code."""
     tc = TortureConfig(seed=4)
-    for w in WIDTHS:
-        rep = cosim_run(tc, CoreConfig.zkn_zkt(w), max_steps=50)
-        assert rep.divergence_field == "no-halt" and rep.instret == 50
-        assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w), max_steps=50)
+    entry = generate(tc).entry
+    for max_steps in (1, 2, 3, 50):
+        for w in WIDTHS:
+            core = CoreConfig.zkn_zkt(w)
+            rep = cosim_run(tc, core, max_steps=max_steps)
+            assert rep.divergence_field == "no-halt"
+            assert rep.instret == max_steps
+            assert rep.divergence_pc == entry + 4 * max_steps
+            assert rep == _lockstep_oracle(tc, core, max_steps=max_steps)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_cosim_rejects_a_run_of_no_steps(max_steps):
+    with pytest.raises(ValueError, match="max_steps"):
+        cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4),
+                  max_steps=max_steps)
+
+
+def _replay_core(img):
+    """A core on `img` and golden's deltas of it."""
+    trace = cosim._golden_run(img, isa.ZKN, 200_000)
+    return microarch.MicroCore(CoreConfig.zkn_zkt(4),
+                               ArchState.from_image(img)), trace.steps
+
+
+def test_replay_step_returns_what_a_single_step_returns():
+    """step(expect=...) returns (charged, outcome, Instr or None) like a
+    single step, of the last step it ran: perfbench's tracer unpacks these
+    three from every MicroCore.step call."""
+    micro, deltas = _replay_core(generate(TortureConfig(seed=1)))
+    result = micro.step(expect=(deltas, micro.arch.regs[:]))
+    assert type(result) is tuple and len(result) == 3
+    charged, outcome, ins = result
+    assert type(charged) is int and charged >= 1
+    assert type(outcome) is golden.StepOutcome and outcome.reason == golden.EBREAK
+    assert type(ins) is isa.Instr and ins.mnemonic is M.EBREAK
+    assert sum(n for n, _ in micro.retired().values()) == len(deltas)
+
+    a = isa.Assembler()
+    a.emit(M.ADDI, rd=1, rs1=0, imm=5)
+    a.data(bytes(4))  # an illegal word
+    micro, deltas = _replay_core(a.build())
+    assert micro.step(expect=(deltas, micro.arch.regs[:])) == (
+        0, golden.StepOutcome(True, golden.ILLEGAL), None)
+
+
+def test_replay_budget_halt_leaves_what_single_steps_leave():
+    """A cycle budget that runs out inside the replay halts it with
+    max-steps and the last retired state, as single steps under the same
+    budget do: only the core's first step takes back its fill."""
+    img = generate(TortureConfig(seed=1))
+    for budget in (1, 2, 40):
+        micro, deltas = _replay_core(img)
+        _, outcome, _ = micro.step(budget, expect=(deltas, micro.arch.regs[:]))
+        ref = microarch.MicroCore(CoreConfig.zkn_zkt(4), ArchState.from_image(img))
+        while not ref.step(budget)[1].halted:
+            pass
+        assert outcome.reason == golden.MAX_STEPS
+        assert micro.retired() == ref.retired()
+        assert (micro.cycle, micro.startup_cycles, micro.arch.pc) == (
+            ref.cycle, ref.startup_cycles, ref.arch.pc)
+        assert micro.arch.regs == ref.arch.regs
+
+
+def test_replay_stops_at_the_first_step_unlike_golden():
+    """The replay runs one step per delta and stops at the first whose
+    registers differ from golden's, having compared all 32 after each."""
+    micro, deltas = _replay_core(generate(TortureConfig(seed=1)))
+    pc, rd, value, outcome = deltas[9]
+    wrong = deltas[:9] + ((pc, rd, value ^ 1, outcome),) + deltas[10:]
+    _, outcome, _ = micro.step(expect=(wrong, micro.arch.regs[:]))
+    assert outcome is golden.RETIRED
+    assert sum(n for n, _ in micro.retired().values()) == 10
 
 
 def _first_executed(img, m, exts):
