@@ -947,9 +947,20 @@ def _sweep_operands():
     return pairs
 
 
+def _stored_bytes(core, ins, out):
+    """What a retired store left in memory, read back at the address its
+    rs1 and immediate name (a store writes no register); None for any
+    other step."""
+    if ins is None or out.halted or \
+            isa.ENCODINGS[ins.mnemonic].fmt is not isa.FMT_STORE:
+        return None
+    addr = (core.arch.regs[ins.rs1] + ins.imm) & 0xFFFFFFFF
+    return core.arch.mem.load(addr, isa.ACCESS_BYTES[ins.mnemonic])
+
+
 def _sweep_digest(width):
     """sha256 over a step of every instruction at `width`: charged cycles,
-    outcome, rd value, pc and the micro state the step leaves."""
+    outcome, rd value, pc and the bytes a store left in memory."""
     h = hashlib.sha256()
     pairs = _sweep_operands()
     fill = random.Random(9).randbytes(0x2000)
@@ -966,27 +977,23 @@ def _sweep_digest(width):
                     i = instr(m, rd=5, rs1=1, rs2=2, imm=imm, bs=b & 3)
                     core.arch.pc = 0x1000
                     core.arch.regs[1], core.arch.regs[2] = a, b
-                    # stale micro state, so that what a step leaves shows
-                    core.lsu_buffer = a ^ 0xA5A5A5A5
                     core.arch.mem.store(0x1000, 4, i.raw)
                     cycles, out, ran = core.step()
                     assert ran == i
                     h.update(repr((m.value, a, b, cycles, out.halted, out.reason,
                                    core.arch.regs[5], core.arch.pc,
-                                   core.lsu_buffer if fmt is isa.FMT_STORE else None,
-                                   core.store_addr)).encode())
+                                   _stored_bytes(core, ran, out))).encode())
     return h.hexdigest()
 
 
-# Any change to a result, a charged cycle or the micro state that the core
-# reads back (a store's LSU buffer and the waiting store) moves it.
+# Any change to a result, a charged cycle or a stored value moves it.
 SWEEP_DIGESTS = {
-    1: "6c2c4b503b7216055da70e65cf1d9195475e69698ef4b6089aac722b9a3d6e67",
-    2: "b24bea944a7ecdb995e7cb8e97811dbbd4e71b60518ff398b85db89c924f2823",
-    4: "708fed6241a4f6686cb5dac91b34b3064decf4b24df9dbe052ec80a154806a99",
-    8: "fd233dc12725d3a7e712b2a6fbd0de48f75da8aff8a6be2dd91a9b07382e472e",
-    16: "7d5e00151ef544c7049caf5554c7e824f3b399998818077ddce48c15ea415d58",
-    32: "2268d2cf3c0cc9ff54b31868be7a48ec6d19c370184de3d6ccb5bbda3a2f9cf7",
+    1: "38a1bdf58588ee2e51688094151514dae8dd812b15e6b84e8f2b87c63a771fa6",
+    2: "ba5bbfded93981a1201450b6bc71d5d8d06fd9d0d0babf91f4481b29fc1a7cc6",
+    4: "bf8eae46181084124a009220e94c8d62ae3960d9623b73b39adc18cc886ea701",
+    8: "f46d111cc99f18f405b921423b0fb119ff95306d75b8fcf4f10504ccbbb64c1c",
+    16: "a936d25c2825d4c8293e621b8a4f7a38bd1ca33bf5905c3d70507a512946727d",
+    32: "be564af0c28d072b22ce2e072d4bc6057586c924679967fc1e91302db1d4025b",
 }
 
 
@@ -999,8 +1006,8 @@ def test_sweep_is_pinned(width):
 
 def _step_digests():
     """sha256 per width over every core.step() of 20 torture programs:
-    charged cycles, outcome, instruction word, pc, cycle counters, micro
-    state and the 32 registers after the step."""
+    charged cycles, outcome, instruction word, pc, cycle counters, the
+    bytes a store left in memory and the 32 registers after the step."""
     images = [cosim.generate(cosim.TortureConfig(seed=s)) for s in range(20)]
     digests = {}
     for width in WIDTHS:
@@ -1009,28 +1016,26 @@ def _step_digests():
             core = MicroCore(CoreConfig.zkn_zkt(width), ArchState.from_image(image))
             while True:
                 cycles, out, ins = core.step()
-                stored = ins is not None and \
-                    isa.ENCODINGS[ins.mnemonic].fmt is isa.FMT_STORE
                 h.update(repr((cycles, out.halted, out.reason,
                                ins.raw if ins is not None else None,
                                core.arch.pc, core.cycle, core.startup_cycles,
-                               core.lsu_buffer if stored else None,
-                               core.store_addr, core.arch.regs)).encode())
+                               _stored_bytes(core, ins, out),
+                               core.arch.regs)).encode())
                 if out.halted:
                     break
         digests[width] = h.hexdigest()
     return digests
 
 
-# Any change to a charged cycle, the fill or the micro state that the core
-# reads back (a store's LSU buffer and the waiting store) moves it.
+# Any change to a charged cycle, the fill, a register or a stored value
+# moves it.
 STEP_DIGESTS = {
-    1: "27782e90478d3a01ffdd907ce71b44f8f85f78f67855544b19bcf1f08f717f61",
-    2: "1933205af36e6616a5e50559ea30b1c0d17d62a6177b3924496fbb57699aa3fa",
-    4: "0e12043d1ccdfe0f27397e46ff460abd0f929f824687dbc2736da8f025edf1f4",
-    8: "4750efc9f19b521edbbf9d005d4671f869623ad9df7cfbdd896f6e27eed162c0",
-    16: "26a769ee2503880762f3f2494a44e22039b3440022949f3b9407a2c90d88a38a",
-    32: "7039dfa610df5c4eb8e60f2a57e8cbbe1ac2030263373c94aef792a3c205f133",
+    1: "e545ee8df9357d3983e98ae7f46f77fdc6749e9531caa9e92330a361e1b6b1bb",
+    2: "f237b39ed0cf670684ec6c53d3ab66835a5a77bf5cd741a08853d9b6feb9366e",
+    4: "75d7b223548c0ee9b3500e4b238007d534699b2b9fbe59918c909a54b75309c6",
+    8: "37a8b6d96f9923c49902e842bb89d717e806bb0ee224e5c247668a99d84cfae8",
+    16: "e586b135ddc86eb77e019e7edc5679aef7637b7b5f5f8578c2eeb85db19323ba",
+    32: "c42fc558af9e7cb57a68793250b2db21201f48eb1abef7e8c57e650996c47857",
 }
 
 
