@@ -19,6 +19,7 @@ of hashing.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -328,12 +329,13 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     of the core's registers with it, so a write to a register other than
     the step's rd is caught at that step. The replay stops at the first
     step that halts, leaves the pc or a register unlike golden's, or takes
-    the trace's last delta, and that step alone is classified here: pc,
-    then xN, then the halt reason, or no-halt when neither model halted by
-    the trace's end. A run that ends with no divergence, at the trace's
-    last step, with the core's registers and window bytes equal to that
-    step's golden ones, takes the trace's signature, since those are all
-    that `signature` hashes.
+    the trace's last delta; what it left of the deltas' iterator tells
+    which step that was. That step alone is classified here: pc, then xN,
+    then the halt reason, or no-halt when neither model halted by the
+    trace's end. A run that ends with no divergence, at the trace's last
+    step, with the core's registers and window bytes equal to that step's
+    golden ones, takes the trace's signature, since those are all that
+    `signature` hashes.
 
     Raises ValueError if `max_steps` is below 1: the replay compares at
     least one step.
@@ -347,12 +349,11 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     march = micro.arch
     regs = march.regs
     gold = regs[:]  # golden's registers; both models reset them to zero
-    charged, m_out, _ = micro.step(expect=(steps, gold))
+    deltas = iter(steps)
+    _, m_out, _ = micro.step(expect=(deltas, gold))
 
-    # every step that ran took one delta. Each but the last retired, and a
-    # retired step is charged at least mem_latency >= 1 cycles, so only a
-    # last step that did not retire is missing from the retired counts
-    ran = sum(n for n, _ in micro.retired().values()) + (not charged)
+    # the replay reads one delta per step it runs
+    ran = len(steps) - operator.length_hint(deltas)
     gold_pc, rd, value, g_out = steps[ran - 1]
     gold[rd] = value  # a halting step returns before it applies its delta
     pc = steps[ran - 2][0] if ran > 1 else trace.image.entry

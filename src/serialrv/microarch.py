@@ -1,11 +1,12 @@
 """Cycle-accurate model of the serialized core.
 
 Execution walks the operands in serial_width-bit chunks, LSB first,
-with a carry latch between chunks: `_chunk_add` returns the sum and
-leaves its carry-out in `carry`, where `_less_than` reads it. The fetch
-buffer overlaps instruction fetch with multi-cycle execution; taken
-control transfers flush it and pay a fixed penalty. The buffer is timing
-alone: the core holds no copy of a fetched word.
+with a carry latch between chunks. The fetch buffer overlaps
+instruction fetch with multi-cycle execution; taken control transfers
+flush it and pay a fixed penalty. The buffer is timing alone: the core
+holds no copy of a fetched word. Nor does it keep anything that ends
+with its step: an add's carry-out (bit 32 of `_chunk_add`'s sum) and a
+store's (address, value) travel in the step's own values to its commit.
 
 At width 32 the ALU is full-width (one lane, so no chunk loop), but the
 shift unit still serializes in 8-bit chunks plus single-bit steps, and
@@ -66,14 +67,14 @@ it changes a simulated cycle):
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
   sequential charge (per shift amount for a shift or rotate), its taken
-  charge and its store size, which the commit tests to write the store
-  waiting in the LSU buffer. What executes it is either a value unit or
-  a handler, read from `_EXECUTE` when the record is bound, or neither
-  when its extension is not enabled. A value unit is a chunk function of
-  the class (add, sub, and, or, xor and their I-forms), which the frame
-  calls as `unit(core, rs1, operand 2)` for the rd value. The record
-  holds the function, never a method bound to the core, so a finished
-  core is freed as soon as nothing refers to it.
+  charge and its store size, which the commit tests to write the
+  (address, value) that the store unit returned. What executes it is
+  either a value unit or a handler, read from `_EXECUTE` when the record
+  is bound, or neither when its extension is not enabled. A value unit
+  is a chunk function of the class (add, sub, and, or, xor and their
+  I-forms), which the frame calls as `unit(core, rs1, operand 2)` for
+  the rd value. The record holds the function, never a method bound to
+  the core, so a finished core is freed as soon as nothing refers to it.
 - A record holds no field of an instruction word: rd, rs1, rs2 and the
   immediate are read from the decoded instruction when it retires. The
   records live on the core, keyed by mnemonic, so storing over code
@@ -455,33 +456,27 @@ class MicroCore:
         self._window = state.mem.buf  # the dense window, for the fetch
         self._window_base = state.mem.base
         self._window_last = len(state.mem.buf) - 4  # the last word's offset
-        self.lsu_buffer = 0  # the value of the store waiting to commit
-        self.store_addr: Optional[int] = None  # a store waiting in the LSU buffer
-        self.carry = 0  # the carry latch between chunks, left by the last add
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         self._full = config.serial_width == 32  # a full-width ALU: one lane, no loop
         self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
-    # The value units: each takes (a, b) and returns a 32-bit result. The
-    # records of add, sub, and, or, xor and their I-forms hold one of them.
+    # The value units of add, sub, and, or, xor and their I-forms: each takes
+    # (a, b) and returns its result, an add's with the carry-out in bit 32.
 
     def _chunk_add(self, a: int, b: int, carry_in: int = 0) -> int:
-        """LSB-first chunked addition; returns the 32-bit sum and leaves the
-        carry-out in the carry latch."""
+        """LSB-first chunked addition; returns the 32-bit sum with the last
+        chunk's carry-out in bit 32."""
         if self._full:
-            s = a + b + carry_in
-            self.carry = s >> 32
-            return s & MASK32
+            return a + b + carry_in
         res = 0
-        carry = carry_in
+        carry = carry_in  # the carry latch between chunks
         for mask, out in self._lanes:
             s = (a & mask) + (b & mask) + carry
             res |= s & mask
             carry = s & out
-        self.carry = carry >> 32
-        return res
+        return res | carry
 
     # One loop per bitwise op, lane by lane, LSB first, over the operands
     # combined once. andn, orn and xnor feed ~b to the and, or and xor loops.
@@ -513,18 +508,18 @@ class MicroCore:
         return res
 
     def _chunk_sub(self, a: int, b: int) -> int:
-        # a - b == a + ~b + 1 with the carry latch preloaded
+        # a - b == a + ~b + 1, the 1 as the first chunk's carry-in
         return self._chunk_add(a, (~b) & MASK32, 1)
 
     def _less_than(self, a: int, b: int, signed: bool) -> int:
         diff = self._chunk_sub(a, b)
         if not signed:
-            return 0 if self.carry else 1  # carry-out set means no borrow
+            return 1 - (diff >> 32)  # carry-out set means no borrow
         a_neg = a >> 31
         b_neg = b >> 31
         if a_neg != b_neg:
             return a_neg
-        return diff >> 31
+        return diff >> 31 & 1
 
     # -- instruction execution -------------------------------------------------
 
@@ -576,12 +571,12 @@ class MicroCore:
         one, each (pc after, rd, rd's value after, outcome) as
         `cosim._golden_run` records them, and a list of golden's 32
         registers before the first. The core then runs one instruction
-        per delta. After each retired one, the delta's value goes into
-        `gold` and the core's pc and all 32 registers are compared with
-        golden's. The run stops at the first instruction that halts (its
-        delta is not applied), that leaves the pc or a register unlike
-        golden's, or that takes the last delta. Only golden's last step
-        can halt, so no delta's outcome is read here.
+        per delta, read just before it runs. After each retired one, the
+        delta's value goes into `gold` and the core's pc and all 32
+        registers are compared with golden's. The run stops at the first instruction
+        that halts (its delta is not applied), that leaves the pc or a
+        register unlike golden's, or that takes the last delta. Only
+        golden's last step can halt, so no delta's outcome is read here.
         """
         arch = self.arch
         regs = arch.regs
@@ -643,11 +638,10 @@ class MicroCore:
             counts[0] += 1
             counts[1] += charged
 
-            # commit: only a store's record has a size
+            # commit: only a store's record has a size; its value is (address, value)
             if size is not None:
-                arch.mem.store(self.store_addr, size, self.lsu_buffer)
-                self.store_addr = None
-            if val is not None and rd:
+                arch.mem.store(val[0], size, val[1])
+            elif val is not None and rd:
                 regs[rd] = val & MASK32
             if target is None:
                 arch.pc = (pc + 4) & MASK32
@@ -678,9 +672,9 @@ class MicroCore:
             fill = 0  # only the first step's budget halt takes back the fill
 
     def _over_budget(self, fill: int, ins: Optional[Instr]) -> tuple:
-        """Halt with max-steps having written nothing: drop the step's store
-        and take back the first step's fill."""
-        self.store_addr = None
+        """Halt with max-steps having written nothing: take back the first
+        step's fill. The step returns before its commit, so nothing else
+        of it is left to undo."""
         if fill:
             self.cycle -= fill
             self.startup_cycles = 0
@@ -729,13 +723,11 @@ def _store_unit(m: M):
     size = isa.ACCESS_BYTES[m]
 
     def lsu_store(core, i, a, b):
-        # the value waits in the LSU buffer until the instruction commits
+        # the (address, value) the commit writes
         addr = (a + i.imm) & MASK32
         if addr & (size - 1):
             raise _Halt(_MISALIGNED_ACCESS)
-        core.store_addr = addr
-        core.lsu_buffer = b
-        return None, None
+        return (addr, b), None
     return lsu_store
 
 
@@ -837,8 +829,9 @@ def _reorder_unit(m: M):
 # What each mnemonic does on the chunked data path: the name of a MicroCore
 # value unit, or a handler. A handler takes (core, instruction, rs1 value,
 # operand 2) and returns (value for rd or None, jump target or None for the
-# next instruction, or the halt outcome of ebreak and ecall); it writes no
-# architectural state, and raises _Halt on a trap. Operand 2 is the
+# next instruction, or the halt outcome of ebreak and ecall); a store's
+# value is the (address, value) it commits. A handler writes no state, of
+# the core or architectural, and raises _Halt on a trap. Operand 2 is the
 # immediate for the isa.IMM_FORMS, so each I-form shares the entry of its
 # R-form.
 _EXECUTE = {

@@ -28,9 +28,8 @@ def flipped_store(addr=None):
     store = microarch._EXECUTE[M.SW]
 
     def faulty(core, i, a, b):
-        result = store(core, i, a, b)
-        core.lsu_buffer ^= addr is None or core.store_addr == addr
-        return result
+        (where, value), target = store(core, i, a, b)
+        return (where, value ^ (addr is None or where == addr)), target
 
     return _patched(microarch._EXECUTE, M.SW, faulty)
 

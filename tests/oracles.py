@@ -101,6 +101,26 @@ def sha512_sum1(x: int) -> int:
     return ror64(x, 14) ^ ror64(x, 18) ^ ror64(x, 41)
 
 
+def shift(mnemonic: str, x: int, n: int) -> int:
+    """The RV32 shift or rotate `mnemonic` (its text) of the 32-bit `x` by
+    the amount `n`, as the ISA manual defines it: the amount is the low 5
+    bits of rs2 or of the immediate, sll shifts zeros in at the bottom, srl
+    zeros and sra copies of bit 31 in at the top, and rol and ror move the
+    bits that leave one end in at the other."""
+    n &= 31
+    if mnemonic in ("sll", "slli"):
+        return (x << n) & MASK32
+    if mnemonic in ("srl", "srli"):
+        return x >> n
+    if mnemonic in ("sra", "srai"):
+        return ((x - (x >> 31 << 32)) >> n) & MASK32
+    if mnemonic == "rol":
+        return ((x << n) | (x >> (32 - n))) & MASK32
+    if mnemonic in ("ror", "rori"):
+        return ((x >> n) | (x << (32 - n))) & MASK32
+    raise ValueError(f"{mnemonic!r} is not a shift or rotate")
+
+
 # lowRISC OpenTitan's PRINCE reference table
 PRINCE_SBOX4 = (0xB, 0xF, 0x3, 0x2, 0xA, 0xC, 0x9, 0x1,
                 0x6, 0x7, 0x8, 0x0, 0xE, 0x5, 0xD, 0x4)

@@ -1,11 +1,11 @@
 import ast
 import pathlib
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import callprofile
 import oracles
 from serialrv import cosim, golden, isa
 from serialrv.golden import ArchState, Memory
@@ -543,20 +543,7 @@ def test_decoded_in_window_step_calls_only_the_ports_and_its_handler():
     state.mem.store(0x1000, 4, word)
     state.mem.store(0x1004, 4, word)
     golden.step(state)
-    codes, builtins = [], []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            codes.append(frame.f_code)
-        elif event == "c_call":
-            builtins.append(arg.__name__)
-
-    sys.setprofile(profile)
-    try:
-        golden.step(state)
-    finally:
-        sys.setprofile(None)
-    assert codes[0] is golden.step.__code__ and builtins[-1] == "setprofile"
-    assert codes[1:] == [Memory.load.__code__, isa.decode_cached.__code__,
-                         golden._EXECUTE[M.ADD].__code__]
+    codes, _ = callprofile.calls_of(golden.step, state)
+    assert codes == [Memory.load.__code__, isa.decode_cached.__code__,
+                     golden._EXECUTE[M.ADD].__code__]
     assert state.pc == 0x1008
