@@ -4,6 +4,9 @@ Covers the base integer ISA plus the Zbkb, Zbkc, Zbkx, Zkne, Zknd and Zknh
 subsets (RV32 forms only; zip/unzip exist only on RV32, the RV64-only forms
 are excluded). Compressed instructions are not supported: any word whose low
 two bits are not 0b11 is rejected.
+
+Each mnemonic is one row of `Mnemonic`, holding its name, extension subset
+and encoding; EXT_OF, ENCODINGS and AES_MNEMONICS are read off the rows.
 """
 
 from __future__ import annotations
@@ -56,128 +59,6 @@ ZKN = frozenset({Ext.ZBKB, Ext.ZBKC, Ext.ZBKX, Ext.ZKNE, Ext.ZKND, Ext.ZKNH})
 ZKN_ZKT = ZKN | {Ext.ZKT}
 
 
-class Mnemonic(str, enum.Enum):
-    # RV32I
-    LUI = "lui"
-    AUIPC = "auipc"
-    JAL = "jal"
-    JALR = "jalr"
-    BEQ = "beq"
-    BNE = "bne"
-    BLT = "blt"
-    BGE = "bge"
-    BLTU = "bltu"
-    BGEU = "bgeu"
-    LB = "lb"
-    LH = "lh"
-    LW = "lw"
-    LBU = "lbu"
-    LHU = "lhu"
-    SB = "sb"
-    SH = "sh"
-    SW = "sw"
-    ADDI = "addi"
-    SLTI = "slti"
-    SLTIU = "sltiu"
-    XORI = "xori"
-    ORI = "ori"
-    ANDI = "andi"
-    SLLI = "slli"
-    SRLI = "srli"
-    SRAI = "srai"
-    ADD = "add"
-    SUB = "sub"
-    SLL = "sll"
-    SLT = "slt"
-    SLTU = "sltu"
-    XOR = "xor"
-    SRL = "srl"
-    SRA = "sra"
-    OR = "or"
-    AND = "and"
-    FENCE = "fence"
-    ECALL = "ecall"
-    EBREAK = "ebreak"
-    # Zbkb
-    ROR = "ror"
-    ROL = "rol"
-    RORI = "rori"
-    ANDN = "andn"
-    ORN = "orn"
-    XNOR = "xnor"
-    PACK = "pack"
-    PACKH = "packh"
-    BREV8 = "brev8"
-    REV8 = "rev8"
-    ZIP = "zip"
-    UNZIP = "unzip"
-    # Zbkc
-    CLMUL = "clmul"
-    CLMULH = "clmulh"
-    # Zbkx
-    XPERM4 = "xperm4"
-    XPERM8 = "xperm8"
-    # Zkne / Zknd
-    AES32ESI = "aes32esi"
-    AES32ESMI = "aes32esmi"
-    AES32DSI = "aes32dsi"
-    AES32DSMI = "aes32dsmi"
-    # Zknh
-    SHA256SIG0 = "sha256sig0"
-    SHA256SIG1 = "sha256sig1"
-    SHA256SUM0 = "sha256sum0"
-    SHA256SUM1 = "sha256sum1"
-    SHA512SIG0H = "sha512sig0h"
-    SHA512SIG0L = "sha512sig0l"
-    SHA512SIG1H = "sha512sig1h"
-    SHA512SIG1L = "sha512sig1l"
-    SHA512SUM0R = "sha512sum0r"
-    SHA512SUM1R = "sha512sum1r"
-
-
-M = Mnemonic  # local shorthand for the tables below
-
-EXT_OF = {m: Ext.RV32I for m in M}
-EXT_OF.update({m: Ext.ZBKB for m in (M.ROR, M.ROL, M.RORI, M.ANDN, M.ORN, M.XNOR,
-                                     M.PACK, M.PACKH, M.BREV8, M.REV8, M.ZIP, M.UNZIP)})
-EXT_OF.update({M.CLMUL: Ext.ZBKC, M.CLMULH: Ext.ZBKC})
-EXT_OF.update({M.XPERM4: Ext.ZBKX, M.XPERM8: Ext.ZBKX})
-EXT_OF.update({M.AES32ESI: Ext.ZKNE, M.AES32ESMI: Ext.ZKNE})
-EXT_OF.update({M.AES32DSI: Ext.ZKND, M.AES32DSMI: Ext.ZKND})
-EXT_OF.update({m: Ext.ZKNH for m in (M.SHA256SIG0, M.SHA256SIG1, M.SHA256SUM0, M.SHA256SUM1,
-                                     M.SHA512SIG0H, M.SHA512SIG0L, M.SHA512SIG1H, M.SHA512SIG1L,
-                                     M.SHA512SUM0R, M.SHA512SUM1R)})
-
-# Data-independent-latency contract coverage: every crypto-subset instruction
-# plus the RV32I instructions that the ratified RISC-V Scalar Cryptography
-# spec lists in its "Zkt - Data Independent Execution Latency" section:
-# lui, auipc, the register and immediate ALU ops, shifts and set-less-than.
-ZKT_COVERED = frozenset(m for m, e in EXT_OF.items() if e is not Ext.RV32I) | {
-    M.LUI, M.AUIPC,
-    M.SLL, M.SLLI, M.SRL, M.SRLI, M.SRA, M.SRAI,
-    M.AND, M.ANDI, M.OR, M.ORI, M.XOR, M.XORI,
-    M.ADD, M.ADDI, M.SUB,
-    M.SLT, M.SLTI, M.SLTU, M.SLTIU,
-}
-
-
-class Instr(NamedTuple):
-    """One decoded instruction.
-
-    Fields not used by the format are held at their canonical defaults so
-    that encode/decode round-trips compare equal. `bs` is the AES byte
-    select and is only present on aes32* instructions.
-    """
-
-    mnemonic: Mnemonic
-    rd: int = 0
-    rs1: int = 0
-    rs2: int = 0
-    imm: int = 0
-    bs: Optional[int] = None
-    raw: int = 0
-
-
 # Instruction formats. UNARY covers the fixed-function OP-IMM instructions
 # (rev8, zip, sha256sig0, ...) whose entire imm12 field is a constant.
 # encode and decode compare formats by identity: use these constants.
@@ -209,80 +90,132 @@ _LOAD = 0b0000011
 _STORE = 0b0100011
 _BRANCH = 0b1100011
 
-ENCODINGS = {
-    M.LUI: Enc(FMT_U, 0b0110111),
-    M.AUIPC: Enc(FMT_U, 0b0010111),
-    M.JAL: Enc(FMT_JAL, 0b1101111),
-    M.JALR: Enc(FMT_JALR, 0b1100111, 0b000),
-    M.BEQ: Enc(FMT_BRANCH, _BRANCH, 0b000),
-    M.BNE: Enc(FMT_BRANCH, _BRANCH, 0b001),
-    M.BLT: Enc(FMT_BRANCH, _BRANCH, 0b100),
-    M.BGE: Enc(FMT_BRANCH, _BRANCH, 0b101),
-    M.BLTU: Enc(FMT_BRANCH, _BRANCH, 0b110),
-    M.BGEU: Enc(FMT_BRANCH, _BRANCH, 0b111),
-    M.LB: Enc(FMT_LOAD, _LOAD, 0b000),
-    M.LH: Enc(FMT_LOAD, _LOAD, 0b001),
-    M.LW: Enc(FMT_LOAD, _LOAD, 0b010),
-    M.LBU: Enc(FMT_LOAD, _LOAD, 0b100),
-    M.LHU: Enc(FMT_LOAD, _LOAD, 0b101),
-    M.SB: Enc(FMT_STORE, _STORE, 0b000),
-    M.SH: Enc(FMT_STORE, _STORE, 0b001),
-    M.SW: Enc(FMT_STORE, _STORE, 0b010),
-    M.ADDI: Enc(FMT_I, _OP_IMM, 0b000),
-    M.SLTI: Enc(FMT_I, _OP_IMM, 0b010),
-    M.SLTIU: Enc(FMT_I, _OP_IMM, 0b011),
-    M.XORI: Enc(FMT_I, _OP_IMM, 0b100),
-    M.ORI: Enc(FMT_I, _OP_IMM, 0b110),
-    M.ANDI: Enc(FMT_I, _OP_IMM, 0b111),
-    M.SLLI: Enc(FMT_I_SHAMT, _OP_IMM, 0b001, 0b0000000),
-    M.SRLI: Enc(FMT_I_SHAMT, _OP_IMM, 0b101, 0b0000000),
-    M.SRAI: Enc(FMT_I_SHAMT, _OP_IMM, 0b101, 0b0100000),
-    M.RORI: Enc(FMT_I_SHAMT, _OP_IMM, 0b101, 0b0110000),
-    M.ADD: Enc(FMT_R, _OP, 0b000, 0b0000000),
-    M.SUB: Enc(FMT_R, _OP, 0b000, 0b0100000),
-    M.SLL: Enc(FMT_R, _OP, 0b001, 0b0000000),
-    M.SLT: Enc(FMT_R, _OP, 0b010, 0b0000000),
-    M.SLTU: Enc(FMT_R, _OP, 0b011, 0b0000000),
-    M.XOR: Enc(FMT_R, _OP, 0b100, 0b0000000),
-    M.SRL: Enc(FMT_R, _OP, 0b101, 0b0000000),
-    M.SRA: Enc(FMT_R, _OP, 0b101, 0b0100000),
-    M.OR: Enc(FMT_R, _OP, 0b110, 0b0000000),
-    M.AND: Enc(FMT_R, _OP, 0b111, 0b0000000),
-    M.FENCE: Enc(FMT_FENCE, 0b0001111, 0b000),
-    M.ECALL: Enc(FMT_SYSTEM, 0b1110011, 0b000, 0x000),
-    M.EBREAK: Enc(FMT_SYSTEM, 0b1110011, 0b000, 0x001),
-    M.ROR: Enc(FMT_R, _OP, 0b101, 0b0110000),
-    M.ROL: Enc(FMT_R, _OP, 0b001, 0b0110000),
-    M.ANDN: Enc(FMT_R, _OP, 0b111, 0b0100000),
-    M.ORN: Enc(FMT_R, _OP, 0b110, 0b0100000),
-    M.XNOR: Enc(FMT_R, _OP, 0b100, 0b0100000),
-    M.PACK: Enc(FMT_R, _OP, 0b100, 0b0000100),
-    M.PACKH: Enc(FMT_R, _OP, 0b111, 0b0000100),
-    M.BREV8: Enc(FMT_UNARY, _OP_IMM, 0b101, 0b011010000111),
-    M.REV8: Enc(FMT_UNARY, _OP_IMM, 0b101, 0b011010011000),
-    M.ZIP: Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000010001111),
-    M.UNZIP: Enc(FMT_UNARY, _OP_IMM, 0b101, 0b000010001111),
-    M.CLMUL: Enc(FMT_R, _OP, 0b001, 0b0000101),
-    M.CLMULH: Enc(FMT_R, _OP, 0b011, 0b0000101),
-    M.XPERM4: Enc(FMT_R, _OP, 0b010, 0b0010100),
-    M.XPERM8: Enc(FMT_R, _OP, 0b100, 0b0010100),
-    M.AES32ESI: Enc(FMT_R_AES, _OP, 0b000, 0b10001),
-    M.AES32ESMI: Enc(FMT_R_AES, _OP, 0b000, 0b10011),
-    M.AES32DSI: Enc(FMT_R_AES, _OP, 0b000, 0b10101),
-    M.AES32DSMI: Enc(FMT_R_AES, _OP, 0b000, 0b10111),
-    M.SHA256SIG0: Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000010),
-    M.SHA256SIG1: Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000011),
-    M.SHA256SUM0: Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000000),
-    M.SHA256SUM1: Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000001),
-    M.SHA512SIG0H: Enc(FMT_R, _OP, 0b000, 0b0101110),
-    M.SHA512SIG0L: Enc(FMT_R, _OP, 0b000, 0b0101010),
-    M.SHA512SIG1H: Enc(FMT_R, _OP, 0b000, 0b0101111),
-    M.SHA512SIG1L: Enc(FMT_R, _OP, 0b000, 0b0101011),
-    M.SHA512SUM0R: Enc(FMT_R, _OP, 0b000, 0b0101000),
-    M.SHA512SUM1R: Enc(FMT_R, _OP, 0b000, 0b0101001),
+
+class Mnemonic(str, enum.Enum):
+    """One row per instruction: its name (the member's value), the extension
+    subset it belongs to (`ext`) and its encoding (`enc`)."""
+
+    def __new__(cls, name: str, ext: Ext, enc: Enc):
+        member = str.__new__(cls, name)
+        member._value_ = name
+        member.ext = ext
+        member.enc = enc
+        return member
+
+    # RV32I
+    LUI = "lui", Ext.RV32I, Enc(FMT_U, 0b0110111)
+    AUIPC = "auipc", Ext.RV32I, Enc(FMT_U, 0b0010111)
+    JAL = "jal", Ext.RV32I, Enc(FMT_JAL, 0b1101111)
+    JALR = "jalr", Ext.RV32I, Enc(FMT_JALR, 0b1100111, 0b000)
+    BEQ = "beq", Ext.RV32I, Enc(FMT_BRANCH, _BRANCH, 0b000)
+    BNE = "bne", Ext.RV32I, Enc(FMT_BRANCH, _BRANCH, 0b001)
+    BLT = "blt", Ext.RV32I, Enc(FMT_BRANCH, _BRANCH, 0b100)
+    BGE = "bge", Ext.RV32I, Enc(FMT_BRANCH, _BRANCH, 0b101)
+    BLTU = "bltu", Ext.RV32I, Enc(FMT_BRANCH, _BRANCH, 0b110)
+    BGEU = "bgeu", Ext.RV32I, Enc(FMT_BRANCH, _BRANCH, 0b111)
+    LB = "lb", Ext.RV32I, Enc(FMT_LOAD, _LOAD, 0b000)
+    LH = "lh", Ext.RV32I, Enc(FMT_LOAD, _LOAD, 0b001)
+    LW = "lw", Ext.RV32I, Enc(FMT_LOAD, _LOAD, 0b010)
+    LBU = "lbu", Ext.RV32I, Enc(FMT_LOAD, _LOAD, 0b100)
+    LHU = "lhu", Ext.RV32I, Enc(FMT_LOAD, _LOAD, 0b101)
+    SB = "sb", Ext.RV32I, Enc(FMT_STORE, _STORE, 0b000)
+    SH = "sh", Ext.RV32I, Enc(FMT_STORE, _STORE, 0b001)
+    SW = "sw", Ext.RV32I, Enc(FMT_STORE, _STORE, 0b010)
+    ADDI = "addi", Ext.RV32I, Enc(FMT_I, _OP_IMM, 0b000)
+    SLTI = "slti", Ext.RV32I, Enc(FMT_I, _OP_IMM, 0b010)
+    SLTIU = "sltiu", Ext.RV32I, Enc(FMT_I, _OP_IMM, 0b011)
+    XORI = "xori", Ext.RV32I, Enc(FMT_I, _OP_IMM, 0b100)
+    ORI = "ori", Ext.RV32I, Enc(FMT_I, _OP_IMM, 0b110)
+    ANDI = "andi", Ext.RV32I, Enc(FMT_I, _OP_IMM, 0b111)
+    SLLI = "slli", Ext.RV32I, Enc(FMT_I_SHAMT, _OP_IMM, 0b001, 0b0000000)
+    SRLI = "srli", Ext.RV32I, Enc(FMT_I_SHAMT, _OP_IMM, 0b101, 0b0000000)
+    SRAI = "srai", Ext.RV32I, Enc(FMT_I_SHAMT, _OP_IMM, 0b101, 0b0100000)
+    ADD = "add", Ext.RV32I, Enc(FMT_R, _OP, 0b000, 0b0000000)
+    SUB = "sub", Ext.RV32I, Enc(FMT_R, _OP, 0b000, 0b0100000)
+    SLL = "sll", Ext.RV32I, Enc(FMT_R, _OP, 0b001, 0b0000000)
+    SLT = "slt", Ext.RV32I, Enc(FMT_R, _OP, 0b010, 0b0000000)
+    SLTU = "sltu", Ext.RV32I, Enc(FMT_R, _OP, 0b011, 0b0000000)
+    XOR = "xor", Ext.RV32I, Enc(FMT_R, _OP, 0b100, 0b0000000)
+    SRL = "srl", Ext.RV32I, Enc(FMT_R, _OP, 0b101, 0b0000000)
+    SRA = "sra", Ext.RV32I, Enc(FMT_R, _OP, 0b101, 0b0100000)
+    OR = "or", Ext.RV32I, Enc(FMT_R, _OP, 0b110, 0b0000000)
+    AND = "and", Ext.RV32I, Enc(FMT_R, _OP, 0b111, 0b0000000)
+    FENCE = "fence", Ext.RV32I, Enc(FMT_FENCE, 0b0001111, 0b000)
+    ECALL = "ecall", Ext.RV32I, Enc(FMT_SYSTEM, 0b1110011, 0b000, 0x000)
+    EBREAK = "ebreak", Ext.RV32I, Enc(FMT_SYSTEM, 0b1110011, 0b000, 0x001)
+    # Zbkb
+    ROR = "ror", Ext.ZBKB, Enc(FMT_R, _OP, 0b101, 0b0110000)
+    ROL = "rol", Ext.ZBKB, Enc(FMT_R, _OP, 0b001, 0b0110000)
+    RORI = "rori", Ext.ZBKB, Enc(FMT_I_SHAMT, _OP_IMM, 0b101, 0b0110000)
+    ANDN = "andn", Ext.ZBKB, Enc(FMT_R, _OP, 0b111, 0b0100000)
+    ORN = "orn", Ext.ZBKB, Enc(FMT_R, _OP, 0b110, 0b0100000)
+    XNOR = "xnor", Ext.ZBKB, Enc(FMT_R, _OP, 0b100, 0b0100000)
+    PACK = "pack", Ext.ZBKB, Enc(FMT_R, _OP, 0b100, 0b0000100)
+    PACKH = "packh", Ext.ZBKB, Enc(FMT_R, _OP, 0b111, 0b0000100)
+    BREV8 = "brev8", Ext.ZBKB, Enc(FMT_UNARY, _OP_IMM, 0b101, 0b011010000111)
+    REV8 = "rev8", Ext.ZBKB, Enc(FMT_UNARY, _OP_IMM, 0b101, 0b011010011000)
+    ZIP = "zip", Ext.ZBKB, Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000010001111)
+    UNZIP = "unzip", Ext.ZBKB, Enc(FMT_UNARY, _OP_IMM, 0b101, 0b000010001111)
+    # Zbkc
+    CLMUL = "clmul", Ext.ZBKC, Enc(FMT_R, _OP, 0b001, 0b0000101)
+    CLMULH = "clmulh", Ext.ZBKC, Enc(FMT_R, _OP, 0b011, 0b0000101)
+    # Zbkx
+    XPERM4 = "xperm4", Ext.ZBKX, Enc(FMT_R, _OP, 0b010, 0b0010100)
+    XPERM8 = "xperm8", Ext.ZBKX, Enc(FMT_R, _OP, 0b100, 0b0010100)
+    # Zkne / Zknd
+    AES32ESI = "aes32esi", Ext.ZKNE, Enc(FMT_R_AES, _OP, 0b000, 0b10001)
+    AES32ESMI = "aes32esmi", Ext.ZKNE, Enc(FMT_R_AES, _OP, 0b000, 0b10011)
+    AES32DSI = "aes32dsi", Ext.ZKND, Enc(FMT_R_AES, _OP, 0b000, 0b10101)
+    AES32DSMI = "aes32dsmi", Ext.ZKND, Enc(FMT_R_AES, _OP, 0b000, 0b10111)
+    # Zknh
+    SHA256SIG0 = "sha256sig0", Ext.ZKNH, Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000010)
+    SHA256SIG1 = "sha256sig1", Ext.ZKNH, Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000011)
+    SHA256SUM0 = "sha256sum0", Ext.ZKNH, Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000000)
+    SHA256SUM1 = "sha256sum1", Ext.ZKNH, Enc(FMT_UNARY, _OP_IMM, 0b001, 0b000100000001)
+    SHA512SIG0H = "sha512sig0h", Ext.ZKNH, Enc(FMT_R, _OP, 0b000, 0b0101110)
+    SHA512SIG0L = "sha512sig0l", Ext.ZKNH, Enc(FMT_R, _OP, 0b000, 0b0101010)
+    SHA512SIG1H = "sha512sig1h", Ext.ZKNH, Enc(FMT_R, _OP, 0b000, 0b0101111)
+    SHA512SIG1L = "sha512sig1l", Ext.ZKNH, Enc(FMT_R, _OP, 0b000, 0b0101011)
+    SHA512SUM0R = "sha512sum0r", Ext.ZKNH, Enc(FMT_R, _OP, 0b000, 0b0101000)
+    SHA512SUM1R = "sha512sum1r", Ext.ZKNH, Enc(FMT_R, _OP, 0b000, 0b0101001)
+
+
+M = Mnemonic  # local shorthand for the tables below
+
+# plain dicts in enum order: encode's hot path is one lookup in ENCODINGS
+EXT_OF = {m: m.ext for m in M}
+ENCODINGS = {m: m.enc for m in M}
+AES_MNEMONICS = frozenset(m for m in M if m.enc.fmt is FMT_R_AES)
+
+# Data-independent-latency contract coverage: every crypto-subset instruction
+# plus the RV32I instructions that the ratified RISC-V Scalar Cryptography
+# spec lists in its "Zkt - Data Independent Execution Latency" section:
+# lui, auipc, the register and immediate ALU ops, shifts and set-less-than.
+ZKT_COVERED = frozenset(m for m, e in EXT_OF.items() if e is not Ext.RV32I) | {
+    M.LUI, M.AUIPC,
+    M.SLL, M.SLLI, M.SRL, M.SRLI, M.SRA, M.SRAI,
+    M.AND, M.ANDI, M.OR, M.ORI, M.XOR, M.XORI,
+    M.ADD, M.ADDI, M.SUB,
+    M.SLT, M.SLTI, M.SLTU, M.SLTIU,
 }
 
-AES_MNEMONICS = frozenset({M.AES32ESI, M.AES32ESMI, M.AES32DSI, M.AES32DSMI})
+
+class Instr(NamedTuple):
+    """One decoded instruction.
+
+    Fields not used by the format are held at their canonical defaults so
+    that encode/decode round-trips compare equal. `bs` is the AES byte
+    select and is only present on aes32* instructions.
+    """
+
+    mnemonic: Mnemonic
+    rd: int = 0
+    rs1: int = 0
+    rs2: int = 0
+    imm: int = 0
+    bs: Optional[int] = None
+    raw: int = 0
+
 
 # I-type forms take their second ALU operand from the immediate. Each is
 # the OP-IMM twin of the R-type form with the same funct3 (and, for shifts,

@@ -5,7 +5,7 @@ import contextlib
 
 import pytest
 
-from serialrv import cosim, golden, microarch
+from serialrv import cosim, golden, isa, microarch
 from serialrv.isa import Mnemonic as M
 
 
@@ -104,3 +104,21 @@ def fetch_stall_dropped():
     """A sequential step is charged its execute cycles alone, however much
     longer the fetch of the next word takes."""
     return _charged_through(lambda m, execute, seq, taken: (execute, taken))
+
+
+@contextlib.contextmanager
+def swapped_funct3(a, b):
+    """`isa.ENCODINGS` with the funct3 of mnemonics `a` and `b` swapped, and
+    decode's table rebuilt from it: one misread of the spec that encode,
+    decode, the assembler and the generator all share. The decode cache
+    is emptied on entry and on exit."""
+    enc_a, enc_b = isa.ENCODINGS[a], isa.ENCODINGS[b]
+    isa._DECODE_CACHE.clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(isa.ENCODINGS, a, enc_a._replace(funct3=enc_b.funct3))
+            mp.setitem(isa.ENCODINGS, b, enc_b._replace(funct3=enc_a.funct3))
+            mp.setattr(isa, "_DECODE", isa._decode_table(isa.ENCODINGS))
+            yield
+    finally:
+        isa._DECODE_CACHE.clear()

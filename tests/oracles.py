@@ -197,3 +197,169 @@ def step_cycles(cfg, mnemonic, shamt, taken, first):
     else:
         cycles = max(execute, cfg.mem_latency)
     return cycles + (cfg.mem_latency if first else 0)
+
+
+# --- instruction encodings, from the spec's tables ------------------------------
+
+# The bit layout of every supported instruction, bit 31 first, copied from
+# the RV32I base opcode map of the unprivileged ISA manual and from the
+# instruction listings of Scalar Cryptography v1.0.1 (RV32 forms), not read
+# from the simulator. A run of 0s and 1s is fixed; rd, rs1, rs2 and shamt
+# are 5 bits wide, bs 2, and fence's fm, pred and succ 4 each; an imm[...]
+# token names the immediate's bits that it holds, high to low.
+LAYOUTS = {
+    # RV32I
+    "lui": "imm[31:12] rd 0110111",
+    "auipc": "imm[31:12] rd 0010111",
+    "jal": "imm[20|10:1|11|19:12] rd 1101111",
+    "jalr": "imm[11:0] rs1 000 rd 1100111",
+    "beq": "imm[12|10:5] rs2 rs1 000 imm[4:1|11] 1100011",
+    "bne": "imm[12|10:5] rs2 rs1 001 imm[4:1|11] 1100011",
+    "blt": "imm[12|10:5] rs2 rs1 100 imm[4:1|11] 1100011",
+    "bge": "imm[12|10:5] rs2 rs1 101 imm[4:1|11] 1100011",
+    "bltu": "imm[12|10:5] rs2 rs1 110 imm[4:1|11] 1100011",
+    "bgeu": "imm[12|10:5] rs2 rs1 111 imm[4:1|11] 1100011",
+    "lb": "imm[11:0] rs1 000 rd 0000011",
+    "lh": "imm[11:0] rs1 001 rd 0000011",
+    "lw": "imm[11:0] rs1 010 rd 0000011",
+    "lbu": "imm[11:0] rs1 100 rd 0000011",
+    "lhu": "imm[11:0] rs1 101 rd 0000011",
+    "sb": "imm[11:5] rs2 rs1 000 imm[4:0] 0100011",
+    "sh": "imm[11:5] rs2 rs1 001 imm[4:0] 0100011",
+    "sw": "imm[11:5] rs2 rs1 010 imm[4:0] 0100011",
+    "addi": "imm[11:0] rs1 000 rd 0010011",
+    "slti": "imm[11:0] rs1 010 rd 0010011",
+    "sltiu": "imm[11:0] rs1 011 rd 0010011",
+    "xori": "imm[11:0] rs1 100 rd 0010011",
+    "ori": "imm[11:0] rs1 110 rd 0010011",
+    "andi": "imm[11:0] rs1 111 rd 0010011",
+    "slli": "0000000 shamt rs1 001 rd 0010011",
+    "srli": "0000000 shamt rs1 101 rd 0010011",
+    "srai": "0100000 shamt rs1 101 rd 0010011",
+    "add": "0000000 rs2 rs1 000 rd 0110011",
+    "sub": "0100000 rs2 rs1 000 rd 0110011",
+    "sll": "0000000 rs2 rs1 001 rd 0110011",
+    "slt": "0000000 rs2 rs1 010 rd 0110011",
+    "sltu": "0000000 rs2 rs1 011 rd 0110011",
+    "xor": "0000000 rs2 rs1 100 rd 0110011",
+    "srl": "0000000 rs2 rs1 101 rd 0110011",
+    "sra": "0100000 rs2 rs1 101 rd 0110011",
+    "or": "0000000 rs2 rs1 110 rd 0110011",
+    "and": "0000000 rs2 rs1 111 rd 0110011",
+    "fence": "fm pred succ rs1 000 rd 0001111",
+    "ecall": "000000000000 00000 000 00000 1110011",
+    "ebreak": "000000000001 00000 000 00000 1110011",
+    # Zbkb
+    "ror": "0110000 rs2 rs1 101 rd 0110011",
+    "rol": "0110000 rs2 rs1 001 rd 0110011",
+    "rori": "0110000 shamt rs1 101 rd 0010011",
+    "andn": "0100000 rs2 rs1 111 rd 0110011",
+    "orn": "0100000 rs2 rs1 110 rd 0110011",
+    "xnor": "0100000 rs2 rs1 100 rd 0110011",
+    "pack": "0000100 rs2 rs1 100 rd 0110011",
+    "packh": "0000100 rs2 rs1 111 rd 0110011",
+    "brev8": "011010000111 rs1 101 rd 0010011",
+    "rev8": "011010011000 rs1 101 rd 0010011",
+    "zip": "000010001111 rs1 001 rd 0010011",
+    "unzip": "000010001111 rs1 101 rd 0010011",
+    # Zbkc
+    "clmul": "0000101 rs2 rs1 001 rd 0110011",
+    "clmulh": "0000101 rs2 rs1 011 rd 0110011",
+    # Zbkx
+    "xperm4": "0010100 rs2 rs1 010 rd 0110011",
+    "xperm8": "0010100 rs2 rs1 100 rd 0110011",
+    # Zkne, Zknd
+    "aes32esi": "bs 10001 rs2 rs1 000 rd 0110011",
+    "aes32esmi": "bs 10011 rs2 rs1 000 rd 0110011",
+    "aes32dsi": "bs 10101 rs2 rs1 000 rd 0110011",
+    "aes32dsmi": "bs 10111 rs2 rs1 000 rd 0110011",
+    # Zknh
+    "sha256sig0": "000100000010 rs1 001 rd 0010011",
+    "sha256sig1": "000100000011 rs1 001 rd 0010011",
+    "sha256sum0": "000100000000 rs1 001 rd 0010011",
+    "sha256sum1": "000100000001 rs1 001 rd 0010011",
+    "sha512sig0h": "0101110 rs2 rs1 000 rd 0110011",
+    "sha512sig0l": "0101010 rs2 rs1 000 rd 0110011",
+    "sha512sig1h": "0101111 rs2 rs1 000 rd 0110011",
+    "sha512sig1l": "0101011 rs2 rs1 000 rd 0110011",
+    "sha512sum0r": "0101000 rs2 rs1 000 rd 0110011",
+    "sha512sum1r": "0101001 rs2 rs1 000 rd 0110011",
+}
+
+_WIDTH = {"rd": 5, "rs1": 5, "rs2": 5, "bs": 2, "shamt": 5, "fm": 4, "pred": 4, "succ": 4}
+# layout fields that the simulator's Instr holds in another operand: the
+# operand, and where the field's lowest bit sits in it
+_HELD_IN = {"shamt": ("imm", 0), "fm": ("imm", 8), "pred": ("imm", 4), "succ": ("imm", 0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _sources(mnemonic):
+    """Where each bit of `mnemonic`'s word comes from, bit 31 first: "0" or
+    "1" where the layout fixes it, else (operand, bit), that bit of the
+    Instr operand. Instr holds a U immediate's upper 20 bits, so
+    imm[31:12] comes from its imm bits 19 to 0."""
+    sources = []
+    for token in LAYOUTS[mnemonic].split():
+        if not token.strip("01"):
+            sources += token
+        elif token.startswith("imm["):
+            drop = 12 if token == "imm[31:12]" else 0
+            for part in token[4:-1].split("|"):
+                high, _, low = part.partition(":")
+                sources += [("imm", b - drop)
+                            for b in range(int(high), int(low or high) - 1, -1)]
+        else:
+            operand, shift = _HELD_IN.get(token, (token, 0))
+            sources += [(operand, shift + b) for b in range(_WIDTH[token] - 1, -1, -1)]
+    assert len(sources) == 32, mnemonic
+    return tuple(sources)
+
+
+def operand_ranges(mnemonic):
+    """{operand: range of its values} for each Instr operand (rd, rs1, rs2,
+    imm, bs) that `mnemonic`'s layout holds. An immediate written imm[...]
+    is signed, with its top bit the sign, except the U immediate; bits below
+    the lowest one it holds are 0. Any other operand is unsigned."""
+    bits = {}
+    for source in _sources(mnemonic):
+        if type(source) is tuple:
+            bits.setdefault(source[0], []).append(source[1])
+    signed = "imm[" in LAYOUTS[mnemonic] and "imm[31:12]" not in LAYOUTS[mnemonic]
+    ranges = {}
+    for operand, held in bits.items():
+        top, step = max(held), 1 << min(held)
+        if operand == "imm" and signed:
+            ranges[operand] = range(-(1 << top), 1 << top, step)
+        else:
+            ranges[operand] = range(0, 2 << top, step)
+    return ranges
+
+
+def fixed_bits(mnemonic):
+    """(mask, match): the bits that `mnemonic`'s layout fixes, and their
+    values; a word can be `mnemonic` only if word & mask == match."""
+    mask = match = 0
+    for source in _sources(mnemonic):
+        mask = mask << 1 | (type(source) is str)
+        match = match << 1 | (source == "1")
+    return mask, match
+
+
+def encode(mnemonic, **operands):
+    """The word that `mnemonic`'s layout gives for the named Instr operands
+    (rd, rs1, rs2, imm, bs; those not named are 0). As Instr holds them, a
+    shift amount is imm, a U-format imm is the immediate's upper 20 bits,
+    and a fence's imm is its fm, pred and succ bits as one 12-bit value.
+    An operand that the layout lacks or cannot hold raises ValueError."""
+    ranges = operand_ranges(mnemonic)
+    for name, value in operands.items():
+        if value not in ranges.get(name, ()):
+            raise ValueError(f"{mnemonic} cannot hold {name}={value}")
+    word = 0
+    for source in _sources(mnemonic):
+        if type(source) is str:
+            word = word << 1 | int(source)
+        else:
+            operand, bit = source
+            word = word << 1 | (operands.get(operand, 0) >> bit & 1)
+    return word

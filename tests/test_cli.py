@@ -542,3 +542,31 @@ def test_write_failure_names_the_failing_output(failing, tmp_path, capsys):
     argv = ["run", str(image), failing, "/dev/full", good, str(tmp_path / "ok")]
     assert cli.main(argv) == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("error: cannot write /dev/full: ")
+
+
+# commands whose output must not follow the interpreter's hash seed; {out}
+# is the file one writes besides stdout
+_HASH_SEED_COMMANDS = {
+    "bench": ["bench", "--widths", "1,32", "--json", "{out}"],
+    "cosim": ["cosim", "--seed", "0", "--programs", "20", "--json", "{out}"],
+    "audit-ct": ["audit-ct", "--width", "4", "--trials", "32"],
+}
+
+
+@pytest.mark.parametrize("command", _HASH_SEED_COMMANDS)
+def test_output_does_not_follow_the_hash_seed(command, tmp_path):
+    """A set of strings or of enum members iterates in an order that
+    PYTHONHASHSEED moves; only separate interpreters show whether an
+    output follows it."""
+    argv = _HASH_SEED_COMMANDS[command]
+    src = str(Path(cli.__file__).parents[1])
+    outputs = {}
+    for seed in ("0", "12345"):
+        out = tmp_path / f"{seed}.json"
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "serialrv", *(a.format(out=out) for a in argv)],
+            capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs[seed] = proc.stdout, out.read_bytes() if "{out}" in argv else None
+    assert outputs["0"] == outputs["12345"]

@@ -297,6 +297,21 @@ def test_knob_set_cosim_kills_the_emulated_shift_mutant():
     assert microarch._binding.cache_info() == cached
 
 
+def test_cosim_misses_a_funct3_swap_that_encode_and_decode_share(
+        fresh_golden_trace):
+    """A known gap: the generator, golden and the core all encode and
+    decode through the one table, so a funct3 misread there changes the
+    programs and still passes every cell. The spec's layouts in
+    tests/test_isa.py are what see it."""
+    seeds = range(2)
+    clean = [generate(TortureConfig(seed=s)) for s in seeds]
+    with mutants.swapped_funct3(M.SLTI, M.SLTIU):
+        assert all(generate(TortureConfig(seed=s)) != image
+                   for s, image in zip(seeds, clean))
+        reports = cosim.run_matrix(seeds, WIDTHS)
+    assert len(reports) == 12 and all(r.passed for r in reports)
+
+
 def test_report_json_shape():
     rep = cosim_run(TortureConfig(seed=2), CoreConfig.zkn_zkt(16))
     d = rep.to_json_dict()

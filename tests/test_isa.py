@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mutants
+import oracles
 from serialrv import isa
 from serialrv.image import ProgramImage
 from serialrv.isa import (Assembler, Ext, FieldRange, IllegalInstruction,
@@ -116,6 +119,48 @@ def test_builder_round_trip_every_mnemonic(m):
     assert decode(encode(i)) == i
 
 
+def _layout_mismatches():
+    """The mnemonics whose encode differs from the word that the spec's
+    layout gives, or whose decode of that word does not give the operands
+    back, at edge values: registers 0 and 31, both ends of each immediate
+    and shift amount, and every byte select."""
+    wrong = set()
+    for m in M:
+        ranges = oracles.operand_ranges(m.value)
+        names = sorted(ranges)
+        ends = [ranges[n] if n == "bs" else (ranges[n][0], ranges[n][-1])
+                for n in names]
+        for values in itertools.product(*ends):
+            operands = dict(zip(names, values))
+            word = oracles.encode(m.value, **operands)
+            i = Instr(m, **operands)
+            try:
+                if encode(i) == word and decode(word) == i._replace(raw=word):
+                    continue
+            except (FieldRange, IllegalInstruction):
+                pass
+            wrong.add(m.value)
+    return wrong
+
+
+def test_encode_and_decode_follow_the_spec_layouts():
+    assert set(oracles.LAYOUTS) == {m.value for m in M}
+    assert _layout_mismatches() == set()
+
+
+def test_swapped_funct3_is_seen_by_the_layouts_not_the_round_trip():
+    """A funct3 misread that encode and decode share: the round trip
+    through the one table still holds, and the spec's layouts name the
+    two mnemonics."""
+    with mutants.swapped_funct3(M.SLTI, M.SLTIU):
+        assert _layout_mismatches() == {"slti", "sltiu"}
+        for m in M:
+            i = instr(m, **_operands_for(m))
+            assert decode(encode(i)) == i
+    assert _layout_mismatches() == set()
+    assert isa._DECODE == isa._decode_table(isa.ENCODINGS)
+
+
 # each format's immediate at both ends of its range; fence bits start at
 # 1, since instr() reads 0 as the canonical `iorw, iorw`
 _IMM_ENDS = {isa.FMT_I: (-2048, 2047), isa.FMT_LOAD: (-2048, 2047),
@@ -177,21 +222,40 @@ def _class_words(rng):
     return words
 
 
+def _layouts_by_key():
+    """The spec layouts as (mask, match, name), bucketed by the opcode and
+    funct3 bits (`word & 0x707F`) of the words that each admits."""
+    layouts = [(*oracles.fixed_bits(name), name) for name in oracles.LAYOUTS]
+    return {key: [(mask, match, name) for mask, match, name in layouts
+                  if (key ^ match) & mask & 0x707F == 0]
+            for key in (opcode | funct3 << 12
+                        for opcode in range(128) for funct3 in range(8))}
+
+
 def test_decode_on_every_class_of_word_it_tells_apart():
     """Each class word either is illegal or re-encodes to itself, and
     together the classes decode to every mnemonic. A uniform sample, like
     acceptance 10's, almost never holds ecall, ebreak or their one-bit
-    neighbours."""
+    neighbours. A word is legal exactly when it matches the fixed bits of
+    one of the spec's layouts, and decodes to that layout's mnemonic; a
+    disagreement names the mnemonics on both sides."""
     words = _class_words(random.Random(0xC1A55))
     assert len(words) == 139_330
-    hit = set()
+    layouts = _layouts_by_key()
+    hit, wrong = set(), set()
     for word in words:
+        named = [name for mask, match, name in layouts[word & 0x707F]
+                 if word & mask == match]
         try:
             i = decode(word)
         except IllegalInstruction:
+            wrong.update(named)
             continue
         assert encode(i) == word, (hex(word), i)
         hit.add(i.mnemonic)
+        if named != [i.mnemonic.value]:
+            wrong.update(named, [i.mnemonic.value])
+    assert wrong == set()
     assert hit == set(M) and len(hit) == 70
     assert decode(0x00000073).mnemonic is M.ECALL
     assert decode(0x00100073).mnemonic is M.EBREAK
