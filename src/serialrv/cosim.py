@@ -271,21 +271,25 @@ def _golden_run(image: ProgramImage, exts: frozenset,
     have run, recording each step as a delta.
 
     A step writes no register but the rd of the word it fetches, so it is
-    recorded as (pc after, rd, value of rd after, outcome), with rd taken
-    from bits 7-11 of the word at pc before the step: a store over that
-    word cannot change which register the delta names. Every RV32 format
-    that writes a register keeps rd in those bits, so nothing is decoded
-    here. For any other word (a store, branch, fence, ecall, ebreak or an
-    illegal word) the bits name a register that the step leaves alone,
-    and the delta holds its unchanged value. Applying the deltas in order
-    to the reset registers gives golden's registers after each step.
+    recorded as (pc after, rd, value of rd after, outcome). Each step reads
+    the word at pc once, through `Memory.load`, and hands it to
+    `golden.execute`; rd is its bits 7-11, read before the step, so a
+    store over that word cannot change which register the delta names.
+    Every RV32 format that writes a register keeps rd in those bits, so
+    nothing is decoded here. For any other word (a store, branch, fence,
+    ecall, ebreak or an illegal word) the bits name a register that the
+    step leaves alone, and the delta holds its unchanged value. Applying
+    the deltas in order to the reset registers gives golden's registers
+    after each step.
     """
     gold = ArchState.from_image(image)
     mem, regs = gold.mem, gold.regs
+    load, execute = mem.load, golden.execute
     steps = []
     for _ in range(max_steps):
-        rd = (mem.load(gold.pc, 4) >> 7) & 31
-        out = golden.step(gold, exts)
+        word = load(gold.pc, 4)
+        out = execute(gold, word, exts)
+        rd = word >> 7 & 31
         steps.append((gold.pc, rd, regs[rd], out))
         if out.halted:
             break

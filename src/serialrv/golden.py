@@ -3,6 +3,11 @@
 Defines the architectural semantics of every supported instruction,
 including the scalar-crypto primitives. The cycle-accurate core is
 checked against this model instruction by instruction.
+
+A step is a fetch of the word at pc (`step`) and its execution
+(`execute`): one lookup in `_EXECUTE` picks the mnemonic's handler, and a
+scalar-crypto handler calls its extension's semantics function, where
+Zbkb and Zknh pick the formula with one more lookup in their table.
 """
 
 from __future__ import annotations
@@ -223,18 +228,25 @@ def _ror32(x: int, n: int) -> int:
     return ((x >> n) | (x << (32 - n))) & MASK32 if n else x & MASK32
 
 
+# Members read on every step, bound once: each `M.X` or `Ext.X` load goes
+# through EnumType.__getattr__, about five times a module global's cost
+_RV32I = Ext.RV32I
+_AES32ESI, _AES32ESMI, _AES32DSMI = M.AES32ESI, M.AES32ESMI, M.AES32DSMI
+_CLMULH, _XPERM8 = M.CLMULH, M.XPERM8
+
+
 def aes32_semantics(mnemonic: M, rs1: int, rs2: int, bs: int) -> int:
     """One quarter-round AES instruction over 32-bit words."""
     si = (rs2 >> (8 * bs)) & 0xFF
-    if mnemonic in (M.AES32ESI, M.AES32ESMI):
+    if mnemonic is _AES32ESI or mnemonic is _AES32ESMI:
         so = AES_SBOX[si]
-        if mnemonic is M.AES32ESMI:
+        if mnemonic is _AES32ESMI:
             mixed = _gmul(so, 2) | (so << 8) | (so << 16) | (_gmul(so, 3) << 24)
         else:
             mixed = so
     else:
         so = AES_SBOX_INV[si]
-        if mnemonic is M.AES32DSMI:
+        if mnemonic is _AES32DSMI:
             mixed = (_gmul(so, 0xE) | (_gmul(so, 0x9) << 8)
                      | (_gmul(so, 0xD) << 16) | (_gmul(so, 0xB) << 24))
         else:
@@ -242,30 +254,34 @@ def aes32_semantics(mnemonic: M, rs1: int, rs2: int, bs: int) -> int:
     return (rs1 ^ _rol32(mixed, 8 * bs)) & MASK32
 
 
+# Zknh's fixed shift/rotate compositions of x = rs1 and y = rs2, each
+# masked to 32 bits by sha2_semantics; the sha512* forms pair two words
+_SHA2 = {
+    M.SHA256SIG0: lambda x, y: _ror32(x, 7) ^ _ror32(x, 18) ^ (x >> 3),
+    M.SHA256SIG1: lambda x, y: _ror32(x, 17) ^ _ror32(x, 19) ^ (x >> 10),
+    M.SHA256SUM0: lambda x, y: _ror32(x, 2) ^ _ror32(x, 13) ^ _ror32(x, 22),
+    M.SHA256SUM1: lambda x, y: _ror32(x, 6) ^ _ror32(x, 11) ^ _ror32(x, 25),
+    M.SHA512SIG0H: lambda x, y: ((x >> 1) ^ (x >> 7) ^ (x >> 8)
+                                 ^ (y << 31) ^ (y << 24)),
+    M.SHA512SIG0L: lambda x, y: ((x >> 1) ^ (x >> 7) ^ (x >> 8)
+                                 ^ (y << 31) ^ (y << 25) ^ (y << 24)),
+    M.SHA512SIG1H: lambda x, y: ((x << 3) ^ (x >> 6) ^ (x >> 19)
+                                 ^ (y >> 29) ^ (y << 13)),
+    M.SHA512SIG1L: lambda x, y: ((x << 3) ^ (x >> 6) ^ (x >> 19)
+                                 ^ (y >> 29) ^ (y << 26) ^ (y << 13)),
+    M.SHA512SUM0R: lambda x, y: ((x << 25) ^ (x << 30) ^ (x >> 28)
+                                 ^ (y >> 7) ^ (y >> 2) ^ (y << 4)),
+    M.SHA512SUM1R: lambda x, y: ((x << 23) ^ (x >> 14) ^ (x >> 18)
+                                 ^ (y >> 9) ^ (y << 18) ^ (y << 14)),
+}
+
+
 def sha2_semantics(mnemonic: M, rs1: int, rs2: int = 0) -> int:
     """Zknh fixed shift/rotate compositions (sha512* forms pair two words)."""
-    x, y = rs1 & MASK32, rs2 & MASK32
-    if mnemonic is M.SHA256SIG0:
-        return (_ror32(x, 7) ^ _ror32(x, 18) ^ (x >> 3)) & MASK32
-    if mnemonic is M.SHA256SIG1:
-        return (_ror32(x, 17) ^ _ror32(x, 19) ^ (x >> 10)) & MASK32
-    if mnemonic is M.SHA256SUM0:
-        return (_ror32(x, 2) ^ _ror32(x, 13) ^ _ror32(x, 22)) & MASK32
-    if mnemonic is M.SHA256SUM1:
-        return (_ror32(x, 6) ^ _ror32(x, 11) ^ _ror32(x, 25)) & MASK32
-    if mnemonic is M.SHA512SIG0H:
-        return ((x >> 1) ^ (x >> 7) ^ (x >> 8) ^ (y << 31) ^ (y << 24)) & MASK32
-    if mnemonic is M.SHA512SIG0L:
-        return ((x >> 1) ^ (x >> 7) ^ (x >> 8) ^ (y << 31) ^ (y << 25) ^ (y << 24)) & MASK32
-    if mnemonic is M.SHA512SIG1H:
-        return ((x << 3) ^ (x >> 6) ^ (x >> 19) ^ (y >> 29) ^ (y << 13)) & MASK32
-    if mnemonic is M.SHA512SIG1L:
-        return ((x << 3) ^ (x >> 6) ^ (x >> 19) ^ (y >> 29) ^ (y << 26) ^ (y << 13)) & MASK32
-    if mnemonic is M.SHA512SUM0R:
-        return ((x << 25) ^ (x << 30) ^ (x >> 28) ^ (y >> 7) ^ (y >> 2) ^ (y << 4)) & MASK32
-    if mnemonic is M.SHA512SUM1R:
-        return ((x << 23) ^ (x >> 14) ^ (x >> 18) ^ (y >> 9) ^ (y << 18) ^ (y << 14)) & MASK32
-    raise ValueError(f"not a Zknh mnemonic: {mnemonic}")
+    formula = _SHA2.get(mnemonic)
+    if formula is None:
+        raise ValueError(f"not a Zknh mnemonic: {mnemonic}")
+    return formula(rs1 & MASK32, rs2 & MASK32) & MASK32
 
 
 def clmul_semantics(mnemonic: M, rs1: int, rs2: int) -> int:
@@ -278,13 +294,13 @@ def clmul_semantics(mnemonic: M, rs1: int, rs2: int) -> int:
             p ^= a << i
         b >>= 1
         i += 1
-    return (p >> 32) & MASK32 if mnemonic is M.CLMULH else p & MASK32
+    return (p >> 32) & MASK32 if mnemonic is _CLMULH else p & MASK32
 
 
 def xperm_semantics(mnemonic: M, rs1: int, rs2: int) -> int:
     """Crossbar permutation: rs2 digits index bytes (xperm8) or nibbles (xperm4)."""
     out = 0
-    if mnemonic is M.XPERM8:
+    if mnemonic is _XPERM8:
         for i in range(4):
             idx = (rs2 >> (8 * i)) & 0xFF
             if idx < 4:
@@ -297,45 +313,53 @@ def xperm_semantics(mnemonic: M, rs1: int, rs2: int) -> int:
     return out & MASK32
 
 
+def _brev8(x: int, y: int) -> int:
+    out = 0
+    for i in range(4):
+        b = (x >> (8 * i)) & 0xFF
+        b = int(f"{b:08b}"[::-1], 2)
+        out |= b << (8 * i)
+    return out
+
+
+def _zip(x: int, y: int) -> int:
+    out = 0
+    for i in range(16):
+        out |= ((x >> i) & 1) << (2 * i)
+        out |= ((x >> (i + 16)) & 1) << (2 * i + 1)
+    return out
+
+
+def _unzip(x: int, y: int) -> int:
+    out = 0
+    for i in range(16):
+        out |= ((x >> (2 * i)) & 1) << i
+        out |= ((x >> (2 * i + 1)) & 1) << (i + 16)
+    return out
+
+
+# Zbkb's formulas of x = rs1 and y = rs2 or the immediate, both 32 bits
+_ZBKB = {
+    M.ROR: lambda x, y: _ror32(x, y & 31),
+    M.ROL: lambda x, y: _rol32(x, y & 31),
+    M.ANDN: lambda x, y: x & ~y & MASK32,
+    M.ORN: lambda x, y: (x | ~y) & MASK32,
+    M.XNOR: lambda x, y: ~(x ^ y) & MASK32,
+    M.PACK: lambda x, y: ((y & 0xFFFF) << 16) | (x & 0xFFFF),
+    M.PACKH: lambda x, y: ((y & 0xFF) << 8) | (x & 0xFF),
+    M.REV8: lambda x, y: int.from_bytes(x.to_bytes(4, "little"), "big"),
+    M.BREV8: _brev8,
+    M.ZIP: _zip,
+    M.UNZIP: _unzip,
+}
+_ZBKB[M.RORI] = _ZBKB[M.ROR]  # operand 2 is the immediate
+
+
 def zbkb_semantics(mnemonic: M, rs1: int, rs2_or_imm: int) -> int:
-    x = rs1 & MASK32
-    y = rs2_or_imm & MASK32
-    if mnemonic is M.ROR or mnemonic is M.RORI:
-        return _ror32(x, y & 31)
-    if mnemonic is M.ROL:
-        return _rol32(x, y & 31)
-    if mnemonic is M.ANDN:
-        return x & ~y & MASK32
-    if mnemonic is M.ORN:
-        return (x | ~y) & MASK32
-    if mnemonic is M.XNOR:
-        return ~(x ^ y) & MASK32
-    if mnemonic is M.PACK:
-        return ((y & 0xFFFF) << 16) | (x & 0xFFFF)
-    if mnemonic is M.PACKH:
-        return ((y & 0xFF) << 8) | (x & 0xFF)
-    if mnemonic is M.REV8:
-        return int.from_bytes((x).to_bytes(4, "little"), "big")
-    if mnemonic is M.BREV8:
-        out = 0
-        for i in range(4):
-            b = (x >> (8 * i)) & 0xFF
-            b = int(f"{b:08b}"[::-1], 2)
-            out |= b << (8 * i)
-        return out
-    if mnemonic is M.ZIP:
-        out = 0
-        for i in range(16):
-            out |= ((x >> i) & 1) << (2 * i)
-            out |= ((x >> (i + 16)) & 1) << (2 * i + 1)
-        return out
-    if mnemonic is M.UNZIP:
-        out = 0
-        for i in range(16):
-            out |= ((x >> (2 * i)) & 1) << i
-            out |= ((x >> (2 * i + 1)) & 1) << (i + 16)
-        return out
-    raise ValueError(f"not a Zbkb mnemonic: {mnemonic}")
+    formula = _ZBKB.get(mnemonic)
+    if formula is None:
+        raise ValueError(f"not a Zbkb mnemonic: {mnemonic}")
+    return formula(rs1 & MASK32, rs2_or_imm & MASK32)
 
 
 # --- the step function ----------------------------------------------------
@@ -442,24 +466,33 @@ for _m, _r in isa.R_FORM_OF.items():
 
 
 def step(state: ArchState, extensions: frozenset = isa.ZKN) -> StepOutcome:
-    """Execute exactly one instruction; mutates state.
+    """Fetch the word at pc through `Memory.load` and `execute` it; mutates
+    state. A fetch at a misaligned pc reads memory, with no side effect,
+    and `execute` halts before using the word."""
+    return execute(state, state.mem.load(state.pc, 4), extensions)
+
+
+def execute(state: ArchState, word: int, extensions: frozenset) -> StepOutcome:
+    """Execute exactly one instruction, `word`, as the one at pc; mutates
+    state.
 
     Instructions whose extension subset is not in `extensions` halt with
     an illegal-instruction reason (RV32I itself is always enabled). The
-    fetch goes through `Memory.load` and the decode through
-    `isa.decode_cached`, the ports both models share; only `MicroCore.step`
-    reads the dense window and probes the decode cache itself.
+    decode goes through `isa.decode_cached`, the port both models share;
+    only `MicroCore.step` probes the decode cache itself. A caller that
+    has the word at pc already, as cosim's golden trace does, passes it
+    here instead of fetching it twice through `step`.
     """
     pc = state.pc
     if pc & 3:
         return StepOutcome(True, MISALIGNED_FETCH)
     try:
-        ins = isa.decode_cached(state.mem.load(pc, 4))
+        ins = isa.decode_cached(word)
     except isa.IllegalInstruction:
         return StepOutcome(True, ILLEGAL)
     m, rd, rs1, rs2, imm, _, _ = ins
     ext = isa.EXT_OF[m]
-    if ext is not Ext.RV32I and ext not in extensions:
+    if ext is not _RV32I and ext not in extensions:
         return StepOutcome(True, ILLEGAL)
 
     regs = state.regs

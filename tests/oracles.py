@@ -121,6 +121,63 @@ def shift(mnemonic: str, x: int, n: int) -> int:
     raise ValueError(f"{mnemonic!r} is not a shift or rotate")
 
 
+# --- Zbkb and the SHA-256 Zknh forms, from the spec's pseudo-code -----------------
+
+def _bits(x: int) -> list:
+    """The 32 bits of `x`, bit 0 first."""
+    return [(x >> i) & 1 for i in range(32)]
+
+
+def _word(bits) -> int:
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def zbkb(mnemonic: str, x: int, y: int) -> int:
+    """The Zbkb instruction `mnemonic` (its text) on rs1 = `x` and rs2 or
+    the immediate = `y`, bit by bit as the Scalar Cryptography v1.0.1
+    pseudo-code writes its RV32 forms."""
+    X, Y = _bits(x), _bits(y)
+    if mnemonic in ("ror", "rori"):  # shamt is the low 5 bits of rs2 or imm
+        return _word(X[(i + (y & 31)) % 32] for i in range(32))
+    if mnemonic == "rol":
+        return _word(X[(i - (y & 31)) % 32] for i in range(32))
+    if mnemonic == "andn":
+        return _word(a & (1 - b) for a, b in zip(X, Y))
+    if mnemonic == "orn":
+        return _word(a | (1 - b) for a, b in zip(X, Y))
+    if mnemonic == "xnor":
+        return _word(1 - (a ^ b) for a, b in zip(X, Y))
+    if mnemonic == "pack":  # rs2[15..0] @ rs1[15..0]
+        return _word(X[:16] + Y[:16])
+    if mnemonic == "packh":  # zext(rs2[7..0] @ rs1[7..0])
+        return _word(X[:8] + Y[:8])
+    if mnemonic == "rev8":  # output byte k is input byte 3 - k
+        return _word(X[8 * (3 - i // 8) + i % 8] for i in range(32))
+    if mnemonic == "brev8":  # each byte's bits reversed in place
+        return _word(X[8 * (i // 8) + 7 - i % 8] for i in range(32))
+    if mnemonic == "zip":  # output[2i] = rs1[i], output[2i+1] = rs1[i+16]
+        return _word(X[i // 2 + 16 * (i % 2)] for i in range(32))
+    if mnemonic == "unzip":  # output[i] = rs1[2i], output[i+16] = rs1[2i+1]
+        return _word(X[2 * (i % 16) + i // 16] for i in range(32))
+    raise ValueError(f"{mnemonic!r} is not a Zbkb instruction")
+
+
+def sha2_word(mnemonic: str, x: int) -> int:
+    """The Zknh SHA-256 instruction `mnemonic` (its text) on rs1 = `x`, as
+    the Scalar Cryptography v1.0.1 pseudo-code writes it: FIPS 180-4's
+    sigma and Sigma functions of one 32-bit word."""
+    ror = functools.partial(shift, "ror", x)
+    if mnemonic == "sha256sig0":
+        return ror(7) ^ ror(18) ^ (x >> 3)
+    if mnemonic == "sha256sig1":
+        return ror(17) ^ ror(19) ^ (x >> 10)
+    if mnemonic == "sha256sum0":
+        return ror(2) ^ ror(13) ^ ror(22)
+    if mnemonic == "sha256sum1":
+        return ror(6) ^ ror(11) ^ ror(25)
+    raise ValueError(f"{mnemonic!r} is not a SHA-256 instruction")
+
+
 # lowRISC OpenTitan's PRINCE reference table
 PRINCE_SBOX4 = (0xB, 0xF, 0x3, 0x2, 0xA, 0xC, 0x9, 0x1,
                 0x6, 0x7, 0x8, 0x0, 0xE, 0x5, 0xD, 0x4)

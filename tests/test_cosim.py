@@ -715,3 +715,57 @@ def test_corrupted_golden_model_detected(monkeypatch, fresh_golden_trace):
     rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
     assert not rep.passed
     assert rep.divergence_field.startswith("x")
+
+
+# the golden function that computes each scalar-crypto subset's values
+_SEMANTICS_OF = {Ext.ZBKB: "zbkb_semantics", Ext.ZBKC: "clmul_semantics",
+                 Ext.ZBKX: "xperm_semantics", Ext.ZKNE: "aes32_semantics",
+                 Ext.ZKND: "aes32_semantics", Ext.ZKNH: "sha2_semantics"}
+
+
+def _step_pcs(trace):
+    """The pc before each step of a golden trace."""
+    return [trace.image.entry] + [pc for pc, *_ in trace.steps[:-1]]
+
+
+@pytest.mark.parametrize("name", sorted(set(_SEMANTICS_OF.values())))
+def test_each_semantics_function_is_the_one_golden_source(
+        monkeypatch, fresh_golden_trace, name):
+    """Cosim reaches each family's semantics through the module global, so
+    flipping bit 0 of its result is a divergence in an xN field; the
+    program runs every family with an rd other than x0."""
+    torture = TortureConfig(seed=1)
+    trace = cosim._golden_run(generate(torture), torture.extensions, 200_000)
+    image = trace.image
+    ran = set()
+    for pc in _step_pcs(trace):
+        off = pc - image.base
+        i = isa.decode(int.from_bytes(image.data[off:off + 4], "little"))
+        if i.rd and isa.EXT_OF[i.mnemonic] in _SEMANTICS_OF:
+            ran.add(_SEMANTICS_OF[isa.EXT_OF[i.mnemonic]])
+    assert ran == set(_SEMANTICS_OF.values())
+
+    original = getattr(golden, name)
+    monkeypatch.setattr(golden, name, lambda *args: original(*args) ^ 1)
+    rep = cosim_run(torture, CoreConfig.zkn_zkt(4))
+    assert not rep.passed
+    assert rep.divergence_field.startswith("x")
+
+
+def test_golden_run_fetches_each_step_once(monkeypatch):
+    """_golden_run reads the word at pc once per step: the size-4 loads
+    outside the scratch window are exactly the step pcs, in order."""
+    loads = []
+    load = Memory.load
+
+    def spy(mem, addr, size):
+        loads.append((addr, size))
+        return load(mem, addr, size)
+
+    image = generate(TortureConfig(seed=3))
+    monkeypatch.setattr(Memory, "load", spy)
+    trace = cosim._golden_run(image, isa.ZKN, 200_000)
+    monkeypatch.undo()
+    base, size = MEMORY_WINDOW
+    fetches = [a for a, n in loads if n == 4 and not base <= a < base + size]
+    assert fetches == _step_pcs(trace) and len(fetches) == len(trace.steps)

@@ -350,6 +350,38 @@ def test_sha512_halves_compose(x64):
     assert sum1 == oracles.sha512_sum1(x64)
 
 
+# The paired sha512* forms as halves of the 64-bit functions: the H and L
+# forms give the high and low word of (rs1 << 32 | rs2) and (rs2 << 32 | rs1);
+# an R form, a function of rotations only, gives either half of either.
+_SHA512_HALF = {
+    M.SHA512SIG0H: (oracles.sha512_sigma0, "hi"),
+    M.SHA512SIG0L: (oracles.sha512_sigma0, "lo"),
+    M.SHA512SIG1H: (oracles.sha512_sigma1, "hi"),
+    M.SHA512SIG1L: (oracles.sha512_sigma1, "lo"),
+    M.SHA512SUM0R: (oracles.sha512_sum0, "hi"),
+    M.SHA512SUM1R: (oracles.sha512_sum1, "hi"),
+}
+EDGE_WORDS = (0, 1, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+
+
+def _zknh_oracle(m, x, y):
+    if m in _SHA512_HALF:
+        fn, half = _SHA512_HALF[m]
+        return fn(x << 32 | y) >> 32 if half == "hi" else fn(y << 32 | x) & 0xFFFFFFFF
+    return oracles.sha2_word(m.value, x)
+
+
+def test_every_zknh_mnemonic_follows_the_spec_at_the_edge_words():
+    """Each of the ten Zknh mnemonics, at every pair of edge words, equals
+    the spec's formula, so a swapped entry of golden's table is seen here
+    and not only by cosim."""
+    zknh = [m for m in M if isa.EXT_OF[m] is Ext.ZKNH]
+    assert len(zknh) == 10
+    wrong = sorted({m.value for m in zknh for x in EDGE_WORDS for y in EDGE_WORDS
+                    if golden.sha2_semantics(m, x, y) != _zknh_oracle(m, x, y)})
+    assert wrong == []
+
+
 # --- clmul ------------------------------------------------------------------------
 
 def test_clmul_trivial():
@@ -451,6 +483,38 @@ def test_logic_with_inverted_operand(x, y):
     assert golden.zbkb_semantics(M.XNOR, x, y) == ~(x ^ y) & 0xFFFFFFFF
 
 
+def test_every_zbkb_mnemonic_follows_the_spec_at_the_edge_words():
+    """Each of the twelve Zbkb mnemonics, at the edge words as rs1 and at
+    the edge words, every rotate amount 0-31 and each amount with bits 5-31
+    set as operand 2, equals the spec's formula."""
+    zbkb = [m for m in M if isa.EXT_OF[m] is Ext.ZBKB]
+    assert len(zbkb) == 12
+    op2s = EDGE_WORDS + tuple(range(32)) + tuple(0xFFFFFFE0 | n for n in range(32))
+    wrong = sorted({m.value for m in zbkb for x in EDGE_WORDS for y in op2s
+                    if golden.zbkb_semantics(m, x, y) != oracles.zbkb(m.value, x, y)})
+    assert wrong == []
+
+
+@pytest.mark.parametrize("semantics, ext, message", [
+    (golden.zbkb_semantics, Ext.ZBKB, "not a Zbkb mnemonic"),
+    (golden.sha2_semantics, Ext.ZKNH, "not a Zknh mnemonic"),
+], ids=["zbkb", "zknh"])
+def test_family_table_covers_exactly_its_extension(semantics, ext, message):
+    """Every one of the 70 mnemonics is accepted exactly when EXT_OF puts
+    it in the family's extension, and rejected with ValueError otherwise."""
+    misplaced = []
+    for m in M:
+        try:
+            semantics(m, 0x12345678, 5)
+            accepted = True
+        except ValueError as e:
+            assert message in str(e)
+            accepted = False
+        if accepted != (isa.EXT_OF[m] is ext):
+            misplaced.append(m.value)
+    assert len(M) == 70 and misplaced == []
+
+
 # --- determinism ---------------------------------------------------------------------
 
 def test_step_determinism():
@@ -537,13 +601,15 @@ def test_fetch_outside_and_across_the_window_end_goes_through_load(monkeypatch):
 def test_decoded_in_window_step_calls_only_the_ports_and_its_handler():
     """A golden step over a word decoded before, in the dense window, goes
     through the shared ports and nothing else: it calls Memory.load, then
-    decode_cached, then the mnemonic's _EXECUTE handler."""
+    execute, which calls decode_cached, then the mnemonic's _EXECUTE
+    handler."""
     word = instr(M.ADD, rd=1, rs1=2, rs2=3).raw
     state = fresh_state()
     state.mem.store(0x1000, 4, word)
     state.mem.store(0x1004, 4, word)
     golden.step(state)
     codes, _ = callprofile.calls_of(golden.step, state)
-    assert codes == [Memory.load.__code__, isa.decode_cached.__code__,
+    assert codes == [Memory.load.__code__, golden.execute.__code__,
+                     isa.decode_cached.__code__,
                      golden._EXECUTE[M.ADD].__code__]
     assert state.pc == 0x1008
