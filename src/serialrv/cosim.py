@@ -122,6 +122,8 @@ _RD_CHOICES = tuple(r for r in range(32) if r != SCRATCH_REG)
 _N_RD = len(_RD_CHOICES)
 _K_RD = _N_RD.bit_length()  # the draw rule's k for an rd
 _K_REG = (32).bit_length()  # and for a source register
+# bound once, as each `M.X` load goes through EnumType.__getattr__
+_JAL, _SW, _EBREAK = M.JAL, M.SW, M.EBREAK
 
 
 def _build_pool(extensions: frozenset) -> tuple:
@@ -227,7 +229,7 @@ def generate(config: TortureConfig,
         if rng.random() < BRANCH_DENSITY:
             shadow = 1 + _below(bits, 3)
             if rng.random() < 0.15:
-                emit(M.JAL, rd=_RD_CHOICES[_below(bits, _N_RD)],
+                emit(_JAL, rd=_RD_CHOICES[_below(bits, _N_RD)],
                      imm=4 * (shadow + 1))
             else:
                 emit(_BRANCHES[_below(bits, len(_BRANCHES))],
@@ -242,8 +244,8 @@ def generate(config: TortureConfig,
     # epilogue: dump x1..x31 into the window tail, then halt
     dump_base = wsize - 31 * 4
     for r in range(1, 32):
-        emit(M.SW, rs1=SCRATCH_REG, rs2=r, imm=dump_base + 4 * (r - 1))
-    emit(M.EBREAK)
+        emit(_SW, rs1=SCRATCH_REG, rs2=r, imm=dump_base + 4 * (r - 1))
+    emit(_EBREAK)
 
     # pad up to the scratch window and pre-seed it so loads see a
     # deterministic pattern even before the first store

@@ -491,9 +491,11 @@ class _Fixup(NamedTuple):
     target: str
 
 
+# bound once, as each `M.X` load goes through EnumType.__getattr__
+_ADDI, _LUI, _JAL = M.ADDI, M.LUI, M.JAL
 # the mnemonics whose immediate Assembler.build can resolve from a label
 _TARGET_MNEMONICS = frozenset(
-    m for m, e in ENCODINGS.items() if e.fmt == FMT_BRANCH) | {M.JAL, M.LUI, M.ADDI}
+    m for m, e in ENCODINGS.items() if e.fmt == FMT_BRANCH) | {_JAL, _LUI, _ADDI}
 
 
 def _hi_lo(value: int) -> tuple:
@@ -570,30 +572,30 @@ class Assembler:
 
     # pseudo-instructions: nop, li (1 or 2 words), j
     def nop(self) -> None:
-        self.emit(M.ADDI, rd=0, rs1=0, imm=0)
+        self.emit(_ADDI, rd=0, rs1=0, imm=0)
 
     def li(self, rd: int, value: int) -> None:
         value &= 0xFFFFFFFF
         signed = value - (1 << 32) if value >> 31 else value
         if -2048 <= signed <= 2047:
-            self.emit(M.ADDI, rd=rd, rs1=0, imm=signed)
+            self.emit(_ADDI, rd=rd, rs1=0, imm=signed)
             return
         hi, lo = _hi_lo(value)
-        self.emit(M.LUI, rd=rd, imm=hi)
+        self.emit(_LUI, rd=rd, imm=hi)
         if lo:
-            self.emit(M.ADDI, rd=rd, rs1=rd, imm=lo)
+            self.emit(_ADDI, rd=rd, rs1=rd, imm=lo)
 
     def j(self, target: str) -> None:
-        self.emit(M.JAL, rd=0, target=target)
+        self.emit(_JAL, rd=0, target=target)
 
     def build(self, entry: Optional[int] = None) -> ProgramImage:
         for fx in self._fixups:
             if fx.target not in self._labels:
                 raise UnresolvedLabel(fx.target)
             address = self._labels[fx.target]
-            if fx.mnemonic is M.LUI:
+            if fx.mnemonic is _LUI:
                 imm = _hi_lo(address)[0]
-            elif fx.mnemonic is M.ADDI:
+            elif fx.mnemonic is _ADDI:
                 imm = _hi_lo(address)[1]
             else:
                 imm = address - (self.base + 4 * fx.index)

@@ -40,7 +40,7 @@ What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
 
 - per mnemonic, at import: the handler in `_EXECUTE` of every mnemonic
-  of a function-unit class (shift and rotate, load, store, AES, SHA,
+  of a function-unit class but shift and rotate (load, store, AES, SHA,
   clmul, xperm, reorder), built by its unit's factory with that
   mnemonic's constants bound in: its access size and sign, its S-box and
   mix as one word per input byte, its SHA wiring, its digit width, its
@@ -52,25 +52,24 @@ it changes a simulated cycle):
   and sw.
 - per config, in `__init__`: one binding shared by every core under an
   equal config and by `latency_table`. It holds the latency table, each
-  mnemonic's sequential and taken charge, the shift plans, the shift
-  unit's step sequence for every move amount, one lane per chunk, the
-  lane masks and the map {mnemonic: its extension is enabled} (see
-  `_binding`): a chunk loop combines each chunk where it sits, never
-  moving it down to bit 0, and a bitwise loop walks the masks alone.
-  Each plan is bound to its loop: (move function, steps, mask), so a
-  shift or rotate looks up its plan by amount and calls the move
-  function on the steps, one chunk or single-bit step at a time, with no
-  test of which loop it is.
+  mnemonic's sequential and taken charge, the shift unit's step sequence
+  for every move amount, one lane per chunk, the lane masks and the map
+  {mnemonic: its extension is enabled} (see `_binding`): a chunk loop
+  combines each chunk where it sits, never moving it down to bit 0, and
+  a bitwise loop walks the masks alone. A shift or rotate's sequential
+  charge is its row, one (charge, move function, steps, mask) per
+  amount, so the frame reads its charge and plan at once and calls the
+  move function itself, with no test of which loop it is.
 - per core, in `__init__`: the dense memory window the fetch reads:
   `_window` (the buffer, never replaced or resized), `_window_base` and
   `_window_last` (the offset of its last word).
 - per mnemonic, the first time the core meets it: one record holding
   what executes it, whether operand 2 is the immediate (else rs2), its
-  sequential charge (per shift amount for a shift or rotate), its taken
-  charge and its store size, which the commit tests to write the
-  (address, value) that the store unit returned. What executes it is
-  either a value unit or a handler, read from `_EXECUTE` when the record
-  is bound, or neither when its extension is not enabled. A value unit
+  sequential charge (a shift or rotate's row), its taken charge and its
+  store size, which the commit tests to write the (address, value) that
+  the store unit returned. What executes it is a value unit, a handler
+  or a row, or none of them when its extension is not enabled: then the
+  record binds no charge, so no row. A value unit
   is a chunk function of the class (add, sub, and, or, xor and their
   I-forms), which the frame calls as `unit(core, rs1, operand 2)` for
   the rd value. The record holds the function, never a method bound to
@@ -311,9 +310,8 @@ _MOVE = {"sll": _move_sll, "rol": _move_rol, "srl": _move_srl,
 @functools.lru_cache(maxsize=256)
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
-    {mnemonic: (sequential charge, taken charge)}, {shift/rotate mnemonic:
-    its 32 plans by amount}, move steps, lanes, lane masks, {mnemonic: its
-    extension is enabled}).
+    {mnemonic: (sequential charge, taken charge)}, move steps, lanes, lane
+    masks, {mnemonic: its extension is enabled}).
 
     The charges are the frontend rule. Going on to pc + 4 overlaps the next
     fetch with execution: max(execute, mem_latency), by amount for a shift
@@ -321,9 +319,10 @@ def _binding(config: CoreConfig) -> tuple:
     buffer: execute + taken_branch_penalty + mem_latency - 1. ebreak and
     ecall, which fetch nothing after them, take their execute cycles.
 
-    A plan is bound as (move function, steps, mask): the loop of
-    `shift_plan` as its `_MOVE` function, the steps of its amount, and its
-    mask, MASK32 when it has no mask pass. A lane is
+    A shift or rotate's sequential charge is its row, one entry per amount:
+    (charge, move function, steps, mask), the plan of `shift_plan` with its
+    loop as the `_MOVE` function and MASK32 for no mask pass. Under Zkt
+    each entry charges the maximum and keeps its own plan. A lane is
     (mask << p, 1 << (p + w)) for the w-bit chunk at bit p, LSB first: the
     chunk's bits, and the bit where its carry-out lands. The lane masks are
     the first of each lane, in the same order."""
@@ -339,7 +338,7 @@ def _binding(config: CoreConfig) -> tuple:
         SHA: config.sha_select_latency + chunks,
         REORDER: config.reorder_latency, FENCE_NOP: 1,
     }
-    table, charges, plans = {}, {}, {}
+    table, charges = {}, {}
     for m, klass in CLASS_OF.items():
         if m not in SHIFT_MNEMONICS:
             execute = table[m] = per_class[klass]
@@ -350,14 +349,13 @@ def _binding(config: CoreConfig) -> tuple:
         costs = [len(steps[amount]) + (chunks if mask else 0) + 1
                  for _, amount, mask in by_amount]
         table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
-        charges[m] = (tuple(max(c, fetch) for c in table[m]), None)
-        plans[m] = tuple((_MOVE[loop], steps[amount], mask or MASK32)
-                         for loop, amount, mask in by_amount)
+        charges[m] = (tuple((max(c, fetch), _MOVE[loop], steps[amount], mask or MASK32)
+                            for c, (loop, amount, mask) in zip(table[m], by_amount)), None)
     w = config.serial_width
     lanes = tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w))
     enabled = {m: e is Ext.RV32I or e in config.extensions
                for m, e in isa.EXT_OF.items()}
-    return (MappingProxyType(table), charges, plans, steps, lanes,
+    return (MappingProxyType(table), charges, steps, lanes,
             tuple(mask for mask, _ in lanes), enabled)
 
 
@@ -450,7 +448,7 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        (_, self._charges, self._plans, self._steps, self._lanes,
+        (_, self._charges, self._steps, self._lanes,
          self._lane_masks, self._enabled) = _binding(config)
         self.arch = state
         self._window = state.mem.buf  # the dense window, for the fetch
@@ -526,10 +524,10 @@ class MicroCore:
     def _bind(self, m: M) -> tuple:
         """Bind the record of mnemonic `m` under this core's config and keep
         it: (value unit, handler, operand 2 is the immediate, sequential
-        charge, taken charge, store size, [retired, charged cycles]). An
-        illegal mnemonic has neither a unit nor a handler."""
+        charge or a shift's row, taken charge, store size, [retired, charged
+        cycles]). An illegal mnemonic has no unit, handler or charge."""
         execute = _EXECUTE[m]
-        unit = handler = None
+        unit = handler = sequential = taken = None
         if self._enabled[m]:
             if type(execute) is str:
                 # the class's function, never a bound method: a record that
@@ -537,8 +535,8 @@ class MicroCore:
                 unit = getattr(type(self), execute)
             else:
                 handler = execute
+            sequential, taken = self._charges[m]
         imm_op2, store_size = _SHAPE[m]
-        sequential, taken = self._charges[m]
         rec = self._bound[m] = (unit, handler, imm_op2, sequential, taken,
                                 store_size, [0, 0])
         return rec
@@ -562,10 +560,11 @@ class MicroCore:
         other through the memory port. A step is charged one of its
         record's two charges (see `_binding`): the taken one when it
         transfers control or halts with ebreak or ecall, else the
-        sequential one. If a step's cycles would take `cycle` past
-        `max_cycles`, it writes nothing and halts with max-steps. Only a
-        store's record has a size, so only a store commits through the
-        memory port.
+        sequential one, for a shift or rotate its row's entry for the
+        amount, which also holds the plan the frame runs. If a step's
+        cycles would take `cycle` past `max_cycles`, it writes nothing and
+        halts with max-steps. Only a store's record has a size, so only a
+        store commits through the memory port.
 
         `expect` is (deltas, gold): golden's recorded steps, at least
         one, each (pc after, rd, rd's value after, outcome) as
@@ -620,17 +619,20 @@ class MicroCore:
             if unit is not None:
                 val = unit(self, regs[rs1], op2)
                 target = None
-            elif handler is not None:
+            elif handler is None:
+                if charged is None:  # its extension is not enabled
+                    return 0, _ILLEGAL, ins
+                # a shift or rotate: its row's entry for the amount
+                charged, move, steps, mask = charged[op2 & 31]
+                val = move(regs[rs1], steps) & mask
+                target = None
+            else:
                 try:
                     val, target = handler(self, ins, regs[rs1], op2)
                 except _Halt as halt:
                     return 0, halt.args[0], ins
                 if target is not None:
                     charged = taken
-                elif type(charged) is tuple:  # a shift or rotate, costed by its amount
-                    charged = charged[op2 & 31]
-            else:
-                return 0, _ILLEGAL, ins
             cycle = self.cycle + charged
             if cycle > max_cycles:
                 return self._over_budget(fill, ins)
@@ -731,14 +733,6 @@ def _store_unit(m: M):
     return lsu_store
 
 
-def _shift_unit(m: M):
-    def shift(core, i, a, b):
-        # the shift unit walks the plan of this mnemonic and amount
-        move, steps, mask = core._plans[m][b & 31]
-        return move(a, steps) & mask, None
-    return shift
-
-
 def _aes_words(m: M):
     """The word that the S-box and mix of `m` drive, for each input byte."""
     if m is M.AES32ESI:
@@ -827,13 +821,14 @@ def _reorder_unit(m: M):
 
 
 # What each mnemonic does on the chunked data path: the name of a MicroCore
-# value unit, or a handler. A handler takes (core, instruction, rs1 value,
-# operand 2) and returns (value for rd or None, jump target or None for the
-# next instruction, or the halt outcome of ebreak and ecall); a store's
-# value is the (address, value) it commits. A handler writes no state, of
-# the core or architectural, and raises _Halt on a trap. Operand 2 is the
-# immediate for the isa.IMM_FORMS, so each I-form shares the entry of its
-# R-form.
+# value unit, a handler, or None for a shift or rotate, which the frame runs
+# from its row (see `_binding`). A handler takes (core, instruction, rs1
+# value, operand 2) and returns (value for rd or None, jump target or None
+# for the next instruction, or the halt outcome of ebreak and ecall); a
+# store's value is the (address, value) it commits. A handler writes no
+# state, of the core or architectural, and raises _Halt on a trap. Operand
+# 2 is the immediate for the isa.IMM_FORMS, so each I-form shares the entry
+# of its R-form.
 _EXECUTE = {
     M.ADD: "_chunk_add",
     M.SUB: "_chunk_sub",
@@ -874,10 +869,10 @@ _EXECUTE = {
 }
 # each function unit serves its latency class, built once per mnemonic with
 # that mnemonic's constants bound in
-_UNIT_OF_CLASS = {SHIFT: _shift_unit, ROTATE: _shift_unit, AES: _aes_unit,
-                  SHA: _sha_unit, CLMUL: _clmul_unit, XPERM: _xperm_unit,
-                  REORDER: _reorder_unit}
+_UNIT_OF_CLASS = {AES: _aes_unit, SHA: _sha_unit, CLMUL: _clmul_unit,
+                  XPERM: _xperm_unit, REORDER: _reorder_unit}
 _EXECUTE.update((m, _UNIT_OF_CLASS[c](m)) for m, c in CLASS_OF.items()
                 if c in _UNIT_OF_CLASS)
+_EXECUTE.update((m, None) for m in CLASS_OF if m in SHIFT_MNEMONICS)
 for _m, _r in isa.R_FORM_OF.items():
     _EXECUTE[_m] = _EXECUTE[_r]

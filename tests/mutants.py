@@ -81,13 +81,22 @@ def sll_by_3_masked_as_by_4():
 
 def _charged_through(fault):
     """Cores built inside bind each mnemonic's (sequential, taken) charges
-    as `fault(mnemonic, execute cycles, sequential, taken)` returns them."""
+    as `fault(mnemonic, execute cycles, sequential, taken)` returns them.
+    A shift or rotate's charges are rewritten amount by amount, each
+    entry of its row keeping its plan."""
     binding = microarch._binding
 
     def faulty(config):
         table, charges, *rest = binding(config)
-        return (table, {m: fault(m, table[m], *c) for m, c in charges.items()},
-                *rest)
+        faulted = {}
+        for m, (seq, taken) in charges.items():
+            if m in microarch.SHIFT_MNEMONICS:
+                seq = tuple((fault(m, cycles, charge, taken)[0], *plan)
+                            for cycles, (charge, *plan) in zip(table[m], seq))
+                faulted[m] = (seq, taken)
+            else:
+                faulted[m] = fault(m, table[m], seq, taken)
+        return (table, faulted, *rest)
 
     return _patched(microarch, "_binding", faulty)
 

@@ -86,12 +86,22 @@ def test_illegal_word_halts():
     assert golden.step(s).reason == golden.ILLEGAL
 
 
-def test_disabled_extension_is_illegal():
-    i = instr(M.CLMUL, rd=1, rs1=2, rs2=3)
-    _, out = run_one(i, exts=frozenset())
-    assert out.reason == golden.ILLEGAL
-    _, out = run_one(i, exts=frozenset({Ext.ZBKC}))
-    assert not out.halted
+# a rotate of each form and one mnemonic of each other gated family
+_GATED = (M.ROL, M.ROR, M.RORI, M.PACK, M.CLMUL, M.XPERM8, M.AES32ESI,
+          M.AES32DSMI, M.SHA256SIG0, M.SHA512SUM0R)
+
+
+@pytest.mark.parametrize("m", _GATED, ids=lambda m: m.value)
+def test_disabled_extension_is_illegal(m):
+    """Without its extension a gated mnemonic halts illegal and writes
+    nothing; with only its own subset it retires."""
+    i = instr(m, rd=1, rs1=2, rs2=3, imm=5, bs=1)
+    regs = {2: 0x80000001, 3: 13}
+    s, out = run_one(i, regs, exts=frozenset())
+    assert out.halted and out.reason == golden.ILLEGAL
+    assert s.pc == 0x1000 and s.regs == [0, 0, 0x80000001, 13] + [0] * 28
+    s, out = run_one(i, regs, exts=frozenset({isa.EXT_OF[m]}))
+    assert not out.halted and s.pc == 0x1004
 
 
 def test_fence_is_noop():

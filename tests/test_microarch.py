@@ -594,7 +594,9 @@ def _calls_of_second_step(i):
 
 _STEP_CALLS = {
     "add": (instr(M.ADD, rd=1, rs1=2, rs2=3), ["_chunk_add"]),
-    "slli": (instr(M.SLLI, rd=1, rs1=2, imm=3), ["shift", "_move_sll"]),
+    "slli": (instr(M.SLLI, rd=1, rs1=2, imm=3), ["_move_sll"]),
+    "srai": (instr(M.SRAI, rd=1, rs1=2, imm=3), ["_move_sra"]),
+    "rori": (instr(M.RORI, rd=1, rs1=2, imm=3), ["_move_ror"]),
     "lw": (instr(M.LW, rd=1, rs1=2, imm=8), ["lsu_load", "load"]),
     "sha256sig0": (instr(M.SHA256SIG0, rd=1, rs1=2), ["sha", "_chunk_xor"]),
     "aes32esmi": (instr(M.AES32ESMI, rd=1, rs1=2, rs2=3, bs=1),
@@ -609,7 +611,8 @@ def test_decoded_sequential_step_calls_only_its_unit(i, want):
     """A step over a word decoded before makes no Python call for fetch,
     decode or operand reads: it calls only what executes the instruction,
     one handler bound to its mnemonic that makes no second dispatch on it,
-    and never decode_cached. A shift calls the move function of its plan.
+    and never decode_cached. A shift or rotate calls only the move
+    function of its plan, which the frame reads from its row.
     Memory.load runs only for a load's own data access, Memory.store only
     for a store's commit, and `len` only where they find the window."""
     calls, builtins = _calls_of_second_step(i)
@@ -903,10 +906,35 @@ def test_misaligned_access_traps_match_golden():
     assert cycles == 0
 
 
-def test_disabled_extension_trap():
-    core = make_core(8, exts=frozenset())
-    _, out = exec_one(core, instr(M.CLMUL, rd=1, rs1=1, rs2=2))
-    assert out.halted and out.reason == golden.ILLEGAL
+# a rotate of each form and one mnemonic of each other gated unit
+_GATED = (M.ROL, M.ROR, M.RORI, M.PACK, M.CLMUL, M.XPERM8, M.AES32ESI,
+          M.AES32DSMI, M.SHA256SIG0, M.SHA512SUM0R)
+
+
+@pytest.mark.parametrize("width", (1, 32))
+@pytest.mark.parametrize("m", _GATED, ids=lambda m: m.value)
+def test_disabled_extension_trap(m, width):
+    """Without its extension a gated mnemonic halts illegal, charges no
+    cycle and writes nothing; with only its own subset it retires as it
+    does on golden."""
+    i = instr(m, rd=1, rs1=2, rs2=3, imm=5, bs=1)
+    core = make_core(width, exts=frozenset())
+    core.arch.regs[2], core.arch.regs[3] = 0x80000001, 13
+    core.arch.mem.store(0x1000, 4, i.raw)
+    regs, mem = list(core.arch.regs), bytes(core.arch.mem.buf)
+    assert core.step() == (0, golden.StepOutcome(True, golden.ILLEGAL), i)
+    assert core.arch.regs == regs and bytes(core.arch.mem.buf) == mem
+    assert core.arch.pc == 0x1000 and core.retired() == {}
+
+    exts = frozenset({isa.EXT_OF[m]})
+    ref = ArchState(pc=0x1000, mem=Memory())
+    ref.regs[2], ref.regs[3] = 0x80000001, 13
+    ref.mem.store(0x1000, 4, i.raw)
+    assert not golden.step(ref, exts).halted
+    core = make_core(width, exts=exts)
+    cycles, out = exec_one(core, i, {2: 0x80000001, 3: 13})
+    assert not out.halted and cycles > 0
+    assert core.arch.regs == ref.regs and core.arch.pc == ref.pc == 0x1004
 
 
 # --- comparisons on equal and neighbouring operands ------------------------------
