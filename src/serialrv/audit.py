@@ -8,7 +8,7 @@ import random
 from typing import NamedTuple
 
 from . import isa
-from .golden import ArchState, MASK32, Memory
+from .golden import RETIRED, ArchState, MASK32, Memory
 from .image import DEFAULT_BASE
 from .microarch import CLASS_OF, SHIFT_MNEMONICS, CoreConfig, MicroCore
 
@@ -41,7 +41,7 @@ def _measure_once(config: CoreConfig, ins: isa.Instr, rs1: int, rs2: int) -> int
     state.regs[1] = rs1 & MASK32
     state.regs[2] = rs2 & MASK32
     cycles, outcome, _ = MicroCore(config, state).step()
-    assert not outcome.halted or outcome.reason is None
+    assert outcome is RETIRED
     return cycles
 
 

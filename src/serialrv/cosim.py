@@ -7,8 +7,9 @@ scratch window addressed off a reserved base register.
 
 The golden model's run of a program does not depend on the core's width:
 it is recorded once, as the register in each step's rd field and its value
-after the step, and the cycle-accurate core is checked against it at each
-width, all 32 registers after every step. Each width's replay runs in one
+after the step, with the last step's outcome kept once, and the
+cycle-accurate core is checked against it at each width, all 32 registers
+after every step. Each width's replay runs in one
 core frame (`MicroCore.step` with `expect`), which stops at the first step
 that halts or differs from golden, or at the recording's end; cosim_run
 then classifies that last step once. A core that ends the run with the
@@ -53,6 +54,8 @@ class CosimReport(NamedTuple):
     sig_golden: str
     divergence_pc: Optional[int] = None
     divergence_field: Optional[str] = None
+    # the steps before the one that ends the run: unlike ExecStats.instret
+    # it leaves out a final ebreak (seed 0, width 4, Zkn+Zkt: 307 vs 308)
     instret: int = 0
     cycles: int = 0  # the core's cycle count at the end; not in the JSON
 
@@ -262,7 +265,8 @@ def generate(config: TortureConfig,
 
 class _GoldenTrace(NamedTuple):
     image: ProgramImage
-    steps: tuple        # (pc after, rd, rd's value after, outcome) per step
+    steps: tuple        # (pc after, rd, rd's value after) per step
+    outcome: golden.StepOutcome  # the last step's; every earlier one retired
     signature: str      # golden signature after the last step
     window: bytes       # the scratch window's bytes after the last step
 
@@ -270,10 +274,11 @@ class _GoldenTrace(NamedTuple):
 def _golden_run(image: ProgramImage, exts: frozenset,
                 max_steps: int) -> _GoldenTrace:
     """Step the golden model on `image` until it halts or `max_steps` steps
-    have run, recording each step as a delta.
+    have run, recording each step as a delta and the last step's outcome
+    once.
 
     A step writes no register but the rd of the word it fetches, so it is
-    recorded as (pc after, rd, value of rd after, outcome). Each step reads
+    recorded as (pc after, rd, value of rd after). Each step reads
     the word at pc once, through `Memory.load`, and hands it to
     `golden.execute`; rd is its bits 7-11, read before the step, so a
     store over that word cannot change which register the delta names.
@@ -292,10 +297,10 @@ def _golden_run(image: ProgramImage, exts: frozenset,
         word = load(gold.pc, 4)
         out = execute(gold, word, exts)
         rd = word >> 7 & 31
-        steps.append((gold.pc, rd, regs[rd], out))
-        if out.halted:
+        steps.append((gold.pc, rd, regs[rd]))
+        if out is not golden.RETIRED:
             break
-    return _GoldenTrace(image, tuple(steps), signature(gold, MEMORY_WINDOW),
+    return _GoldenTrace(image, tuple(steps), out, signature(gold, MEMORY_WINDOW),
                         mem.read_bytes(*MEMORY_WINDOW))
 
 
@@ -360,7 +365,9 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
 
     # the replay reads one delta per step it runs
     ran = len(steps) - operator.length_hint(deltas)
-    gold_pc, rd, value, g_out = steps[ran - 1]
+    gold_pc, rd, value = steps[ran - 1]
+    # only the trace's last step can halt golden
+    g_out = trace.outcome if ran == len(steps) else golden.RETIRED
     gold[rd] = value  # a halting step returns before it applies its delta
     pc = steps[ran - 2][0] if ran > 1 else trace.image.entry
     instret = ran - 1
@@ -370,10 +377,9 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     elif regs != gold:
         i = next(i for i in range(32) if regs[i] != gold[i])
         divergence = (pc, f"x{i}")
-    elif g_out.halted or m_out.halted:
-        if g_out != m_out:
-            divergence = (pc, "halt-reason")
-    else:
+    elif g_out is not m_out:
+        divergence = (pc, "halt-reason")
+    elif not g_out.halted:
         # only a golden run cut off by max_steps ends with neither halted
         instret = ran
         divergence = (gold_pc, "no-halt")

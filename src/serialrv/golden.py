@@ -42,7 +42,11 @@ class StepOutcome(NamedTuple):
     reason: Optional[str] = None
 
 
+# Every step of either model ends in one of these shared objects: RETIRED,
+# or the HALT entry of its reason.
 RETIRED = StepOutcome(False)
+HALT = {reason: StepOutcome(True, reason) for reason in (
+    EBREAK, ECALL, ILLEGAL, MISALIGNED_FETCH, MISALIGNED_ACCESS, MAX_STEPS)}
 
 # the word port of the dense window: one little-endian 32-bit read or write
 _WORD = struct.Struct("<I")
@@ -374,18 +378,9 @@ def _signed(x: int) -> int:
     return x - (1 << 32) if x & 0x80000000 else x
 
 
-class _Halt(Exception):
-    """Raised by a handler that halts the run; it has written nothing."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.outcome = StepOutcome(True, reason)
-
-
 def _halt(reason: str):
-    def handler(s, i, a, b):
-        raise _Halt(reason)
-    return handler
+    outcome = HALT[reason]
+    return lambda s, i, a, b: (None, outcome)
 
 
 def _branch(taken):
@@ -398,7 +393,7 @@ def _load(width: int, signed: bool):
     def handler(s, i, a, b):
         addr = (a + i.imm) & MASK32
         if addr % width:
-            raise _Halt(MISALIGNED_ACCESS)
+            return None, HALT[MISALIGNED_ACCESS]
         val = s.mem.load(addr, width)
         return ((val ^ sign) - sign) & MASK32 if signed else val, None
     return handler
@@ -408,7 +403,7 @@ def _store(width: int):
     def handler(s, i, a, b):
         addr = (a + i.imm) & MASK32
         if addr % width:
-            raise _Halt(MISALIGNED_ACCESS)
+            return None, HALT[MISALIGNED_ACCESS]
         s.mem.store(addr, width, b)
         return None, None
     return handler
@@ -416,7 +411,8 @@ def _store(width: int):
 
 # What each mnemonic does. A handler takes (state, instruction, rs1 value,
 # operand 2) and returns (value for rd or None, jump target or None for the
-# next instruction). Operand 2 is the immediate for the isa.IMM_FORMS, so
+# next instruction), or (None, the HALT outcome) for a step that halts having
+# written nothing. Operand 2 is the immediate for the isa.IMM_FORMS, so
 # each I-form shares the handler of its R-form.
 _EXECUTE = {
     M.ADD: lambda s, i, a, b: ((a + b) & MASK32, None),
@@ -485,26 +481,25 @@ def execute(state: ArchState, word: int, extensions: frozenset) -> StepOutcome:
     """
     pc = state.pc
     if pc & 3:
-        return StepOutcome(True, MISALIGNED_FETCH)
+        return HALT[MISALIGNED_FETCH]
     try:
         ins = isa.decode_cached(word)
     except isa.IllegalInstruction:
-        return StepOutcome(True, ILLEGAL)
+        return HALT[ILLEGAL]
     m, rd, rs1, rs2, imm, _, _ = ins
     ext = isa.EXT_OF[m]
     if ext is not _RV32I and ext not in extensions:
-        return StepOutcome(True, ILLEGAL)
+        return HALT[ILLEGAL]
 
     regs = state.regs
     op2 = imm & MASK32 if m in isa.IMM_FORMS else regs[rs2]
-    try:
-        val, target = _EXECUTE[m](state, ins, regs[rs1], op2)
-    except _Halt as halt:
-        return halt.outcome
+    val, target = _EXECUTE[m](state, ins, regs[rs1], op2)
+    if target is not None and type(target) is StepOutcome:
+        return target
     if val is not None and rd:
         regs[rd] = val
     next_pc = (pc + 4 if target is None else target) & MASK32
     state.pc = next_pc
     if next_pc & 3:
-        return StepOutcome(True, MISALIGNED_FETCH)
+        return HALT[MISALIGNED_FETCH]
     return RETIRED

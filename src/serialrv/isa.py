@@ -442,9 +442,11 @@ _DECODE_CACHE_MAX = 1 << 17  # past this many entries decode_cached clears it
 
 def decode_cached(word: int) -> Instr:
     """decode() with memoization in `_DECODE_CACHE`; used on simulator fetch
-    paths. `golden.step` decodes through here, cosim's golden trace not at
-    all; only `MicroCore.step` probes the dict itself and calls this on a
-    miss, so the dict is cleared in place, never rebound. Kernels, the
+    paths. `golden.execute` decodes through here, for `golden.step` and for
+    cosim's golden trace alike, where every word hits the generator's seeded
+    Instrs. Only `MicroCore.step` probes the dict itself, through its bound
+    `get`, and calls this on a miss, so the dict is cleared in place, never
+    rebound. Kernels, the
     audit and `serialrv run` fill it here on demand, and past
     `_DECODE_CACHE_MAX` entries it is cleared. Cosim seeds it with exactly
     one program's words: `_golden_trace` clears it and fills it with the

@@ -31,10 +31,17 @@ leaves the pc or any of the 32 registers unlike golden's, or takes the
 last delta. The fetch has one path: the core's first step pays the
 fill, then the pc's alignment is checked and the word is read, straight
 from the dense memory window or else through the memory port. A fetch
-that hits isa's decode cache makes no call: the frame probes the dict
-itself and unpacks the instruction's fields once. `step` is the core's
-only way in: every instruction, a program's, the audit's or cosim's,
-passes through these lines.
+that hits isa's decode cache makes no Python call: the frame probes the
+dict itself, through its bound `get`, and unpacks the instruction's
+fields once. `step` is the core's only way in: every instruction, a
+program's, the audit's or cosim's, passes through these lines.
+
+Every step ends in one of golden's shared outcomes, `RETIRED` or the
+`HALT` entry of its reason, and none ends by raising. A handler whose
+access is misaligned returns that trap's outcome where a jump target
+would go, as ebreak and ecall return theirs; on a step with a target the
+frame tells the trap apart by one identity test, and the trap charges
+and counts nothing. A sequential step never reaches that test.
 
 What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
@@ -91,12 +98,14 @@ from types import MappingProxyType
 from typing import NamedTuple, Optional, Tuple
 
 from . import golden, isa
-from .golden import (ArchState, StepOutcome, RETIRED, MASK32, EBREAK,
+from .golden import (ArchState, StepOutcome, RETIRED, HALT, MASK32, EBREAK,
                      ECALL, ILLEGAL, MAX_STEPS, MISALIGNED_FETCH, MISALIGNED_ACCESS,
-                     _unpack_word)
-from .isa import _DECODE_CACHE, Ext, Instr, Mnemonic as M
+                     _halt, _unpack_word)
+from .isa import Ext, Instr, Mnemonic as M
 
 VALID_WIDTHS = (1, 2, 4, 8, 16, 32)
+# the decode cache's probe: the Instr of a word decoded before, else None
+_cached_instr = isa._DECODE_CACHE.get
 _NO_BUDGET = 1 << 64  # a cycle budget that no run reaches
 
 # Latency classes.
@@ -567,15 +576,16 @@ class MicroCore:
         store commits through the memory port.
 
         `expect` is (deltas, gold): golden's recorded steps, at least
-        one, each (pc after, rd, rd's value after, outcome) as
-        `cosim._golden_run` records them, and a list of golden's 32
-        registers before the first. The core then runs one instruction
-        per delta, read just before it runs. After each retired one, the
-        delta's value goes into `gold` and the core's pc and all 32
-        registers are compared with golden's. The run stops at the first instruction
-        that halts (its delta is not applied), that leaves the pc or a
-        register unlike golden's, or that takes the last delta. Only
-        golden's last step can halt, so no delta's outcome is read here.
+        one, each (pc after, rd, rd's value after) as `cosim._golden_run`
+        records them, and a list of golden's 32 registers before the
+        first. The core then runs one instruction per delta, read just
+        before it runs. After each retired one, the delta's value goes
+        into `gold` and the core's pc and all 32 registers are compared
+        with golden's. The run stops at the first instruction that halts
+        (its delta is not applied), that leaves the pc or a register
+        unlike golden's, or that takes the last delta. A delta holds no
+        outcome: only golden's last step can halt, and cosim reads its
+        outcome from the trace.
         """
         arch = self.arch
         regs = arch.regs
@@ -592,7 +602,7 @@ class MicroCore:
         while True:
             pc = arch.pc
             if pc & 3:
-                return 0, _MISALIGNED_FETCH, None
+                return 0, HALT[MISALIGNED_FETCH], None
             # a dense-window word straight from the window bound in __init__,
             # any other through the memory port
             off = pc - self._window_base
@@ -601,13 +611,12 @@ class MicroCore:
             else:
                 word = arch.mem.load(pc, 4)
             # a word decoded before is one probe of the decode cache
-            try:
-                ins = _DECODE_CACHE[word]
-            except KeyError:
+            ins = _cached_instr(word)
+            if ins is None:
                 try:
                     ins = isa.decode_cached(word)
                 except isa.IllegalInstruction:
-                    return 0, _ILLEGAL, None
+                    return 0, HALT[ILLEGAL], None
 
             # bind, then execute on the record and pick its charge
             m, rd, rs1, rs2, imm, _, _ = ins
@@ -621,17 +630,16 @@ class MicroCore:
                 target = None
             elif handler is None:
                 if charged is None:  # its extension is not enabled
-                    return 0, _ILLEGAL, ins
+                    return 0, HALT[ILLEGAL], ins
                 # a shift or rotate: its row's entry for the amount
                 charged, move, steps, mask = charged[op2 & 31]
                 val = move(regs[rs1], steps) & mask
                 target = None
             else:
-                try:
-                    val, target = handler(self, ins, regs[rs1], op2)
-                except _Halt as halt:
-                    return 0, halt.args[0], ins
+                val, target = handler(self, ins, regs[rs1], op2)
                 if target is not None:
+                    if target is _MISALIGNED_ACCESS:  # a trap: nothing charged or counted
+                        return 0, target, ins
                     charged = taken
             cycle = self.cycle + charged
             if cycle > max_cycles:
@@ -652,13 +660,13 @@ class MicroCore:
             else:
                 arch.pc = pc = target & MASK32
                 if pc & 3:
-                    return charged, _MISALIGNED_FETCH, ins
+                    return charged, HALT[MISALIGNED_FETCH], ins
             if expect is None:
                 return charged, RETIRED, ins
 
             # replay: every halting step has returned above; a retired one
             # applies its delta and is compared with golden
-            gold_pc, gold_rd, value, _ = delta
+            gold_pc, gold_rd, value = delta
             gold[gold_rd] = value
             if arch.pc != gold_pc or regs != gold:
                 return charged, RETIRED, ins
@@ -680,24 +688,10 @@ class MicroCore:
         if fill:
             self.cycle -= fill
             self.startup_cycles = 0
-        return 0, _OVER_BUDGET, ins
+        return 0, HALT[MAX_STEPS], ins
 
 
-_OVER_BUDGET = StepOutcome(True, MAX_STEPS)
-_ILLEGAL = StepOutcome(True, ILLEGAL)
-_MISALIGNED_FETCH = StepOutcome(True, MISALIGNED_FETCH)
-_MISALIGNED_ACCESS = StepOutcome(True, MISALIGNED_ACCESS)
-
-
-class _Halt(Exception):
-    """Raised, with its outcome, by a handler whose instruction traps: it
-    has written nothing and does not retire."""
-
-
-def _halt(reason: str):
-    # ebreak and ecall retire and halt: the outcome goes where a target would
-    outcome = StepOutcome(True, reason)
-    return lambda core, i, a, b: (None, outcome)
+_MISALIGNED_ACCESS = HALT[MISALIGNED_ACCESS]  # the one trap a handler returns
 
 
 def _branch(taken):
@@ -714,7 +708,7 @@ def _load_unit(m: M, signed: bool):
         # a full-word read, then the addressed bytes
         addr = (a + i.imm) & MASK32
         if addr & (size - 1):
-            raise _Halt(_MISALIGNED_ACCESS)
+            return None, _MISALIGNED_ACCESS
         word = core.arch.mem.load(addr & ~3, 4)
         val = (word >> 8 * (addr & 3)) & field
         return (val ^ sign) - sign, None
@@ -728,7 +722,7 @@ def _store_unit(m: M):
         # the (address, value) the commit writes
         addr = (a + i.imm) & MASK32
         if addr & (size - 1):
-            raise _Halt(_MISALIGNED_ACCESS)
+            return None, _MISALIGNED_ACCESS
         return (addr, b), None
     return lsu_store
 
@@ -824,11 +818,11 @@ def _reorder_unit(m: M):
 # value unit, a handler, or None for a shift or rotate, which the frame runs
 # from its row (see `_binding`). A handler takes (core, instruction, rs1
 # value, operand 2) and returns (value for rd or None, jump target or None
-# for the next instruction, or the halt outcome of ebreak and ecall); a
-# store's value is the (address, value) it commits. A handler writes no
-# state, of the core or architectural, and raises _Halt on a trap. Operand
-# 2 is the immediate for the isa.IMM_FORMS, so each I-form shares the entry
-# of its R-form.
+# for the next instruction, or a HALT outcome: ebreak's and ecall's, or the
+# misaligned-access trap's, with no value); a store's value is the
+# (address, value) it commits. A handler writes no state, of the core or
+# architectural. Operand 2 is the immediate for the isa.IMM_FORMS, so each
+# I-form shares the entry of its R-form.
 _EXECUTE = {
     M.ADD: "_chunk_add",
     M.SUB: "_chunk_sub",

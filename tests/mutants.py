@@ -28,7 +28,10 @@ def flipped_store(addr=None):
     store = microarch._EXECUTE[M.SW]
 
     def faulty(core, i, a, b):
-        (where, value), target = store(core, i, a, b)
+        stored, target = store(core, i, a, b)
+        if stored is None:  # a misaligned sw: its trap outcome passes through
+            return stored, target
+        where, value = stored
         return (where, value ^ (addr is None or where == addr)), target
 
     return _patched(microarch._EXECUTE, M.SW, faulty)

@@ -521,8 +521,8 @@ def test_replay_stops_at_the_first_step_unlike_golden():
     """The replay runs one step per delta and stops at the first whose
     registers differ from golden's, having compared all 32 after each."""
     micro, deltas = _replay_core(generate(TortureConfig(seed=1)))
-    pc, rd, value, outcome = deltas[9]
-    wrong = deltas[:9] + ((pc, rd, value ^ 1, outcome),) + deltas[10:]
+    pc, rd, value = deltas[9]
+    wrong = deltas[:9] + ((pc, rd, value ^ 1),) + deltas[10:]
     _, outcome, _ = micro.step(expect=(wrong, micro.arch.regs[:]))
     assert outcome is golden.RETIRED
     assert sum(n for n, _ in micro.retired().values()) == 10
@@ -572,10 +572,10 @@ def test_stray_write_caught_though_both_models_overwrite_it(
         trace = cosim._golden_trace(tc, frozenset(core.extensions) - {Ext.ZKT},
                                     200_000)
         micro = microarch.MicroCore(core, ArchState.from_image(img))
-        for _, rd, value, g_out in trace.steps:
+        for _, rd, value in trace.steps:
             micro.step()
             assert micro.arch.regs[rd] == value
-    assert g_out.halted
+    assert trace.outcome.halted
     assert signature(micro.arch, MEMORY_WINDOW) == trace.signature
 
 
@@ -595,7 +595,7 @@ def test_delta_names_the_register_of_the_word_before_the_step(
     monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
     tc = TortureConfig(seed=0)
     trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
-    assert [rd for _, rd, _, _ in trace.steps] == [6, 6, 5, 5, 0, 0]
+    assert [rd for _, rd, _ in trace.steps] == [6, 6, 5, 5, 0, 0]
     assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
 
 
@@ -610,8 +610,9 @@ def test_illegal_word_records_rd_zero(monkeypatch, fresh_golden_trace):
     monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
     tc = TortureConfig(seed=0)
     trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
-    assert [(rd, out) for _, rd, _, out in trace.steps] == [
-        (1, golden.RETIRED), (0, golden.StepOutcome(True, golden.ILLEGAL))]
+    assert [rd for _, rd, _ in trace.steps] == [1, 0]
+    assert golden.step(ArchState.from_image(img)) is golden.RETIRED
+    assert trace.outcome == golden.StepOutcome(True, golden.ILLEGAL)
     assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
 
 
@@ -634,8 +635,8 @@ def test_delta_register_is_the_word_rd_field(monkeypatch, fresh_golden_trace):
     monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
     tc = TortureConfig(seed=0)
     trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
-    assert [rd for _, rd, _, _ in trace.steps] == [6, 13, 13, 13, 8, 31]
-    assert trace.steps[-1][3] == golden.StepOutcome(True, golden.ILLEGAL)
+    assert [rd for _, rd, _ in trace.steps] == [6, 13, 13, 13, 8, 31]
+    assert trace.outcome == golden.StepOutcome(True, golden.ILLEGAL)
     assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
     with mutants.stray_register_write(M.SB, 13):
         for w in WIDTHS:
@@ -647,11 +648,13 @@ def _assert_deltas_replay_golden(img, exts):
     trace = cosim._golden_run(img, exts, 200_000)
     gold = ArchState.from_image(img)
     regs = [0] * 32
-    for pc, rd, value, out in trace.steps:
-        assert golden.step(gold, exts) == out
+    outs = []
+    for pc, rd, value in trace.steps:
+        outs.append(golden.step(gold, exts))
         regs[rd] = value
         assert (gold.pc, regs) == (pc, gold.regs)
-    assert out.halted
+    assert all(out is golden.RETIRED for out in outs[:-1])
+    assert outs[-1] == trace.outcome and trace.outcome.halted
 
 
 def test_deltas_replay_to_golden_registers_after_every_step():

@@ -623,3 +623,19 @@ def test_decoded_in_window_step_calls_only_the_ports_and_its_handler():
                      isa.decode_cached.__code__,
                      golden._EXECUTE[M.ADD].__code__]
     assert state.pc == 0x1008
+
+
+def test_misaligned_store_step_calls_only_the_ports_and_its_handler():
+    """A golden step whose sw traps on a misaligned address makes the calls
+    of a step that retires and no other: Memory.load, then execute, which
+    calls decode_cached, then the sw handler, which returns the shared
+    outcome of the trap."""
+    state = fresh_state()
+    state.mem.store(0x1000, 4, instr(M.SW, rs1=1, rs2=2, imm=2).raw)
+    golden.step(state)
+    codes, _ = callprofile.calls_of(golden.step, state)
+    assert codes == [Memory.load.__code__, golden.execute.__code__,
+                     isa.decode_cached.__code__,
+                     golden._EXECUTE[M.SW].__code__]
+    assert golden.step(state) is golden.HALT[golden.MISALIGNED_ACCESS]
+    assert state.pc == 0x1000

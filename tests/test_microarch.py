@@ -603,6 +603,8 @@ _STEP_CALLS = {
                   ["aes", "_move_rol"]),
     "sw": (instr(M.SW, rs1=2, rs2=3, imm=8),
            ["lsu_store", "store", "_write", "_offset"]),
+    # a misaligned access traps in its unit, before the memory port
+    "lh-misaligned": (instr(M.LH, rd=1, rs1=2, imm=9), ["lsu_load"]),
 }
 
 
@@ -906,6 +908,33 @@ def test_misaligned_access_traps_match_golden():
     assert cycles == 0
 
 
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("m", [M.LH, M.LHU, M.LW, M.SH, M.SW],
+                         ids=lambda m: m.value)
+def test_misaligned_access_changes_nothing_as_on_golden(m, width):
+    """At every misaligned offset the access returns the shared
+    misaligned-access outcome, charges no cycle and counts no retirement,
+    and the registers, the memory window and the pc stay as they were,
+    as they do on golden."""
+    trap = golden.HALT[golden.MISALIGNED_ACCESS]
+    for off in (1, 2, 3):
+        if off % isa.ACCESS_BYTES[m] == 0:
+            continue
+        i = instr(m, rd=5, rs1=1, rs2=2, imm=0x200 + off)
+        ref, core = ArchState(pc=0x1000, mem=Memory()), make_core(width)
+        for state in (ref, core.arch):
+            state.regs[1:] = [0x2000] + [0x01010101 * r for r in range(2, 32)]
+            state.mem.store(0x2200, 4, 0xDEADBEEF)
+            state.mem.store(0x1000, 4, i.raw)
+        regs, window = ref.regs[:], bytes(ref.mem.buf)
+        assert golden.step(ref) is trap
+        assert core.step() == (0, trap, i) and core.step()[1] is trap
+        assert core.retired() == {} and core.cycle == core.startup_cycles
+        for state in (ref, core.arch):
+            assert (state.pc, state.regs) == (0x1000, regs), (m, off)
+            assert state.mem.buf == window, (m, off)
+
+
 # a rotate of each form and one mnemonic of each other gated unit
 _GATED = (M.ROL, M.ROR, M.RORI, M.PACK, M.CLMUL, M.XPERM8, M.AES32ESI,
           M.AES32DSMI, M.SHA256SIG0, M.SHA512SUM0R)
@@ -1128,6 +1157,86 @@ STEP_DIGESTS = {
 
 def test_step_path_is_pinned():
     assert _step_digests() == STEP_DIGESTS
+
+
+def test_every_step_ends_in_a_shared_outcome(monkeypatch):
+    """Every outcome either model returns is golden.RETIRED or one of the
+    golden.HALT values, the very object, over every mnemonic's sweep
+    operands at widths 1 and 32, the 72 kernel cells, 20 torture programs
+    and a step that ends in each halt reason."""
+    shared = {id(out) for out in (golden.RETIRED, *golden.HALT.values())}
+    reasons = {"core": set(), "golden": set()}
+
+    def seen(model, out):
+        assert id(out) in shared, (model, out)
+        reasons[model].add(out.reason)
+
+    step, execute = MicroCore.step, golden.execute
+
+    def core_step(self, *args, **kwargs):
+        result = step(self, *args, **kwargs)
+        seen("core", result[1])
+        return result
+
+    def golden_execute(*args):
+        out = execute(*args)
+        seen("golden", out)
+        return out
+
+    monkeypatch.setattr(MicroCore, "step", core_step)
+    monkeypatch.setattr(golden, "execute", golden_execute)
+
+    # the sweep: the core at two widths, golden once
+    for width in (1, 32):
+        assert _sweep_digest(width) == SWEEP_DIGESTS[width]
+    ref = ArchState(mem=Memory())
+    ref.mem.buf[:0x2000] = random.Random(9).randbytes(0x2000)
+    for m in M:
+        imm_of = _IMM_OF_FMT.get(isa.ENCODINGS[m].fmt, lambda b: 0)
+        for a, b in _sweep_operands():
+            ref.pc, ref.regs[1], ref.regs[2] = 0x1000, a, b
+            ref.mem.store(0x1000, 4, instr(m, rd=5, rs1=1, rs2=2, imm=imm_of(b),
+                                           bs=b & 3).raw)
+            golden.step(ref)
+
+    # the kernel cells, and golden's run of each kernel build
+    cells = 0
+    for kernel in bench.KERNELS.values():
+        for variant, exts in bench.EXTS.items():
+            kp = kernel.build(variant)
+            for w in WIDTHS:
+                bench.run_kernel(kp, CoreConfig(serial_width=w, extensions=exts))
+                cells += 1
+            ref = ArchState.from_image(kp.image)
+            while not golden.step(ref, exts).halted:
+                pass
+    assert cells == 72
+
+    # 20 torture programs, step by step on the core, recorded on golden
+    assert _step_digests() == STEP_DIGESTS
+    for seed in range(20):
+        cosim._golden_run(cosim.generate(cosim.TortureConfig(seed=seed)),
+                          isa.ZKN, 200_000)
+
+    # a step that ends in each halt reason, at a width that chunks
+    for pc, word, exts in [
+            (0x1000, instr(M.EBREAK).raw, isa.ZKN),
+            (0x1000, instr(M.ECALL).raw, isa.ZKN),
+            (0x1000, 0, isa.ZKN),  # no RV32 instruction is all zeros
+            (0x1000, instr(M.AES32ESI, rd=1, rs1=2, rs2=3, bs=0).raw, frozenset()),
+            (0x1002, instr(M.ADDI, rd=1, rs1=1, imm=1).raw, isa.ZKN),
+            (0x1000, instr(M.JAL, rd=1, imm=6).raw, isa.ZKN),
+            (0x1000, instr(M.LH, rd=1, rs1=0, imm=0x201).raw, isa.ZKN),
+            (0x1000, instr(M.SW, rs1=0, rs2=1, imm=0x202).raw, isa.ZKN)]:
+        ref, arch = ArchState(pc=pc, mem=Memory()), ArchState(pc=pc, mem=Memory())
+        for state in (ref, arch):
+            state.mem.store(0x1000, 4, word)
+        golden.step(ref, exts)
+        MicroCore(CoreConfig(serial_width=4, extensions=exts), arch).step()
+    MicroCore(CoreConfig(serial_width=4), ArchState(pc=0x1000, mem=Memory())).step(0)
+
+    assert reasons["core"] == {None, *golden.HALT}
+    assert reasons["golden"] == {None, *golden.HALT} - {golden.MAX_STEPS}
 
 
 def test_finished_core_is_freed_without_gc():
