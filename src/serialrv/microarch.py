@@ -20,11 +20,11 @@ taken-transfer flush) is bound beside it, in the same pass, as each
 mnemonic's two charges (see `_binding`).
 
 One frame of `MicroCore.step` carries an instruction from fetch to
-commit: fetch, decode, bind, execute, the pick of one of the record's
-charges, the cycle-budget check, the per-mnemonic count and the commit;
-every instruction that retires, ebreak and ecall too, takes the same
-lines. A plain call runs one instruction. A call with `expect` (golden's
-recorded deltas and a copy of golden's registers, see `cosim`) runs the
+commit: fetch, decode, the record lookup, execute, the pick of one of
+the record's charges, the cycle-budget check, the per-mnemonic count
+and the commit; every instruction that retires, ebreak and ecall too,
+takes the same lines. A plain call runs one instruction. A call with
+`expect` (golden's recorded deltas and a copy of golden's registers, see `cosim`) runs the
 same lines in a loop, one instruction per delta, and compares the core
 with golden after each: it stops at the first instruction that halts,
 leaves the pc or any of the 32 registers unlike golden's, or takes the
@@ -54,41 +54,37 @@ it changes a simulated cycle):
   half of the product, or its four reorder byte tables, built from
   `_REORDER_WIRING` by `_wiring_tables`. No handler reads the mnemonic
   of the instruction it executes.
-- per mnemonic, at import: its shape in `_SHAPE`: (operand 2 is the
-  immediate, store size), the size None for every mnemonic but sb, sh
-  and sw.
 - per config, in `__init__`: one binding shared by every core under an
-  equal config and by `latency_table`. It holds the latency table, each
-  mnemonic's sequential and taken charge, the shift unit's step sequence
-  for every move amount, one lane per chunk, the lane masks and the map
-  {mnemonic: its extension is enabled} (see `_binding`): a chunk loop
-  combines each chunk where it sits, never moving it down to bit 0, and
-  a bitwise loop walks the masks alone. A shift or rotate's sequential
-  charge is its row, one (charge, move function, steps, mask) per
-  amount, so the frame reads its charge and plan at once and calls the
-  move function itself, with no test of which loop it is.
+  equal config and by `latency_table`. It holds the latency table, one
+  record per mnemonic, the shift unit's step sequence for every move
+  amount, one lane per chunk and the lane masks (see `_binding`): a
+  chunk loop combines each chunk where it sits, never moving it down to
+  bit 0, and a bitwise loop walks the masks alone.
+- per config, one record per mnemonic: what executes it, whether
+  operand 2 is the immediate (else rs2), its sequential charge, its taken
+  charge, its store size (None but for sb, sh and sw), which the commit
+  tests to write the (address, value) that the store unit returned, and
+  its count slot. What executes it is a value unit, a handler or a row,
+  or none of them when its extension is not enabled: then the record
+  binds no charge, so no row. A value unit is a chunk function of the
+  class (add, sub, and, or, xor and their I-forms), which the frame calls
+  as `unit(core, rs1, operand 2)` for the rd value. A shift or rotate's
+  sequential charge is its row, one (charge, move function, steps, mask)
+  per amount, so the frame reads its charge and plan at once and calls
+  the move function itself, with no test of which loop it is. The record
+  holds functions, never a method bound to a core, so a finished core is
+  freed as soon as nothing refers to it.
+- A record holds no field of an instruction word: rd, rs1, rs2 and the
+  immediate are read from the decoded instruction when it retires, so
+  storing over code needs no invalidation. A handler or unit is read
+  when the binding is built, so one replaced later reaches only the
+  cores built from an uncached binding (`_binding.__wrapped__`).
 - per core, in `__init__`: the dense memory window the fetch reads:
   `_window` (the buffer, never replaced or resized), `_window_base` and
-  `_window_last` (the offset of its last word).
-- per mnemonic, the first time the core meets it: one record holding
-  what executes it, whether operand 2 is the immediate (else rs2), its
-  sequential charge (a shift or rotate's row), its taken charge and its
-  store size, which the commit tests to write the (address, value) that
-  the store unit returned. What executes it is a value unit, a handler
-  or a row, or none of them when its extension is not enabled: then the
-  record binds no charge, so no row. A value unit
-  is a chunk function of the class (add, sub, and, or, xor and their
-  I-forms), which the frame calls as `unit(core, rs1, operand 2)` for
-  the rd value. The record holds the function, never a method bound to
-  the core, so a finished core is freed as soon as nothing refers to it.
-- A record holds no field of an instruction word: rd, rs1, rs2 and the
-  immediate are read from the decoded instruction when it retires. The
-  records live on the core, keyed by mnemonic, so storing over code
-  needs no invalidation, and a handler or unit replaced before a core is
-  built is the one that core uses.
-
-Each record also carries the retired count and charged cycles of its
-mnemonic, added where the cycles are charged; `retired` reads them out.
+  `_window_last` (the offset of its last word), and the counts: the
+  retired count and charged cycles of each mnemonic, at its record's
+  count slot, added where the cycles are charged; `retired` reads them
+  out.
 """
 
 from __future__ import annotations
@@ -319,8 +315,14 @@ _MOVE = {"sll": _move_sll, "rol": _move_rol, "srl": _move_srl,
 @functools.lru_cache(maxsize=256)
 def _binding(config: CoreConfig) -> tuple:
     """What every core under `config` binds, built once: (latency table,
-    {mnemonic: (sequential charge, taken charge)}, move steps, lanes, lane
-    masks, {mnemonic: its extension is enabled}).
+    {mnemonic: its record}, move steps, lanes, lane masks).
+
+    A record is (value unit, handler, operand 2 is the immediate,
+    sequential charge or a shift's row, taken charge, store size, count
+    slot), one per mnemonic in `Mnemonic` order. A mnemonic whose
+    extension is not enabled has no unit, handler or charge. The count
+    slot k is where a core counts the mnemonic: retirements at k, charged
+    cycles at k + 1.
 
     The charges are the frontend rule. Going on to pc + 4 overlaps the next
     fetch with execution: max(execute, mem_latency), by amount for a shift
@@ -347,25 +349,35 @@ def _binding(config: CoreConfig) -> tuple:
         SHA: config.sha_select_latency + chunks,
         REORDER: config.reorder_latency, FENCE_NOP: 1,
     }
-    table, charges = {}, {}
-    for m, klass in CLASS_OF.items():
+    table, records = {}, {}
+    for slot, m in enumerate(M):
         if m not in SHIFT_MNEMONICS:
-            execute = table[m] = per_class[klass]
+            execute = table[m] = per_class[CLASS_OF[m]]
             halts = m is M.EBREAK or m is M.ECALL
-            charges[m] = (max(execute, fetch), execute + (0 if halts else flush))
-            continue
-        by_amount = [shift_plan(config, m, s) for s in range(32)]
-        costs = [len(steps[amount]) + (chunks if mask else 0) + 1
-                 for _, amount, mask in by_amount]
-        table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
-        charges[m] = (tuple((max(c, fetch), _MOVE[loop], steps[amount], mask or MASK32)
-                            for c, (loop, amount, mask) in zip(table[m], by_amount)), None)
+            sequential, taken = max(execute, fetch), execute + (0 if halts else flush)
+        else:
+            by_amount = [shift_plan(config, m, s) for s in range(32)]
+            costs = [len(steps[amount]) + (chunks if mask else 0) + 1
+                     for _, amount, mask in by_amount]
+            table[m] = (max(costs),) * 32 if config.zkt else tuple(costs)
+            sequential = tuple((max(c, fetch), _MOVE[loop], steps[amount], mask or MASK32)
+                               for c, (loop, amount, mask) in zip(table[m], by_amount))
+            taken = None
+        unit = handler = None
+        if m.ext is not Ext.RV32I and m.ext not in config.extensions:
+            sequential = taken = None
+        elif type(_EXECUTE[m]) is str:
+            # the class's function, never a bound method: a record that
+            # held a core would keep every finished core for the gc
+            unit = getattr(MicroCore, _EXECUTE[m])
+        else:
+            handler = _EXECUTE[m]
+        size = isa.ACCESS_BYTES[m] if CLASS_OF[m] == STORE else None
+        records[m] = (unit, handler, m in isa.IMM_FORMS, sequential, taken, size, 2 * slot)
     w = config.serial_width
     lanes = tuple((((1 << w) - 1) << p, 1 << (p + w)) for p in range(0, 32, w))
-    enabled = {m: e is Ext.RV32I or e in config.extensions
-               for m, e in isa.EXT_OF.items()}
-    return (MappingProxyType(table), charges, steps, lanes,
-            tuple(mask for mask, _ in lanes), enabled)
+    return (MappingProxyType(table), records, steps, lanes,
+            tuple(mask for mask, _ in lanes))
 
 
 def latency_table(config: CoreConfig) -> MappingProxyType:
@@ -384,12 +396,6 @@ def latency_table(config: CoreConfig) -> MappingProxyType:
 def shift_latency(config: CoreConfig, mnemonic: M, shamt: int) -> int:
     """Cycles for one shift/rotate by `shamt`, including the writeback cycle."""
     return latency_table(config)[mnemonic][shamt]
-
-
-# What a record takes from its mnemonic alone: {mnemonic: (operand 2 is the
-# immediate, store size or None)}.
-_SHAPE = {m: (m in isa.IMM_FORMS, isa.ACCESS_BYTES[m] if c == STORE else None)
-          for m, c in CLASS_OF.items()}
 
 
 # --- reorder unit wiring (fixed bit permutations) --------------------------
@@ -457,8 +463,8 @@ class MicroCore:
 
     def __init__(self, config: CoreConfig, state: ArchState):
         self.config = config
-        (_, self._charges, self._steps, self._lanes,
-         self._lane_masks, self._enabled) = _binding(config)
+        _, self._bound, self._steps, self._lanes, self._lane_masks = _binding(config)
+        self._counts = [0] * (2 * len(self._bound))  # see retired
         self.arch = state
         self._window = state.mem.buf  # the dense window, for the fetch
         self._window_base = state.mem.base
@@ -466,7 +472,6 @@ class MicroCore:
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         self._full = config.serial_width == 32  # a full-width ALU: one lane, no loop
-        self._bound: dict = {}  # mnemonic -> its record, see _bind
 
     # -- chunked ALU data path ---------------------------------------------
     # The value units of add, sub, and, or, xor and their I-forms: each takes
@@ -530,30 +535,12 @@ class MicroCore:
 
     # -- instruction execution -------------------------------------------------
 
-    def _bind(self, m: M) -> tuple:
-        """Bind the record of mnemonic `m` under this core's config and keep
-        it: (value unit, handler, operand 2 is the immediate, sequential
-        charge or a shift's row, taken charge, store size, [retired, charged
-        cycles]). An illegal mnemonic has no unit, handler or charge."""
-        execute = _EXECUTE[m]
-        unit = handler = sequential = taken = None
-        if self._enabled[m]:
-            if type(execute) is str:
-                # the class's function, never a bound method: a record that
-                # held the core would keep every finished core for the gc
-                unit = getattr(type(self), execute)
-            else:
-                handler = execute
-            sequential, taken = self._charges[m]
-        imm_op2, store_size = _SHAPE[m]
-        rec = self._bound[m] = (unit, handler, imm_op2, sequential, taken,
-                                store_size, [0, 0])
-        return rec
-
     def retired(self) -> dict:
         """{mnemonic: (instructions retired, cycles charged to them)} over
-        every mnemonic that retired on this core."""
-        return {m: tuple(rec[6]) for m, rec in self._bound.items() if rec[6][0]}
+        every mnemonic that retired on this core, in `Mnemonic` order."""
+        counts = self._counts  # the records' count slots are 0, 2, 4, ... in order
+        return {m: (n, cycles) for m, n, cycles
+                in zip(self._bound, counts[::2], counts[1::2]) if n}
 
     def step(self, max_cycles: int = _NO_BUDGET, expect: Optional[tuple] = None
              ) -> Tuple[int, StepOutcome, Optional[Instr]]:
@@ -589,6 +576,7 @@ class MicroCore:
         """
         arch = self.arch
         regs = arch.regs
+        counts = self._counts
         fill = 0
         if not self.startup_cycles:  # the first fetch fills the fetch buffer
             fill = self.startup_cycles = self.config.mem_latency
@@ -618,12 +606,9 @@ class MicroCore:
                 except isa.IllegalInstruction:
                     return 0, HALT[ILLEGAL], None
 
-            # bind, then execute on the record and pick its charge
+            # execute on the mnemonic's record and pick its charge
             m, rd, rs1, rs2, imm, _, _ = ins
-            rec = self._bound.get(m)
-            if rec is None:
-                rec = self._bind(m)
-            unit, handler, imm_op2, charged, taken, size, counts = rec
+            unit, handler, imm_op2, charged, taken, size, k = self._bound[m]
             op2 = imm & MASK32 if imm_op2 else regs[rs2]
             if unit is not None:
                 val = unit(self, regs[rs1], op2)
@@ -645,8 +630,8 @@ class MicroCore:
             if cycle > max_cycles:
                 return self._over_budget(fill, ins)
             self.cycle = cycle
-            counts[0] += 1
-            counts[1] += charged
+            counts[k] += 1
+            counts[k + 1] += charged
 
             # commit: only a store's record has a size; its value is (address, value)
             if size is not None:

@@ -16,11 +16,22 @@ def _patched(target, name, value):
         yield
 
 
+@contextlib.contextmanager
+def _core_fault(target, name, value):
+    """`_patched`, with every core built inside binding its records
+    uncached: a record holds its mnemonic's unit or handler, so no binding
+    cached before the fault is used inside it, and none made inside
+    outlives it."""
+    with _patched(target, name, value), \
+            _patched(microarch, "_binding", microarch._binding.__wrapped__):
+        yield
+
+
 def broken_adder():
     """A core adder that flips bit 1 of every chunk sum: a register diverges."""
     add = microarch.MicroCore._chunk_add
-    return _patched(microarch.MicroCore, "_chunk_add",
-                    lambda self, a, b, carry_in=0: add(self, a, b, carry_in) ^ 2)
+    return _core_fault(microarch.MicroCore, "_chunk_add",
+                       lambda self, a, b, carry_in=0: add(self, a, b, carry_in) ^ 2)
 
 
 def flipped_store(addr=None):
@@ -34,7 +45,7 @@ def flipped_store(addr=None):
         where, value = stored
         return (where, value ^ (addr is None or where == addr)), target
 
-    return _patched(microarch._EXECUTE, M.SW, faulty)
+    return _core_fault(microarch._EXECUTE, M.SW, faulty)
 
 
 def flipped_x31_dump():
@@ -50,25 +61,23 @@ def stray_register_write(m, victim):
         core.arch.regs[victim] ^= 1 << 7
         return handler(core, i, a, b)
 
-    return _patched(microarch._EXECUTE, m, faulty)
+    return _core_fault(microarch._EXECUTE, m, faulty)
 
 
 def beq_as_bne():
     """The core's beq branches when its operands differ."""
-    return _patched(microarch._EXECUTE, M.BEQ, microarch._EXECUTE[M.BNE])
+    return _core_fault(microarch._EXECUTE, M.BEQ, microarch._EXECUTE[M.BNE])
 
 
 def ebreak_as_ecall():
     """The core halts on ebreak as if on a plain ecall."""
-    return _patched(microarch._EXECUTE, M.EBREAK, microarch._halt(golden.ECALL))
+    return _core_fault(microarch._EXECUTE, M.EBREAK, microarch._halt(golden.ECALL))
 
 
-@contextlib.contextmanager
 def sll_by_3_masked_as_by_4():
     """With left shifts emulated, an sll or slli by 3 is masked as if by 4,
     which clears result bit 3 and leaves its cycles as they were. Cores
-    built inside bind uncached plans, so no binding cached before the
-    fault is used inside it, and none made inside outlives it."""
+    built inside bind uncached plans (see `_core_fault`)."""
     plan = microarch.shift_plan
 
     def faulty(config, m, shamt):
@@ -77,28 +86,27 @@ def sll_by_3_masked_as_by_4():
             mask = (mask << 1) & microarch.MASK32
         return loop, amount, mask
 
-    with _patched(microarch, "shift_plan", faulty), \
-            _patched(microarch, "_binding", microarch._binding.__wrapped__):
-        yield
+    return _core_fault(microarch, "shift_plan", faulty)
 
 
 def _charged_through(fault):
-    """Cores built inside bind each mnemonic's (sequential, taken) charges
-    as `fault(mnemonic, execute cycles, sequential, taken)` returns them.
-    A shift or rotate's charges are rewritten amount by amount, each
-    entry of its row keeping its plan."""
-    binding = microarch._binding
+    """Cores built inside bind uncached records whose (sequential, taken)
+    charges are as `fault(mnemonic, execute cycles, sequential, taken)`
+    returns them. A shift or rotate's charges are rewritten amount by
+    amount, each entry of its row keeping its plan; a disabled mnemonic's
+    record, which has no charge, is kept as it is."""
+    binding = microarch._binding.__wrapped__
 
     def faulty(config):
-        table, charges, *rest = binding(config)
+        table, records, *rest = binding(config)
         faulted = {}
-        for m, (seq, taken) in charges.items():
-            if m in microarch.SHIFT_MNEMONICS:
+        for m, (unit, handler, imm_op2, seq, taken, size, slot) in records.items():
+            if seq is not None and m in microarch.SHIFT_MNEMONICS:
                 seq = tuple((fault(m, cycles, charge, taken)[0], *plan)
                             for cycles, (charge, *plan) in zip(table[m], seq))
-                faulted[m] = (seq, taken)
-            else:
-                faulted[m] = fault(m, table[m], seq, taken)
+            elif seq is not None:
+                seq, taken = fault(m, table[m], seq, taken)
+            faulted[m] = (unit, handler, imm_op2, seq, taken, size, slot)
         return (table, faulted, *rest)
 
     return _patched(microarch, "_binding", faulty)

@@ -289,7 +289,8 @@ def test_cosim_passes_under_every_knob_set():
 def test_knob_set_cosim_kills_the_emulated_shift_mutant():
     """A result fault on the emulated left shift, which no default-knob
     cell reaches, fails cells of the knob set that emulates left shifts,
-    and the fault leaves the shared bindings as it found them."""
+    and the fault leaves the shared bindings as it found them (as every
+    fault does: `test_a_fault_leaves_the_shared_bindings_as_it_found_them`)."""
     cached = microarch._binding.cache_info()
     with mutants.sll_by_3_masked_as_by_4():
         failures = _knob_set_failures()
@@ -417,6 +418,36 @@ REPLAY_FAULTS = {
     "fetch-stall-dropped": (mutants.fetch_stall_dropped, "zkt"),
     "sll-by-3-masked-as-by-4": (mutants.sll_by_3_masked_as_by_4, "knobs"),
 }
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_FAULTS))
+def test_a_fault_leaves_the_shared_bindings_as_it_found_them(name):
+    """A fault's cores bind their records uncached, so a fault neither
+    reads nor adds a cached binding, and a core built after it shares the
+    cached records and runs clean: add adds and sw stores its value."""
+    fault, knobs = REPLAY_FAULTS[name]
+    config = CoreConfig(serial_width=4, **KNOB_SETS[knobs])
+
+    def core():
+        state = ArchState(pc=0x1000, mem=Memory())
+        state.regs[1:4] = [0x200, 7, 5]
+        for off, i in enumerate((isa.instr(M.ADD, rd=4, rs1=2, rs2=3),
+                                 isa.instr(M.SW, rs1=1, rs2=4, imm=0))):
+            state.mem.store(0x1000 + 4 * off, 4, i.raw)
+        return microarch.MicroCore(config, state)
+
+    before = core()
+    cached = microarch._binding.cache_info()
+    with fault():
+        assert core()._bound is not before._bound
+        cosim_run(TortureConfig(seed=1), config)
+    assert microarch._binding.cache_info() == cached
+    after = core()
+    assert after._bound is before._bound
+    assert [after.step()[1] for _ in range(2)] == [golden.RETIRED] * 2
+    assert after.arch.regs[4] == 12 and after.arch.mem.load(0x200, 4) == 12
+
+
 # faults that fail every cell of seeds 1 and 2: {name: only the signature
 # sees it}
 FIELD_IS_NONE = {"broken-adder": False, "flipped-x31-dump": True}

@@ -779,20 +779,25 @@ def test_every_mnemonic_has_one_handler_per_model():
 
 
 def test_missing_handler_fails_loudly(monkeypatch):
+    """Golden fails on the step that meets the mnemonic; a core, which
+    binds every mnemonic's record with its config, fails when it is built
+    (bound uncached, as a fault binds)."""
     fence = instr(M.FENCE)
     monkeypatch.delitem(golden._EXECUTE, M.FENCE)
     monkeypatch.delitem(microarch._EXECUTE, M.FENCE)
+    monkeypatch.setattr(microarch, "_binding", microarch._binding.__wrapped__)
     ref = ArchState(pc=0x1000, mem=Memory())
     ref.mem.store(0x1000, 4, fence.raw)
     with pytest.raises(KeyError):
         golden.step(ref)
     with pytest.raises(KeyError):
-        exec_one(make_core(8), fence)
+        make_core(8)
 
 
 def test_handler_patched_after_a_run_takes_effect():
-    """Each core binds handlers for itself, so a handler replaced after
-    another core ran under the same config is the one a new core uses."""
+    """A fault's cores bind their records uncached, so a handler replaced
+    after another core ran under the same config is the one a new core
+    uses."""
     sw = instr(M.SW, rs1=0, rs2=2, imm=0x200)
     first = make_core(8)
     exec_one(first, sw, {2: 7})
@@ -804,12 +809,13 @@ def test_handler_patched_after_a_run_takes_effect():
 
 
 def test_one_record_per_mnemonic_over_a_torture_program():
-    """A core binds one record per distinct mnemonic it meets, however many
-    words carry it, and counts each one's retirements in that record."""
+    """Cores under one config share one record table, one record per
+    mnemonic however many words carry it, and each core counts the
+    retirements of its own run, listed in `Mnemonic` order."""
     image = cosim.generate(cosim.TortureConfig(seed=3))
     for width in (1, 32):
-        core = MicroCore(CoreConfig(serial_width=width, extensions=isa.ZKN_ZKT),
-                         ArchState.from_image(image))
+        config = CoreConfig(serial_width=width, extensions=isa.ZKN_ZKT)
+        core = MicroCore(config, ArchState.from_image(image))
         tally, words = {}, set()
         while True:
             cycles, outcome, ins = core.step()
@@ -820,9 +826,41 @@ def test_one_record_per_mnemonic_over_a_torture_program():
             if outcome.halted:
                 break
         assert outcome.reason == golden.EBREAK
-        assert sorted(core._bound) == sorted(tally)
         assert len(words) > 2 * len(tally)  # most mnemonics recur in other words
         assert core.retired() == {m: tuple(e) for m, e in tally.items()}
+        assert list(core.retired()) == [m for m in M if m in tally]
+        other = MicroCore(config, ArchState.from_image(image))
+        assert other._bound is core._bound and list(other._bound) == list(M)
+        assert other.retired() == {}
+        while not other.step()[1].halted:
+            pass
+        assert other.retired() == core.retired()
+
+
+def test_cores_under_one_config_share_records_and_count_apart():
+    """Two cores under one config, stepped in turn, read one record table
+    and count their own retirements. A core under another config, built
+    just after, binds its own table: an rv32i core halts illegal on a Zkn
+    word and charges nothing, where a Zkn+Zkt core retires it."""
+    first, second = make_core(4), make_core(4)
+    assert first._bound is second._bound
+    a, _ = exec_one(first, instr(M.ADDI, rd=5, rs1=0, imm=3))
+    x, _ = exec_one(second, instr(M.XOR, rd=6, rs1=0, rs2=0))
+    b, _ = exec_one(first, instr(M.ADDI, rd=5, rs1=5, imm=3))
+    assert first.retired() == {M.ADDI: (2, a + b)}
+    assert second.retired() == {M.XOR: (1, x)}
+    assert (first.arch.regs[5], second.arch.regs[6]) == (6, 0)
+
+    clmul = instr(M.CLMUL, rd=7, rs1=1, rs2=2)
+    plain, crypto = make_core(4, exts=frozenset()), make_core(4)
+    assert plain._bound is not crypto._bound
+    for core in (plain, crypto):
+        core.arch.regs[1], core.arch.regs[2] = 3, 3
+        core.arch.mem.store(0x1000, 4, clmul.raw)
+    assert plain.step() == (0, golden.StepOutcome(True, golden.ILLEGAL), clmul)
+    assert plain.retired() == {} and plain.cycle == plain.startup_cycles
+    assert crypto.step()[1] == golden.RETIRED and crypto.arch.regs[7] == 5
+    assert crypto.retired() == {M.CLMUL: (1, crypto.cycle - crypto.startup_cycles)}
 
 
 def test_same_mnemonic_reads_each_instructions_own_fields():
@@ -837,7 +875,7 @@ def test_same_mnemonic_reads_each_instructions_own_fields():
         cycles, _ = exec_one(core, instr(M.SLLI, rd=7, rs1=2, imm=shamt))
         assert core.arch.regs[7] == (0x80000001 << shamt) & 0xFFFFFFFF
         assert cycles == shift_latency(core.config, M.SLLI, shamt)
-    assert len(core._bound) == 2
+    assert set(core.retired()) == {M.ADDI, M.SLLI}
     assert core.retired()[M.ADDI][0] == 2 and core.retired()[M.SLLI][0] == 3
 
 
