@@ -28,7 +28,8 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # subparsers are of this class too; --help still exits the argparse way
+    # subparsers are of this class too; -h still raises argparse's
+    # SystemExit, which main turns into its return code
     def error(self, message: str):
         raise CliError(message)
 
@@ -268,4 +269,6 @@ def main(argv: Optional[list] = None) -> int:
                 "audit-ct": _cmd_audit, "disasm": _cmd_disasm}[args.cmd](args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
+        return e.code
+    except SystemExit as e:  # -h, after printing the help
         return e.code

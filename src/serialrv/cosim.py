@@ -5,16 +5,21 @@ branch targets a point 1..3 instructions ahead, so the instructions in its
 shadow execute only when it falls through. Memory traffic is confined to a
 scratch window addressed off a reserved base register.
 
-The golden model's run of a program does not depend on the core's width:
-it is recorded once, as the register in each step's rd field and its value
-after the step, with the last step's outcome kept once, and the
-cycle-accurate core is checked against it at each width, all 32 registers
-after every step. Each width's replay runs in one
+Cosim is a trace, then a lockstep. The golden model's run of a program
+does not depend on the core's width: `torture_trace` generates the
+program and records golden's run once, as the register in each step's rd
+field and its value after the step, with the last step's outcome kept
+once. `lockstep` then checks the cycle-accurate core against that trace
+at one width, all 32 registers after every step. Each replay runs in one
 core frame (`MicroCore.step` with `expect`), which stops at the first step
-that halts or differs from golden, or at the recording's end; cosim_run
+that halts or differs from golden, or at the recording's end; lockstep
 then classifies that last step once. A core that ends the run with the
 recording's final registers and window bytes reuses its signature instead
 of hashing.
+
+run_matrix records each seed's trace once and hands it to lockstep at
+every width. cosim_run, one cell, is lockstep over `_golden_trace`, a
+one-entry memo of torture_trace; only cosim_run reads it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .microarch import CoreConfig, MicroCore
 SCRATCH_REG = 3  # holds the scratch window base for all loads/stores
 MEMORY_WINDOW = (0x2000, 0x200)  # (base, size) of the scratch window
 BRANCH_DENSITY = 0.1  # chance that a slot starts a branch or jal
+MAX_STEPS = 200_000  # golden's default step budget for one program
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -265,6 +271,7 @@ def generate(config: TortureConfig,
 
 class _GoldenTrace(NamedTuple):
     image: ProgramImage
+    exts: frozenset     # the extensions golden ran under
     steps: tuple        # (pc after, rd, rd's value after) per step
     outcome: golden.StepOutcome  # the last step's; every earlier one retired
     signature: str      # golden signature after the last step
@@ -300,15 +307,18 @@ def _golden_run(image: ProgramImage, exts: frozenset,
         steps.append((gold.pc, rd, regs[rd]))
         if out is not golden.RETIRED:
             break
-    return _GoldenTrace(image, tuple(steps), out, signature(gold, MEMORY_WINDOW),
+    return _GoldenTrace(image, exts, tuple(steps), out,
+                        signature(gold, MEMORY_WINDOW),
                         mem.read_bytes(*MEMORY_WINDOW))
 
 
-@functools.lru_cache(maxsize=1)
-def _golden_trace(torture: TortureConfig, exts: frozenset,
+def torture_trace(torture: TortureConfig, exts: frozenset,
                   max_steps: int) -> _GoldenTrace:
-    """Generate `torture`'s program and record golden's run of it
-    (`_golden_run`).
+    """Generate `torture`'s program and record golden's run of it under
+    `exts` (`_golden_run`). Neither depends on the core's width, so
+    run_matrix records each seed's trace here once and hands it to
+    `lockstep` at every width. Nothing is cached: every call generates
+    and runs golden again, under the code as it is at the call.
 
     The decode cache is cleared and then filled with the generator's own
     Instrs, so neither model decodes a generated word and the cache holds
@@ -316,26 +326,34 @@ def _golden_trace(torture: TortureConfig, exts: frozenset,
     other fetch path fills it on demand; a kernel whose entries this
     drops decodes each word once more.
 
-    Neither the program nor the trace depends on the core's width, so
-    cosim_run records them once and replays them at every width; one entry
-    suffices because callers run all widths of a program back to back. The
-    cache is keyed by data, not by code: a test that changes the golden
-    model or the generator must call `_golden_trace.cache_clear()` first,
-    or it gets the unchanged trace.
+    Raises ValueError if `max_steps` is below 1: the replay compares at
+    least one step.
     """
+    if max_steps < 1:
+        raise ValueError(f"cosim needs max_steps >= 1, not {max_steps}")
     cache = isa._DECODE_CACHE
     cache.clear()
     return _golden_run(generate(torture, cache), exts, max_steps)
 
 
-def cosim_run(torture: TortureConfig, core: CoreConfig,
-              max_steps: int = 200_000) -> CosimReport:
-    """Run one generated program on both models in lockstep.
+# cosim_run's memo of the last trace, so that a caller running one
+# program's widths back to back through cosim_run (perfbench's
+# cosim-matrix does) records it once. It is keyed by data, not by code: a
+# test that changes the golden model or the generator and then calls
+# cosim_run must call `_golden_trace.cache_clear()` first, or it gets the
+# unchanged trace. run_matrix never reads it.
+_golden_trace = functools.lru_cache(maxsize=1)(torture_trace)
+
+
+def lockstep(trace: _GoldenTrace, core: CoreConfig,
+             seed: int = 0) -> CosimReport:
+    """Replay golden's recorded `trace` against a core of config `core`,
+    and report the cell under `seed`, the torture program's (a trace of
+    any other image takes 0).
 
     Architectural state is compared after every retired instruction;
-    final-state signatures are compared at the end. The golden side is a
-    recorded trace shared by all widths (see _golden_trace), and the core
-    replays it in one frame: `MicroCore.step(expect=...)` applies each
+    final-state signatures are compared at the end. The core replays the
+    trace in one frame: `MicroCore.step(expect=...)` applies each
     step's delta to a copy of golden's reset registers and compares all 32
     of the core's registers with it, so a write to a register other than
     the step's rd is caught at that step. The replay stops at the first
@@ -346,15 +364,10 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     trace's end. A run that ends with no divergence, at the trace's last
     step, with the core's registers and window bytes equal to that step's
     golden ones, takes the trace's signature, since those are all that
-    `signature` hashes.
-
-    Raises ValueError if `max_steps` is below 1: the replay compares at
-    least one step.
+    `signature` hashes. A run that ends before the trace's last step takes
+    its golden signature from a second golden run, under the trace's
+    extensions, cut after as many steps as the core ran.
     """
-    if max_steps < 1:
-        raise ValueError(f"cosim needs max_steps >= 1, not {max_steps}")
-    exts = core.extensions
-    trace = _golden_trace(torture, exts, max_steps)
     steps = trace.steps
     micro = MicroCore(core, ArchState.from_image(trace.image))
     march = micro.arch
@@ -389,7 +402,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
     if ran == len(steps):
         sig_g = trace.signature
     else:
-        sig_g = _golden_run(trace.image, exts, ran).signature
+        sig_g = _golden_run(trace.image, trace.exts, ran).signature
     # no divergence: the replay ended at the trace's last step, where the
     # core's registers equalled golden's, so only the window is left
     if (divergence is None
@@ -399,7 +412,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
         sig_m = signature(march, MEMORY_WINDOW)
     passed = divergence is None and sig_g == sig_m
     return CosimReport(
-        seed=torture.seed, width=core.serial_width,
+        seed=seed, width=core.serial_width,
         extensions=tuple(sorted(e.value for e in core.extensions)),
         passed=passed, sig_micro=sig_m, sig_golden=sig_g,
         divergence_pc=divergence[0] if divergence else None,
@@ -407,14 +420,31 @@ def cosim_run(torture: TortureConfig, core: CoreConfig,
         instret=instret, cycles=micro.cycle)
 
 
+def cosim_run(torture: TortureConfig, core: CoreConfig,
+              max_steps: int = MAX_STEPS) -> CosimReport:
+    """Run one generated program on both models in lockstep: `lockstep`
+    over golden's trace of the program under the core's extensions, read
+    through `_golden_trace`, cosim_run's one-entry memo.
+
+    Raises ValueError if `max_steps` is below 1: the replay compares at
+    least one step.
+    """
+    trace = _golden_trace(torture, core.extensions, max_steps)
+    return lockstep(trace, core, torture.seed)
+
+
 def run_matrix(seeds, widths, extensions: frozenset = isa.ZKN_ZKT,
                length: int = 200) -> list:
-    """The verification sweep: every seed crossed with every width."""
+    """The verification sweep: every seed crossed with every width. Each
+    seed's trace is recorded once (`torture_trace`, uncached) and replayed
+    at every width (`lockstep`), so no verdict comes from an earlier
+    call's trace."""
     reports = []
     for seed in seeds:
         tc = TortureConfig(seed=seed, length=length,
                            extensions=frozenset(extensions))
+        trace = torture_trace(tc, tc.extensions, MAX_STEPS)
         for w in widths:
             cc = CoreConfig(serial_width=w, extensions=extensions)
-            reports.append(cosim_run(tc, cc))
+            reports.append(lockstep(trace, cc, seed))
     return reports

@@ -449,8 +449,8 @@ def decode_cached(word: int) -> Instr:
     rebound. Kernels, the
     audit and `serialrv run` fill it here on demand, and past
     `_DECODE_CACHE_MAX` entries it is cleared. Cosim seeds it with exactly
-    one program's words: `_golden_trace` clears it and fills it with the
-    generator's own Instrs."""
+    one program's words: `cosim.torture_trace` clears it and fills it
+    with the generator's own Instrs."""
     i = _DECODE_CACHE.get(word)
     if i is None:
         if len(_DECODE_CACHE) > _DECODE_CACHE_MAX:

@@ -24,17 +24,18 @@ commit: fetch, decode, the record lookup, execute, the pick of one of
 the record's charges, the cycle-budget check, the per-mnemonic count
 and the commit; every instruction that retires, ebreak and ecall too,
 takes the same lines. A plain call runs one instruction. A call with
-`expect` (golden's recorded deltas and a copy of golden's registers, see `cosim`) runs the
-same lines in a loop, one instruction per delta, and compares the core
-with golden after each: it stops at the first instruction that halts,
-leaves the pc or any of the 32 registers unlike golden's, or takes the
-last delta. The fetch has one path: the core's first step pays the
-fill, then the pc's alignment is checked and the word is read, straight
-from the dense memory window or else through the memory port. A fetch
-that hits isa's decode cache makes no Python call: the frame probes the
-dict itself, through its bound `get`, and unpacks the instruction's
-fields once. `step` is the core's only way in: every instruction, a
-program's, the audit's or cosim's, passes through these lines.
+`expect` (golden's recorded deltas and a copy of golden's registers, see
+`cosim.lockstep`) runs the same lines in a loop, one instruction per
+delta, and compares the core with golden after each: it stops at the
+first instruction that halts, leaves the pc or any of the 32 registers
+unlike golden's, or takes the last delta. The fetch has one path: the
+core's first step pays the fill, then the pc's alignment is checked and
+the word is read, straight from the dense memory window or else through
+the memory port. A fetch that hits isa's decode cache makes no Python
+call: the frame probes the dict itself, through its bound `get`, and
+unpacks the instruction's fields once. `step` is the core's only way
+in: every instruction, a program's, the audit's or cosim's, passes
+through these lines.
 
 Every step ends in one of golden's shared outcomes, `RETIRED` or the
 `HALT` entry of its reason, and none ends by raising. A handler whose

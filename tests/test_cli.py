@@ -146,6 +146,18 @@ def test_missing_subcommand_names_the_commands(capsys):
         "{run,cosim,bench,audit-ct,disasm}\n")
 
 
+@pytest.mark.parametrize("argv", [[], ["run"], ["cosim"], ["bench"],
+                                  ["audit-ct"], ["disasm"]],
+                         ids=["top", "run", "cosim", "bench", "audit-ct",
+                              "disasm"])
+def test_help_prints_usage_and_returns_ok(argv, capsys):
+    """-h returns its code like every other path, with no SystemExit."""
+    assert cli.main(argv + ["-h"]) == cli.EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: {' '.join(['serialrv'] + argv)}")
+    assert captured.err == ""
+
+
 def test_run_max_cycles_zero_usage_error(ebreak_image, capsys):
     assert cli.main(["run", ebreak_image, "--max-cycles", "0"]) == cli.EXIT_USAGE
     err = capsys.readouterr().err

@@ -20,15 +20,6 @@ from serialrv.microarch import CoreConfig
 WIDTHS = (1, 2, 4, 8, 16, 32)
 
 
-@pytest.fixture
-def fresh_golden_trace():
-    """For tests that change the golden model: the trace cache is keyed by
-    data, not code, so it must be empty before and after them."""
-    cosim._golden_trace.cache_clear()
-    yield
-    cosim._golden_trace.cache_clear()
-
-
 def test_generation_deterministic():
     tc = TortureConfig(seed=42)
     assert generate(tc) == generate(tc)
@@ -298,8 +289,7 @@ def test_knob_set_cosim_kills_the_emulated_shift_mutant():
     assert microarch._binding.cache_info() == cached
 
 
-def test_cosim_misses_a_funct3_swap_that_encode_and_decode_share(
-        fresh_golden_trace):
+def test_cosim_misses_a_funct3_swap_that_encode_and_decode_share():
     """A known gap: the generator, golden and the core all encode and
     decode through the one table, so a funct3 misread there changes the
     programs and still passes every cell. The spec's layouts in
@@ -581,8 +571,7 @@ def test_stray_register_write_fails_at_its_instruction():
         assert (rep.divergence_pc, rep.divergence_field) == (pc, f"x{victim}")
 
 
-def test_stray_write_caught_though_both_models_overwrite_it(
-        monkeypatch, fresh_golden_trace):
+def test_stray_write_caught_though_both_models_overwrite_it():
     """The stray write is gone by the end, and the instruction's own rd is
     right at every step, so only a compare of every register sees it."""
     a = isa.Assembler()
@@ -592,16 +581,14 @@ def test_stray_write_caught_though_both_models_overwrite_it(
     a.emit(M.ADDI, rd=5, rs1=0, imm=9)  # both models overwrite x5
     a.emit(M.EBREAK)
     img = a.build()
-    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
-    tc, core = TortureConfig(seed=0), CoreConfig.zkn_zkt(4)
+    core = CoreConfig.zkn_zkt(4)
+    trace = cosim._golden_run(img, core.extensions, 200_000)
     with mutants.stray_register_write(M.PACK, 5):
-        rep = cosim_run(tc, core)
+        rep = cosim.lockstep(trace, core)
         assert not rep.passed
         assert (rep.divergence_pc, rep.divergence_field) == (pack_pc, "x5")
 
         # what a compare of rd alone, or of the final state, would have seen
-        trace = cosim._golden_trace(tc, frozenset(core.extensions) - {Ext.ZKT},
-                                    200_000)
         micro = microarch.MicroCore(core, ArchState.from_image(img))
         for _, rd, value in trace.steps:
             micro.step()
@@ -610,8 +597,7 @@ def test_stray_write_caught_though_both_models_overwrite_it(
     assert signature(micro.arch, MEMORY_WINDOW) == trace.signature
 
 
-def test_delta_names_the_register_of_the_word_before_the_step(
-        monkeypatch, fresh_golden_trace):
+def test_delta_names_the_register_of_the_word_before_the_step():
     """A store that overwrites its own word with an addi still records
     rd = 0: the delta's rd is bits 7-11 of the word that golden executed,
     which in this sw hold its immediate's low bits, 0, and in the addi
@@ -622,15 +608,13 @@ def test_delta_names_the_register_of_the_word_before_the_step(
     a.li(5, isa.encode(isa.Instr(M.ADDI, rd=7, rs1=0, imm=1)))  # two words
     a.emit(M.SW, rs1=6, rs2=5, imm=0)
     a.emit(M.EBREAK)
-    img = a.build()
-    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
-    tc = TortureConfig(seed=0)
-    trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
+    trace = cosim._golden_run(a.build(), isa.ZKN, 200_000)
     assert [rd for _, rd, _ in trace.steps] == [6, 6, 5, 5, 0, 0]
-    assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
+    assert all(cosim.lockstep(trace, CoreConfig.zkn_zkt(w)).passed
+               for w in WIDTHS)
 
 
-def test_illegal_word_records_rd_zero(monkeypatch, fresh_golden_trace):
+def test_illegal_word_records_rd_zero():
     """A program that ends on an illegal word halts both models on it: the
     trace records the word's bits 7-11, here 0, as that step's rd, and the
     cell passes at every width."""
@@ -638,16 +622,15 @@ def test_illegal_word_records_rd_zero(monkeypatch, fresh_golden_trace):
     a.emit(M.ADDI, rd=1, rs1=0, imm=5)
     a.word(0)  # no RV32 instruction is all zeros
     img = a.build()
-    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
-    tc = TortureConfig(seed=0)
-    trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
+    trace = cosim._golden_run(img, isa.ZKN, 200_000)
     assert [rd for _, rd, _ in trace.steps] == [1, 0]
     assert golden.step(ArchState.from_image(img)) is golden.RETIRED
     assert trace.outcome == golden.StepOutcome(True, golden.ILLEGAL)
-    assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
+    assert all(cosim.lockstep(trace, CoreConfig.zkn_zkt(w)).passed
+               for w in WIDTHS)
 
 
-def test_delta_register_is_the_word_rd_field(monkeypatch, fresh_golden_trace):
+def test_delta_register_is_the_word_rd_field():
     """A word that writes no register records the register in its bits
     7-11 and that register's unchanged value: a store's immediate bits, a
     branch's offset bits, an illegal word's ones. The cell passes at every
@@ -662,16 +645,14 @@ def test_delta_register_is_the_word_rd_field(monkeypatch, fresh_golden_trace):
     a.emit(M.BEQ, rs1=0, rs2=1, imm=8)     # taken; imm[4:1|11] = 8
     a.emit(M.ADDI, rd=8, rs1=0, imm=1)     # skipped
     a.word(0xFFFFFFFF)                     # illegal: halts both models
-    img = a.build()
-    monkeypatch.setattr(cosim, "generate", lambda config, instrs=None: img)
-    tc = TortureConfig(seed=0)
-    trace = cosim._golden_trace(tc, isa.ZKN, 200_000)
+    trace = cosim._golden_run(a.build(), isa.ZKN, 200_000)
     assert [rd for _, rd, _ in trace.steps] == [6, 13, 13, 13, 8, 31]
     assert trace.outcome == golden.StepOutcome(True, golden.ILLEGAL)
-    assert all(cosim_run(tc, CoreConfig.zkn_zkt(w)).passed for w in WIDTHS)
+    assert all(cosim.lockstep(trace, CoreConfig.zkn_zkt(w)).passed
+               for w in WIDTHS)
     with mutants.stray_register_write(M.SB, 13):
         for w in WIDTHS:
-            rep = cosim_run(tc, CoreConfig.zkn_zkt(w))
+            rep = cosim.lockstep(trace, CoreConfig.zkn_zkt(w))
             assert (rep.divergence_pc, rep.divergence_field) == (sb_pc, "x13")
 
 
@@ -713,8 +694,8 @@ def test_matrix_leaves_one_program_in_the_decode_cache(monkeypatch):
     """Cosim seeds the decode cache with one program's words: a matrix
     leaves only its last program's words there, whether the cache started
     empty or full of every kernel's words, and no report moves, even with
-    the cache emptied before every cell. The kernels then refill it on
-    demand and still give the pinned bench JSON."""
+    the cache emptied before every cell's replay. The kernels then refill
+    it on demand and still give the pinned bench JSON."""
     seeds, widths = range(300, 320), (1, 8, 32)
     cache = isa._DECODE_CACHE
     last_program: dict = {}
@@ -729,26 +710,57 @@ def test_matrix_leaves_one_program_in_the_decode_cache(monkeypatch):
     assert cosim.run_matrix(seeds, widths) == want
     assert cache.keys() == last_program.keys()
 
-    run = cosim.cosim_run
+    replay, cells = cosim.lockstep, []
 
-    def run_on_empty_cache(*args):
+    def replay_on_empty_cache(*args):
         cache.clear()
-        return run(*args)
+        cells.append(args[1].serial_width)
+        return replay(*args)
 
-    monkeypatch.setattr(cosim, "cosim_run", run_on_empty_cache)
+    monkeypatch.setattr(cosim, "lockstep", replay_on_empty_cache)
     assert cosim.run_matrix(seeds, widths) == want
+    assert cells == list(widths) * len(seeds)
 
     assert full_suite_json_sha256() == FULL_SUITE_JSON_SHA256
 
 
-def test_corrupted_golden_model_detected(monkeypatch, fresh_golden_trace):
+def test_corrupted_golden_model_detected(monkeypatch):
     """Harness self-test: break a golden semantic, expect a divergence."""
     original = golden.clmul_semantics
     monkeypatch.setattr(golden, "clmul_semantics",
                         lambda m, rs1, rs2: original(m, rs1, rs2) ^ 1)
-    rep = cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4))
+    [rep] = cosim.run_matrix([1], (4,))
     assert not rep.passed
     assert rep.divergence_field.startswith("x")
+
+
+def test_matrix_replays_the_trace_it_records(monkeypatch):
+    """run_matrix records each seed's trace itself, under the code as it
+    is: a golden fault made after a clean sweep fails every faulted cell,
+    though cosim_run's memo holds the clean trace of the same cells, and
+    the sweep neither reads nor fills that memo."""
+    cosim_run(TortureConfig(seed=1, extensions=isa.ZKN_ZKT),
+              CoreConfig.zkn_zkt(4))
+    memo = cosim._golden_trace.cache_info()
+    assert all(r.passed for r in cosim.run_matrix([1], WIDTHS))
+    original = golden.clmul_semantics
+    monkeypatch.setattr(golden, "clmul_semantics",
+                        lambda m, rs1, rs2: original(m, rs1, rs2) ^ 1)
+    reports = cosim.run_matrix([1], WIDTHS)
+    assert [r.passed for r in reports] == [False] * len(WIDTHS)
+    assert all(r.divergence_field.startswith("x") for r in reports)
+    assert cosim._golden_trace.cache_info() == memo
+
+
+def test_cosim_run_memoizes_one_trace():
+    """cosim_run records a program's trace once for all its widths, and a
+    later program takes the memo's one entry."""
+    cosim._golden_trace.cache_clear()
+    for seed in (1, 2):
+        for w in WIDTHS:
+            cosim_run(TortureConfig(seed=seed), CoreConfig.zkn_zkt(w))
+    info = cosim._golden_trace.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 10, 1)
 
 
 # the golden function that computes each scalar-crypto subset's values
@@ -763,8 +775,7 @@ def _step_pcs(trace):
 
 
 @pytest.mark.parametrize("name", sorted(set(_SEMANTICS_OF.values())))
-def test_each_semantics_function_is_the_one_golden_source(
-        monkeypatch, fresh_golden_trace, name):
+def test_each_semantics_function_is_the_one_golden_source(monkeypatch, name):
     """Cosim reaches each family's semantics through the module global, so
     flipping bit 0 of its result is a divergence in an xN field; the
     program runs every family with an rd other than x0."""
@@ -781,7 +792,7 @@ def test_each_semantics_function_is_the_one_golden_source(
 
     original = getattr(golden, name)
     monkeypatch.setattr(golden, name, lambda *args: original(*args) ^ 1)
-    rep = cosim_run(torture, CoreConfig.zkn_zkt(4))
+    [rep] = cosim.run_matrix([torture.seed], (4,))
     assert not rep.passed
     assert rep.divergence_field.startswith("x")
 
