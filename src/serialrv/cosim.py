@@ -39,7 +39,7 @@ from .microarch import CoreConfig, MicroCore
 SCRATCH_REG = 3  # holds the scratch window base for all loads/stores
 MEMORY_WINDOW = (0x2000, 0x200)  # (base, size) of the scratch window
 BRANCH_DENSITY = 0.1  # chance that a slot starts a branch or jal
-MAX_STEPS = 200_000  # golden's default step budget for one program
+MAX_STEPS = 200_000  # golden's step budget for one torture program
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -60,8 +60,9 @@ class CosimReport(NamedTuple):
     sig_golden: str
     divergence_pc: Optional[int] = None
     divergence_field: Optional[str] = None
-    # the steps before the one that ends the run: unlike ExecStats.instret
-    # it leaves out a final ebreak (seed 0, width 4, Zkn+Zkt: 307 vs 308)
+    # the steps before the one that ends the run. That step retires only
+    # if it is ebreak or ecall, and ExecStats.instret counts it then, so
+    # this leaves out a final ebreak (seed 0, width 4, Zkn+Zkt: 307 vs 308)
     instret: int = 0
     cycles: int = 0  # the core's cycle count at the end; not in the JSON
 
@@ -312,28 +313,23 @@ def _golden_run(image: ProgramImage, exts: frozenset,
                         mem.read_bytes(*MEMORY_WINDOW))
 
 
-def torture_trace(torture: TortureConfig, exts: frozenset,
-                  max_steps: int) -> _GoldenTrace:
+def torture_trace(torture: TortureConfig, exts: frozenset) -> _GoldenTrace:
     """Generate `torture`'s program and record golden's run of it under
-    `exts` (`_golden_run`). Neither depends on the core's width, so
-    run_matrix records each seed's trace here once and hands it to
-    `lockstep` at every width. Nothing is cached: every call generates
-    and runs golden again, under the code as it is at the call.
+    `exts`, for at most MAX_STEPS steps (`_golden_run`). Neither depends
+    on the core's width, so run_matrix records each seed's trace here once
+    and hands it to `lockstep` at every width. Nothing is cached: every
+    call generates and runs golden again, under the code as it is at the
+    call.
 
     The decode cache is cleared and then filled with the generator's own
     Instrs, so neither model decodes a generated word and the cache holds
     one program's words, not those of every program run before it. Every
     other fetch path fills it on demand; a kernel whose entries this
     drops decodes each word once more.
-
-    Raises ValueError if `max_steps` is below 1: the replay compares at
-    least one step.
     """
-    if max_steps < 1:
-        raise ValueError(f"cosim needs max_steps >= 1, not {max_steps}")
     cache = isa._DECODE_CACHE
     cache.clear()
-    return _golden_run(generate(torture, cache), exts, max_steps)
+    return _golden_run(generate(torture, cache), exts, MAX_STEPS)
 
 
 # cosim_run's memo of the last trace, so that a caller running one
@@ -393,7 +389,7 @@ def lockstep(trace: _GoldenTrace, core: CoreConfig,
     elif g_out is not m_out:
         divergence = (pc, "halt-reason")
     elif not g_out.halted:
-        # only a golden run cut off by max_steps ends with neither halted
+        # only a golden run cut off by its budget ends with neither halted
         instret = ran
         divergence = (gold_pc, "no-halt")
 
@@ -420,16 +416,11 @@ def lockstep(trace: _GoldenTrace, core: CoreConfig,
         instret=instret, cycles=micro.cycle)
 
 
-def cosim_run(torture: TortureConfig, core: CoreConfig,
-              max_steps: int = MAX_STEPS) -> CosimReport:
+def cosim_run(torture: TortureConfig, core: CoreConfig) -> CosimReport:
     """Run one generated program on both models in lockstep: `lockstep`
     over golden's trace of the program under the core's extensions, read
-    through `_golden_trace`, cosim_run's one-entry memo.
-
-    Raises ValueError if `max_steps` is below 1: the replay compares at
-    least one step.
-    """
-    trace = _golden_trace(torture, core.extensions, max_steps)
+    through `_golden_trace`, cosim_run's one-entry memo."""
+    trace = _golden_trace(torture, core.extensions)
     return lockstep(trace, core, torture.seed)
 
 
@@ -443,7 +434,7 @@ def run_matrix(seeds, widths, extensions: frozenset = isa.ZKN_ZKT,
     for seed in seeds:
         tc = TortureConfig(seed=seed, length=length,
                            extensions=frozenset(extensions))
-        trace = torture_trace(tc, tc.extensions, MAX_STEPS)
+        trace = torture_trace(tc, tc.extensions)
         for w in widths:
             cc = CoreConfig(serial_width=w, extensions=extensions)
             reports.append(lockstep(trace, cc, seed))

@@ -472,6 +472,12 @@ def execute(state: ArchState, word: int, extensions: frozenset) -> StepOutcome:
     """Execute exactly one instruction, `word`, as the one at pc; mutates
     state.
 
+    A step that halts leaves pc and the registers as they were: ebreak
+    and ecall, the only halts that retire, and every trap. A misaligned
+    pc traps here, at its fetch, and nowhere else: a taken transfer to a
+    target 2 mod 4 retires, writing rd and pc, and the step after it
+    traps.
+
     Instructions whose extension subset is not in `extensions` halt with
     an illegal-instruction reason (RV32I itself is always enabled). The
     decode goes through `isa.decode_cached`, the port both models share;
@@ -498,8 +504,5 @@ def execute(state: ArchState, word: int, extensions: frozenset) -> StepOutcome:
         return target
     if val is not None and rd:
         regs[rd] = val
-    next_pc = (pc + 4 if target is None else target) & MASK32
-    state.pc = next_pc
-    if next_pc & 3:
-        return HALT[MISALIGNED_FETCH]
+    state.pc = (pc + 4 if target is None else target) & MASK32
     return RETIRED

@@ -446,11 +446,10 @@ def decode_cached(word: int) -> Instr:
     cosim's golden trace alike, where every word hits the generator's seeded
     Instrs. Only `MicroCore.step` probes the dict itself, through its bound
     `get`, and calls this on a miss, so the dict is cleared in place, never
-    rebound. Kernels, the
-    audit and `serialrv run` fill it here on demand, and past
-    `_DECODE_CACHE_MAX` entries it is cleared. Cosim seeds it with exactly
-    one program's words: `cosim.torture_trace` clears it and fills it
-    with the generator's own Instrs."""
+    rebound. Kernels, the audit and `serialrv run` fill it here on demand,
+    and past `_DECODE_CACHE_MAX` entries it is cleared. Cosim seeds it with
+    exactly one program's words: `cosim.torture_trace` clears it and fills
+    it with the generator's own Instrs."""
     i = _DECODE_CACHE.get(word)
     if i is None:
         if len(_DECODE_CACHE) > _DECODE_CACHE_MAX:

@@ -38,7 +38,12 @@ in: every instruction, a program's, the audit's or cosim's, passes
 through these lines.
 
 Every step ends in one of golden's shared outcomes, `RETIRED` or the
-`HALT` entry of its reason, and none ends by raising. A handler whose
+`HALT` entry of its reason, and none ends by raising. One retire rule
+holds in both models: a step that halts retires nothing and changes
+nothing, except ebreak and ecall, which retire (charged and counted,
+pc left where it was) and halt. Each trap has one site. A misaligned pc
+traps at its fetch, so a taken transfer to a target 2 mod 4 retires,
+writing rd and pc, and the next step's fetch traps. A handler whose
 access is misaligned returns that trap's outcome where a jump target
 would go, as ebreak and ecall return theirs; on a step with a target the
 frame tells the trap apart by one identity test, and the trap charges
@@ -644,9 +649,7 @@ class MicroCore:
             elif type(target) is StepOutcome:  # ebreak or ecall: pc stays
                 return charged, target, ins
             else:
-                arch.pc = pc = target & MASK32
-                if pc & 3:
-                    return charged, HALT[MISALIGNED_FETCH], ins
+                arch.pc = target & MASK32
             if expect is None:
                 return charged, RETIRED, ins
 

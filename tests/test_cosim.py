@@ -368,16 +368,20 @@ def _lockstep_oracle(torture, core, max_steps=200_000):
 
 
 def test_every_bench_kernel_cell_runs_in_lockstep():
-    """Both models agree after every step of all 72 bench cells, and both
-    write the kernel's expected output. The kernels hold loops, backward
+    """Both models agree after every step of all 72 bench cells, side by
+    side and in cosim's replay of golden's recorded run, and both write
+    the kernel's expected output. The kernels hold loops, backward
     branches and table loads, which the generator never emits."""
     cells = 0
     for name, kernel in bench.KERNELS.items():
         for variant, exts in bench.EXTS.items():
             kp = kernel.build(variant)
+            trace = cosim._golden_run(kp.image, exts, cosim.MAX_STEPS)
             for w in WIDTHS:
-                gold, micro, _, divergence = _lockstep(
-                    kp.image, CoreConfig(serial_width=w, extensions=exts))
+                core = CoreConfig(serial_width=w, extensions=exts)
+                rep = cosim.lockstep(trace, core)
+                assert rep.passed, (name, variant, w, rep)
+                gold, micro, _, divergence = _lockstep(kp.image, core)
                 assert divergence is None, (name, variant, w, divergence)
                 out = gold.mem.read_bytes(kp.out_addr, kp.out_len)
                 assert out == micro.arch.mem.read_bytes(kp.out_addr, kp.out_len)
@@ -470,26 +474,20 @@ def test_replay_matches_oracle_on_divergence():
 
 
 def test_replay_matches_oracle_without_halt():
-    """A run cut off by max_steps, down to a single step, reports no-halt
-    at the pc golden reached after its last step: the program's prologue
-    is straight-line code."""
+    """A trace cut off by golden's step budget, down to a single step,
+    reports no-halt at the pc golden reached after its last step: the
+    program's prologue is straight-line code."""
     tc = TortureConfig(seed=4)
-    entry = generate(tc).entry
+    image = generate(tc)
     for max_steps in (1, 2, 3, 50):
         for w in WIDTHS:
             core = CoreConfig.zkn_zkt(w)
-            rep = cosim_run(tc, core, max_steps=max_steps)
+            trace = cosim._golden_run(image, core.extensions, max_steps)
+            rep = cosim.lockstep(trace, core, tc.seed)
             assert rep.divergence_field == "no-halt"
             assert rep.instret == max_steps
-            assert rep.divergence_pc == entry + 4 * max_steps
+            assert rep.divergence_pc == image.entry + 4 * max_steps
             assert rep == _lockstep_oracle(tc, core, max_steps=max_steps)
-
-
-@pytest.mark.parametrize("max_steps", [0, -1])
-def test_cosim_rejects_a_run_of_no_steps(max_steps):
-    with pytest.raises(ValueError, match="max_steps"):
-        cosim_run(TortureConfig(seed=1), CoreConfig.zkn_zkt(4),
-                  max_steps=max_steps)
 
 
 def _replay_core(img):

@@ -73,11 +73,14 @@ def test_misaligned_store_halts_and_writes_nothing(m, offset):
     (instr(M.JALR, rd=1, rs1=2, imm=2), 0x2002),
 ])
 def test_jump_to_a_half_word_target_links_then_halts(ins, target):
-    """The jump retires, writing rd and pc; fetching from the target is
-    what traps."""
+    """The jump retires, writing rd and pc; the next step's fetch from the
+    target is what traps, and it changes nothing."""
     s, out = run_one(ins, regs={2: 0x2000})
-    assert out == golden.StepOutcome(True, golden.MISALIGNED_FETCH)
+    assert out is golden.RETIRED
     assert (s.regs[1], s.pc) == (0x1004, target)
+    regs = s.regs[:]
+    assert golden.step(s) is golden.HALT[golden.MISALIGNED_FETCH]
+    assert (s.regs, s.pc) == (regs, target)
 
 
 def test_illegal_word_halts():
