@@ -8,7 +8,7 @@ import random
 from typing import NamedTuple
 
 from . import isa
-from .golden import RETIRED, ArchState, MASK32, Memory
+from .golden import RETIRED, ArchState, MASK32
 from .image import DEFAULT_BASE
 from .microarch import CLASS_OF, SHIFT_MNEMONICS, CoreConfig, MicroCore
 
@@ -36,7 +36,7 @@ class AuditReport(NamedTuple):
 
 
 def _measure_once(config: CoreConfig, ins: isa.Instr, rs1: int, rs2: int) -> int:
-    state = ArchState(pc=DEFAULT_BASE, mem=Memory(size=4096, base=DEFAULT_BASE))
+    state = ArchState(pc=DEFAULT_BASE)
     state.mem.store(DEFAULT_BASE, 4, ins.raw)
     state.regs[1] = rs1 & MASK32
     state.regs[2] = rs2 & MASK32

@@ -8,14 +8,15 @@ scratch window addressed off a reserved base register.
 Cosim is a trace, then a lockstep. The golden model's run of a program
 does not depend on the core's width: `torture_trace` generates the
 program and records golden's run once, as the register in each step's rd
-field and its value after the step, with the last step's outcome kept
-once. `lockstep` then checks the cycle-accurate core against that trace
-at one width, all 32 registers after every step. Each replay runs in one
-core frame (`MicroCore.step` with `expect`), which stops at the first step
-that halts or differs from golden, or at the recording's end; lockstep
-then classifies that last step once. A core that ends the run with the
-recording's final registers and window bytes reuses its signature instead
-of hashing.
+field and its value after the step, with the last step's outcome, the
+console bytes and the exit code kept once. `lockstep` then checks the
+cycle-accurate core against that trace at one width, all 32 registers
+after every step. Each replay runs in one core frame (`MicroCore.step`
+with `expect`), which stops at the first step that halts or differs from
+golden, or at the recording's end; lockstep then classifies that last
+step once, and compares the console and the exit code after a clean
+end. A core that ends the run with the recording's final registers and
+window bytes reuses its signature instead of hashing.
 
 run_matrix records each seed's trace once and hands it to lockstep at
 every width. cosim_run, one cell, is lockstep over `_golden_trace`, a
@@ -277,6 +278,8 @@ class _GoldenTrace(NamedTuple):
     outcome: golden.StepOutcome  # the last step's; every earlier one retired
     signature: str      # golden signature after the last step
     window: bytes       # the scratch window's bytes after the last step
+    console: bytes      # golden's console bytes after the last step
+    exit_code: Optional[int]  # and its exit code, None if never stored
 
 
 def _golden_run(image: ProgramImage, exts: frozenset,
@@ -310,7 +313,8 @@ def _golden_run(image: ProgramImage, exts: frozenset,
             break
     return _GoldenTrace(image, exts, tuple(steps), out,
                         signature(gold, MEMORY_WINDOW),
-                        mem.read_bytes(*MEMORY_WINDOW))
+                        mem.read_bytes(*MEMORY_WINDOW),
+                        bytes(mem.console), mem.exit_code)
 
 
 def torture_trace(torture: TortureConfig, exts: frozenset) -> _GoldenTrace:
@@ -357,12 +361,15 @@ def lockstep(trace: _GoldenTrace, core: CoreConfig,
     the trace's last delta; what it left of the deltas' iterator tells
     which step that was. That step alone is classified here: pc, then xN,
     then the halt reason, or no-halt when neither model halted by the
-    trace's end. A run that ends with no divergence, at the trace's last
-    step, with the core's registers and window bytes equal to that step's
-    golden ones, takes the trace's signature, since those are all that
-    `signature` hashes. A run that ends before the trace's last step takes
-    its golden signature from a second golden run, under the trace's
-    extensions, cut after as many steps as the core ran.
+    trace's end. A run that ends on golden's halting step with none of
+    these is then compared at that step on the MMIO the whole run wrote:
+    the console bytes, then the exit code. A run that ends with no
+    divergence, at the trace's last step, with the core's registers and
+    window bytes equal to that step's golden ones, takes the trace's
+    signature, since those are all that `signature` hashes. A run that
+    ends before the trace's last step takes its golden signature from a
+    second golden run, under the trace's extensions, cut after as many
+    steps as the core ran.
     """
     steps = trace.steps
     micro = MicroCore(core, ArchState.from_image(trace.image))
@@ -392,6 +399,12 @@ def lockstep(trace: _GoldenTrace, core: CoreConfig,
         # only a golden run cut off by its budget ends with neither halted
         instret = ran
         divergence = (gold_pc, "no-halt")
+    # with no divergence the replay took the trace's last step, so the
+    # core's MMIO meets golden's at the end of its run
+    elif march.mem.console != trace.console:
+        divergence = (pc, "console")
+    elif march.mem.exit_code != trace.exit_code:
+        divergence = (pc, "exit")
 
     # the golden side of the report stops where the comparison did, after
     # `ran` steps

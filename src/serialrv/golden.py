@@ -48,6 +48,9 @@ RETIRED = StepOutcome(False)
 HALT = {reason: StepOutcome(True, reason) for reason in (
     EBREAK, ECALL, ILLEGAL, MISALIGNED_FETCH, MISALIGNED_ACCESS, MAX_STEPS)}
 
+# the dense window: bytes 0 .. WINDOW_SIZE - 1, in Memory.buf
+WINDOW_SIZE = 64 * 1024
+
 # the word port of the dense window: one little-endian 32-bit read or write
 _WORD = struct.Struct("<I")
 _unpack_word = _WORD.unpack_from
@@ -57,60 +60,52 @@ _pack_word = _WORD.pack_into
 class Memory:
     """Byte-addressed little-endian memory: a dense window plus sparse spill.
 
-    Every byte address is masked to 32 bits, then lives in the dense window
-    if it falls inside it, else in the sparse dict. `load` and `store` are
-    the one access port of both models, so the golden and cycle models see
-    identical behavior; `store` also holds the MMIO check.
+    Every byte address is masked to 32 bits, then lives in the dense
+    window, the WINDOW_SIZE bytes from address 0, if it falls inside it,
+    else in the sparse dict. Every memory has that one layout. `load` and
+    `store` are the one access port of both models, so the golden and
+    cycle models see identical behavior; `store` also holds the MMIO
+    check.
     """
 
-    def __init__(self, size: int = 64 * 1024, base: int = 0):
-        if not 0 <= base <= (1 << 32) - size:
-            raise ValueError("the dense window must lie in the 32-bit address space")
-        self.base = base
-        self.buf = bytearray(size)
+    def __init__(self):
+        self.buf = bytearray(WINDOW_SIZE)
         self.sparse: dict = {}
         self.console = bytearray()
         self.exit_code: Optional[int] = None
 
-    def _offset(self, addr: int, n: int) -> Optional[int]:
-        """The dense-window offset of the n bytes from `addr`, or None unless
-        all of them fall in the window."""
-        off = (addr & MASK32) - self.base
-        return off if 0 <= off <= len(self.buf) - n else None
-
     def load_program(self, image: ProgramImage) -> None:
         """Place the image's bytes; loading is not a store, so it reaches
         memory even at an MMIO address."""
-        off = self._offset(image.base, len(image.data))
-        if off is not None:
-            self.buf[off:off + len(image.data)] = image.data
+        end = image.base + len(image.data)
+        if end <= WINDOW_SIZE:
+            self.buf[image.base:end] = image.data
         else:
             for i, b in enumerate(image.data):
-                self._write(image.base + i, 1, b)
+                self._write((image.base + i) & MASK32, 1, b)
 
     def read_bytes(self, addr: int, n: int) -> bytes:
         return self.load(addr, n).to_bytes(n, "little")
 
     def load(self, addr: int, size: int) -> int:
         """The little-endian value of the `size` bytes at `addr`."""
-        off = (addr & MASK32) - self.base  # _offset, inlined on the fetch path
-        if 0 <= off <= len(self.buf) - size:
+        addr &= MASK32
+        if addr <= WINDOW_SIZE - size:  # all in the window
             if size == 4:
-                return _unpack_word(self.buf, off)[0]
-            return int.from_bytes(self.buf[off:off + size], "little")
+                return _unpack_word(self.buf, addr)[0]
+            return int.from_bytes(self.buf[addr:addr + size], "little")
         value = 0  # not all in the window: byte by byte
         for i in range(size):
             a = (addr + i) & MASK32
-            off = a - self.base
-            byte = self.buf[off] if 0 <= off < len(self.buf) else self.sparse.get(a, 0)
+            byte = self.buf[a] if a < WINDOW_SIZE else self.sparse.get(a, 0)
             value |= byte << 8 * i
         return value
 
     def store(self, addr: int, size: int, value: int) -> None:
         """Store the low `size` bytes of `value` at `addr`, little-endian.
 
-        A store to an MMIO word reaches the device instead of memory, even
-        where the dense window covers that word: MMIO is matched first.
+        A store to an MMIO word reaches the device instead of memory: MMIO
+        is matched first.
         """
         addr &= MASK32
         value &= (1 << 8 * size) - 1
@@ -122,34 +117,34 @@ class Memory:
             self._write(addr, size, value)
 
     def _write(self, addr: int, size: int, value: int) -> None:
-        off = self._offset(addr, size)
-        if off is not None:
+        """Write `value` to memory at `addr`, already masked to 32 bits."""
+        if addr <= WINDOW_SIZE - size:  # all in the window
             if size == 4:
-                _pack_word(self.buf, off, value)
+                _pack_word(self.buf, addr, value)
             else:
-                self.buf[off:off + size] = value.to_bytes(size, "little")
+                self.buf[addr:addr + size] = value.to_bytes(size, "little")
         elif size != 1:  # not all in the window: byte by byte
             for i in range(size):
-                self._write(addr + i, 1, (value >> 8 * i) & 0xFF)
+                self._write((addr + i) & MASK32, 1, (value >> 8 * i) & 0xFF)
         else:
-            self.sparse[addr & MASK32] = value
+            self.sparse[addr] = value
 
 
 class ArchState:
-    """pc, 31 general registers (x0 hardwired to zero) and memory."""
+    """pc, 31 general registers (x0 hardwired to zero) and a fresh Memory."""
 
     __slots__ = ("pc", "regs", "mem")
 
-    def __init__(self, pc: int = 0, mem: Optional[Memory] = None):
+    def __init__(self, pc: int = 0):
         self.pc = pc & MASK32
         self.regs = [0] * 32
-        self.mem = mem if mem is not None else Memory()
+        self.mem = Memory()
 
     @classmethod
     def from_image(cls, image: ProgramImage) -> "ArchState":
-        mem = Memory()
-        mem.load_program(image)
-        return cls(pc=image.entry, mem=mem)
+        state = cls(pc=image.entry)
+        state.mem.load_program(image)
+        return state
 
 
 # --- scalar-crypto primitive semantics -----------------------------------

@@ -30,12 +30,14 @@ delta, and compares the core with golden after each: it stops at the
 first instruction that halts, leaves the pc or any of the 32 registers
 unlike golden's, or takes the last delta. The fetch has one path: the
 core's first step pays the fill, then the pc's alignment is checked and
-the word is read, straight from the dense memory window or else through
-the memory port. A fetch that hits isa's decode cache makes no Python
-call: the frame probes the dict itself, through its bound `get`, and
-unpacks the instruction's fields once. `step` is the core's only way
-in: every instruction, a program's, the audit's or cosim's, passes
-through these lines.
+the word is read. Every memory's dense window lies at address 0 (see
+`golden.Memory`), so a pc no higher than the window's last word reads
+straight from the window, and any other pc through the memory port. A
+fetch that hits isa's decode cache makes no Python call: the frame
+probes the dict itself, through its bound `get`, and unpacks the
+instruction's fields once. `step` is the core's only way in: every
+instruction, a program's, the audit's or cosim's, passes through these
+lines.
 
 Every step ends in one of golden's shared outcomes, `RETIRED` or the
 `HALT` entry of its reason, and none ends by raising. One retire rule
@@ -85,9 +87,8 @@ it changes a simulated cycle):
   storing over code needs no invalidation. A handler or unit is read
   when the binding is built, so one replaced later reaches only the
   cores built from an uncached binding (`_binding.__wrapped__`).
-- per core, in `__init__`: the dense memory window the fetch reads:
-  `_window` (the buffer, never replaced or resized), `_window_base` and
-  `_window_last` (the offset of its last word), and the counts: the
+- per core, in `__init__`: the dense memory window the fetch reads,
+  `_window` (the buffer, never replaced or resized), and the counts: the
   retired count and charged cycles of each mnemonic, at its record's
   count slot, added where the cycles are charged; `retired` reads them
   out.
@@ -109,6 +110,7 @@ VALID_WIDTHS = (1, 2, 4, 8, 16, 32)
 # the decode cache's probe: the Instr of a word decoded before, else None
 _cached_instr = isa._DECODE_CACHE.get
 _NO_BUDGET = 1 << 64  # a cycle budget that no run reaches
+_WINDOW_LAST = golden.WINDOW_SIZE - 4  # the dense window's last word address
 
 # Latency classes.
 ALU_CHUNKED = "alu_chunked"
@@ -473,8 +475,6 @@ class MicroCore:
         self._counts = [0] * (2 * len(self._bound))  # see retired
         self.arch = state
         self._window = state.mem.buf  # the dense window, for the fetch
-        self._window_base = state.mem.base
-        self._window_last = len(state.mem.buf) - 4  # the last word's offset
         self.cycle = 0
         self.startup_cycles = 0  # stays 0 until the first step fills the fetch buffer
         self._full = config.serial_width == 32  # a full-width ALU: one lane, no loop
@@ -599,9 +599,8 @@ class MicroCore:
                 return 0, HALT[MISALIGNED_FETCH], None
             # a dense-window word straight from the window bound in __init__,
             # any other through the memory port
-            off = pc - self._window_base
-            if 0 <= off <= self._window_last:
-                word = _unpack_word(self._window, off)[0]
+            if pc <= _WINDOW_LAST:
+                word = _unpack_word(self._window, pc)[0]
             else:
                 word = arch.mem.load(pc, 4)
             # a word decoded before is one probe of the decode cache

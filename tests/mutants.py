@@ -126,6 +126,19 @@ def fetch_stall_dropped():
     return _charged_through(lambda m, execute, seq, taken: (execute, taken))
 
 
+def big_endian_half_store():
+    """`golden.Memory` stores each half-word big-endian: a common-mode
+    fault of the one memory port that both models store through."""
+    write = golden.Memory._write
+
+    def faulty(mem, addr, size, value):
+        if size == 2:
+            value = (value & 0xFF) << 8 | value >> 8
+        write(mem, addr, size, value)
+
+    return _patched(golden.Memory, "_write", faulty)
+
+
 @contextlib.contextmanager
 def swapped_funct3(a, b):
     """`isa.ENCODINGS` with the funct3 of mnemonics `a` and `b` swapped, and

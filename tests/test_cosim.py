@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import random
@@ -13,6 +14,7 @@ from serialrv import bench, cosim, golden, isa, microarch
 from serialrv.cosim import (MEMORY_WINDOW, TortureConfig, cosim_run, generate,
                             signature)
 from serialrv.golden import ArchState, Memory
+from serialrv.image import DEFAULT_BASE
 from serialrv.isa import Ext, Mnemonic as M
 from serialrv.microarch import CoreConfig
 
@@ -182,25 +184,25 @@ def test_nonpositive_length_rejected(seed, length, needs):
 # --- signature -------------------------------------------------------------------
 
 def test_signature_of_reset_state_pinned():
-    state = ArchState(pc=0, mem=Memory())
+    state = ArchState(pc=0)
     # FNV-1a-64 of 31 zero words, computed with an independent implementation
     want = f"{oracles.fnv1a64(bytes(124)):016x}"
     assert signature(state, (0x2000, 0)) == want
 
 
 def test_signature_equal_states():
-    s1, s2 = ArchState(mem=Memory()), ArchState(mem=Memory())
+    s1, s2 = ArchState(), ArchState()
     s1.regs[5] = s2.regs[5] = 0xABCD
     assert signature(s1, (0, 64)) == signature(s2, (0, 64))
 
 
 def test_signature_single_bit_sensitivity():
     rng = random.Random(13)
-    base = ArchState(mem=Memory())
+    base = ArchState()
     ref = signature(base, (0x2000, 64))
     diffs = 0
     for _ in range(1000):
-        s = ArchState(mem=Memory())
+        s = ArchState()
         reg = rng.randrange(1, 32)
         bit = rng.randrange(32)
         s.regs[reg] = 1 << bit
@@ -210,11 +212,11 @@ def test_signature_single_bit_sensitivity():
 
 
 def test_signature_covers_window_memory():
-    s = ArchState(mem=Memory())
+    s = ArchState()
     ref = signature(s, (0x2000, 64))
     s.mem.store(0x2000 + 63, 1, 1)
     assert signature(s, (0x2000, 64)) != ref
-    s2 = ArchState(mem=Memory())
+    s2 = ArchState()
     s2.mem.store(0x2000 + 64, 1, 1)  # just outside
     assert signature(s2, (0x2000, 64)) == ref
 
@@ -322,8 +324,9 @@ def test_matrix_helper():
 
 def _lockstep(img, core, max_steps=200_000):
     """Step golden and the core side by side on `img`, comparing pc and all
-    32 registers after every step and the outcome of the halting step.
-    Returns (golden state, core, instret, divergence or None)."""
+    32 registers after every step, and the outcome of the halting step,
+    then at that step the console bytes and the exit code. Returns
+    (golden state, core, instret, divergence or None)."""
     gold = ArchState.from_image(img)
     micro = microarch.MicroCore(core, ArchState.from_image(img))
     exts = frozenset(core.extensions) - {Ext.ZKT}
@@ -343,6 +346,10 @@ def _lockstep(img, core, max_steps=200_000):
         if g_out.halted or m_out.halted:
             if g_out != m_out:
                 divergence = (pc, "halt-reason")
+            elif micro.arch.mem.console != gold.mem.console:
+                divergence = (pc, "console")
+            elif micro.arch.mem.exit_code != gold.mem.exit_code:
+                divergence = (pc, "exit")
             break
         instret += 1
     else:
@@ -390,6 +397,54 @@ def test_every_bench_kernel_cell_runs_in_lockstep():
     assert cells == 72
 
 
+def _mmio_image():
+    """A program that stores to both MMIO words and then halts on ebreak."""
+    a = isa.Assembler()
+    a.li(1, golden.CONSOLE_ADDR)
+    a.li(2, 0x48)
+    a.emit(M.SW, rs1=1, rs2=2, imm=0)
+    a.li(2, 7)
+    a.emit(M.SW, rs1=1, rs2=2, imm=golden.EXIT_ADDR - golden.CONSOLE_ADDR)
+    a.emit(M.EBREAK)
+    return a.build()
+
+
+@pytest.mark.parametrize("fault,field", [
+    (None, None),
+    (golden.CONSOLE_ADDR, "console"),
+    (golden.EXIT_ADDR, "exit"),
+], ids=["clean", "console", "exit"])
+def test_lockstep_compares_the_console_and_the_exit_code_at_the_end(fault, field):
+    """A core store that flips bit 0 of the word written to one MMIO word
+    leaves every register and the window as golden's, and the replay ends
+    on the ebreak that golden halts on: lockstep and its oracle name the
+    MMIO word at the pc of that last step."""
+    image = _mmio_image()
+    trace = cosim._golden_run(image, isa.ZKN, cosim.MAX_STEPS)
+    assert (trace.console, trace.exit_code) == (b"H", 7)
+    core = CoreConfig.zkn_zkt(4)
+    with mutants.flipped_store(fault) if fault else contextlib.nullcontext():
+        rep = cosim.lockstep(trace, core)
+        _, _, _, oracle = _lockstep(image, core)
+    ebreak_pc = image.base + len(image.data) - 4
+    want = (ebreak_pc, field) if field else None
+    got = (rep.divergence_pc, rep.divergence_field) if rep.divergence_field else None
+    assert got == oracle == want and rep.passed is (want is None)
+
+
+def test_every_benchmark_program_lies_in_the_dense_window():
+    """Every bench kernel build, and the torture layout from the load
+    address to the scratch window's end, lie inside the dense window at
+    address 0. So every core the benchmark workloads run fetches each
+    word straight from the window, the path the step frame is built
+    for, and never through the memory port."""
+    for name, kernel in bench.KERNELS.items():
+        for variant in bench.EXTS:
+            image = kernel.build(variant).image
+            assert image.base + len(image.data) <= golden.WINDOW_SIZE, (name, variant)
+    assert DEFAULT_BASE < sum(MEMORY_WINDOW) <= golden.WINDOW_SIZE
+
+
 def test_replay_matches_lockstep_oracle():
     for seed in range(10):
         tc = TortureConfig(seed=seed)
@@ -399,8 +454,11 @@ def test_replay_matches_lockstep_oracle():
             assert rep == _lockstep_oracle(tc, CoreConfig.zkn_zkt(w))
 
 
-# every fault of tests/mutants.py, each with the knob set under which it
-# shows: a result, store, control, halt or timing fault of the core
+# every fault of tests/mutants.py that only the core carries, each with
+# the knob set under which it shows: a result, store, control, halt or
+# timing fault. The two common-mode faults, swapped_funct3 and
+# big_endian_half_store, change both models at once, and their own tests
+# pin that every cosim cell still passes.
 REPLAY_FAULTS = {
     "broken-adder": (mutants.broken_adder, "zkt"),
     "flipped-store": (mutants.flipped_store, "zkt"),
@@ -423,7 +481,7 @@ def test_a_fault_leaves_the_shared_bindings_as_it_found_them(name):
     config = CoreConfig(serial_width=4, **KNOB_SETS[knobs])
 
     def core():
-        state = ArchState(pc=0x1000, mem=Memory())
+        state = ArchState(pc=0x1000)
         state.regs[1:4] = [0x200, 7, 5]
         for off, i in enumerate((isa.instr(M.ADD, rd=4, rs1=2, rs2=3),
                                  isa.instr(M.SW, rs1=1, rs2=4, imm=0))):

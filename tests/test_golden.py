@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import callprofile
+import mutants
 import oracles
 from serialrv import cosim, golden, isa
 from serialrv.golden import ArchState, Memory
 from serialrv.isa import Assembler, Ext, Mnemonic as M, instr
+from serialrv.microarch import CoreConfig
 
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 def fresh_state(pc=0x1000):
-    return ArchState(pc=pc, mem=Memory())
+    return ArchState(pc=pc)
 
 
 def run_one(i, regs=None, pc=0x1000, exts=isa.ZKN):
@@ -187,19 +189,20 @@ def test_console_mmio_appends_the_low_byte(size):
 
 # --- the memory port ----------------------------------------------------------
 
-# addresses near the two edges of the 64 KiB dense window (the low edge is
-# also the 2^32 wrap) and deep in the sparse range
-_EDGES = (0, 64 * 1024, 0x80000000)
+# addresses near the two edges of the dense window (the low edge is also
+# the 2^32 wrap) and deep in the sparse range
+_EDGES = (0, golden.WINDOW_SIZE, 0x80000000)
 addresses = st.builds(lambda e, d: (e + d) & 0xFFFFFFFF,
                       st.sampled_from(_EDGES), st.integers(-5, 5))
 sizes = st.sampled_from((1, 2, 4))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(sizes, addresses, words, sizes, addresses), max_size=30))
-def test_load_store_match_a_byte_dict(ops):
-    """Each byte of an access is placed by one rule, whatever the access
-    size and wherever it starts, so every load returns what stores left."""
+def _check_against_a_byte_dict(ops):
+    """Run `ops`, each (store size, address, value, load size, address),
+    on a fresh Memory and on a dict of bytes, asserting after every store
+    that both loads return what the dict holds, and at the end that each
+    byte sits where the one layout puts it: in the window below
+    WINDOW_SIZE, else in `sparse`."""
     mem, model = Memory(), {}
 
     def expect(addr, size):
@@ -213,8 +216,41 @@ def test_load_store_match_a_byte_dict(ops):
         assert mem.load(addr, size) == expect(addr, size)
         assert mem.load(load_addr, load_size) == expect(load_addr, load_size)
     for a, b in model.items():
-        assert (mem.buf[a] if a < len(mem.buf) else mem.sparse[a]) == b
-    assert not any(a < len(mem.buf) for a in mem.sparse)
+        assert (mem.buf[a] if a < golden.WINDOW_SIZE else mem.sparse[a]) == b
+    assert not any(a < golden.WINDOW_SIZE for a in mem.sparse)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(sizes, addresses, words, sizes, addresses), max_size=30))
+def test_load_store_match_a_byte_dict(ops):
+    """Each byte of an access is placed by one rule, whatever the access
+    size and wherever it starts, so every load returns what stores left."""
+    _check_against_a_byte_dict(ops)
+
+
+@pytest.mark.parametrize("addr", (0x2000, 0x80000000), ids=["window", "sparse"])
+def test_byte_dict_check_kills_the_big_endian_half_store(addr):
+    """A half-word stored big-endian through the one memory port fails the
+    byte-dict check, in the window and in the sparse bytes. Both models
+    store through that port, so a cosim cell that retires an `sh` still
+    passes under the fault: a gap that only a reference with its own
+    memory closes."""
+    ops = [(2, addr, 0x1234, 2, addr)]
+    _check_against_a_byte_dict(ops)
+    with mutants.big_endian_half_store():
+        with pytest.raises(AssertionError):
+            _check_against_a_byte_dict(ops)
+
+    tc = cosim.TortureConfig(seed=0)
+    config = CoreConfig.zkn_zkt(4)
+    with mutants.big_endian_half_store():
+        trace = cosim.torture_trace(tc, config.extensions)
+        report = cosim.lockstep(trace, config, tc.seed)
+    image = trace.image
+    pcs = [image.entry] + [pc for pc, *_ in trace.steps[:-1]]
+    ran = {isa.decode(int.from_bytes(image.data[pc - image.base:][:4], "little"))
+           .mnemonic for pc in pcs}
+    assert M.SH in ran and report.passed
 
 
 def test_word_across_the_wrap():
@@ -240,25 +276,23 @@ def test_word_outside_the_window_is_read_in_one_load_call():
     assert calls == [(0xFFFFFFFE, 4)]
 
 
-def test_dense_window_must_fit_below_the_wrap():
-    with pytest.raises(ValueError):
-        Memory(size=4096, base=0xFFFFF004)
-
-
 @pytest.mark.parametrize("size", (1, 2, 4))
 def test_mmio_is_matched_before_a_window_that_covers_it(size):
-    """With the dense window moved over both MMIO words, a store to either
-    reaches the console or the exit code and never the window's bytes; the
-    word after them is plain window memory."""
-    mem = Memory(size=4096, base=golden.CONSOLE_ADDR - 2048)
+    """MMIO is matched before memory: a store to either MMIO word reaches
+    the console or the exit code and neither the window's bytes nor the
+    sparse ones; the word after them is plain sparse memory."""
+    mem = Memory()
     mem.store(golden.CONSOLE_ADDR, size, 0x41)
     mem.store(golden.EXIT_ADDR, size, 7)
     assert bytes(mem.console) == b"A" and mem.exit_code == 7
     assert not any(mem.buf) and mem.sparse == {}
     assert mem.load(golden.CONSOLE_ADDR, 4) == mem.load(golden.EXIT_ADDR, 4) == 0
     mem.store(golden.EXIT_ADDR + 4, size, 0x5A)
-    assert mem.buf[2048 + 8] == 0x5A and mem.load(golden.EXIT_ADDR + 4, size) == 0x5A
+    assert mem.sparse == {golden.EXIT_ADDR + 4 + i: 0x5A if i == 0 else 0
+                          for i in range(size)}
+    assert mem.load(golden.EXIT_ADDR + 4, size) == 0x5A
     assert bytes(mem.console) == b"A" and mem.exit_code == 7
+    assert not any(mem.buf)
 
 
 # --- the oracles' independence -------------------------------------------------
@@ -583,24 +617,25 @@ def test_decode_cache_cleared_between_steps(monkeypatch):
 
 
 def test_fetch_outside_and_across_the_window_end_goes_through_load(monkeypatch):
-    """Code past the dense window, and a word with two bytes on each side of
-    its end, run as written; every fetch, the in-window word's included,
-    goes through Memory.load."""
-    mem = Memory(size=0x102, base=0x1000)  # the window ends at 0x1102
-    a = Assembler(base=0x10FC)
-    a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0x10fc: in the window
-    a.emit(M.ADDI, rd=2, rs1=1, imm=7)   # 0x1100: straddles its end
-    a.emit(M.ADDI, rd=3, rs1=2, imm=1)   # 0x1104: sparse
-    a.emit(M.EBREAK)                     # 0x1108: sparse
-    mem.load_program(a.build())
-    state = ArchState(pc=0x10FC, mem=mem)
+    """Code that runs from the dense window's last two words, 0xFFF8 and
+    0xFFFC, on past its end at 0x10000 into sparse memory, runs as
+    written; every fetch, the in-window words' included, goes through
+    Memory.load."""
+    a = Assembler(base=0xFFF8)
+    a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0xfff8: in the window
+    a.emit(M.ADDI, rd=2, rs1=1, imm=7)   # 0xfffc: its last word
+    a.emit(M.ADDI, rd=3, rs1=2, imm=1)   # 0x10000: sparse
+    a.emit(M.EBREAK)                     # 0x10004: sparse
+    image = a.build()
+    state = ArchState.from_image(image)
+    assert state.mem.buf[-8:] == image.data[:8]
+    assert sorted(state.mem.sparse) == list(range(0x10000, 0x10008))
 
     fetches = []
     load = Memory.load
 
     def counted_load(self, addr, size):
-        if size == 4:  # not the byte loads a straddling word splits into
-            fetches.append(addr)
+        fetches.append((addr, size))
         return load(self, addr, size)
 
     monkeypatch.setattr(Memory, "load", counted_load)
@@ -608,7 +643,7 @@ def test_fetch_outside_and_across_the_window_end_goes_through_load(monkeypatch):
     assert outcomes[-1] == golden.StepOutcome(True, golden.EBREAK)
     assert len(outcomes) == 4
     assert state.regs[1:4] == [5, 12, 13]
-    assert fetches == [0x10FC, 0x1100, 0x1104, 0x1108]
+    assert fetches == [(0xFFF8, 4), (0xFFFC, 4), (0x10000, 4), (0x10004, 4)]
 
 
 def test_decoded_in_window_step_calls_only_the_ports_and_its_handler():

@@ -12,7 +12,7 @@ import mutants
 import oracles
 from serialrv import bench, cosim, golden, isa, microarch
 from serialrv.audit import audit_constant_time
-from serialrv.golden import ArchState, Memory
+from serialrv.golden import ArchState
 from serialrv.image import load_image
 from serialrv.isa import Ext, Mnemonic as M, instr
 from serialrv.microarch import (CLASS_OF, CoreConfig, MicroCore,
@@ -23,7 +23,7 @@ words = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 def make_core(width=4, exts=isa.ZKN_ZKT, pc=0x1000, **knobs):
-    state = ArchState(pc=pc, mem=Memory())
+    state = ArchState(pc=pc)
     return MicroCore(CoreConfig(serial_width=width, extensions=exts, **knobs),
                      state)
 
@@ -221,7 +221,7 @@ def test_charged_cycles_follow_readme_table(m, knobs):
     for width in WIDTHS:
         cfg = CoreConfig(serial_width=width, **KNOB_SETS[knobs])
         for ins, regs, taken in _cases(m):
-            core = MicroCore(cfg, ArchState(pc=0x1000, mem=Memory()))
+            core = MicroCore(cfg, ArchState(pc=0x1000))
             cycles, out = exec_one(core, ins, regs)
             shamt = ins.imm if isa.ENCODINGS[m].fmt == isa.FMT_I_SHAMT \
                 else regs.get(2, 0)
@@ -419,13 +419,13 @@ def _shift_mismatches():
     for knobs in sorted(KNOB_SETS):
         for width in WIDTHS:
             core = MicroCore(CoreConfig(serial_width=width, **KNOB_SETS[knobs]),
-                             ArchState(mem=Memory()))
+                             ArchState())
             for name, x, n, i in cases:
                 core.arch.pc = 0x1000
                 exec_one(core, i, {1: x, 2: n})
                 if core.arch.regs[3] != oracles.shift(name, x, n):
                     bad.append(("core", knobs, width, name, x, n))
-    ref = ArchState(mem=Memory())
+    ref = ArchState()
     for name, x, n, i in cases:
         ref.pc = 0x1000
         ref.regs[1], ref.regs[2] = x, n
@@ -497,16 +497,18 @@ def test_fetch_stall_when_execution_shorter_than_memory():
 @pytest.mark.parametrize("width", WIDTHS)
 def test_sequential_step_wraps_to_pc_zero(width):
     """A step from the last word of the address space goes on at pc 0 in
-    both models. Both words lie outside the dense window, so each step
-    reads its own word through the memory port, and no other word."""
+    both models. The first word lies outside the dense window, so the
+    core reads it through the memory port; pc 0 starts the window, so
+    the core reads the second word straight from it and the port sees no
+    fetch."""
     first = instr(M.ADDI, rd=1, rs1=0, imm=5)
     second = instr(M.ADDI, rd=2, rs1=1, imm=7)
 
     def state():
-        mem = Memory(size=4096, base=0x10000)
-        mem.store(0xFFFFFFFC, 4, first.raw)
-        mem.store(0, 4, second.raw)
-        return ArchState(pc=0xFFFFFFFC, mem=mem)
+        state = ArchState(pc=0xFFFFFFFC)
+        state.mem.store(0xFFFFFFFC, 4, first.raw)
+        state.mem.store(0, 4, second.raw)
+        return state
 
     ref, arch = state(), state()
     loads = []
@@ -516,30 +518,26 @@ def test_sequential_step_wraps_to_pc_zero(width):
     assert not golden.step(ref, isa.ZKN_ZKT).halted
     assert not core.step()[1].halted
     assert arch.pc == ref.pc == 0 and arch.regs == ref.regs
-    assert [load for load in loads if load[1] == 4] == [(0xFFFFFFFC, 4)]
-    loads.clear()
     assert not golden.step(ref, isa.ZKN_ZKT).halted
     _, outcome, ran = core.step()
     assert not outcome.halted and ran == second
-    assert [load for load in loads if load[1] == 4] == [(0, 4)]
+    assert loads == [(0xFFFFFFFC, 4)]
     assert arch.pc == ref.pc == 4 and arch.regs == ref.regs and arch.regs[2] == 12
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_steps_across_the_window_end_match_golden(width):
     """The core's fetch holds its own copy of where the dense window
-    ends: stepped beside golden over a word inside the window, one
-    straddling its end and two past it, the core keeps golden's pc and
-    registers after every step and halts on the same ebreak."""
+    ends: stepped beside golden over the window's last two words and two
+    past its end at 0x10000, the core keeps golden's pc and registers
+    after every step and halts on the same ebreak."""
     def state():
-        mem = Memory(size=0x102, base=0x1000)  # the window ends at 0x1102
-        a = isa.Assembler(base=0x10FC)
-        a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0x10fc: in the window
-        a.emit(M.ADDI, rd=2, rs1=1, imm=7)   # 0x1100: straddles its end
-        a.emit(M.ADDI, rd=3, rs1=2, imm=1)   # 0x1104: sparse
-        a.emit(M.EBREAK)                     # 0x1108: sparse
-        mem.load_program(a.build())
-        return ArchState(pc=0x10FC, mem=mem)
+        a = isa.Assembler(base=0xFFF8)
+        a.emit(M.ADDI, rd=1, rs1=0, imm=5)   # 0xfff8: in the window
+        a.emit(M.ADDI, rd=2, rs1=1, imm=7)   # 0xfffc: its last word
+        a.emit(M.ADDI, rd=3, rs1=2, imm=1)   # 0x10000: sparse
+        a.emit(M.EBREAK)                     # 0x10004: sparse
+        return ArchState.from_image(a.build())
 
     ref, arch = state(), state()
     core = MicroCore(CoreConfig.zkn_zkt(width), arch)
@@ -554,19 +552,20 @@ def test_steps_across_the_window_end_match_golden(width):
 
 
 @pytest.mark.parametrize("width", WIDTHS)
-@pytest.mark.parametrize("pc", [0x1000, 0x10FC], ids=["window", "sparse"])
+@pytest.mark.parametrize("pc", [0xFFF8, 0xFFFC], ids=["window", "sparse"])
 def test_core_keeps_no_copy_of_memory(pc, width):
     """A word stored at pc + 4 from outside the core, after the step at
     pc, is the word the next step runs, whether pc + 4 lies in the dense
-    window or past its end; both models end with the same registers."""
+    window or past its end at 0x10000; both models end with the same
+    registers."""
     old = instr(M.ADDI, rd=2, rs1=1, imm=7)
     new = instr(M.ADDI, rd=2, rs1=1, imm=42)
 
     def state():
-        mem = Memory(size=0x100, base=0x1000)  # the window ends at 0x1100
-        mem.store(pc, 4, instr(M.ADDI, rd=1, rs1=0, imm=5).raw)
-        mem.store(pc + 4, 4, old.raw)
-        return ArchState(pc=pc, mem=mem)
+        state = ArchState(pc=pc)
+        state.mem.store(pc, 4, instr(M.ADDI, rd=1, rs1=0, imm=5).raw)
+        state.mem.store(pc + 4, 4, old.raw)
+        return state
 
     ref, arch = state(), state()
     core = MicroCore(CoreConfig.zkn_zkt(width), arch)
@@ -602,7 +601,7 @@ _STEP_CALLS = {
     "aes32esmi": (instr(M.AES32ESMI, rd=1, rs1=2, rs2=3, bs=1),
                   ["aes", "_move_rol"]),
     "sw": (instr(M.SW, rs1=2, rs2=3, imm=8),
-           ["lsu_store", "store", "_write", "_offset"]),
+           ["lsu_store", "store", "_write"]),
     # a misaligned access traps in its unit, before the memory port
     "lh-misaligned": (instr(M.LH, rd=1, rs1=2, imm=9), ["lsu_load"]),
 }
@@ -615,11 +614,15 @@ def test_decoded_sequential_step_calls_only_its_unit(i, want):
     one handler bound to its mnemonic that makes no second dispatch on it,
     and never decode_cached. A shift or rotate calls only the move
     function of its plan, which the frame reads from its row.
-    Memory.load runs only for a load's own data access, Memory.store only
-    for a store's commit, and `len` only where they find the window."""
+    Memory.load runs only for a load's own data access and Memory.store
+    only for a store's commit. The builtins called are the fetch's word
+    read and the decode cache's probe, then only the port's word access
+    of a load or a store: no `len` or other call finds the window."""
     calls, builtins = _calls_of_second_step(i)
     assert calls == want
-    assert builtins.count("len") == want.count("load") + want.count("_offset")
+    port = {"load": ["unpack_from"], "store": ["pack_into"]}
+    assert builtins == ["unpack_from", "get"] + [b for c in calls
+                                                 for b in port.get(c, ())]
 
 
 def test_step_call_profile_ignores_the_cyclic_gc():
@@ -739,7 +742,7 @@ def test_width32_bypass_matches_the_lane_loop(name):
 
 def _equiv_case(m, rs1, rs2, imm=0, bs=None):
     i = isa.instr(m, rd=5, rs1=1, rs2=2, imm=imm, bs=bs)
-    ref = ArchState(pc=0x1000, mem=Memory())
+    ref = ArchState(pc=0x1000)
     ref.regs[1], ref.regs[2] = rs1, rs2
     ref.mem.store(0x1000, 4, i.raw)
     golden.step(ref)
@@ -786,7 +789,7 @@ def test_missing_handler_fails_loudly(monkeypatch):
     monkeypatch.delitem(golden._EXECUTE, M.FENCE)
     monkeypatch.delitem(microarch._EXECUTE, M.FENCE)
     monkeypatch.setattr(microarch, "_binding", microarch._binding.__wrapped__)
-    ref = ArchState(pc=0x1000, mem=Memory())
+    ref = ArchState(pc=0x1000)
     ref.mem.store(0x1000, 4, fence.raw)
     with pytest.raises(KeyError):
         golden.step(ref)
@@ -895,7 +898,7 @@ def test_imm_form_matches_its_r_form(rs1, m, data):
              isa.instr(isa.R_FORM_OF[m], rd=5, rs1=1, rs2=2))
 
     def golden_after(i):
-        ref = ArchState(pc=0x1000, mem=Memory())
+        ref = ArchState(pc=0x1000)
         ref.regs[1], ref.regs[2] = rs1, imm & 0xFFFFFFFF
         ref.mem.store(0x1000, 4, i.raw)
         assert golden.step(ref) == golden.RETIRED
@@ -923,7 +926,7 @@ def test_micro_matches_golden_memory_ops():
             val = rng.getrandbits(32)
             fill = rng.getrandbits(32)
             i = isa.instr(m, rd=5, rs1=1, rs2=2, imm=off)
-            ref = ArchState(pc=0x1000, mem=Memory())
+            ref = ArchState(pc=0x1000)
             ref.regs[1], ref.regs[2] = 0, val
             ref.mem.store(off & ~3, 4, fill)
             ref.mem.store(0x1000, 4, i.raw)
@@ -959,7 +962,7 @@ def test_misaligned_access_changes_nothing_as_on_golden(m, width):
         if off % isa.ACCESS_BYTES[m] == 0:
             continue
         i = instr(m, rd=5, rs1=1, rs2=2, imm=0x200 + off)
-        ref, core = ArchState(pc=0x1000, mem=Memory()), make_core(width)
+        ref, core = ArchState(pc=0x1000), make_core(width)
         for state in (ref, core.arch):
             state.regs[1:] = [0x2000] + [0x01010101 * r for r in range(2, 32)]
             state.mem.store(0x2200, 4, 0xDEADBEEF)
@@ -994,7 +997,7 @@ def test_disabled_extension_trap(m, width):
     assert core.arch.pc == 0x1000 and core.retired() == {}
 
     exts = frozenset({isa.EXT_OF[m]})
-    ref = ArchState(pc=0x1000, mem=Memory())
+    ref = ArchState(pc=0x1000)
     ref.regs[2], ref.regs[3] = 0x80000001, 13
     ref.mem.store(0x1000, 4, i.raw)
     assert not golden.step(ref, exts).halted
@@ -1032,7 +1035,7 @@ _TAKEN = {M.BEQ: lambda eq, lt, ltu: eq, M.BNE: lambda eq, lt, ltu: not eq,
 def _compare_runs(i, a, b):
     """(model, rd, pc) after stepping `i` at 0x1000 with x1 = a, x2 = b:
     golden once, then the core at every width."""
-    ref = ArchState(pc=0x1000, mem=Memory())
+    ref = ArchState(pc=0x1000)
     ref.regs[1], ref.regs[2] = a, b
     ref.mem.store(0x1000, 4, i.raw)
     assert not golden.step(ref).halted
@@ -1124,7 +1127,7 @@ def _sweep_digest(width):
                              left_shift_support=support)
             for m in sorted(M, key=lambda x: x.value):
                 fmt = isa.ENCODINGS[m].fmt
-                core = MicroCore(cfg, ArchState(mem=Memory()))
+                core = MicroCore(cfg, ArchState())
                 core.arch.mem.buf[:len(fill)] = fill
                 for a, b in pairs:
                     imm = _IMM_OF_FMT.get(fmt, lambda b: 0)(b)
@@ -1241,7 +1244,7 @@ def test_every_step_ends_in_a_shared_outcome(monkeypatch):
     # the sweep: the core at two widths, golden once
     for width in (1, 32):
         assert _sweep_digest(width) == SWEEP_DIGESTS[width]
-    ref = ArchState(mem=Memory())
+    ref = ArchState()
     ref.mem.buf[:0x2000] = random.Random(9).randbytes(0x2000)
     for m in M:
         imm_of = _IMM_OF_FMT.get(isa.ENCODINGS[m].fmt, lambda b: 0)
@@ -1279,12 +1282,12 @@ def test_every_step_ends_in_a_shared_outcome(monkeypatch):
             (0x1002, instr(M.ADDI, rd=1, rs1=1, imm=1).raw, isa.ZKN),
             (0x1000, instr(M.LH, rd=1, rs1=0, imm=0x201).raw, isa.ZKN),
             (0x1000, instr(M.SW, rs1=0, rs2=1, imm=0x202).raw, isa.ZKN)]:
-        ref, arch = ArchState(pc=pc, mem=Memory()), ArchState(pc=pc, mem=Memory())
+        ref, arch = ArchState(pc=pc), ArchState(pc=pc)
         for state in (ref, arch):
             state.mem.store(0x1000, 4, word)
         golden.step(ref, exts)
         MicroCore(CoreConfig(serial_width=4, extensions=exts), arch).step()
-    MicroCore(CoreConfig(serial_width=4), ArchState(pc=0x1000, mem=Memory())).step(0)
+    MicroCore(CoreConfig(serial_width=4), ArchState(pc=0x1000)).step(0)
 
     assert reasons["core"] == {None, *golden.HALT}
     assert reasons["golden"] == {None, *golden.HALT} - {golden.MAX_STEPS}
