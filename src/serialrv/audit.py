@@ -1,6 +1,9 @@
 """The constant-time audit: each measurement places one instruction word at
-pc in a fresh core and takes the charged cycles of its first `step`; the
-fetch-buffer fill goes to `startup_cycles`, never to those cycles."""
+pc and takes the charged cycles of a fresh core's first `step`; the
+fetch-buffer fill goes to `startup_cycles`, never to those cycles. One
+audit runs every measurement on one state, whose pc, x1, x2 and word at pc
+each measurement resets; no audited mnemonic loads or stores, so none sees
+what another left."""
 
 from __future__ import annotations
 
@@ -35,8 +38,9 @@ class AuditReport(NamedTuple):
         return all(r.spread == 0 for r in self.rows)
 
 
-def _measure_once(config: CoreConfig, ins: isa.Instr, rs1: int, rs2: int) -> int:
-    state = ArchState(pc=DEFAULT_BASE)
+def _measure_once(config: CoreConfig, state: ArchState, ins: isa.Instr,
+                  rs1: int, rs2: int) -> int:
+    state.pc = DEFAULT_BASE
     state.mem.store(DEFAULT_BASE, 4, ins.raw)
     state.regs[1] = rs1 & MASK32
     state.regs[2] = rs2 & MASK32
@@ -62,7 +66,7 @@ def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS} to cover every shift amount")
-    rows = []
+    rows, state = [], ArchState(pc=DEFAULT_BASE)
     for m in sorted(isa.ZKT_COVERED, key=lambda x: x.value):
         ext = isa.EXT_OF[m]
         if ext is not isa.Ext.RV32I and ext not in config.extensions:
@@ -75,7 +79,7 @@ def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
             rs1 = (_AUDIT_PATTERNS[i] if i < len(_AUDIT_PATTERNS)
                    else rng.getrandbits(32))
             rs2 = i % 32 if m in SHIFT_MNEMONICS else rng.getrandbits(32)
-            lats.append(_measure_once(config, forms[i % 32], rs1, rs2))
+            lats.append(_measure_once(config, state, forms[i % 32], rs1, rs2))
         rows.append(AuditRow(m.value, CLASS_OF[m], min(lats), max(lats)))
     return AuditReport(width=config.serial_width, zkt=config.zkt,
                        trials=trials, rows=tuple(rows))

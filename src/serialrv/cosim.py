@@ -62,8 +62,9 @@ class CosimReport(NamedTuple):
     divergence_pc: Optional[int] = None
     divergence_field: Optional[str] = None
     # the steps before the one that ends the run. That step retires only
-    # if it is ebreak or ecall, and ExecStats.instret counts it then, so
-    # this leaves out a final ebreak (seed 0, width 4, Zkn+Zkt: 307 vs 308)
+    # if it is ebreak, ecall or an exit store, and ExecStats.instret counts
+    # it then, so this leaves out a final ebreak, ecall or exit store (seed
+    # 0, width 4, Zkn+Zkt: 307 vs 308)
     instret: int = 0
     cycles: int = 0  # the core's cycle count at the end; not in the JSON
 

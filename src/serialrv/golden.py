@@ -23,8 +23,9 @@ MASK32 = 0xFFFFFFFF
 
 # Memory-mapped I/O, matched on the access address of a store: a store to
 # CONSOLE_ADDR appends the low byte of the stored value to the console
-# buffer; a store to EXIT_ADDR requests a halt with the stored bytes as exit
-# code. Neither reaches memory.
+# buffer; a store to EXIT_ADDR keeps the stored bytes as exit code, and the
+# step that stores there halts with the ECALL outcome in both models.
+# Neither reaches memory.
 CONSOLE_ADDR = 0xF0000000
 EXIT_ADDR = 0xF0000004
 
@@ -101,20 +102,24 @@ class Memory:
             value |= byte << 8 * i
         return value
 
-    def store(self, addr: int, size: int, value: int) -> None:
-        """Store the low `size` bytes of `value` at `addr`, little-endian.
+    def store(self, addr: int, size: int, value: int) -> bool:
+        """Store the low `size` bytes of `value` at `addr`, little-endian,
+        and return whether the store hit the exit word.
 
         A store to an MMIO word reaches the device instead of memory: MMIO
-        is matched first.
+        is matched first, here and nowhere else. Its caller, either model's
+        store, halts its step with the ECALL outcome when this returns True.
         """
         addr &= MASK32
         value &= (1 << 8 * size) - 1
+        if addr == EXIT_ADDR:
+            self.exit_code = value
+            return True
         if addr == CONSOLE_ADDR:
             self.console.append(value & 0xFF)
-        elif addr == EXIT_ADDR:
-            self.exit_code = value
         else:
             self._write(addr, size, value)
+        return False
 
     def _write(self, addr: int, size: int, value: int) -> None:
         """Write `value` to memory at `addr`, already masked to 32 bits."""
@@ -399,16 +404,16 @@ def _store(width: int):
         addr = (a + i.imm) & MASK32
         if addr % width:
             return None, HALT[MISALIGNED_ACCESS]
-        s.mem.store(addr, width, b)
-        return None, None
+        return None, HALT[ECALL] if s.mem.store(addr, width, b) else None
     return handler
 
 
 # What each mnemonic does. A handler takes (state, instruction, rs1 value,
 # operand 2) and returns (value for rd or None, jump target or None for the
 # next instruction), or (None, the HALT outcome) for a step that halts having
-# written nothing. Operand 2 is the immediate for the isa.IMM_FORMS, so
-# each I-form shares the handler of its R-form.
+# written no register: a store to the exit word halts having stored. Operand
+# 2 is the immediate for the isa.IMM_FORMS, so each I-form shares the handler
+# of its R-form.
 _EXECUTE = {
     M.ADD: lambda s, i, a, b: ((a + b) & MASK32, None),
     M.SUB: lambda s, i, a, b: ((a - b) & MASK32, None),
@@ -467,11 +472,12 @@ def execute(state: ArchState, word: int, extensions: frozenset) -> StepOutcome:
     """Execute exactly one instruction, `word`, as the one at pc; mutates
     state.
 
-    A step that halts leaves pc and the registers as they were: ebreak
-    and ecall, the only halts that retire, and every trap. A misaligned
-    pc traps here, at its fetch, and nowhere else: a taken transfer to a
-    target 2 mod 4 retires, writing rd and pc, and the step after it
-    traps.
+    A step that halts leaves pc and the registers as they were: ebreak,
+    ecall and a store to the exit word, the only halts that retire (the
+    store halts with the ECALL outcome, its exit code kept in
+    `Memory.exit_code`), and every trap. A misaligned pc traps here, at
+    its fetch, and nowhere else: a taken transfer to a target 2 mod 4
+    retires, writing rd and pc, and the step after it traps.
 
     Instructions whose extension subset is not in `extensions` halt with
     an illegal-instruction reason (RV32I itself is always enabled). The

@@ -42,14 +42,17 @@ lines.
 Every step ends in one of golden's shared outcomes, `RETIRED` or the
 `HALT` entry of its reason, and none ends by raising. One retire rule
 holds in both models: a step that halts retires nothing and changes
-nothing, except ebreak and ecall, which retire (charged and counted,
-pc left where it was) and halt. Each trap has one site. A misaligned pc
-traps at its fetch, so a taken transfer to a target 2 mod 4 retires,
-writing rd and pc, and the next step's fetch traps. A handler whose
-access is misaligned returns that trap's outcome where a jump target
-would go, as ebreak and ecall return theirs; on a step with a target the
-frame tells the trap apart by one identity test, and the trap charges
-and counts nothing. A sequential step never reaches that test.
+nothing, except one whose outcome is ebreak's or ecall's, which retires
+(charged and counted, pc left where it was) and halts. A store to the
+exit word is such a step: it commits, takes its sequential charge and
+halts with the ECALL outcome, as `Memory.store` tells the commit. Each
+trap has one site. A misaligned pc traps at its fetch, so a taken
+transfer to a target 2 mod 4 retires, writing rd and pc, and the next
+step's fetch traps. A handler whose access is misaligned returns that
+trap's outcome where a jump target would go, as ebreak and ecall return
+theirs; on a step with a target the frame tells the trap apart by one
+identity test, and the trap charges and counts nothing. A sequential
+step never reaches that test.
 
 What is bound once, so that a step need not work it out again (none of
 it changes a simulated cycle):
@@ -561,12 +564,14 @@ class MicroCore:
         as it is now: a dense-window word straight from the window, any
         other through the memory port. A step is charged one of its
         record's two charges (see `_binding`): the taken one when it
-        transfers control or halts with ebreak or ecall, else the
-        sequential one, for a shift or rotate its row's entry for the
-        amount, which also holds the plan the frame runs. If a step's
+        transfers control or is ebreak or ecall, else the sequential one
+        (an exit store's too), for a shift or rotate its row's entry for
+        the amount, which also holds the plan the frame runs. If a step's
         cycles would take `cycle` past `max_cycles`, it writes nothing and
         halts with max-steps. Only a store's record has a size, so only a
-        store commits through the memory port.
+        store commits through the memory port; one that hits the exit word
+        halts there with the ECALL outcome, charged and counted, pc left
+        on it.
 
         `expect` is (deltas, gold): golden's recorded steps, at least
         one, each (pc after, rd, rd's value after) as `cosim._golden_run`
@@ -640,7 +645,8 @@ class MicroCore:
 
             # commit: only a store's record has a size; its value is (address, value)
             if size is not None:
-                arch.mem.store(val[0], size, val[1])
+                if arch.mem.store(val[0], size, val[1]):  # the exit word: pc stays
+                    return charged, HALT[ECALL], ins
             elif val is not None and rd:
                 regs[rd] = val & MASK32
             if target is None:

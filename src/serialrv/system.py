@@ -50,11 +50,14 @@ def run(image: ProgramImage, config: CoreConfig,
         state: Optional[ArchState] = None) -> ExecStats:
     """Execute an image on the cycle-accurate core until it halts.
 
-    Halting: ebreak, plain ecall, any trap, a store to the exit MMIO word,
-    or exhausting the cycle budget. An instruction that would overrun the
-    budget does not retire and changes nothing, so the state is that of the
-    last retired instruction. Pass a pre-built `state` to inspect memory
-    after the run.
+    The run ends on the first step that halts, as the core decides it:
+    ebreak, ecall, any trap, a store to the exit MMIO word (which halts at
+    its own step with the ecall outcome, pc left on it), or exhausting the
+    cycle budget. `exit_code` is read once, after the run: the exit word's
+    value when the halt is ecall, 0 for a plain ecall, else None. An
+    instruction that would overrun the budget does not retire and changes
+    nothing, so the state is that of the last retired instruction. Pass a
+    pre-built `state` to inspect memory after the run.
 
     The core counts each mnemonic's retirements and charged cycles where it
     charges them (`MicroCore.retired`); `instret` and the per-class counts
@@ -66,7 +69,6 @@ def run(image: ProgramImage, config: CoreConfig,
         state = ArchState.from_image(image)
     core = MicroCore(config, state)
     mem = state.mem
-    exit_code = None
 
     step = core.step
     while True:
@@ -76,10 +78,6 @@ def run(image: ProgramImage, config: CoreConfig,
             trace.write(f"{core.cycle - cycles},0x{pc_before:08x},"
                         f"0x{ins.raw:08x},{ins.mnemonic.value},{cycles}\n")
         if outcome.halted:
-            halt = outcome.reason
-            break
-        if mem.exit_code is not None:
-            halt, exit_code = golden.ECALL, mem.exit_code
             break
 
     instret, classes = 0, {}
@@ -88,8 +86,8 @@ def run(image: ProgramImage, config: CoreConfig,
         entry = classes.setdefault(CLASS_OF[m], [0, 0])
         entry[0] += count
         entry[1] += cycles
-    if halt == golden.ECALL and exit_code is None:
-        exit_code = 0
+    halt = outcome.reason
+    exit_code = (mem.exit_code or 0) if halt == golden.ECALL else None
     return ExecStats(cycles=core.cycle, instret=instret, halt=halt,
                      exit_code=exit_code, code_size=image.code_size,
                      startup_cycles=core.startup_cycles,

@@ -14,6 +14,7 @@ from serialrv.bench import (ChecksumMismatch, KERNELS, _swap_words,
                             build_aes128, build_alumix, build_prince_sbox,
                             build_sha256, build_shiftstorm, run_kernel,
                             run_suite, sha256_pad)
+from serialrv.golden import ArchState
 from serialrv.isa import Ext, Mnemonic as M
 from serialrv.microarch import SHIFT_MNEMONICS, CoreConfig
 
@@ -425,7 +426,7 @@ def _audited_operands(monkeypatch, covered):
     """Every (instruction, rs1, rs2) the audit measures, by mnemonic."""
     seen = {}
 
-    def spy(config, ins, rs1, rs2):
+    def spy(config, state, ins, rs1, rs2):
         seen.setdefault(ins.mnemonic, []).append((ins, rs1, rs2))
         return 1
 
@@ -453,22 +454,23 @@ def test_audit_too_few_trials_rejected():
 def test_zkt_never_faster():
     zkt_on = CoreConfig.zkn_zkt(4)
     zkt_off = CoreConfig(serial_width=4, extensions=isa.ZKN)
+    state = ArchState()  # each measurement resets what it reads
     for m in sorted(isa.ZKT_COVERED, key=lambda x: x.value):
         if m in SHIFT_MNEMONICS & isa.IMM_FORMS:
             for s in (0, 1, 17, 31):
                 i = isa.instr(m, rd=4, rs1=1, imm=s)
-                assert audit._measure_once(zkt_on, i, 0xDEAD, 0) >= \
-                    audit._measure_once(zkt_off, i, 0xDEAD, 0)
+                assert audit._measure_once(zkt_on, state, i, 0xDEAD, 0) >= \
+                    audit._measure_once(zkt_off, state, i, 0xDEAD, 0)
         elif isa.ENCODINGS[m].fmt == isa.FMT_UNARY:
             i = isa.instr(m, rd=4, rs1=1)
-            assert audit._measure_once(zkt_on, i, 5, 0) >= \
-                audit._measure_once(zkt_off, i, 5, 0)
+            assert audit._measure_once(zkt_on, state, i, 5, 0) >= \
+                audit._measure_once(zkt_off, state, i, 5, 0)
         elif m in isa.AES_MNEMONICS:
             i = isa.instr(m, rd=4, rs1=1, rs2=2, bs=1)
-            assert audit._measure_once(zkt_on, i, 5, 9) >= \
-                audit._measure_once(zkt_off, i, 5, 9)
+            assert audit._measure_once(zkt_on, state, i, 5, 9) >= \
+                audit._measure_once(zkt_off, state, i, 5, 9)
         else:
             i = isa.instr(m, rd=4, rs1=1, rs2=2)
             for rs2 in (0, 13, 31):
-                assert audit._measure_once(zkt_on, i, 0xBEEF, rs2) >= \
-                    audit._measure_once(zkt_off, i, 0xBEEF, rs2)
+                assert audit._measure_once(zkt_on, state, i, 0xBEEF, rs2) >= \
+                    audit._measure_once(zkt_off, state, i, 0xBEEF, rs2)

@@ -10,7 +10,7 @@ import mutants
 import oracles
 from test_bench import FULL_SUITE_JSON_SHA256, full_suite_json_sha256
 from test_microarch import KNOB_SETS
-from serialrv import bench, cosim, golden, isa, microarch
+from serialrv import bench, cosim, golden, isa, microarch, system
 from serialrv.cosim import (MEMORY_WINDOW, TortureConfig, cosim_run, generate,
                             signature)
 from serialrv.golden import ArchState, Memory
@@ -398,7 +398,8 @@ def test_every_bench_kernel_cell_runs_in_lockstep():
 
 
 def _mmio_image():
-    """A program that stores to both MMIO words and then halts on ebreak."""
+    """A program that stores to both MMIO words: the exit store halts it,
+    so its ebreak never runs."""
     a = isa.Assembler()
     a.li(1, golden.CONSOLE_ADDR)
     a.li(2, 0x48)
@@ -417,8 +418,8 @@ def _mmio_image():
 def test_lockstep_compares_the_console_and_the_exit_code_at_the_end(fault, field):
     """A core store that flips bit 0 of the word written to one MMIO word
     leaves every register and the window as golden's, and the replay ends
-    on the ebreak that golden halts on: lockstep and its oracle name the
-    MMIO word at the pc of that last step."""
+    on the exit store that golden halts on: lockstep and its oracle name
+    the MMIO word at the pc of that last step."""
     image = _mmio_image()
     trace = cosim._golden_run(image, isa.ZKN, cosim.MAX_STEPS)
     assert (trace.console, trace.exit_code) == (b"H", 7)
@@ -426,10 +427,43 @@ def test_lockstep_compares_the_console_and_the_exit_code_at_the_end(fault, field
     with mutants.flipped_store(fault) if fault else contextlib.nullcontext():
         rep = cosim.lockstep(trace, core)
         _, _, _, oracle = _lockstep(image, core)
-    ebreak_pc = image.base + len(image.data) - 4
-    want = (ebreak_pc, field) if field else None
+    exit_store_pc = image.base + len(image.data) - 8  # the word before ebreak
+    want = (exit_store_pc, field) if field else None
     got = (rep.divergence_pc, rep.divergence_field) if rep.divergence_field else None
     assert got == oracle == want and rep.passed is (want is None)
+
+
+@pytest.mark.parametrize("width,cycles", [(1, None), (4, 35), (32, None)])
+def test_run_and_cosim_end_an_exit_program_at_the_same_step(width, cycles):
+    """`system.run` and cosim both end a program at its store to the exit
+    word: golden's trace ends on the store with the ecall outcome and exit
+    code 7, the replay passes with the run's cycles, and the addi after
+    the store changes x3 in neither model."""
+    a = isa.Assembler()
+    a.li(1, golden.EXIT_ADDR)
+    a.li(2, 7)
+    a.emit(M.SW, rs1=1, rs2=2, imm=0)
+    a.emit(M.ADDI, rd=3, rs1=0, imm=1)  # must not execute
+    a.emit(M.EBREAK)
+    image = a.build()
+    store_pc = image.base + len(image.data) - 12
+
+    trace = cosim._golden_run(image, isa.ZKN, cosim.MAX_STEPS)
+    assert trace.outcome is golden.HALT[golden.ECALL]
+    assert trace.steps[-1][0] == store_pc and trace.exit_code == 7
+    gold = [0] * 32
+    for _, rd, value in trace.steps:
+        gold[rd] = value
+    assert gold[3] == 0
+
+    config = CoreConfig.zkn_zkt(width)
+    state = ArchState.from_image(image)
+    stats = system.run(image, config, state=state)
+    assert (stats.halt, stats.exit_code, stats.instret) == (golden.ECALL, 7, 4)
+    assert state.pc == store_pc and state.regs[3] == 0
+    rep = cosim.lockstep(trace, config)
+    assert rep.passed and rep.cycles == stats.cycles
+    assert cycles is None or stats.cycles == cycles
 
 
 def test_every_benchmark_program_lies_in_the_dense_window():

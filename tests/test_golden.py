@@ -168,11 +168,14 @@ def test_exit_mmio():
 @pytest.mark.parametrize("m,want", [
     (M.SB, 0x03), (M.SH, 0x5603), (M.SW, 0x12345603)])
 def test_exit_mmio_takes_the_stored_bytes(m, want):
+    """The exit store halts its own step with the ecall outcome, pc left
+    on it, and its stored bytes become the exit code."""
     s = fresh_state()
     s.regs[1] = golden.EXIT_ADDR
     s.regs[2] = 0x12345603
     s.mem.store(0x1000, 4, instr(m, rs1=1, rs2=2, imm=0).raw)
-    assert not golden.step(s).halted
+    assert golden.step(s) is golden.HALT[golden.ECALL]
+    assert s.pc == 0x1000
     assert s.mem.exit_code == want
     assert s.mem.load(golden.EXIT_ADDR, 4) == 0
 

@@ -1209,7 +1209,8 @@ def test_every_step_ends_in_a_shared_outcome(monkeypatch):
     And one retire rule holds on both: a step is charged exactly when it
     retires, which is when it ends in RETIRED, ebreak or ecall; a step
     that halts leaves pc and the registers as they were (ebreak and ecall
-    write neither)."""
+    write neither). A store to the exit word (sw and sb) ends in ecall's
+    outcome in both models, and the core charges and counts it."""
     shared = {id(out) for out in (golden.RETIRED, *golden.HALT.values())}
     retiring = {id(golden.RETIRED), id(golden.HALT[golden.EBREAK]),
                 id(golden.HALT[golden.ECALL])}
@@ -1273,20 +1274,33 @@ def test_every_step_ends_in_a_shared_outcome(monkeypatch):
         cosim._golden_run(cosim.generate(cosim.TortureConfig(seed=seed)),
                           isa.ZKN, 200_000)
 
-    # a step that ends in each halt reason, at a width that chunks
-    for pc, word, exts in [
-            (0x1000, instr(M.EBREAK).raw, isa.ZKN),
-            (0x1000, instr(M.ECALL).raw, isa.ZKN),
-            (0x1000, 0, isa.ZKN),  # no RV32 instruction is all zeros
-            (0x1000, instr(M.AES32ESI, rd=1, rs1=2, rs2=3, bs=0).raw, frozenset()),
-            (0x1002, instr(M.ADDI, rd=1, rs1=1, imm=1).raw, isa.ZKN),
-            (0x1000, instr(M.LH, rd=1, rs1=0, imm=0x201).raw, isa.ZKN),
-            (0x1000, instr(M.SW, rs1=0, rs2=1, imm=0x202).raw, isa.ZKN)]:
+    # a step that ends in each halt reason, at a width that chunks; x5
+    # holds the exit word's address and x6 a value for the exit stores
+    for pc, word, exts, reason in [
+            (0x1000, instr(M.EBREAK).raw, isa.ZKN, golden.EBREAK),
+            (0x1000, instr(M.ECALL).raw, isa.ZKN, golden.ECALL),
+            (0x1000, instr(M.SW, rs1=5, rs2=6).raw, isa.ZKN, golden.ECALL),
+            (0x1000, instr(M.SB, rs1=5, rs2=6).raw, isa.ZKN, golden.ECALL),
+            (0x1000, 0, isa.ZKN, golden.ILLEGAL),  # no RV32 instruction is all zeros
+            (0x1000, instr(M.AES32ESI, rd=1, rs1=2, rs2=3, bs=0).raw, frozenset(),
+             golden.ILLEGAL),
+            (0x1002, instr(M.ADDI, rd=1, rs1=1, imm=1).raw, isa.ZKN,
+             golden.MISALIGNED_FETCH),
+            (0x1000, instr(M.LH, rd=1, rs1=0, imm=0x201).raw, isa.ZKN,
+             golden.MISALIGNED_ACCESS),
+            (0x1000, instr(M.SW, rs1=0, rs2=1, imm=0x202).raw, isa.ZKN,
+             golden.MISALIGNED_ACCESS)]:
         ref, arch = ArchState(pc=pc), ArchState(pc=pc)
         for state in (ref, arch):
             state.mem.store(0x1000, 4, word)
-        golden.step(ref, exts)
-        MicroCore(CoreConfig(serial_width=4, extensions=exts), arch).step()
+            state.regs[5:7] = golden.EXIT_ADDR, 0x12345603
+        core = MicroCore(CoreConfig(serial_width=4, extensions=exts), arch)
+        assert golden.step(ref, exts) is golden.HALT[reason], (word, reason)
+        charged, out, ins = core.step()
+        assert out is golden.HALT[reason], (word, reason)
+        # a retiring halt is counted where it is charged
+        assert core.retired() == ({ins.mnemonic: (1, charged)} if charged else {})
+        assert ref.mem.exit_code == arch.mem.exit_code
     MicroCore(CoreConfig(serial_width=4), ArchState(pc=0x1000)).step(0)
 
     assert reasons["core"] == {None, *golden.HALT}
