@@ -51,9 +51,11 @@ def _measure_once(config: CoreConfig, state: ArchState, ins: isa.Instr,
 
 _AUDIT_PATTERNS = (0, MASK32) + tuple(1 << k for k in range(32))
 MIN_TRIALS = 32  # so that immediate shifts sweep every shift amount
+DEFAULT_TRIALS = 256  # also `serialrv audit-ct`'s default
 
 
-def audit_constant_time(config: CoreConfig, trials: int = 256) -> AuditReport:
+def audit_constant_time(config: CoreConfig,
+                        trials: int = DEFAULT_TRIALS) -> AuditReport:
     """Measure per-mnemonic latency spread over `trials` operand samples.
 
     Sample i runs `isa.instr(m, rd=4, rs1=1, rs2=2, imm=i % 32, bs=i % 4)`,

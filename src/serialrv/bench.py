@@ -26,7 +26,7 @@ from .cosim import fnv1a64
 from .golden import AES_SBOX, AES_SBOX_INV, ArchState, MASK32
 from .image import ProgramImage
 from .isa import Assembler, Mnemonic as M
-from .microarch import VALID_WIDTHS, CoreConfig
+from .microarch import VALID_WIDTHS, CoreConfig, aes_words
 
 # the extensions each variant's cells run on
 EXTS = {"rv32i": frozenset(), "zkn": isa.ZKN_ZKT}
@@ -118,24 +118,10 @@ def _dec_round_key_bytes(key: bytes) -> bytes:
 
 
 @functools.lru_cache(maxsize=None)
-def _te0_table() -> bytes:
-    # Te0[x] = MixColumns column contribution of S(x): LE bytes [2s, s, s, 3s]
-    out = bytearray()
-    for x in range(256):
-        s = AES_SBOX[x]
-        out += bytes((golden.xt2(s), s, s, golden.xt2(s) ^ s))
-    return bytes(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _td0_table() -> bytes:
-    # Td0[x] = InvMixColumns contribution of InvS(x): LE bytes [Es, 9s, Ds, Bs]
-    g = golden._gmul
-    out = bytearray()
-    for x in range(256):
-        s = AES_SBOX_INV[x]
-        out += bytes((g(s, 0xE), g(s, 0x9), g(s, 0xD), g(s, 0xB)))
-    return bytes(out)
+def _ttable(m: M) -> bytes:
+    """The rv32i T-table of `m`: the AES unit's word for each input byte,
+    4 bytes little-endian each. AES32ESMI gives Te0, AES32DSMI Td0."""
+    return b"".join(w.to_bytes(4, "little") for w in aes_words(m))
 
 
 # --- SHA-256 constants (derived, not transcribed) ---------------------------
@@ -339,7 +325,7 @@ def build_aes128(variant: str, decrypt: bool = False,
     rk = _dec_round_key_bytes(key) if decrypt else _enc_round_key_bytes(key)
     blocks = {"data": rk + block, "out": bytes(16)}
     if not zkn:
-        blocks["ttable"] = _td0_table() if decrypt else _te0_table()
+        blocks["ttable"] = _ttable(M.AES32DSMI if decrypt else M.AES32ESMI)
         if decrypt:
             blocks["inv_sbox"] = AES_SBOX_INV
     expected = _FIPS_OUT.get((decrypt, block), b"") if key == FIPS_KEY else b""

@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=_int_from(0), default=0)
     c.add_argument("--programs", type=_int_from(1), default=10)
     c.add_argument("--ext", type=_ext_set, default=isa.ZKN_ZKT)
-    c.add_argument("--length", type=_int_from(1), default=200)
+    c.add_argument("--length", type=_int_from(1),
+                   default=cosim.TortureConfig._field_defaults["length"])
 
     b = sub.add_parser("bench", parents=[matrix],
                        help="run the cryptographic benchmark suite")
@@ -140,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("audit-ct", help="constant-time latency audit")
     a.add_argument("--width", type=int, choices=VALID_WIDTHS, default=32)
     a.add_argument("--ext", type=_ext_set, default=isa.ZKN_ZKT)
-    a.add_argument("--trials", type=_int_from(audit.MIN_TRIALS), default=256)
+    a.add_argument("--trials", type=_int_from(audit.MIN_TRIALS),
+                   default=audit.DEFAULT_TRIALS)
 
     sub.add_parser("disasm", parents=[image], help="disassemble an image")
     # names the commands, not the dest, when none is given

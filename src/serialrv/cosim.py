@@ -439,7 +439,7 @@ def cosim_run(torture: TortureConfig, core: CoreConfig) -> CosimReport:
 
 
 def run_matrix(seeds, widths, extensions: frozenset = isa.ZKN_ZKT,
-               length: int = 200) -> list:
+               length: int = TortureConfig._field_defaults["length"]) -> list:
     """The verification sweep: every seed crossed with every width. Each
     seed's trace is recorded once (`torture_trace`, uncached) and replayed
     at every width (`lockstep`), so no verdict comes from an earlier

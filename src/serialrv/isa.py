@@ -440,21 +440,28 @@ _DECODE_CACHE: dict = {}  # word -> Instr; see decode_cached
 _DECODE_CACHE_MAX = 1 << 17  # past this many entries decode_cached clears it
 
 
-def decode_cached(word: int) -> Instr:
-    """decode() with memoization in `_DECODE_CACHE`; used on simulator fetch
-    paths. `golden.execute` decodes through here, for `golden.step` and for
-    cosim's golden trace alike, where every word hits the generator's seeded
-    Instrs. Only `MicroCore.step` probes the dict itself, through its bound
-    `get`, and calls this on a miss, so the dict is cleared in place, never
-    rebound. Kernels, the audit and `serialrv run` fill it here on demand,
-    and past `_DECODE_CACHE_MAX` entries it is cleared. Cosim seeds it with
-    exactly one program's words: `cosim.torture_trace` clears it and fills
-    it with the generator's own Instrs."""
+def decode_cached(word: int) -> Optional[Instr]:
+    """decode() with memoization in `_DECODE_CACHE`; None for an illegal
+    word, which is not cached. `decode` raises for such a word and this
+    catches it, so neither model's step raises or catches: both test for
+    None. Used on simulator fetch paths. `golden.execute` decodes through
+    here, for `golden.step` and for cosim's golden trace alike, where
+    every word hits the generator's seeded Instrs. Only `MicroCore.step`
+    probes the dict itself, through its bound `get`, and calls this on a
+    miss, so the dict is cleared in place, never rebound. Kernels, the
+    audit and `serialrv run` fill it here on demand, and past
+    `_DECODE_CACHE_MAX` entries it is cleared. Cosim seeds it with exactly
+    one program's words: `cosim.torture_trace` clears it and fills it with
+    the generator's own Instrs."""
     i = _DECODE_CACHE.get(word)
     if i is None:
+        try:
+            i = decode(word)
+        except IllegalInstruction:
+            return None
         if len(_DECODE_CACHE) > _DECODE_CACHE_MAX:
             _DECODE_CACHE.clear()
-        i = _DECODE_CACHE[word] = decode(word)
+        _DECODE_CACHE[word] = i
     return i
 
 

@@ -40,7 +40,8 @@ instruction, a program's, the audit's or cosim's, passes through these
 lines.
 
 Every step ends in one of golden's shared outcomes, `RETIRED` or the
-`HALT` entry of its reason, and none ends by raising. One retire rule
+`HALT` entry of its reason, and nothing on the step path raises or
+catches: an illegal word is `isa.decode_cached`'s None. One retire rule
 holds in both models: a step that halts retires nothing and changes
 nothing, except one whose outcome is ebreak's or ecall's, which retires
 (charged and counted, pc left where it was) and halts. A store to the
@@ -611,9 +612,8 @@ class MicroCore:
             # a word decoded before is one probe of the decode cache
             ins = _cached_instr(word)
             if ins is None:
-                try:
-                    ins = isa.decode_cached(word)
-                except isa.IllegalInstruction:
+                ins = isa.decode_cached(word)
+                if ins is None:
                     return 0, HALT[ILLEGAL], None
 
             # execute on the mnemonic's record and pick its charge
@@ -721,8 +721,13 @@ def _store_unit(m: M):
     return lsu_store
 
 
-def _aes_words(m: M):
-    """The word that the S-box and mix of `m` drive, for each input byte."""
+def aes_words(m: M):
+    """The word that the S-box and mix of `m` drive, for each input byte.
+
+    It is the AES unit's table and, packed little-endian, bench's rv32i
+    T-table: Te0 for AES32ESMI, Td0 for AES32DSMI. Golden's
+    `aes32_semantics` computes the same words with its own arithmetic,
+    so cosim checks this one table for both."""
     if m is M.AES32ESI:
         return golden.AES_SBOX
     if m is M.AES32DSI:
@@ -742,7 +747,7 @@ def _aes_words(m: M):
 
 
 def _aes_unit(m: M):
-    words = _aes_words(m)
+    words = aes_words(m)
 
     def aes(core, i, a, b):
         # byte select via the operand mask, S-box and mix as one table

@@ -28,28 +28,67 @@ def sha256(msg: bytes) -> bytes:
     return hashlib.sha256(msg).digest()
 
 
+def _gf_mul(a: int, b: int) -> int:
+    """Product in GF(2^8) modulo the AES polynomial x^8 + x^4 + x^3 + x + 1."""
+    p = 0
+    for _ in range(8):
+        if b & 1:
+            p ^= a
+        hi = a & 0x80
+        a = (a << 1) & 0xFF
+        if hi:
+            a ^= 0x1B
+        b >>= 1
+    return p
+
+
 def aes_sbox_algebraic(x: int) -> int:
     """S-box from first principles: GF(2^8) inverse + affine transform."""
-    def gmul(a, b):
-        p = 0
-        for _ in range(8):
-            if b & 1:
-                p ^= a
-            hi = a & 0x80
-            a = (a << 1) & 0xFF
-            if hi:
-                a ^= 0x1B
-            b >>= 1
-        return p
-
     inv = 0
     if x:
         for y in range(1, 256):
-            if gmul(x, y) == 1:
+            if _gf_mul(x, y) == 1:
                 inv = y
                 break
     rot = lambda b, n: ((b << n) | (b >> (8 - n))) & 0xFF
     return inv ^ rot(inv, 1) ^ rot(inv, 2) ^ rot(inv, 3) ^ rot(inv, 4) ^ 0x63
+
+
+@functools.lru_cache(maxsize=None)
+def _aes_sboxes() -> tuple:
+    """(S-box, inverse S-box): the S-box from first principles, and its
+    inverse by inverting that permutation."""
+    sbox = [aes_sbox_algebraic(x) for x in range(256)]
+    inverse = [0] * 256
+    for x, s in enumerate(sbox):
+        inverse[s] = x
+    return sbox, inverse
+
+
+# each aes32* form: (whether it takes the inverse S-box, its MixColumns
+# column, byte 0 first, or None for no mix). The columns are FIPS-197's:
+# {02, 01, 01, 03} for MixColumns and {0e, 09, 0d, 0b} for InvMixColumns.
+_AES32 = {
+    "aes32esi": (False, None),
+    "aes32esmi": (False, (0x02, 0x01, 0x01, 0x03)),
+    "aes32dsi": (True, None),
+    "aes32dsmi": (True, (0x0E, 0x09, 0x0D, 0x0B)),
+}
+
+
+def aes32(mnemonic: str, rs1: int, rs2: int, bs: int) -> int:
+    """The Zkne/Zknd `mnemonic` (its text), as the Scalar Cryptography
+    spec defines it: byte `bs` of rs2 goes through the S-box, the inverse
+    one for the aes32ds* forms, and for the *mi forms through the column
+    of MixColumns or InvMixColumns; that word, rotated left by 8 * bs, is
+    XORed into rs1."""
+    inverse, column = _AES32[mnemonic]
+    s = _aes_sboxes()[inverse][(rs2 >> 8 * bs) & 0xFF]
+    if column is None:
+        word = s
+    else:
+        word = sum(_gf_mul(s, c) << 8 * i for i, c in enumerate(column))
+    return rs1 ^ shift("rol", word, 8 * bs)
 
 
 def clmul64_convolution(a: int, b: int) -> int:

@@ -440,6 +440,46 @@ def test_every_shift_amount_on_edge_operands_matches_the_isa():
     assert _shift_mismatches() == []
 
 
+def _aes32_mismatches():
+    """(model, width, mnemonic, bs, rs1, rs2) of every aes32* step whose rd
+    is not `oracles.aes32`'s: every value of the selected byte at every
+    byte select, with rs2's other bytes seeded and rs1 0, all-ones or a
+    seeded word; on the core at every width, and on golden once."""
+    rng = random.Random(0xAE532)
+    noise = rng.getrandbits(32)
+    cases = []
+    for m in (M.AES32ESI, M.AES32ESMI, M.AES32DSI, M.AES32DSMI):
+        for bs in range(4):
+            i = instr(m, rd=3, rs1=1, rs2=2, bs=bs)
+            for byte in range(256):
+                rs2 = noise & ~(0xFF << 8 * bs) | byte << 8 * bs
+                for rs1 in (0, 0xFFFFFFFF, rng.getrandbits(32)):
+                    cases.append((i, rs1, rs2, oracles.aes32(m.value, rs1, rs2, bs)))
+    bad = []
+    for width in WIDTHS:
+        core = make_core(width)
+        for i, rs1, rs2, want in cases:
+            core.arch.pc = 0x1000
+            exec_one(core, i, {1: rs1, 2: rs2})
+            if core.arch.regs[3] != want:
+                bad.append(("core", width, i.mnemonic.value, i.bs, rs1, rs2))
+    ref = ArchState()
+    for i, rs1, rs2, want in cases:
+        ref.pc, ref.regs[1], ref.regs[2] = 0x1000, rs1, rs2
+        ref.mem.store(0x1000, 4, i.raw)
+        assert golden.step(ref) is golden.RETIRED
+        if ref.regs[3] != want:
+            bad.append(("golden", None, i.mnemonic.value, i.bs, rs1, rs2))
+    return bad
+
+
+def test_every_aes32_byte_and_byte_select_matches_the_spec():
+    """The one AES word table serves the core's AES unit and the rv32i
+    T-tables (`microarch.aes_words`); this checks it, and golden's
+    arithmetic, against an oracle built from first principles."""
+    assert _aes32_mismatches() == []
+
+
 def test_shift_edge_sweep_kills_the_masked_sll_mutant():
     """An emulated sll by 3 masked as if by 4 clears bit 3 of the result,
     which the sweep sees wherever rs1 sets that bit: only under the knob
@@ -1198,6 +1238,32 @@ STEP_DIGESTS = {
 
 def test_step_path_is_pinned():
     assert _step_digests() == STEP_DIGESTS
+
+
+@pytest.mark.parametrize("word", [0x00000000, 0xFFFFFFFF])
+def test_an_illegal_word_halts_with_no_exception_in_either_step(word):
+    """An illegal word halts both models with HALT[ILLEGAL], pc and the
+    registers as they were, and no exception reaches `golden.execute`'s
+    or `MicroCore.step`'s frame: `isa.decode` raises, and
+    `isa.decode_cached` catches it and returns None."""
+    regs = [0, *range(101, 132)]
+    ref = ArchState(pc=0x1000)
+    ref.regs[:] = regs
+    ref.mem.store(0x1000, 4, word)
+    out, codes = callprofile.exceptions_of(golden.step, ref)
+    assert out is golden.HALT[golden.ILLEGAL]
+    assert (ref.pc, ref.regs) == (0x1000, regs)
+    assert isa.decode.__code__ in codes  # the recorder sees decode's raise
+    assert golden.execute.__code__ not in codes
+
+    core = make_core(4)
+    core.arch.regs[:] = regs
+    core.arch.mem.store(0x1000, 4, word)
+    (charged, out, ins), codes = callprofile.exceptions_of(core.step)
+    assert (charged, ins) == (0, None) and out is golden.HALT[golden.ILLEGAL]
+    assert (core.arch.pc, core.arch.regs) == (0x1000, regs)
+    assert isa.decode.__code__ in codes
+    assert MicroCore.step.__code__ not in codes
 
 
 def test_every_step_ends_in_a_shared_outcome(monkeypatch):
